@@ -26,6 +26,8 @@ class AssignmentParams:
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
+        if not self.decide_dt_s > 0.0:
+            raise ValueError("decide_dt_s must be positive")
         if not self.decide_dt_s <= self.sample_dt_s <= self.horizon_s:
             raise ValueError("need decide_dt <= sample_dt <= horizon")
 
@@ -73,42 +75,41 @@ def sample_times(params: AssignmentParams) -> np.ndarray:
 
 
 def sample_distances(
-    elem: SatelliteElement,
+    sat: SatelliteElement | int,
     controllers,
     params: AssignmentParams,
     metric: str = "geometric",
     fields=None,
 ) -> list[DistanceSeries]:
-    """Sample the distance from ``elem`` to every controller.
+    """Sample the distance from satellite ``sat`` to every controller.
 
     ``controllers`` maps controller ids to GroundStation records (a
     dict or list of (gs_id, station) pairs). The default geometric
-    metric is the straight-line range; the "network" metric reads
-    shortest-path distances for the satellite out of precomputed
-    ``fields`` (nearest snapshot in time), for which ``elem.sat_id``
-    must be a flat row index.
+    metric is the straight-line range from the element ``sat``; the
+    "network" metric reads shortest-path distances out of precomputed
+    ``fields`` (nearest snapshot in time), for which ``sat`` is the
+    satellite's flat row index in the fields.
     """
     items = list(controllers.items()) if isinstance(controllers, dict) else list(controllers)
     ts = sample_times(params)
     out = []
     if metric == "geometric":
         gs_pos = {gid: station_position(st) for gid, st in items}
-        sat_pos = np.stack([propagate(elem, t) for t in ts])
+        sat_pos = np.stack([propagate(sat, t) for t in ts])
         for gid, _ in items:
             km = np.linalg.norm(sat_pos - gs_pos[gid][None, :], axis=1)
             out.append(DistanceSeries(gs_id=gid, times=ts, km=km, horizon_s=params.horizon_s))
     elif metric == "network":
         if fields is None:
             raise ValueError("network metric needs precomputed distance fields")
+        if not isinstance(sat, (int, np.integer)):
+            raise ValueError("network metric needs a flat satellite row index")
         field_times = np.array([f.t for f in fields])
-        sat_row = elem.sat_id if isinstance(elem.sat_id, int) else None
-        if sat_row is None:
-            raise ValueError("network metric needs a flat satellite index")
         for gid, _ in items:
             km = np.empty(ts.shape[0])
             for i, t in enumerate(ts):
                 f = fields[int(np.argmin(np.abs(field_times - t)))]
-                km[i] = f.d[sat_row, gid]
+                km[i] = f.d[sat, gid]
             out.append(DistanceSeries(gs_id=gid, times=ts, km=km, horizon_s=params.horizon_s))
     else:
         raise ValueError(f"unknown metric: {metric!r}")
@@ -123,7 +124,7 @@ def interpolate(series: DistanceSeries, t: float) -> float:
 
 
 def predict_handovers(
-    series_set: list[DistanceSeries], params: AssignmentParams, impl: str | None = None
+    series_set: list[DistanceSeries], params: AssignmentParams
 ) -> HandoverSchedule:
     """Scan the horizon and emit threshold-gated handover events.
 
@@ -137,13 +138,7 @@ def predict_handovers(
     sample_t = ordered[0].times
     sample_d = np.stack([s.km for s in ordered])
     initial_idx, events = kernels.handover_scan(
-        sample_t,
-        sample_d,
-        float(sample_t[1] - sample_t[0]) if sample_t.shape[0] > 1 else 1.0,
-        params.decide_dt_s,
-        params.horizon_s,
-        params.delta,
-        impl=impl,
+        sample_t, sample_d, params.decide_dt_s, params.horizon_s, params.delta
     )
     return HandoverSchedule(
         initial=ids[initial_idx],

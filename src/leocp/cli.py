@@ -2,8 +2,10 @@
 
 Each stage is a pure function of the effective config, so stages can
 run independently; later stages recompute their (cheap, deterministic)
-prerequisites instead of reading intermediate files. Every invocation
-echoes the effective config next to its outputs.
+prerequisites instead of reading intermediate files. Within one
+invocation each prerequisite (fields, placement, schedules) is computed
+once and shared by the stages that need it. Every invocation echoes the
+effective config next to its outputs.
 """
 import argparse
 import csv
@@ -11,12 +13,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import placement as plc
-from .config import ScenarioConfig, apply_overrides, load_config, parse_config, stage_seed
+from .config import apply_overrides, load_config, parse_config, stage_seed
 from .errors import BudgetExceeded, ConfigError, InfeasibleInstance, LeocpError, StageError
 from .orbits import generate_constellation
-from .protocol import ConstantLatency
 from .reporting import aggregate, write_records_csv, write_report
 from .scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
 from .topology import field_to_dict, write_fields_csv, write_snapshots_json
@@ -24,33 +26,7 @@ from .topology import field_to_dict, write_fields_csv, write_snapshots_json
 STAGES = ["gen", "snapshot", "place", "assign", "simulate", "report"]
 
 
-def _spec_from_config(cfg: ScenarioConfig, controllers=None, record_trace=False) -> ScenarioSpec:
-    latency = None
-    if cfg.constant_latency_ms is not None:
-        latency = ConstantLatency(cfg.constant_latency_ms)
-    return ScenarioSpec(
-        shell=cfg.shell,
-        stations=cfg.stations,
-        controllers=controllers if controllers is not None else [],
-        duration_s=cfg.duration_s,
-        snapshot_dt_s=cfg.snapshot_dt_s,
-        min_elevation_deg=cfg.min_elevation_deg,
-        isl_mode=cfg.isl_mode,
-        gsl_limit=cfg.gsl_limit,
-        assignment=cfg.assignment,
-        metric=cfg.metric,
-        protocol=cfg.protocol,
-        delays=cfg.delays,
-        report_interval_s=cfg.report_interval_s,
-        grace_s=cfg.grace_s,
-        terrestrial_factor=cfg.terrestrial_factor,
-        pods_per_sat=cfg.pods_per_sat,
-        record_trace=record_trace,
-        latency_model=latency,
-    )
-
-
-def _solve_placement(cfg: ScenarioConfig, fields):
+def _solve_placement(cfg: ScenarioSpec, fields):
     candidates = list(range(len(cfg.stations)))
     seed = stage_seed(cfg.seed, "place")
     problem_clusters = min(cfg.clusters, len(fields))
@@ -79,7 +55,7 @@ def _solution_dict(sol):
     }
 
 
-def run_pipeline(cfg: ScenarioConfig, stage: str, out_dir: str, trace: bool = False) -> int:
+def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.json"), "w") as fh:
         json.dump(cfg.raw, fh, indent=2, sort_keys=True)
@@ -96,23 +72,35 @@ def run_pipeline(cfg: ScenarioConfig, stage: str, out_dir: str, trace: bool = Fa
     return 0
 
 
-def _require_fields(cfg, state):
-    if "fields" not in state:
-        spec = _spec_from_config(cfg)
-        state["elements"], state["snapshots"], state["fields"] = build_fields(spec)
-    return state["fields"]
+def _require_built(cfg, state):
+    """The (elements, snapshots, fields) series, built once per run."""
+    if "built" not in state:
+        state["built"] = build_fields(cfg)
+    return state["built"]
 
 
 def _require_placement(cfg, state):
     if "solution" not in state:
-        state["solution"] = _solve_placement(cfg, _require_fields(cfg, state))
+        state["solution"] = _solve_placement(cfg, _require_built(cfg, state)[2])
     return state["solution"]
 
 
-def _run_stage(name, cfg: ScenarioConfig, out_dir, state, trace):
+def _controlled(cfg, state, record_trace=False):
+    """The scenario with the placed controllers as its control nodes."""
+    selected = list(_require_placement(cfg, state).selected)
+    return replace(cfg, controllers=selected, record_trace=record_trace)
+
+
+def _require_result(cfg, state, record_trace=False):
+    if "result" not in state:
+        spec = _controlled(cfg, state, record_trace=record_trace)
+        state["result"] = run_scenario(spec, _require_built(cfg, state), state.get("schedules"))
+    return state["result"]
+
+
+def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
     if name == "gen":
         elements = generate_constellation(cfg.shell)
-        state["elements"] = elements
         path = os.path.join(out_dir, "constellation.json")
         with open(path, "w") as fh:
             json.dump(
@@ -133,9 +121,9 @@ def _run_stage(name, cfg: ScenarioConfig, out_dir, state, trace):
         print(f"[gen] {len(elements)} satellites -> {path}")
 
     elif name == "snapshot":
-        fields = _require_fields(cfg, state)
+        _, snapshots, fields = _require_built(cfg, state)
         snap_path = os.path.join(out_dir, "snapshots.json")
-        write_snapshots_json(state["snapshots"], snap_path)
+        write_snapshots_json(snapshots, snap_path)
         with open(os.path.join(out_dir, "fields.json"), "w") as fh:
             json.dump([field_to_dict(f) for f in fields], fh)
             fh.write("\n")
@@ -144,7 +132,7 @@ def _run_stage(name, cfg: ScenarioConfig, out_dir, state, trace):
         print(f"[snapshot] {len(fields)} snapshots -> {snap_path}, {csv_path}")
 
     elif name == "place":
-        fields = _require_fields(cfg, state)
+        fields = _require_built(cfg, state)[2]
         solution = _require_placement(cfg, state)
         path = os.path.join(out_dir, "placement.json")
         with open(path, "w") as fh:
@@ -157,9 +145,8 @@ def _run_stage(name, cfg: ScenarioConfig, out_dir, state, trace):
         )
 
     elif name == "assign":
-        solution = _require_placement(cfg, state)
-        spec = _spec_from_config(cfg, controllers=list(solution.selected))
-        schedules = predict_schedules(spec, state["elements"], state["fields"])
+        elements, _, fields = _require_built(cfg, state)
+        schedules = predict_schedules(_controlled(cfg, state), elements, fields)
         state["schedules"] = schedules
         json_path = os.path.join(out_dir, "schedule.json")
         with open(json_path, "w") as fh:
@@ -186,10 +173,7 @@ def _run_stage(name, cfg: ScenarioConfig, out_dir, state, trace):
         print(f"[assign] {total} predicted handovers -> {csv_path}")
 
     elif name == "simulate":
-        solution = _require_placement(cfg, state)
-        spec = _spec_from_config(cfg, controllers=list(solution.selected), record_trace=trace)
-        result = run_scenario(spec)
-        state["result"] = result
+        result = _require_result(cfg, state, record_trace=trace)
         path = os.path.join(out_dir, "records.csv")
         write_records_csv(result.records, path)
         if trace and result.sim.trace is not None:
@@ -203,11 +187,7 @@ def _run_stage(name, cfg: ScenarioConfig, out_dir, state, trace):
         )
 
     elif name == "report":
-        if "result" not in state:
-            solution = _require_placement(cfg, state)
-            spec = _spec_from_config(cfg, controllers=list(solution.selected))
-            state["result"] = run_scenario(spec)
-        result = state["result"]
+        result = _require_result(cfg, state)
         report = aggregate(result.records, result.report_latencies)
         write_report(report, out_dir)
         agg = report.aggregate

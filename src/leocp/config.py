@@ -7,12 +7,12 @@ outputs so any run can be reproduced exactly.
 """
 import json
 import os
-from dataclasses import dataclass, field
 
 from .assignment import AssignmentParams
 from .errors import ConfigError
 from .orbits import GroundStation, WalkerShell
-from .protocol import DelayProfile, Protocol
+from .protocol import ConstantLatency, DelayProfile, Protocol
+from .scenario import ScenarioSpec
 
 _NUM = (int, float)
 
@@ -70,32 +70,6 @@ _TOP_KEYS = {
 _METHODS = {"cnpa", "exhaustive", "random", "single"}
 
 
-@dataclass
-class ScenarioConfig:
-    seed: int
-    shell: WalkerShell
-    stations: list
-    snapshot_dt_s: float
-    min_elevation_deg: float
-    isl_mode: str
-    gsl_limit: int | None
-    terrestrial_factor: float
-    k: int
-    clusters: int
-    method: str
-    eval_on_full: bool
-    assignment: AssignmentParams
-    metric: str
-    protocol: Protocol
-    report_interval_s: float
-    grace_s: float | None
-    pods_per_sat: int
-    delays: DelayProfile
-    constant_latency_ms: float | None
-    duration_s: float
-    raw: dict = field(repr=False, default_factory=dict)
-
-
 def _check_keys(section: dict, allowed: dict, where: str, required=()):
     for key in section:
         if key not in allowed:
@@ -142,7 +116,15 @@ def _load_stations(raw, base_dir):
     return stations
 
 
-def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
+def _given(section: dict, keys, convert=lambda v: v) -> dict:
+    """The ``keys`` present in ``section``, converted; absent keys keep
+    the ScenarioSpec default."""
+    return {key: convert(section[key]) for key in keys if key in section}
+
+
+def parse_config(raw: dict, base_dir: str = ".") -> ScenarioSpec:
+    """Validate a raw config dict and build its ScenarioSpec, with no
+    controllers selected yet (placement picks them)."""
     _check_keys(raw, _TOP_KEYS, "config", required=("shell", "stations", "sim"))
 
     shell_raw = raw["shell"]
@@ -161,91 +143,92 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         raise ConfigError(f"shell: {exc}") from exc
 
     stations = _load_stations(raw["stations"], base_dir)
-
     topo = raw.get("topology", {})
     _check_keys(topo, _TOPOLOGY_KEYS, "topology")
-    isl_mode = topo.get("isl_mode", "fixed_grid")
-    if isl_mode not in ("fixed_grid", "nearest"):
-        raise ConfigError(f"topology.isl_mode must be fixed_grid or nearest, got {isl_mode!r}")
-
     plc = raw.get("placement", {})
     _check_keys(plc, _PLACEMENT_KEYS, "placement")
-    method = plc.get("method", "cnpa")
-    if method not in _METHODS:
-        raise ConfigError(f"placement.method must be one of {sorted(_METHODS)}, got {method!r}")
-    k = plc.get("k", 1)
-    clusters = plc.get("clusters", 1)
-    if not 1 <= k <= len(stations):
-        raise ConfigError(f"placement.k must be in [1, {len(stations)}]")
-
     asg = raw.get("assignment", {})
     _check_keys(asg, _ASSIGNMENT_KEYS, "assignment")
-    metric = asg.get("metric", "geometric")
-    if metric not in ("geometric", "network"):
-        raise ConfigError(f"assignment.metric must be geometric or network, got {metric!r}")
+    proto = raw.get("protocol", {})
+    _check_keys(proto, _PROTOCOL_KEYS, "protocol")
+    delays_raw = proto.get("delays", {})
+    _check_keys(delays_raw, _DELAY_KEYS, "protocol.delays")
     sim_raw = raw["sim"]
     _check_keys(sim_raw, _SIM_KEYS, "sim", required=("duration_s",))
+
     duration = float(sim_raw["duration_s"])
     if duration <= 0:
         raise ConfigError("sim.duration_s must be positive")
     try:
-        assignment = AssignmentParams(
-            horizon_s=duration,
-            sample_dt_s=min(float(asg.get("sample_dt_s", 60.0)), duration),
-            decide_dt_s=float(asg.get("decide_dt_s", 1.0)),
-            delta=float(asg.get("delta", 0.9)),
+        sampling = _given(asg, ("sample_dt_s", "decide_dt_s", "delta"), float)
+        sampling["sample_dt_s"] = min(
+            sampling.get("sample_dt_s", AssignmentParams.sample_dt_s), duration
         )
+        assignment = AssignmentParams(horizon_s=duration, **sampling)
     except ValueError as exc:
         raise ConfigError(f"assignment: {exc}") from exc
-
-    proto = raw.get("protocol", {})
-    _check_keys(proto, _PROTOCOL_KEYS, "protocol")
-    proto_type = proto.get("type", "seamless")
-    if proto_type not in ("seamless", "legacy"):
-        raise ConfigError(f"protocol.type must be seamless or legacy, got {proto_type!r}")
-    delays_raw = proto.get("delays", {})
-    _check_keys(delays_raw, _DELAY_KEYS, "protocol.delays")
     try:
-        delays = DelayProfile(**{**_delay_defaults(), **delays_raw})
+        delays = DelayProfile(**delays_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"protocol.delays: {exc}") from exc
+    renamed = {}  # config keys whose ScenarioSpec field has another name or type
+    if "type" in proto:
+        if proto["type"] not in ("seamless", "legacy"):
+            raise ConfigError(f"protocol.type must be seamless or legacy, got {proto['type']!r}")
+        renamed["protocol"] = Protocol(proto["type"])
+    if proto.get("constant_latency_ms") is not None:
+        renamed["latency_model"] = ConstantLatency(proto["constant_latency_ms"])
 
-    snapshot_dt = float(topo.get("snapshot_dt_s", 60.0))
-    if snapshot_dt <= 0 or snapshot_dt > duration:
-        raise ConfigError("topology.snapshot_dt_s must be in (0, sim.duration_s]")
-
-    return ScenarioConfig(
-        seed=raw.get("seed", 0),
+    spec = ScenarioSpec(
         shell=shell,
         stations=stations,
-        snapshot_dt_s=snapshot_dt,
-        min_elevation_deg=float(topo.get("min_elevation_deg", 25.0)),
-        isl_mode=isl_mode,
-        gsl_limit=topo.get("gsl_limit"),
-        terrestrial_factor=float(topo.get("terrestrial_factor", 2.0)),
-        k=k,
-        clusters=clusters,
-        method=method,
-        eval_on_full=plc.get("eval_on_full", False),
-        assignment=assignment,
-        metric=metric,
-        protocol=Protocol(proto_type),
-        report_interval_s=float(proto.get("report_interval_s", 10.0)),
-        grace_s=proto.get("grace_s"),
-        pods_per_sat=proto.get("pods_per_sat", 1),
-        delays=delays,
-        constant_latency_ms=proto.get("constant_latency_ms"),
+        controllers=[],
         duration_s=duration,
+        **_given(raw, ("seed",)),
+        **_given(topo, ("snapshot_dt_s", "min_elevation_deg", "terrestrial_factor"), float),
+        **_given(topo, ("isl_mode", "gsl_limit")),
+        **_given(plc, _PLACEMENT_KEYS),
+        assignment=assignment,
+        **_given(asg, ("metric",)),
+        delays=delays,
+        **_given(proto, ("report_interval_s",), float),
+        **_given(proto, ("grace_s", "pods_per_sat")),
+        **renamed,
         raw=raw,
     )
+    _validate(spec)
+    return spec
 
 
-def _delay_defaults() -> dict:
-    d = DelayProfile()
-    return {k: getattr(d, k) for k in _DELAY_KEYS}
+def _validate(spec: ScenarioSpec):
+    """Range checks on the parsed values, each naming its config field."""
+    if spec.isl_mode not in ("fixed_grid", "nearest"):
+        raise ConfigError(
+            f"topology.isl_mode must be fixed_grid or nearest, got {spec.isl_mode!r}"
+        )
+    if not 0 < spec.snapshot_dt_s <= spec.duration_s:
+        raise ConfigError("topology.snapshot_dt_s must be in (0, sim.duration_s]")
+    if spec.method not in _METHODS:
+        raise ConfigError(
+            f"placement.method must be one of {sorted(_METHODS)}, got {spec.method!r}"
+        )
+    if not 1 <= spec.k <= len(spec.stations):
+        raise ConfigError(f"placement.k must be in [1, {len(spec.stations)}]")
+    if spec.clusters < 1:
+        raise ConfigError("placement.clusters must be at least 1")
+    if spec.metric not in ("geometric", "network"):
+        raise ConfigError(
+            f"assignment.metric must be geometric or network, got {spec.metric!r}"
+        )
+    if spec.report_interval_s <= 0:
+        raise ConfigError("protocol.report_interval_s must be positive")
+    if spec.grace_s is not None and spec.grace_s < 0:
+        raise ConfigError("protocol.grace_s must be non-negative")
+    if spec.pods_per_sat < 0:
+        raise ConfigError("protocol.pods_per_sat must be non-negative")
 
 
-def load_config(path: str) -> ScenarioConfig:
+def load_config(path: str) -> ScenarioSpec:
     try:
         with open(path) as fh:
             raw = json.load(fh)

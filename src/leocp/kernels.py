@@ -1,212 +1,53 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels on numpy/scipy.
 
 Two inner loops dominate large runs: single-source Dijkstra over the
 satellite-ground graph (once per ground station per snapshot) and the
 per-satellite handover decision scan (one tick per decision interval
-over a multi-hour horizon). Both are provided as numba ``@njit``
-kernels with a fallback path that needs only numpy/scipy.
-
-Set ``LEOCP_DISABLE_NUMBA=1`` in the environment to force the fallback
-path; ``benchmarks/bench_kernels.py`` compares the two.
+over a multi-hour horizon). Dijkstra runs in scipy's compiled csgraph
+routine; the scan interpolates every controller onto the decision grid
+with numpy and walks the ticks in python.
 """
-import os
-
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("LEOCP_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via LEOCP_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        """No-op stand-in so kernel bodies stay importable without numba."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-@njit(cache=True)
-def _dijkstra_csr(indptr, indices, weights, n_nodes, source):
-    """Single-source shortest paths over a CSR graph with a binary heap."""
-    dist = np.full(n_nodes, np.inf)
-    done = np.zeros(n_nodes, dtype=np.bool_)
-    heap_node = np.empty(n_nodes * 8, dtype=np.int64)
-    heap_key = np.empty(n_nodes * 8, dtype=np.float64)
-    size = 0
-
-    dist[source] = 0.0
-    heap_node[0] = source
-    heap_key[0] = 0.0
-    size = 1
-
-    while size > 0:
-        u = heap_node[0]
-        key = heap_key[0]
-        size -= 1
-        heap_node[0] = heap_node[size]
-        heap_key[0] = heap_key[size]
-        # sift down
-        i = 0
-        while True:
-            left = 2 * i + 1
-            right = left + 1
-            smallest = i
-            if left < size and heap_key[left] < heap_key[smallest]:
-                smallest = left
-            if right < size and heap_key[right] < heap_key[smallest]:
-                smallest = right
-            if smallest == i:
-                break
-            heap_key[i], heap_key[smallest] = heap_key[smallest], heap_key[i]
-            heap_node[i], heap_node[smallest] = heap_node[smallest], heap_node[i]
-            i = smallest
-
-        if done[u] or key > dist[u]:
-            continue
-        done[u] = True
-
-        for e in range(indptr[u], indptr[u + 1]):
-            v = indices[e]
-            nd = dist[u] + weights[e]
-            if nd < dist[v]:
-                dist[v] = nd
-                # sift up
-                j = size
-                heap_node[j] = v
-                heap_key[j] = nd
-                size += 1
-                while j > 0:
-                    parent = (j - 1) // 2
-                    if heap_key[parent] <= heap_key[j]:
-                        break
-                    heap_key[j], heap_key[parent] = heap_key[parent], heap_key[j]
-                    heap_node[j], heap_node[parent] = heap_node[parent], heap_node[j]
-                    j = parent
-    return dist
-
-
-def dijkstra_from_sources(indptr, indices, weights, n_nodes, sources, impl=None):
+def dijkstra_from_sources(indptr, indices, weights, n_nodes, sources):
     """Shortest-path distances from each source node to every node.
 
     Parameters are a symmetric CSR adjacency (both directions present).
-    Returns an array of shape ``(len(sources), n_nodes)``. ``impl``
-    forces "numba" or "scipy"; default picks numba when available.
+    Returns an array of shape ``(len(sources), n_nodes)``.
     """
-    if impl is None:
-        impl = "numba" if HAVE_NUMBA else "scipy"
-    if impl == "numba":
-        out = np.empty((len(sources), n_nodes))
-        for k, src in enumerate(sources):
-            out[k] = _dijkstra_csr(indptr, indices, weights, n_nodes, src)
-        return out
-    if impl == "scipy":
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-        graph = csr_matrix((weights, indices, indptr), shape=(n_nodes, n_nodes))
-        return _sp_dijkstra(graph, directed=False, indices=np.asarray(sources))
-    raise ValueError(f"unknown dijkstra impl: {impl!r}")
+    graph = csr_matrix((weights, indices, indptr), shape=(n_nodes, n_nodes))
+    return _sp_dijkstra(graph, directed=False, indices=np.asarray(sources))
 
 
-@njit(cache=True)
-def _handover_scan(sample_t, sample_d, sample_dt, decide_dt, horizon, delta):
-    """Threshold-rule controller scan over a uniformly sampled horizon.
+def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
+    """Threshold-rule controller scan, returning (initial_index, [(t, target_index)]).
 
-    ``sample_d`` has one row per controller. Interpolates each row
-    piecewise-linearly at every decision tick, assigns the initial
-    nearest controller, and emits a switch whenever another controller
-    is strictly closer than ``delta`` times the current one's distance.
-    Returns (initial, event_times, event_targets, count).
+    ``sample_d`` has one row per controller. Each row is interpolated
+    piecewise-linearly at every decision tick; the initial controller is
+    the nearest at t=0 (ties to the lowest index), and a switch fires
+    whenever another controller is strictly closer than ``delta`` times
+    the current one's distance.
     """
-    n_ctl = sample_d.shape[0]
-    n_samples = sample_t.shape[0]
-    n_ticks = int(np.floor(horizon / decide_dt)) + 1
-    ev_t = np.empty(n_ticks, dtype=np.float64)
-    ev_g = np.empty(n_ticks, dtype=np.int64)
-    count = 0
-
-    current = -1
-    for tick in range(n_ticks):
-        t = tick * decide_dt
-        if t > horizon:
-            break
-        # bracketing sample indices (uniform spacing)
-        lo = int(t / sample_dt)
-        if lo >= n_samples - 1:
-            lo = n_samples - 2
-        t0 = sample_t[lo]
-        t1 = sample_t[lo + 1]
-        frac = (t - t0) / (t1 - t0)
-
-        best = 0
-        best_d = np.inf
-        cur_d = np.inf
-        for g in range(n_ctl):
-            d = sample_d[g, lo] + frac * (sample_d[g, lo + 1] - sample_d[g, lo])
-            if d < best_d:
-                best_d = d
-                best = g
-            if g == current:
-                cur_d = d
-        if current < 0:
-            current = best
-            continue
-        if best != current and best_d < delta * cur_d:
-            ev_t[count] = t
-            ev_g[count] = best
-            count += 1
-            current = best
-    return ev_t[:count], ev_g[:count], count
-
-
-def handover_scan(sample_t, sample_d, sample_dt, decide_dt, horizon, delta, impl=None):
-    """Run the decision scan, returning (initial_index, [(t, target_index)]).
-
-    The fallback path interpolates all controllers onto the decision
-    grid with numpy and walks the ticks in python; results are
-    identical to the numba kernel.
-    """
-    sample_t = np.ascontiguousarray(sample_t, dtype=np.float64)
-    sample_d = np.ascontiguousarray(sample_d, dtype=np.float64)
-    if sample_t.shape[0] == 1:
-        # degenerate zero-length horizon: pad so interpolation brackets exist
-        sample_t = np.array([sample_t[0], sample_t[0] + 1.0])
-        sample_d = np.concatenate([sample_d, sample_d], axis=1)
-    if impl is None:
-        impl = "numba" if HAVE_NUMBA else "numpy"
-
-    # initial assignment: nearest at t=0, ties to lowest index
+    sample_t = np.asarray(sample_t, dtype=np.float64)
+    sample_d = np.asarray(sample_d, dtype=np.float64)
     initial = int(np.argmin(sample_d[:, 0]))
 
-    if impl == "numba":
-        ev_t, ev_g, count = _handover_scan(
-            sample_t, sample_d, float(sample_dt), float(decide_dt), float(horizon), float(delta)
-        )
-        return initial, list(zip(ev_t.tolist(), ev_g.tolist()))
-    if impl == "numpy":
-        ticks = np.arange(0.0, horizon + decide_dt * 0.5, decide_dt)
-        ticks = ticks[ticks <= horizon]
-        interp = np.empty((sample_d.shape[0], ticks.shape[0]))
-        for g in range(sample_d.shape[0]):
-            interp[g] = np.interp(ticks, sample_t, sample_d[g])
-        best = np.argmin(interp, axis=0)
-        best_d = interp[best, np.arange(ticks.shape[0])]
-        events = []
-        current = initial
-        for i in range(ticks.shape[0]):
-            g = int(best[i])
-            if g != current and best_d[i] < delta * interp[current, i]:
-                events.append((float(ticks[i]), g))
-                current = g
-        return initial, events
-    raise ValueError(f"unknown scan impl: {impl!r}")
+    ticks = np.arange(0.0, horizon + decide_dt * 0.5, decide_dt)
+    ticks = ticks[ticks <= horizon]
+    interp = np.empty((sample_d.shape[0], ticks.shape[0]))
+    for g in range(sample_d.shape[0]):
+        interp[g] = np.interp(ticks, sample_t, sample_d[g])
+    best = np.argmin(interp, axis=0)
+    best_d = interp[best, np.arange(ticks.shape[0])]
+    events = []
+    current = initial
+    for i in range(ticks.shape[0]):
+        g = int(best[i])
+        if g != current and best_d[i] < delta * interp[current, i]:
+            events.append((float(ticks[i]), g))
+            current = g
+    return initial, events

@@ -5,7 +5,7 @@ against the selected controllers, then replays every predicted
 handover plus periodic status reporting through the event engine.
 Everything downstream of the inputs is deterministic.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .topology import build_snapshot, shortest_distances
 
 @dataclass
 class ScenarioSpec:
+    """One scenario: the constellation, the stations, and the settings of
+    every pipeline stage. ``leocp.config.parse_config`` builds it from a
+    JSON config; the defaults here are the config's defaults."""
+
     shell: WalkerShell
     stations: list
     controllers: list  # station indices acting as control nodes
@@ -42,6 +46,13 @@ class ScenarioSpec:
     pods_per_sat: int = 1
     record_trace: bool = False
     latency_model: object = None  # override; defaults to snapshot-based lookups
+    # placement settings, used by the CLI to select ``controllers``
+    seed: int = 0
+    k: int = 1
+    clusters: int = 1
+    method: str = "cnpa"
+    eval_on_full: bool = False
+    raw: dict = field(default_factory=dict, repr=False)  # the config it was parsed from
 
 
 @dataclass
@@ -77,36 +88,32 @@ def build_fields(spec: ScenarioSpec):
 
 def predict_schedules(spec: ScenarioSpec, elements, fields):
     """CNAA schedule per satellite against the scenario's controllers."""
-    params = AssignmentParams(
+    params = replace(
+        spec.assignment,
         horizon_s=spec.duration_s,
         sample_dt_s=min(spec.assignment.sample_dt_s, spec.duration_s),
-        decide_dt_s=spec.assignment.decide_dt_s,
-        delta=spec.assignment.delta,
     )
     controllers = {g: spec.stations[g] for g in sorted(spec.controllers)}
     schedules = {}
     for row, elem in enumerate(elements):
         if spec.metric == "network":
-            series = sample_distances(
-                _FlatElem(row), controllers, params, metric="network", fields=fields
-            )
+            series = sample_distances(row, controllers, params, metric="network", fields=fields)
         else:
             series = sample_distances(elem, controllers, params, metric="geometric")
         schedules[row] = predict_handovers(series, params)
     return schedules
 
 
-class _FlatElem:
-    """Minimal element wrapper carrying a flat row index for the
-    network-metric sampling path."""
+def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResult:
+    """Replay every predicted handover plus status reporting.
 
-    def __init__(self, row):
-        self.sat_id = row
-
-
-def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    elements, snapshots, fields = build_fields(spec)
-    schedules = predict_schedules(spec, elements, fields)
+    ``built`` is the (elements, snapshots, fields) triple of
+    ``build_fields(spec)`` and ``schedules`` the output of
+    ``predict_schedules``; each is computed here when not given.
+    """
+    elements, snapshots, fields = built if built is not None else build_fields(spec)
+    if schedules is None:
+        schedules = predict_schedules(spec, elements, fields)
 
     latency = spec.latency_model or SnapshotLatency(
         fields, spec.stations, terrestrial_factor=spec.terrestrial_factor

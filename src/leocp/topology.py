@@ -233,7 +233,7 @@ def _to_csr(snapshot: TopologySnapshot):
     return indptr, dst.astype(np.int64), w.astype(np.float64), n
 
 
-def shortest_distances(snapshot: TopologySnapshot, impl: str | None = None) -> DistanceField:
+def shortest_distances(snapshot: TopologySnapshot) -> DistanceField:
     """Dijkstra from every ground station over the ISL+GSL union graph."""
     n_sats, n_stations = snapshot.n_sats, snapshot.n_stations
     if snapshot.isl_km.size + snapshot.gsl_km.size == 0:
@@ -241,7 +241,7 @@ def shortest_distances(snapshot: TopologySnapshot, impl: str | None = None) -> D
         return DistanceField(t=snapshot.t, d=d)
     indptr, indices, weights, n = _to_csr(snapshot)
     sources = np.arange(n_sats, n_sats + n_stations)
-    dist = kernels.dijkstra_from_sources(indptr, indices, weights, n, sources, impl=impl)
+    dist = kernels.dijkstra_from_sources(indptr, indices, weights, n, sources)
     d = dist[:, :n_sats].T.copy()  # (n_sats, n_stations)
     return DistanceField(t=snapshot.t, d=d)
 

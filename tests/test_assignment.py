@@ -63,9 +63,6 @@ def test_equatorial_min_distance_is_altitude():
 def test_network_metric_reads_fields():
     from leocp.topology import DistanceField
 
-    class FlatElem:
-        sat_id = 0
-
     fields = [
         DistanceField(t=0.0, d=np.array([[100.0, 300.0]])),
         DistanceField(t=60.0, d=np.array([[200.0, 250.0]])),
@@ -75,7 +72,7 @@ def test_network_metric_reads_fields():
         1: GroundStation(1, "b", 0.0, 90.0),
     }
     params = AssignmentParams(horizon_s=60.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(FlatElem(), stations, params, metric="network", fields=fields)
+    series = sample_distances(0, stations, params, metric="network", fields=fields)
     assert series[0].km.tolist() == [100.0, 200.0]
     assert series[1].km.tolist() == [300.0, 250.0]
 
@@ -192,17 +189,44 @@ def test_sweep_monotonicity_small():
     assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
 
 
-def test_schedule_deterministic_and_impls_agree():
+def tick_oracle(series, params):
+    """The threshold rule applied one decision tick and one controller at
+    a time: (initial id, [(t, target id), ...])."""
+    def dist(g, t):
+        return float(np.interp(t, series[g].times, series[g].km))
+
+    def nearest(d):
+        return min(range(len(d)), key=lambda g: (d[g], g))  # ties to the lowest id
+
+    current = nearest([dist(g, 0.0) for g in range(len(series))])
+    initial = series[current].gs_id
+    events = []
+    for i in range(int(params.horizon_s / params.decide_dt_s) + 1):
+        t = i * params.decide_dt_s
+        d = [dist(g, t) for g in range(len(series))]
+        best = nearest(d)
+        if best != current and d[best] < params.delta * d[current]:
+            events.append((t, series[best].gs_id))
+            current = best
+    return initial, events
+
+
+def test_schedule_matches_tick_oracle_below_one():
     rng = np.random.default_rng(21)
     ts = np.arange(0.0, 1801.0, 60.0)
     series = [
         series_from(g, ts, rng.uniform(100.0, 2000.0, ts.shape[0]), 1800.0) for g in range(4)
     ]
-    params = AssignmentParams(horizon_s=1800.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.9)
-    a = predict_handovers(series, params, impl="numba")
-    b = predict_handovers(series, params, impl="numpy")
-    c = predict_handovers(series, params)
-    assert a == b == c
+    for delta in (0.95, 0.9, 0.8):
+        params = AssignmentParams(
+            horizon_s=1800.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta
+        )
+        sched = predict_handovers(series, params)
+        initial, events = tick_oracle(series, params)
+        assert events, delta  # the case must exercise switches
+        assert sched.initial == initial
+        assert list(sched.events) == events
+        assert predict_handovers(series, params) == sched
 
 
 def test_schedule_event_times_increase_and_targets_differ():
@@ -227,6 +251,9 @@ def test_params_invariants():
         AssignmentParams(delta=1.5)
     with pytest.raises(ValueError):
         AssignmentParams(horizon_s=10.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.9)
+    for decide_dt in (0.0, -1.0):
+        with pytest.raises(ValueError, match="decide_dt_s"):
+            AssignmentParams(decide_dt_s=decide_dt)
 
 
 def test_series_invariants():

@@ -66,6 +66,26 @@ def test_all_twice_byte_identical(mini_config, tmp_path):
         assert t1[name] == t2[name], name
 
 
+def test_all_builds_fields_and_predicts_schedules_once(mini_config, tmp_path, monkeypatch):
+    import leocp.cli
+    import leocp.scenario
+
+    calls = {"build_fields": 0, "predict_schedules": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (leocp.cli, leocp.scenario):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["all", "--config", mini_config, "--out", str(tmp_path / "once")]) == 0
+    assert calls == {"build_fields": 1, "predict_schedules": 1}
+
+
 def test_flag_overrides_take_precedence(mini_config, tmp_path):
     out = tmp_path / "o"
     assert main(
@@ -147,6 +167,24 @@ def test_out_of_range_k_rejected():
     raw = json.loads(json.dumps(MINI_CONFIG))
     raw["placement"]["k"] = 99
     with pytest.raises(ConfigError, match="placement.k"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("protocol", "report_interval_s", 0),  # a report would re-fire at the same t forever
+        ("assignment", "decide_dt_s", 0),  # the decision grid would divide by zero
+        ("assignment", "decide_dt_s", -1),
+        ("protocol", "pods_per_sat", -1),
+        ("protocol", "grace_s", -1.0),
+        ("placement", "clusters", 0),
+    ],
+)
+def test_out_of_range_value_rejected(section, key, value):
+    raw = json.loads(json.dumps(MINI_CONFIG))
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=key):
         parse_config(raw)
 
 

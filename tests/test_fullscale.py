@@ -3,9 +3,9 @@ the default run. Invoke with:
 
     pytest tests/test_fullscale.py -m slow -s
 
-Expected wall time is tens of minutes on a laptop-class machine (most
-of it in the event engine); the numba kernels carry the prediction and
-shortest-path load.
+Expected wall time is a few minutes on a laptop-class machine: about
+half of it in the event engine, most of the rest in per-satellite
+handover prediction.
 """
 import statistics
 import time

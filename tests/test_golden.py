@@ -27,7 +27,7 @@ def output_digests(out_dir):
     return digests
 
 
-def test_desk_all_outputs_match_golden_digests(tmp_path, capsys):
+def test_desk_all_outputs_match_golden_digests(tmp_path):
     config = os.path.join(ROOT, "configs", "desk.json")
     assert main(["all", "--config", config, "--out", str(tmp_path)]) == 0
     with open(DIGESTS) as fh:

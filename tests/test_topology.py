@@ -228,17 +228,6 @@ def test_shortest_distances_match_floyd_warshall():
         assert np.array_equal(got, expected)
 
 
-def test_dijkstra_impls_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        snap = random_snapshot(rng, 10, 3)
-        a = shortest_distances(snap, impl="numba")
-        b = shortest_distances(snap, impl="scipy")
-        assert np.array_equal(
-            np.where(a.reachable, a.d, -1.0), np.where(b.reachable, b.d, -1.0)
-        )
-
-
 def test_distance_lower_bounded_by_euclidean():
     shell = WalkerShell(4, 6, 53.0, 1200.0, phasing_factor=1)
     elements = generate_constellation(shell)
