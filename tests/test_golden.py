@@ -1,10 +1,14 @@
 """Golden output digests of ``leocp all`` on the desk config.
 
-The fixture holds the sha256 of every file the pipeline writes, except
-``effective_config.json`` (an echo of the input). A refactor that must
-keep outputs byte-identical proves it against these digests, not only
-run to run. When an output is meant to change, record the new digests
-from the run below and say why in the commit.
+Each fixture holds the sha256 of every file the pipeline writes, except
+``effective_config.json`` (an echo of the input). ``desk_all`` runs
+``configs/desk.json`` as it is; ``desk_network_all`` runs it with
+``assignment.metric: "network"``, which reads the distance fields
+through the nearest-snapshot lookup in both the sampler and the
+simulation's latency model. A refactor that must keep outputs
+byte-identical proves it against these digests, not only run to run.
+When an output is meant to change, record the new digests from the run
+below and say why in the commit.
 """
 import hashlib
 import json
@@ -13,7 +17,7 @@ import os
 from leocp.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-DIGESTS = os.path.join(os.path.dirname(__file__), "fixtures", "desk_all_digests.json")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 UNDIGESTED = {"effective_config.json"}
 
 
@@ -27,12 +31,26 @@ def output_digests(out_dir):
     return digests
 
 
-def test_desk_all_outputs_match_golden_digests(tmp_path):
-    config = os.path.join(ROOT, "configs", "desk.json")
-    assert main(["all", "--config", config, "--out", str(tmp_path)]) == 0
-    with open(DIGESTS) as fh:
+def check_golden(tmp_path, fixture, overrides):
+    with open(os.path.join(ROOT, "configs", "desk.json")) as fh:
+        raw = json.load(fh)
+    for section, values in overrides.items():
+        raw[section].update(values)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
+    with open(os.path.join(FIXTURES, fixture)) as fh:
         expected = json.load(fh)
-    got = output_digests(tmp_path)
+    got = output_digests(out)
     assert sorted(got) == sorted(expected)
     mismatched = [name for name in expected if got[name] != expected[name]]
     assert not mismatched, f"outputs differ from the golden digests: {mismatched}"
+
+
+def test_desk_all_outputs_match_golden_digests(tmp_path):
+    check_golden(tmp_path, "desk_all_digests.json", {})
+
+
+def test_desk_network_all_outputs_match_golden_digests(tmp_path):
+    check_golden(tmp_path, "desk_network_all_digests.json", {"assignment": {"metric": "network"}})
