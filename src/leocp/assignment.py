@@ -1,8 +1,10 @@
 """Per-satellite controller handover prediction.
 
 Distances from one satellite to every controller are sampled on a
-coarse grid over the horizon, interpolated piecewise-linearly, and
-scanned at a fine decision interval. A handover fires only when some
+coarse grid over the horizon (geometric: one ``propagate`` call over
+all sample times; network: each sample time looked up once in the
+nearest distance field), interpolated piecewise-linearly, and scanned
+at a fine decision interval. A handover fires only when some
 controller is strictly closer than ``delta`` times the current one's
 distance, which suppresses chatter from near-ties.
 """
@@ -14,6 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import OutOfHorizon
 from .orbits import SatelliteElement, propagate, station_position
+from .topology import nearest_field_index
 
 
 @dataclass(frozen=True)
@@ -87,30 +90,28 @@ def sample_distances(
     dict or list of (gs_id, station) pairs). The default geometric
     metric is the straight-line range from the element ``sat``; the
     "network" metric reads shortest-path distances out of precomputed
-    ``fields`` (nearest snapshot in time), for which ``sat`` is the
-    satellite's flat row index in the fields.
+    ``fields`` (in time order; nearest snapshot in time), for which
+    ``sat`` is the satellite's flat row index in the fields.
     """
     items = list(controllers.items()) if isinstance(controllers, dict) else list(controllers)
     ts = sample_times(params)
     out = []
     if metric == "geometric":
-        gs_pos = {gid: station_position(st) for gid, st in items}
-        sat_pos = np.stack([propagate(sat, t) for t in ts])
-        for gid, _ in items:
-            km = np.linalg.norm(sat_pos - gs_pos[gid][None, :], axis=1)
+        sat_pos = propagate(sat, ts)
+        for gid, st in items:
+            km = np.linalg.norm(sat_pos - station_position(st)[None, :], axis=1)
             out.append(DistanceSeries(gs_id=gid, times=ts, km=km, horizon_s=params.horizon_s))
     elif metric == "network":
         if fields is None:
             raise ValueError("network metric needs precomputed distance fields")
         if not isinstance(sat, (int, np.integer)):
             raise ValueError("network metric needs a flat satellite row index")
-        field_times = np.array([f.t for f in fields])
+        field_times = [f.t for f in fields]
+        rows = np.stack([fields[nearest_field_index(field_times, t)].d[sat] for t in ts.tolist()])
         for gid, _ in items:
-            km = np.empty(ts.shape[0])
-            for i, t in enumerate(ts):
-                f = fields[int(np.argmin(np.abs(field_times - t)))]
-                km[i] = f.d[sat, gid]
-            out.append(DistanceSeries(gs_id=gid, times=ts, km=km, horizon_s=params.horizon_s))
+            out.append(
+                DistanceSeries(gs_id=gid, times=ts, km=rows[:, gid], horizon_s=params.horizon_s)
+            )
     else:
         raise ValueError(f"unknown metric: {metric!r}")
     return out

@@ -26,22 +26,22 @@ from .topology import field_to_dict, write_fields_csv, write_snapshots_json
 STAGES = ["gen", "snapshot", "place", "assign", "simulate", "report"]
 
 
-def _solve_placement(cfg: ScenarioSpec, fields):
+def _solve_placement(cfg: ScenarioSpec, fields, method):
     candidates = list(range(len(cfg.stations)))
     seed = stage_seed(cfg.seed, "place")
-    problem_clusters = min(cfg.clusters, len(fields))
-    if cfg.method == "cnpa":
+    if method == "cnpa":
+        clusters = min(cfg.clusters, len(fields))
         problem = plc.PlacementProblem(
-            fields=fields, candidates=candidates, k=cfg.k, clusters=problem_clusters, seed=seed
+            fields=fields, candidates=candidates, k=cfg.k, clusters=clusters, seed=seed
         )
         return plc.cnpa(problem, eval_on_full=cfg.eval_on_full)
-    if cfg.method == "exhaustive":
+    if method == "exhaustive":
         return plc.exhaustive_optimal(fields, candidates, cfg.k)
-    if cfg.method == "random":
+    if method == "random":
         return plc.random_select(fields, candidates, cfg.k, seed=seed)
-    if cfg.method == "single":
+    if method == "single":
         return plc.best_single(fields, candidates)
-    raise StageError(f"place: unknown method {cfg.method!r}")
+    raise StageError(f"place: unknown method {method!r}")
 
 
 def _solution_dict(sol):
@@ -81,7 +81,7 @@ def _require_built(cfg, state):
 
 def _require_placement(cfg, state):
     if "solution" not in state:
-        state["solution"] = _solve_placement(cfg, _require_built(cfg, state)[2])
+        state["solution"] = _solve_placement(cfg, _require_built(cfg, state)[2], cfg.method)
     return state["solution"]
 
 
@@ -202,35 +202,20 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
 
 
 def _write_compare(cfg, fields, solution, path):
-    candidates = list(range(len(cfg.stations)))
-    seed = stage_seed(cfg.seed, "place")
+    """One row per placement method, the configured one first; a method
+    that cannot solve this instance gets no row."""
     rows = [solution]
-    if solution.method != "cnpa":
-        problem = plc.PlacementProblem(
-            fields=fields,
-            candidates=candidates,
-            k=cfg.k,
-            clusters=min(cfg.clusters, len(fields)),
-            seed=seed,
-        )
+    for method in ("cnpa", "random", "single", "exhaustive"):
+        if method == solution.method:
+            continue
         try:
-            rows.append(plc.cnpa(problem, eval_on_full=cfg.eval_on_full))
-        except InfeasibleInstance:
-            pass  # row omitted; the configured method's row still lands
-    rows.append(plc.random_select(fields, candidates, cfg.k, seed=seed))
-    rows.append(plc.best_single(fields, candidates))
-    try:
-        rows.append(plc.exhaustive_optimal(fields, candidates, cfg.k))
-    except BudgetExceeded:
-        pass
-    seen = set()
+            rows.append(_solve_placement(cfg, fields, method))
+        except (InfeasibleInstance, BudgetExceeded):
+            pass
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "selected", "objective_km", "objective_ms", "seed"])
         for sol in rows:
-            if sol.method in seen:
-                continue
-            seen.add(sol.method)
             obj_km = f"{sol.objective_km:.6f}" if math.isfinite(sol.objective_km) else "inf"
             obj_ms = f"{sol.objective_ms:.6f}" if math.isfinite(sol.objective_ms) else "inf"
             w.writerow(

@@ -2,9 +2,10 @@
 
 Satellites follow circular two-body orbits; the Earth is a rotating
 sphere of radius 6371 km. Positions come out in the Earth-centered
-Earth-fixed (ECEF) frame as float64 ``(3,)`` arrays in kilometers, so
-ground stations are time-independent and satellite-ground geometry is
-a plain Euclidean computation.
+Earth-fixed (ECEF) frame as float64 arrays in kilometers, so ground
+stations are time-independent and satellite-ground geometry is a plain
+Euclidean computation. ``propagate`` is the one propagator: it takes a
+single element or packed elements and broadcasts over times.
 """
 import math
 from dataclasses import dataclass
@@ -119,66 +120,50 @@ def generate_constellation(shell: WalkerShell) -> list[SatelliteElement]:
     return elements
 
 
-def propagate(elem: SatelliteElement, t: float) -> np.ndarray:
-    """ECEF position of one satellite at time ``t`` seconds."""
-    u = elem.initial_phase + elem.mean_motion * t
-    a = elem.semi_major_axis_km
-    cos_u, sin_u = math.cos(u), math.sin(u)
-    cos_i, sin_i = math.cos(elem.inclination), math.sin(elem.inclination)
-    # orbital plane -> inertial: rotate by inclination about x, then RAAN about z
-    x_orb, y_orb = a * cos_u, a * sin_u
-    y_inc, z_inc = y_orb * cos_i, y_orb * sin_i
-    cos_o, sin_o = math.cos(elem.raan), math.sin(elem.raan)
-    x_eci = x_orb * cos_o - y_inc * sin_o
-    y_eci = x_orb * sin_o + y_inc * cos_o
-    # inertial -> ECEF: rotate by -(Earth rotation) about z
-    theta = EARTH_ROTATION_RAD_S * t
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    return np.array(
-        [x_eci * cos_t + y_eci * sin_t, -x_eci * sin_t + y_eci * cos_t, z_inc]
-    )
-
-
 @dataclass(frozen=True)
 class ElementArrays:
-    """Column-packed elements for vectorized propagation."""
+    """Column-packed elements under the ``SatelliteElement`` names, so
+    ``propagate`` takes either. ``mean_motion`` packs each element's own
+    value, so a packed entry propagates bit for bit like its element."""
 
     raan: np.ndarray
-    phase: np.ndarray
-    a: np.ndarray
-    incl: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.raan.shape[0]
+    initial_phase: np.ndarray
+    semi_major_axis_km: np.ndarray
+    inclination: np.ndarray
+    mean_motion: np.ndarray
 
 
 def pack_elements(elements: list[SatelliteElement]) -> ElementArrays:
     return ElementArrays(
         raan=np.array([e.raan for e in elements]),
-        phase=np.array([e.initial_phase for e in elements]),
-        a=np.array([e.semi_major_axis_km for e in elements]),
-        incl=np.array([e.inclination for e in elements]),
+        initial_phase=np.array([e.initial_phase for e in elements]),
+        semi_major_axis_km=np.array([e.semi_major_axis_km for e in elements]),
+        inclination=np.array([e.inclination for e in elements]),
+        mean_motion=np.array([e.mean_motion for e in elements]),
     )
 
 
-def propagate_all(arrs: ElementArrays, t: float) -> np.ndarray:
-    """ECEF positions of every satellite at ``t``, shape (n, 3)."""
-    u = arrs.phase + np.sqrt(MU_EARTH / arrs.a**3) * t
-    x_orb = arrs.a * np.cos(u)
-    y_orb = arrs.a * np.sin(u)
-    y_inc = y_orb * np.cos(arrs.incl)
-    z = y_orb * np.sin(arrs.incl)
-    cos_o, sin_o = np.cos(arrs.raan), np.sin(arrs.raan)
+def propagate(elem: SatelliteElement | ElementArrays, t) -> np.ndarray:
+    """ECEF position(s) at time(s) ``t`` seconds.
+
+    Elements and times broadcast: one element at one time gives ``(3,)``,
+    packed elements at one time ``(n, 3)``, one element over an array of
+    times ``(T, 3)``. Each entry equals the one-element, one-time result.
+    """
+    u = elem.initial_phase + elem.mean_motion * t
+    a = elem.semi_major_axis_km
+    x_orb = a * np.cos(u)
+    y_orb = a * np.sin(u)
+    # orbital plane -> inertial: rotate by inclination about x, then RAAN about z
+    y_inc = y_orb * np.cos(elem.inclination)
+    z = y_orb * np.sin(elem.inclination)
+    cos_o, sin_o = np.cos(elem.raan), np.sin(elem.raan)
     x_eci = x_orb * cos_o - y_inc * sin_o
     y_eci = x_orb * sin_o + y_inc * cos_o
+    # inertial -> ECEF: rotate by -(Earth rotation) about z
     theta = EARTH_ROTATION_RAD_S * t
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    out = np.empty((arrs.n, 3))
-    out[:, 0] = x_eci * cos_t + y_eci * sin_t
-    out[:, 1] = -x_eci * sin_t + y_eci * cos_t
-    out[:, 2] = z
-    return out
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    return np.stack([x_eci * cos_t + y_eci * sin_t, -x_eci * sin_t + y_eci * cos_t, z], axis=-1)
 
 
 def station_position(gs: GroundStation) -> np.ndarray:

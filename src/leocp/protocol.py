@@ -7,6 +7,8 @@ binding, and final release commit; the satellite stays registered with
 at least one controller throughout and pods never stop. The legacy
 protocol drains the node, removes it, and rejoins it at the target,
 which opens measurable windows of node invisibility and pod downtime.
+A node runs one handover at a time: starting a second one while the
+first is in flight raises ``ConcurrentHandover``.
 
 The engine is logically single-threaded: one priority queue ordered by
 (time, sequence number), so identical inputs replay identical traces.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .constants import EARTH_RADIUS_KM
 from .errors import ConcurrentHandover, ProtocolViolation, Unreachable
-from .topology import distance_to_latency
+from .topology import distance_to_latency, nearest_field_index
 
 DEFAULT_REPORT_INTERVAL_S = 10.0
 DEFAULT_TERRESTRIAL_FACTOR = 2.0
@@ -146,7 +148,6 @@ class RegistryEntry:
 class SatelliteAgent:
     sat_id: int
     current_gs: int | None
-    pod_cidr: str
     pods: dict = dc_field(default_factory=dict)  # pod name -> running flag
     report_interval: float = DEFAULT_REPORT_INTERVAL_S
     pending_reports: list = dc_field(default_factory=list)
@@ -176,7 +177,7 @@ class SnapshotLatency:
 
     def __init__(self, fields, stations, terrestrial_factor=DEFAULT_TERRESTRIAL_FACTOR):
         self.fields = sorted(fields, key=lambda f: f.t)
-        self.times = np.array([f.t for f in self.fields])
+        self.times = [f.t for f in self.fields]
         self.factor = terrestrial_factor
         self._station_unit = {}
         for st in stations:
@@ -185,10 +186,6 @@ class SnapshotLatency:
             self._station_unit[st.gs_id] = np.array(
                 [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
             )
-
-    def _field_at(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.fields[i]
 
     def __call__(self, a, b, t) -> float:
         if a == b:
@@ -203,8 +200,7 @@ class SnapshotLatency:
             raise ValueError("satellite-to-satellite control traffic is not modeled")
         sat = id_a if kind_a == "sat" else id_b
         gs = id_b if kind_b == "gs" else id_a
-        f = self._field_at(t)
-        d = f.d[sat, gs]
+        d = self.fields[nearest_field_index(self.times, t)].d[sat, gs]
         return distance_to_latency(d) if np.isfinite(d) else math.inf
 
 
@@ -235,7 +231,6 @@ class Simulation:
             s: SatelliteAgent(
                 sat_id=s,
                 current_gs=None,
-                pod_cidr=f"10.{s // 250}.{s % 250}.0/24",
                 pods={f"pod-{s}-{i}": True for i in range(pods_per_sat)},
                 report_interval=report_interval,
             )
@@ -395,16 +390,26 @@ def run_seamless_handover(sim: Simulation, sat: int, target_gs: int, t0: float) 
     return sim.records[-1]
 
 
-def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
-    agent = sim.agents[sat]
-    source_gs = agent.current_gs
+def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
+    """Mark ``sat`` in flight and return its source controller.
+
+    An overlapping switch is checked first, so it raises
+    ``ConcurrentHandover`` rather than a complaint about the node's
+    mid-handover binding state.
+    """
+    if sat in sim._in_flight:
+        raise ConcurrentHandover(f"handover already in flight for node {sat}")
+    source_gs = sim.agents[sat].current_gs
     if source_gs is None or sim.registries[source_gs][sat].state is not BindingState.BOUND:
         raise ProtocolViolation(f"node {sat} is not Bound anywhere; cannot hand over")
     if target_gs == source_gs:
         raise ProtocolViolation("handover target equals the current controller")
-    if sat in sim._in_flight:
-        raise ConcurrentHandover(f"handover already in flight for node {sat}")
     sim._in_flight.add(sat)
+    return source_gs
+
+
+def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
+    source_gs = _begin_handover(sim, sat, target_gs)
 
     d = sim.delays
     req = HandoverRequest(
@@ -544,15 +549,8 @@ def run_legacy_handover(sim: Simulation, sat: int, target_gs: int, t0: float) ->
 
 
 def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
+    source_gs = _begin_handover(sim, sat, target_gs)
     agent = sim.agents[sat]
-    source_gs = agent.current_gs
-    if source_gs is None or sim.registries[source_gs][sat].state is not BindingState.BOUND:
-        raise ProtocolViolation(f"node {sat} is not Bound anywhere; cannot hand over")
-    if target_gs == source_gs:
-        raise ProtocolViolation("handover target equals the current controller")
-    if sat in sim._in_flight:
-        raise ConcurrentHandover(f"handover already in flight for node {sat}")
-    sim._in_flight.add(sat)
 
     d = sim.delays
     sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)

@@ -5,7 +5,10 @@ A snapshot at time ``t`` holds satellite/station ECEF positions, the
 ground-satellite link per mutually visible pair. Shortest-path
 distances from every station to every satellite become a
 ``DistanceField``; unreachable pairs are flagged rather than raised.
+``nearest_field_index`` is the one lookup of the field nearest in time,
+shared by the simulation's latency model and network-metric sampling.
 """
+import bisect
 import csv
 import json
 import math
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .constants import LIGHT_SPEED_KM_MS
-from .orbits import WalkerShell, pack_elements, propagate_all, station_positions
+from .orbits import WalkerShell, pack_elements, propagate, station_positions
 
 DEFAULT_MIN_ELEVATION_DEG = 25.0
 
@@ -59,6 +62,24 @@ class DistanceField:
             object.__setattr__(self, "reachable", np.isfinite(self.d))
 
 
+def _intra_plane_ring(shell: WalkerShell) -> list[tuple[int, int]]:
+    """Slot s to slot s + 1 in every plane; the ring closes only when a
+    plane holds more than two slots."""
+    planes, slots = shell.planes, shell.sats_per_plane
+    last = slots if slots > 2 else slots - 1
+    return [
+        (p * slots + s, p * slots + (s + 1) % slots) for p in range(planes) for s in range(last)
+    ]
+
+
+def _adjacent_planes(shell: WalkerShell) -> list[tuple[int, int]]:
+    """(p, p + 1) plane pairs; the last plane wraps to the first only for a
+    delta pattern (360 degree RAAN span) of more than two planes."""
+    planes = shell.planes
+    last = planes if planes > 2 and shell.raan_span_deg >= 360.0 else planes - 1
+    return [(p, (p + 1) % planes) for p in range(last)]
+
+
 def build_isl_grid(shell: WalkerShell) -> list[tuple[int, int]]:
     """+Grid pairing over flat satellite indices.
 
@@ -68,28 +89,10 @@ def build_isl_grid(shell: WalkerShell) -> list[tuple[int, int]]:
     pattern (180 degrees). Degenerate shells with fewer than three
     planes or slots simply omit the impossible links.
     """
-    planes, slots = shell.planes, shell.sats_per_plane
-    idx = lambda p, s: p * slots + s
-    pairs = []
-    # intra-plane ring
-    if slots > 2:
-        for p in range(planes):
-            for s in range(slots):
-                pairs.append((idx(p, s), idx(p, (s + 1) % slots)))
-    elif slots == 2:
-        for p in range(planes):
-            pairs.append((idx(p, 0), idx(p, 1)))
-    # inter-plane, same slot index
-    wrap = shell.raan_span_deg >= 360.0
-    if planes > 2:
-        last = planes if wrap else planes - 1
-        for p in range(last):
-            for s in range(slots):
-                pairs.append((idx(p, s), idx((p + 1) % planes, s)))
-    elif planes == 2:
-        for s in range(slots):
-            pairs.append((idx(0, s), idx(1, s)))
-    return pairs
+    slots = shell.sats_per_plane
+    return _intra_plane_ring(shell) + [
+        (p * slots + s, q * slots + s) for p, q in _adjacent_planes(shell) for s in range(slots)
+    ]
 
 
 def visible(sat_pos: np.ndarray, gs_pos: np.ndarray, min_elevation_deg: float) -> bool:
@@ -119,20 +122,12 @@ def _visibility_matrix(sat_pos, gs_pos, min_elevation_deg):
 def _nearest_interplane_pairs(shell, sat_pos):
     """Per-snapshot variant: link each satellite to its nearest satellite
     in each neighboring plane instead of the fixed same-slot index."""
-    planes, slots = shell.planes, shell.sats_per_plane
-    wrap = shell.raan_span_deg >= 360.0
+    slots = shell.sats_per_plane
+    pos = sat_pos.reshape(shell.planes, slots, 3)
     pairs = set()
-    pos = sat_pos.reshape(planes, slots, 3)
-    neighbor_planes = []
-    if planes == 2:
-        neighbor_planes = [(0, 1)]
-    elif planes > 2:
-        last = planes if wrap else planes - 1
-        neighbor_planes = [(p, (p + 1) % planes) for p in range(last)]
-    for p, q in neighbor_planes:
+    for p, q in _adjacent_planes(shell):
         diff = pos[p][:, None, :] - pos[q][None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        nearest = np.argmin(dist, axis=1)
+        nearest = np.argmin(np.linalg.norm(diff, axis=2), axis=1)
         for s in range(slots):
             pairs.add((p * slots + s, q * slots + int(nearest[s])))
     return sorted(pairs)
@@ -154,23 +149,13 @@ def build_snapshot(
     snapshot). ``gsl_limit`` caps links per satellite to the nearest
     visible stations; default unlimited.
     """
-    arrs = pack_elements(elements)
-    sat_pos = propagate_all(arrs, t)
+    sat_pos = propagate(pack_elements(elements), t)
     gs_pos = station_positions(stations) if isinstance(stations, list) else stations
 
     if isl_mode == "fixed_grid":
         pairs = build_isl_grid(shell)
     elif isl_mode == "nearest":
-        pairs = []
-        if shell.sats_per_plane > 2:
-            slots = shell.sats_per_plane
-            for p in range(shell.planes):
-                for s in range(slots):
-                    pairs.append((p * slots + s, p * slots + (s + 1) % slots))
-        elif shell.sats_per_plane == 2:
-            for p in range(shell.planes):
-                pairs.append((p * 2, p * 2 + 1))
-        pairs += _nearest_interplane_pairs(shell, sat_pos)
+        pairs = _intra_plane_ring(shell) + _nearest_interplane_pairs(shell, sat_pos)
     else:
         raise ValueError(f"unknown isl_mode: {isl_mode!r}")
 
@@ -244,6 +229,20 @@ def shortest_distances(snapshot: TopologySnapshot) -> DistanceField:
     dist = kernels.dijkstra_from_sources(indptr, indices, weights, n, sources)
     d = dist[:, :n_sats].T.copy()  # (n_sats, n_stations)
     return DistanceField(t=snapshot.t, d=d)
+
+
+def nearest_field_index(times, t) -> int:
+    """Index of the entry of ``times`` (an ascending list) nearest to ``t``.
+
+    The rule of ``argmin(|times - t|)``: on an exact tie the earlier
+    entry wins, and ``t`` outside the range clamps to an end.
+    """
+    i = bisect.bisect_left(times, t)
+    if i == 0:
+        return 0
+    if i == len(times):
+        return i - 1
+    return i - 1 if t - times[i - 1] <= times[i] - t else i
 
 
 def distance_to_latency(km) -> float:

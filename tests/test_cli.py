@@ -237,3 +237,17 @@ def test_simulate_legacy_fixture_hits_calibration(tmp_path):
     assert len(rows) >= 2
     mean_d = statistics.mean(float(r["duration_s"]) for r in rows)
     assert mean_d == pytest.approx(8.35, rel=0.10)
+
+
+def test_overlapping_legacy_handover_names_concurrent_error(tmp_path, capsys):
+    # On desk, node 28's network-metric schedule switches at t=779 s and back
+    # at t=784 s, while its legacy handover takes about 8 s.
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
+    with open(config) as fh:
+        raw = json.load(fh)
+    raw["assignment"]["metric"] = "network"
+    raw["protocol"]["type"] = "legacy"
+    path = tmp_path / "desk_network_legacy.json"
+    path.write_text(json.dumps(raw))
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "already in flight for node 28" in capsys.readouterr().err

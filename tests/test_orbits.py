@@ -10,7 +10,6 @@ from leocp.orbits import (
     generate_constellation,
     pack_elements,
     propagate,
-    propagate_all,
     station_position,
 )
 
@@ -105,13 +104,20 @@ def test_same_plane_constant_separation():
         assert math.acos(np.clip(cosang, -1, 1)) == pytest.approx(abs(dphi), abs=1e-9)
 
 
-def test_propagate_all_matches_scalar():
+def test_propagate_broadcasts_exactly():
     elements = generate_constellation(WalkerShell(3, 4, 53.0, 550.0, phasing_factor=1))
-    arrs = pack_elements(elements)
-    for t in [0.0, 777.7]:
-        batch = propagate_all(arrs, t)
+    packed = pack_elements(elements)
+    ts = np.array([0.0, 777.7, 5400.25])
+    for t in ts:
+        batch = propagate(packed, t)
+        assert batch.shape == (len(elements), 3)
         for i, elem in enumerate(elements):
-            assert batch[i] == pytest.approx(propagate(elem, t), abs=1e-9)
+            assert np.array_equal(batch[i], propagate(elem, t))
+    for elem in elements:
+        series = propagate(elem, ts)
+        assert series.shape == (len(ts), 3)
+        assert np.array_equal(series, np.stack([propagate(elem, t) for t in ts]))
+    assert propagate(elements[0], 1.0).shape == (3,)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from leocp.protocol import (
     node_visible,
     run_legacy_handover,
     run_seamless_handover,
+    start_legacy,
     start_seamless,
 )
 from leocp.topology import DistanceField
@@ -154,6 +155,19 @@ def test_concurrent_handover_rejected():
     start_seamless(sim, 0, 1, 0.0)
     with pytest.raises(ConcurrentHandover):
         start_seamless(sim, 0, 2, 0.0)
+
+
+@pytest.mark.parametrize("start,until", [(start_seamless, 0.2), (start_legacy, 3.0)])
+def test_overlapping_handover_is_concurrent_not_unbound(start, until):
+    # mid-handover the source entry is no longer Bound (seamless: Releasing;
+    # legacy: removed), so the in-flight check must come first
+    sim = make_sim(controllers=(0, 1, 2))
+    start(sim, 0, 1, 0.0)
+    sim.run(until=until)
+    entry = sim.registries[0].get(0)
+    assert entry is None or entry.state is not BindingState.BOUND
+    with pytest.raises(ConcurrentHandover):
+        start(sim, 0, 2, sim.now)
 
 
 def test_illegal_transition_rejected():

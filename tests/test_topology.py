@@ -11,6 +11,7 @@ from leocp.topology import (
     build_isl_grid,
     build_snapshot,
     distance_to_latency,
+    nearest_field_index,
     shortest_distances,
     visible,
 )
@@ -280,3 +281,61 @@ def test_unreachable_flagged_not_raised():
 )
 def test_distance_to_latency(km, ms):
     assert distance_to_latency(km) == pytest.approx(ms, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# nearest-snapshot lookup
+
+
+def test_nearest_field_index_tie_goes_to_earlier():
+    times = [0.0, 60.0, 120.0]
+    assert nearest_field_index(times, 30.0) == 0
+    assert nearest_field_index(times, 90.0) == 1
+    assert nearest_field_index(times, 30.000001) == 1
+    assert nearest_field_index(times, 60.0) == 1
+
+
+@pytest.mark.parametrize(
+    "times,t,expected",
+    [
+        ([0.0, 60.0, 120.0], -1e9, 0),
+        ([0.0, 60.0, 120.0], -0.5, 0),
+        ([0.0, 60.0, 120.0], 120.5, 2),
+        ([0.0, 60.0, 120.0], 1e9, 2),
+        ([42.0], -1.0, 0),
+        ([42.0], 1e6, 0),
+    ],
+)
+def test_nearest_field_index_clamps_to_the_ends(times, t, expected):
+    assert nearest_field_index(times, t) == expected
+
+
+def test_nearest_field_index_matches_argmin_oracle():
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.uniform(0.5, 90.0, 40))
+    mids = (times[:-1] + times[1:]) / 2.0
+    probes = np.concatenate([rng.uniform(-50.0, times[-1] + 50.0, 2000), times, mids])
+    as_list = times.tolist()
+    for t in probes.tolist():
+        assert nearest_field_index(as_list, t) == int(np.argmin(np.abs(times - t)))
+
+
+def test_snapshot_latency_and_network_sampler_use_the_lookup():
+    from leocp.assignment import AssignmentParams, sample_distances
+    from leocp.protocol import SnapshotLatency
+
+    stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 0.0, 90.0)]
+    times = [0.0, 50.0, 110.0, 180.0]
+    fields = [
+        DistanceField(t=t, d=np.array([[100.0 + i, 200.0 + i]])) for i, t in enumerate(times)
+    ]
+    latency = SnapshotLatency(fields, stations)
+    for t in (-5.0, 0.0, 25.0, 80.0, 80.1, 145.0, 179.0, 300.0):
+        i = nearest_field_index(times, t)
+        for gs in (0, 1):
+            assert latency(("sat", 0), ("gs", gs), t) == distance_to_latency(fields[i].d[0, gs])
+    params = AssignmentParams(horizon_s=180.0, sample_dt_s=20.0, decide_dt_s=1.0, delta=1.0)
+    series = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields)
+    for s in series:
+        expected = [fields[nearest_field_index(times, t)].d[0, s.gs_id] for t in s.times]
+        assert s.km.tolist() == expected
