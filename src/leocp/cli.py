@@ -21,7 +21,7 @@ from .errors import BudgetExceeded, ConfigError, InfeasibleInstance, LeocpError,
 from .orbits import generate_constellation
 from .reporting import aggregate, write_records_csv, write_report
 from .scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
-from .topology import field_to_dict, write_fields_csv, write_snapshots_json
+from .topology import field_to_dict, write_fields_csv, write_json_array, write_snapshots_json
 
 STAGES = ["gen", "snapshot", "place", "assign", "simulate", "report"]
 
@@ -102,31 +102,27 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
     if name == "gen":
         elements = generate_constellation(cfg.shell)
         path = os.path.join(out_dir, "constellation.json")
-        with open(path, "w") as fh:
-            json.dump(
-                [
-                    {
-                        "plane": e.sat_id[0],
-                        "slot": e.sat_id[1],
-                        "raan_rad": e.raan,
-                        "phase_rad": e.initial_phase,
-                        "semi_major_axis_km": e.semi_major_axis_km,
-                        "inclination_rad": e.inclination,
-                    }
-                    for e in elements
-                ],
-                fh,
-            )
-            fh.write("\n")
+        write_json_array(
+            (
+                {
+                    "plane": e.sat_id[0],
+                    "slot": e.sat_id[1],
+                    "raan_rad": e.raan,
+                    "phase_rad": e.initial_phase,
+                    "semi_major_axis_km": e.semi_major_axis_km,
+                    "inclination_rad": e.inclination,
+                }
+                for e in elements
+            ),
+            path,
+        )
         print(f"[gen] {len(elements)} satellites -> {path}")
 
     elif name == "snapshot":
         _, snapshots, fields = _require_built(cfg, state)
         snap_path = os.path.join(out_dir, "snapshots.json")
         write_snapshots_json(snapshots, snap_path)
-        with open(os.path.join(out_dir, "fields.json"), "w") as fh:
-            json.dump([field_to_dict(f) for f in fields], fh)
-            fh.write("\n")
+        write_json_array((field_to_dict(f) for f in fields), os.path.join(out_dir, "fields.json"))
         csv_path = os.path.join(out_dir, "distances.csv")
         write_fields_csv(fields, csv_path)
         print(f"[snapshot] {len(fields)} snapshots -> {snap_path}, {csv_path}")
@@ -150,24 +146,24 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
         state["schedules"] = schedules
         json_path = os.path.join(out_dir, "schedule.json")
         with open(json_path, "w") as fh:
-            json.dump(
-                {
-                    str(sat): {"initial": sch.initial, "events": [list(e) for e in sch.events]}
-                    for sat, sch in sorted(schedules.items())
-                },
-                fh,
-                sort_keys=True,
+            fh.write(
+                json.dumps(
+                    {
+                        str(sat): {"initial": sch.initial, "events": sch.events}
+                        for sat, sch in schedules.items()
+                    },
+                    sort_keys=True,
+                )
             )
             fh.write("\n")
         csv_path = os.path.join(out_dir, "schedule.csv")
         with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sat_id", "t_s", "source_gs", "target_gs"])
+            fh.write("sat_id,t_s,source_gs,target_gs\r\n")
             for sat in sorted(schedules):
                 sch = schedules[sat]
                 current = sch.initial
                 for t, target in sch.events:
-                    w.writerow([sat, f"{t:.3f}", current, target])
+                    fh.write(f"{sat},{t:.3f},{current},{target}\r\n")
                     current = target
         total = sum(s.count for s in schedules.values())
         print(f"[assign] {total} predicted handovers -> {csv_path}")

@@ -1,4 +1,9 @@
-"""Metric aggregation over handover records and report latencies."""
+"""Metric aggregation over handover records and report latencies.
+
+The records and CDF writers stream their rows with the bytes of
+``csv.writer`` (CRLF line ends, numbers unquoted), one generated
+line at a time, so no whole file is held as one string.
+"""
 import csv
 import json
 from dataclasses import dataclass
@@ -31,10 +36,13 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
     Fleet totals are reported in hours to match daily-overhead tables.
     """
     report_latencies = report_latencies or {}
-    sats = sorted({r.sat_id for r in records} | set(report_latencies))
+    by_sat = {}  # sat -> its records, in the order of ``records``
+    for r in records:
+        by_sat.setdefault(r.sat_id, []).append(r)
+    sats = sorted(set(by_sat) | set(report_latencies))
     per_sat = {}
     for s in sats:
-        recs = [r for r in records if r.sat_id == s]
+        recs = by_sat.get(s, [])
         lats = report_latencies.get(s, [])
         per_sat[s] = {
             "handover_count": len(recs),
@@ -78,16 +86,14 @@ def _percentiles(values):
 
 def write_records_csv(records, path):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["sat_id", "t_start_s", "duration_s", "invisibility_s", "pod_unavail_s",
-             "protocol", "source", "target"]
+        fh.write(
+            "sat_id,t_start_s,duration_s,invisibility_s,pod_unavail_s,protocol,source,target\r\n"
         )
-        for r in records:
-            w.writerow(
-                [r.sat_id, f"{r.t_start:.6f}", f"{r.duration:.6f}", f"{r.invisibility:.6f}",
-                 f"{r.pod_unavailability:.6f}", r.protocol.value, r.source_gs, r.target_gs]
-            )
+        fh.writelines(
+            f"{r.sat_id},{r.t_start:.6f},{r.duration:.6f},{r.invisibility:.6f},"
+            f"{r.pod_unavailability:.6f},{r.protocol.value},{r.source_gs},{r.target_gs}\r\n"
+            for r in records
+        )
 
 
 def write_report(report: MetricsReport, out_dir, scenario_name="scenario"):
@@ -118,7 +124,5 @@ def write_report(report: MetricsReport, out_dir, scenario_name="scenario"):
         )
     for name, points in sorted(report.cdf_points.items()):
         with open(os.path.join(out_dir, f"cdf_{name}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["value", "fraction"])
-            for value, fraction in points:
-                w.writerow([f"{value:.6f}", f"{fraction:.6f}"])
+            fh.write("value,fraction\r\n")
+            fh.writelines(f"{value:.6f},{fraction:.6f}\r\n" for value, fraction in points)

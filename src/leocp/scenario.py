@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assignment import AssignmentParams, predict_handovers, sample_distances
-from .orbits import WalkerShell, generate_constellation
+from .orbits import WalkerShell, generate_constellation, pack_elements, station_positions
 from .protocol import (
     DelayProfile,
     Protocol,
@@ -66,15 +66,20 @@ class ScenarioResult:
 
 
 def build_fields(spec: ScenarioSpec):
-    """Snapshot + distance-field series over the scenario duration."""
+    """Snapshot + distance-field series over the scenario duration.
+
+    The elements are packed and the stations placed once for the series.
+    """
     elements = generate_constellation(spec.shell)
+    packed = pack_elements(elements)
+    gs_pos = station_positions(spec.stations)
     times = np.arange(0.0, spec.duration_s + spec.snapshot_dt_s * 0.5, spec.snapshot_dt_s)
     times = times[times <= spec.duration_s]
     snapshots = [
         build_snapshot(
             spec.shell,
-            elements,
-            spec.stations,
+            packed,
+            gs_pos,
             float(t),
             min_elevation_deg=spec.min_elevation_deg,
             isl_mode=spec.isl_mode,

@@ -7,9 +7,14 @@ distances from every station to every satellite become a
 ``DistanceField``; unreachable pairs are flagged rather than raised.
 ``nearest_field_index`` is the one lookup of the field nearest in time,
 shared by the simulation's latency model and network-metric sampling.
+
+The writers stream one snapshot or field at a time and give the bytes of
+the standard library's encoders: ``write_json_array`` those of
+``json.dump`` of the whole list (each item goes through the C encoder of
+``json.dumps``), ``write_fields_csv`` those of ``csv.writer``.
 """
 import bisect
-import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .constants import LIGHT_SPEED_KM_MS
-from .orbits import WalkerShell, pack_elements, propagate, station_positions
+from .orbits import ElementArrays, WalkerShell, pack_elements, propagate, station_positions
 
 DEFAULT_MIN_ELEVATION_DEG = 25.0
 
@@ -95,6 +100,16 @@ def build_isl_grid(shell: WalkerShell) -> list[tuple[int, int]]:
     ]
 
 
+@functools.lru_cache(maxsize=16)
+def _isl_grid_pairs(shell: WalkerShell) -> np.ndarray:
+    """``build_isl_grid`` as a read-only (n_isl, 2) array, built once per
+    shell: the pairing does not change over time."""
+    pairs = build_isl_grid(shell)
+    arr = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    arr.setflags(write=False)
+    return arr
+
+
 def visible(sat_pos: np.ndarray, gs_pos: np.ndarray, min_elevation_deg: float) -> bool:
     """True iff the satellite sits above the station's local horizon mask."""
     los = sat_pos - gs_pos
@@ -144,22 +159,26 @@ def build_snapshot(
 ) -> TopologySnapshot:
     """Positions plus ISL/GSL edge lists at time ``t``.
 
-    ``isl_mode`` is "fixed_grid" (index-based pairing, stable over
-    time) or "nearest" (recompute the inter-plane neighbor each
+    ``elements`` is a list of ``SatelliteElement`` or, to pack them once
+    for a whole series, their ``ElementArrays``; ``stations`` is a list
+    of ``GroundStation`` or their ECEF positions. ``isl_mode`` is
+    "fixed_grid" (index-based pairing, stable over time, built once per
+    shell) or "nearest" (recompute the inter-plane neighbor each
     snapshot). ``gsl_limit`` caps links per satellite to the nearest
     visible stations; default unlimited.
     """
-    sat_pos = propagate(pack_elements(elements), t)
+    packed = elements if isinstance(elements, ElementArrays) else pack_elements(elements)
+    sat_pos = propagate(packed, t)
     gs_pos = station_positions(stations) if isinstance(stations, list) else stations
 
     if isl_mode == "fixed_grid":
-        pairs = build_isl_grid(shell)
+        isl_pairs = _isl_grid_pairs(shell)
     elif isl_mode == "nearest":
         pairs = _intra_plane_ring(shell) + _nearest_interplane_pairs(shell, sat_pos)
+        isl_pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
     else:
         raise ValueError(f"unknown isl_mode: {isl_mode!r}")
 
-    isl_pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
     isl_km = np.linalg.norm(sat_pos[isl_pairs[:, 0]] - sat_pos[isl_pairs[:, 1]], axis=1)
 
     vis, rng = _visibility_matrix(sat_pos, gs_pos, min_elevation_deg)
@@ -255,18 +274,14 @@ def distance_to_latency(km) -> float:
 
 
 def snapshot_to_dict(snapshot: TopologySnapshot) -> dict:
+    """Plain lists for JSON; each edge is a ``(a, b, km)`` tuple, which
+    encodes as a JSON array."""
     return {
         "t": snapshot.t,
         "sat_positions": snapshot.sat_positions.tolist(),
         "station_positions": snapshot.station_positions.tolist(),
-        "isl_edges": [
-            [int(a), int(b), float(w)]
-            for (a, b), w in zip(snapshot.isl_pairs.tolist(), snapshot.isl_km.tolist())
-        ],
-        "gsl_edges": [
-            [int(s), int(g), float(w)]
-            for (s, g), w in zip(snapshot.gsl_pairs.tolist(), snapshot.gsl_km.tolist())
-        ],
+        "isl_edges": list(zip(*snapshot.isl_pairs.T.tolist(), snapshot.isl_km.tolist())),
+        "gsl_edges": list(zip(*snapshot.gsl_pairs.T.tolist(), snapshot.gsl_km.tolist())),
     }
 
 
@@ -279,19 +294,39 @@ def field_to_dict(f: DistanceField) -> dict:
     }
 
 
+def write_json_array(items, path):
+    """The bytes of ``json.dump(list(items), fh)`` plus a newline, written
+    one item at a time.
+
+    ``json.dump`` encodes in pure Python; ``json.dumps`` of one item takes
+    the C encoder, and ``", "`` is the default item separator.
+    """
+    with open(path, "w") as fh:
+        fh.write("[")
+        sep = ""
+        for item in items:
+            fh.write(sep)
+            fh.write(json.dumps(item))
+            sep = ", "
+        fh.write("]\n")
+
+
 def write_fields_csv(fields, path):
-    """One row per (t, sat, station, km); unreachable pairs get km=-1."""
+    """One row per (t, sat, station, km); unreachable pairs get km=-1.
+
+    Each field's rows are formatted as ``csv.writer`` would write them:
+    CRLF line ends, ``repr`` of ``t`` as a float and ``km`` to six
+    decimals.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "sat", "station", "km"])
+        fh.write("t_s,sat,station,km\r\n")
         for f in fields:
-            for s in range(f.d.shape[0]):
-                for g in range(f.d.shape[1]):
-                    km = f.d[s, g] if f.reachable[s, g] else -1.0
-                    writer.writerow([f.t, s, g, f"{km:.6f}"])
+            t = repr(float(f.t))
+            km = np.where(f.reachable, f.d, -1.0).tolist()
+            fh.writelines(
+                f"{t},{s},{g},{v:.6f}\r\n" for s, row in enumerate(km) for g, v in enumerate(row)
+            )
 
 
 def write_snapshots_json(snapshots, path):
-    with open(path, "w") as fh:
-        json.dump([snapshot_to_dict(s) for s in snapshots], fh)
-        fh.write("\n")
+    write_json_array((snapshot_to_dict(s) for s in snapshots), path)

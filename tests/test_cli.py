@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -251,3 +252,28 @@ def test_overlapping_legacy_handover_names_concurrent_error(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "already in flight for node 28" in capsys.readouterr().err
+
+
+def test_json_dump_only_for_indented_files():
+    """``json.dump`` encodes in pure Python; a file without ``indent`` is
+    written with ``json.dumps`` (the C encoder) or ``write_json_array``."""
+    import leocp
+
+    src = os.path.dirname(leocp.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dump"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+                and not any(kw.arg == "indent" for kw in node.keywords)
+            ):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

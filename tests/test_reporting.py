@@ -6,7 +6,7 @@ import pytest
 
 from leocp.errors import EmptyInput
 from leocp.protocol import HandoverRecord, Protocol
-from leocp.reporting import aggregate, cdf, write_records_csv, write_report
+from leocp.reporting import MetricsReport, aggregate, cdf, write_records_csv, write_report
 
 
 def record(sat, duration, invis=0.0, unavail=0.0, t0=0.0, protocol=Protocol.LEGACY):
@@ -136,3 +136,100 @@ def test_write_report_outputs(tmp_path):
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "cdf_handover_duration_s.csv").exists()
     assert (tmp_path / "cdf_report_latency_ms.csv").exists()
+
+
+def _filter_per_satellite(records, report_latencies):
+    """The per-satellite metrics by filtering all records for each satellite."""
+    sats = sorted({r.sat_id for r in records} | set(report_latencies))
+    per_sat = {}
+    for s in sats:
+        recs = [r for r in records if r.sat_id == s]
+        lats = report_latencies.get(s, [])
+        per_sat[s] = {
+            "handover_count": len(recs),
+            "mean_handover_duration_s": (
+                sum(r.duration for r in recs) / len(recs) if recs else 0.0
+            ),
+            "total_invisibility_s": sum(r.invisibility for r in recs),
+            "total_pod_unavail_s": sum(r.pod_unavailability for r in recs),
+            "mean_report_latency_ms": sum(lats) / len(lats) if lats else 0.0,
+        }
+    return per_sat
+
+
+def test_per_satellite_matches_filter_oracle_exactly():
+    rng = np.random.default_rng(17)
+    n = 3000
+    sats = rng.integers(0, 150, size=n)  # interleaved, many records per satellite
+    recs = sorted(
+        (
+            record(int(sats[i]), float(rng.uniform(0.5, 12.0)), invis=float(rng.uniform(0, 3)),
+                   unavail=float(rng.uniform(0, 9)), t0=float(rng.uniform(0, 86400)))
+            for i in range(n)
+        ),
+        key=lambda r: (r.t_start, r.sat_id),
+    )
+    lats = {s: rng.uniform(1, 80, size=int(rng.integers(1, 6))).tolist() for s in range(140, 160)}
+    rep = aggregate(recs, lats)
+    assert rep.per_satellite == _filter_per_satellite(recs, lats)
+    assert list(rep.per_satellite) == sorted(rep.per_satellite)
+
+
+# ---------------------------------------------------------------------------
+# writers: byte-identical to csv.writer
+
+
+def _reference_records_csv(records, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["sat_id", "t_start_s", "duration_s", "invisibility_s", "pod_unavail_s",
+             "protocol", "source", "target"]
+        )
+        for r in records:
+            w.writerow(
+                [r.sat_id, f"{r.t_start:.6f}", f"{r.duration:.6f}", f"{r.invisibility:.6f}",
+                 f"{r.pod_unavailability:.6f}", r.protocol.value, r.source_gs, r.target_gs]
+            )
+
+
+def _reference_cdf_csv(points, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["value", "fraction"])
+        for value, fraction in points:
+            w.writerow([f"{value:.6f}", f"{fraction:.6f}"])
+
+
+@pytest.mark.parametrize("n", [0, 1, 57])
+def test_records_csv_matches_csv_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    recs = [
+        record(int(rng.integers(0, 9)), float(rng.uniform(0, 20)), invis=float(rng.uniform(0, 2)),
+               unavail=1.0 / 3.0, t0=float(rng.uniform(0, 1e5)),
+               protocol=Protocol.SEAMLESS if i % 2 else Protocol.LEGACY)
+        for i in range(n)
+    ]
+    write_records_csv(recs, tmp_path / "new.csv")
+    _reference_records_csv(recs, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cdf_points",
+    [
+        {},
+        {"empty": []},
+        {"handover_duration_s": cdf([4.0, 1.0 / 3.0, 2.5]), "report_latency_ms": cdf([7.125])},
+    ],
+)
+def test_cdf_csvs_match_csv_writer(tmp_path, cdf_points):
+    rep = MetricsReport(per_satellite={}, aggregate=aggregate([]).aggregate, cdf_points=cdf_points)
+    write_report(rep, tmp_path)
+    written = sorted(p.name for p in tmp_path.glob("cdf_*.csv"))
+    assert written == sorted(f"cdf_{name}.csv" for name in cdf_points)
+    for name, points in cdf_points.items():
+        _reference_cdf_csv(points, tmp_path / "ref.csv")
+        assert (tmp_path / f"cdf_{name}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    if "empty" in cdf_points:
+        assert (tmp_path / "cdf_empty.csv").read_bytes() == b"value,fraction\r\n"

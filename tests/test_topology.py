@@ -1,19 +1,33 @@
+import csv
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from leocp.orbits import GroundStation, WalkerShell, generate_constellation, station_position
+from leocp import topology
+from leocp.orbits import (
+    GroundStation,
+    WalkerShell,
+    generate_constellation,
+    pack_elements,
+    station_position,
+    station_positions,
+)
 from leocp.topology import (
     DistanceField,
     TopologySnapshot,
     build_isl_grid,
     build_snapshot,
     distance_to_latency,
+    field_to_dict,
     nearest_field_index,
     shortest_distances,
     visible,
+    write_fields_csv,
+    write_json_array,
+    write_snapshots_json,
 )
 
 
@@ -339,3 +353,146 @@ def test_snapshot_latency_and_network_sampler_use_the_lookup():
     for s in series:
         expected = [fields[nearest_field_index(times, t)].d[0, s.gs_id] for t in s.times]
         assert s.km.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# per-shell invariants
+
+
+def test_packed_elements_and_station_positions_give_the_same_snapshot():
+    shell = WalkerShell(4, 5, 53.0, 550.0, phasing_factor=1)
+    elements = generate_constellation(shell)
+    stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 30.0, 100.0)]
+    for isl_mode in ("fixed_grid", "nearest"):
+        a = build_snapshot(shell, elements, stations, 321.5, isl_mode=isl_mode, min_elevation_deg=5.0)
+        b = build_snapshot(
+            shell, pack_elements(elements), station_positions(stations), 321.5,
+            isl_mode=isl_mode, min_elevation_deg=5.0,
+        )
+        for name in ("sat_positions", "station_positions", "isl_pairs", "isl_km", "gsl_pairs",
+                     "gsl_km"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (isl_mode, name)
+
+
+def test_fixed_grid_pairing_built_once_per_shell(monkeypatch):
+    calls = Counter()
+    real = topology.build_isl_grid
+
+    def counting(shell):
+        calls[shell] += 1
+        return real(shell)
+
+    monkeypatch.setattr(topology, "build_isl_grid", counting)
+    topology._isl_grid_pairs.cache_clear()
+    shells = [WalkerShell(3, 4, 53.0, 550.0), WalkerShell(3, 4, 53.0, 550.0, raan_span_deg=180.0)]
+    stations = [GroundStation(0, "x", 0.0, 0.0)]
+    for shell in shells:
+        elements = generate_constellation(shell)
+        snaps = [build_snapshot(shell, elements, stations, t) for t in (0.0, 60.0, 120.0)]
+        assert all(s.isl_pairs is snaps[0].isl_pairs for s in snaps)
+        assert not snaps[0].isl_pairs.flags.writeable
+        assert snaps[0].isl_pairs.tolist() == [list(p) for p in real(shell)]
+    assert calls == {shells[0]: 1, shells[1]: 1}
+    topology._isl_grid_pairs.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# writers: byte-identical to the standard library encoders
+
+
+def _reference_snapshots_json(snapshots, path):
+    with open(path, "w") as fh:
+        json.dump(
+            [
+                {
+                    "t": s.t,
+                    "sat_positions": s.sat_positions.tolist(),
+                    "station_positions": s.station_positions.tolist(),
+                    "isl_edges": [
+                        [int(a), int(b), float(w)]
+                        for (a, b), w in zip(s.isl_pairs.tolist(), s.isl_km.tolist())
+                    ],
+                    "gsl_edges": [
+                        [int(a), int(b), float(w)]
+                        for (a, b), w in zip(s.gsl_pairs.tolist(), s.gsl_km.tolist())
+                    ],
+                }
+                for s in snapshots
+            ],
+            fh,
+        )
+        fh.write("\n")
+
+
+def _reference_fields_json(fields, path):
+    with open(path, "w") as fh:
+        json.dump([field_to_dict(f) for f in fields], fh)
+        fh.write("\n")
+
+
+def _reference_fields_csv(fields, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_s", "sat", "station", "km"])
+        for f in fields:
+            for s in range(f.d.shape[0]):
+                for g in range(f.d.shape[1]):
+                    km = f.d[s, g] if f.reachable[s, g] else -1.0
+                    writer.writerow([f.t, s, g, f"{km:.6f}"])
+
+
+def _writer_snapshots(case):
+    """A snapshot series covering one of the writers' edge cases."""
+    if case == "empty":
+        return []
+    delta = WalkerShell(3, 4, 53.0, 550.0, phasing_factor=1)
+    if case == "no_gsl":
+        # a 90 degree mask off the sub-satellite points leaves no GSL edge
+        station = GroundStation(0, "x", 12.3, 45.6)
+        snap = build_snapshot(delta, generate_constellation(delta), [station], 7.0,
+                              min_elevation_deg=90.0)
+        assert snap.gsl_pairs.shape == (0, 2)
+        return [snap]
+    shell = delta if case == "delta" else WalkerShell(4, 3, 86.4, 780.0, raan_span_deg=180.0)
+    elements = generate_constellation(shell)
+    stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 30.0, 100.0)]
+    # np.float64 and non-round times: both encoders must print repr(float(t))
+    times = [0.0, np.float64(1.0 / 3.0), np.float64(60.0), 1234.5678901234]
+    return [build_snapshot(shell, elements, stations, t, min_elevation_deg=5.0) for t in times]
+
+
+@pytest.mark.parametrize("case", ["empty", "delta", "star", "no_gsl"])
+def test_writers_match_stdlib_encoders(tmp_path, case):
+    snapshots = _writer_snapshots(case)
+    fields = [shortest_distances(s) for s in snapshots]
+    if case == "no_gsl":
+        assert not fields[0].reachable.any()
+    if case == "star":
+        assert fields[0].reachable.any()
+    for write, reference, items in (
+        (write_snapshots_json, _reference_snapshots_json, snapshots),
+        (lambda fs, p: write_json_array((field_to_dict(f) for f in fs), p), _reference_fields_json,
+         fields),
+        (write_fields_csv, _reference_fields_csv, fields),
+    ):
+        write(items, tmp_path / "new")
+        reference(items, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), reference
+    if case == "empty":
+        assert (tmp_path / "new").read_bytes() == b"t_s,sat,station,km\r\n"
+        write_snapshots_json([], tmp_path / "snap")
+        assert (tmp_path / "snap").read_bytes() == b"[]\n"
+
+
+def test_fields_csv_marks_partly_unreachable_pairs(tmp_path):
+    d = np.array([[12.25, np.inf], [np.inf, 1.0 / 3.0], [7.0, 8.0]])
+    fields = [DistanceField(t=np.float64(90.0), d=d), DistanceField(t=150.25, d=d * 2.0)]
+    write_fields_csv(fields, tmp_path / "new")
+    _reference_fields_csv(fields, tmp_path / "ref")
+    text = (tmp_path / "new").read_bytes()
+    assert text == (tmp_path / "ref").read_bytes()
+    assert b"90.0,0,1,-1.000000\r\n" in text
+    assert b"150.25,1,1,0.666667\r\n" in text
+    write_json_array((field_to_dict(f) for f in fields), tmp_path / "new")
+    _reference_fields_json(fields, tmp_path / "ref")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
