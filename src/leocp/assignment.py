@@ -1,22 +1,31 @@
-"""Per-satellite controller handover prediction.
+"""Controller handover prediction (CNAA).
 
-Distances from one satellite to every controller are sampled on a
-coarse grid over the horizon (geometric: one ``propagate`` call over
-all sample times; network: each sample time looked up once in the
-nearest distance field), interpolated piecewise-linearly, and scanned
-at a fine decision interval. A handover fires only when some
-controller is strictly closer than ``delta`` times the current one's
-distance, which suppresses chatter from near-ties.
+Distances from satellites to every controller are sampled on a coarse
+grid over the horizon, interpolated piecewise-linearly, and scanned at
+a fine decision interval. A handover fires only when some controller
+is strictly closer than ``delta`` times the current one's distance,
+which suppresses chatter from near-ties.
+
+``DistanceSampler`` samples a block of satellites at once and does the
+per-run work once: geometric sampling is one ``propagate`` call per
+block over all sample times, and the network metric looks each sample
+time up once in the nearest distance field and slices the block's rows
+out of it. ``predict_handovers`` scans one satellite with the
+interval-pruned ``kernels.handover_scan``. ``sample_distances`` is the
+per-satellite sampler, a block of one.
 """
 import bisect
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import OutOfHorizon
-from .orbits import SatelliteElement, propagate, station_position
+from .orbits import SatelliteElement, pack_elements, propagate, station_positions
 from .topology import nearest_field_index
+
+_event_time = operator.itemgetter(0)  # time of a (t, gs_id) schedule event
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,14 @@ class AssignmentParams:
             raise ValueError("need decide_dt <= sample_dt <= horizon")
 
 
+def check_sample_times(times: np.ndarray, horizon_s: float) -> None:
+    """Sample times must increase strictly and cover [0, horizon]."""
+    if (times[1:] <= times[:-1]).any():
+        raise ValueError("sample times must be strictly increasing")
+    if times[0] > 0.0 or times[-1] < horizon_s:
+        raise ValueError("samples must cover [0, horizon]")
+
+
 @dataclass(frozen=True)
 class DistanceSeries:
     """Sampled satellite-to-controller distances over [0, horizon]."""
@@ -45,10 +62,7 @@ class DistanceSeries:
     horizon_s: float
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
-        if self.times[0] > 0.0 or self.times[-1] < self.horizon_s:
-            raise ValueError("samples must cover [0, horizon]")
+        check_sample_times(self.times, self.horizon_s)
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,7 @@ class HandoverSchedule:
 
     def controller_at(self, t: float) -> int:
         """Controller assigned at time ``t`` under this schedule."""
-        times = [ev[0] for ev in self.events]
-        i = bisect.bisect_right(times, t)
+        i = bisect.bisect_right(self.events, t, key=_event_time)
         return self.initial if i == 0 else self.events[i - 1][1]
 
 
@@ -77,6 +90,61 @@ def sample_times(params: AssignmentParams) -> np.ndarray:
     return ts
 
 
+class DistanceSampler:
+    """Distances from a fleet's satellites to fixed controllers, sampled a
+    block of satellites at a time.
+
+    ``controllers`` maps controller ids to GroundStation records (a dict
+    or a list of (gs_id, station) pairs). The geometric metric is the
+    straight-line range from ``elements``; the "network" metric reads
+    shortest-path distances out of precomputed ``fields`` (in time order;
+    the snapshot nearest in time). Either metric ignores the other's
+    argument. The sample times and their check, the station positions
+    and the nearest-field lookups are done once, here.
+    """
+
+    def __init__(self, controllers, params: AssignmentParams, metric: str, elements, fields):
+        items = list(controllers.items()) if isinstance(controllers, dict) else list(controllers)
+        self.ids = [gid for gid, _ in items]
+        self.times = sample_times(params)
+        check_sample_times(self.times, params.horizon_s)
+        self.horizon_s = params.horizon_s
+        self.metric = metric
+        if metric == "geometric":
+            self._elements = elements
+            self._stations = station_positions([st for _, st in items])
+        elif metric == "network":
+            if fields is None:
+                raise ValueError("network metric needs precomputed distance fields")
+            field_times = [f.t for f in fields]
+            self._fields = [fields[nearest_field_index(field_times, t)].d for t in self.times.tolist()]
+        else:
+            raise ValueError(f"unknown metric: {metric!r}")
+
+    def __call__(self, rows) -> np.ndarray:
+        """Distances of the satellites at flat indices ``rows``, shaped
+        ``(len(rows), len(ids), len(times))``."""
+        if self.metric == "geometric":
+            elements = pack_elements([self._elements[i] for i in rows])
+            pos = propagate(elements, self.times[:, None])
+            km = np.empty(pos.shape[:2] + (len(self.ids),))
+            for g, station in enumerate(self._stations):
+                diff = pos - station
+                diff *= diff
+                km[:, :, g] = np.sqrt(diff.sum(axis=-1))  # np.linalg.norm, in place
+        else:
+            block = np.ix_(np.asarray(rows, dtype=np.intp), self.ids)
+            km = np.stack([d[block] for d in self._fields])
+        return np.ascontiguousarray(km.transpose(1, 2, 0))
+
+    def series(self, km) -> list[DistanceSeries]:
+        """One satellite's ``(len(ids), len(times))`` distances as series."""
+        return [
+            DistanceSeries(gs_id=gid, times=self.times, km=row, horizon_s=self.horizon_s)
+            for gid, row in zip(self.ids, km)
+        ]
+
+
 def sample_distances(
     sat: SatelliteElement | int,
     controllers,
@@ -84,37 +152,18 @@ def sample_distances(
     metric: str = "geometric",
     fields=None,
 ) -> list[DistanceSeries]:
-    """Sample the distance from satellite ``sat`` to every controller.
+    """Sample the distance from satellite ``sat`` to every controller,
+    one series per controller in the order of ``controllers``.
 
-    ``controllers`` maps controller ids to GroundStation records (a
-    dict or list of (gs_id, station) pairs). The default geometric
-    metric is the straight-line range from the element ``sat``; the
-    "network" metric reads shortest-path distances out of precomputed
-    ``fields`` (in time order; nearest snapshot in time), for which
-    ``sat`` is the satellite's flat row index in the fields.
+    ``sat`` is the element for the geometric metric and the satellite's
+    flat row index in ``fields`` for the network metric (see
+    ``DistanceSampler``).
     """
-    items = list(controllers.items()) if isinstance(controllers, dict) else list(controllers)
-    ts = sample_times(params)
-    out = []
-    if metric == "geometric":
-        sat_pos = propagate(sat, ts)
-        for gid, st in items:
-            km = np.linalg.norm(sat_pos - station_position(st)[None, :], axis=1)
-            out.append(DistanceSeries(gs_id=gid, times=ts, km=km, horizon_s=params.horizon_s))
-    elif metric == "network":
-        if fields is None:
-            raise ValueError("network metric needs precomputed distance fields")
-        if not isinstance(sat, (int, np.integer)):
-            raise ValueError("network metric needs a flat satellite row index")
-        field_times = [f.t for f in fields]
-        rows = np.stack([fields[nearest_field_index(field_times, t)].d[sat] for t in ts.tolist()])
-        for gid, _ in items:
-            out.append(
-                DistanceSeries(gs_id=gid, times=ts, km=rows[:, gid], horizon_s=params.horizon_s)
-            )
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
-    return out
+    network = metric == "network"
+    sampler = DistanceSampler(controllers, params, metric, None if network else [sat], fields)
+    if network and not isinstance(sat, (int, np.integer)):
+        raise ValueError("network metric needs a flat satellite row index")
+    return sampler.series(sampler([sat if network else 0])[0])
 
 
 def interpolate(series: DistanceSeries, t: float) -> float:
@@ -136,15 +185,11 @@ def predict_handovers(
     """
     ordered = sorted(series_set, key=lambda s: s.gs_id)
     ids = [s.gs_id for s in ordered]
-    sample_t = ordered[0].times
     sample_d = np.stack([s.km for s in ordered])
-    initial_idx, events = kernels.handover_scan(
-        sample_t, sample_d, params.decide_dt_s, params.horizon_s, params.delta
+    initial, events = kernels.handover_scan(
+        ordered[0].times, sample_d, params.decide_dt_s, params.horizon_s, params.delta
     )
-    return HandoverSchedule(
-        initial=ids[initial_idx],
-        events=tuple((float(t), ids[int(g)]) for t, g in events),
-    )
+    return HandoverSchedule(initial=ids[initial], events=tuple((t, ids[g]) for t, g in events))
 
 
 def assigned_distance_trace(
@@ -152,10 +197,14 @@ def assigned_distance_trace(
 ) -> np.ndarray:
     """Distance to the assigned controller at every decision tick."""
     by_id = {s.gs_id: s for s in series_set}
-    ticks = np.arange(0.0, params.horizon_s + params.decide_dt_s * 0.5, params.decide_dt_s)
-    ticks = ticks[ticks <= params.horizon_s]
+    ticks = kernels.decision_ticks(params.decide_dt_s, params.horizon_s)
+    # the controller in charge after the last event at or before each tick
+    owners = np.array([schedule.initial] + [g for _, g in schedule.events])
+    event_times = np.array([t for t, _ in schedule.events], dtype=np.float64)
+    owner = owners[np.searchsorted(event_times, ticks, side="right")]
     out = np.empty(ticks.shape[0])
-    for i, t in enumerate(ticks):
-        s = by_id[schedule.controller_at(float(t))]
-        out[i] = np.interp(t, s.times, s.km)
+    for gid in np.unique(owner).tolist():
+        at = owner == gid
+        s = by_id[gid]
+        out[at] = np.interp(ticks[at], s.times, s.km)
     return out

@@ -17,6 +17,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -48,6 +49,8 @@ _ALLOWED = {
 
 VISIBLE_STATES = {BindingState.BOUND, BindingState.RELEASING, BindingState.BINDING}
 REPORT_STATES = {BindingState.BOUND, BindingState.RELEASING}
+
+_entry_time = operator.itemgetter(0)  # time of a (t, state) state-log entry
 
 
 class RequestStatus(Enum):
@@ -330,10 +333,15 @@ class Simulation:
 
     def _make_report(self, sat, duration):
         def send(t):
+            nonlocal send
             agent = self.agents[sat]
             next_tick = t + self.report_interval
             if next_tick <= duration:
                 self.schedule(next_tick, send)
+            else:
+                # last tick: break the closure's self-reference so reference
+                # counting frees it without waiting for the cycle collector
+                send = None
             if agent.current_gs is None:
                 agent.pending_reports.append(t)
                 return
@@ -368,8 +376,7 @@ def node_visible(sim: Simulation, sat: int, t: float) -> bool:
         log = sim.state_log.get((gs, sat))
         if not log:
             continue
-        times = [entry[0] for entry in log]
-        i = bisect.bisect_right(times, t) - 1
+        i = bisect.bisect_right(log, t, key=_entry_time) - 1
         if i < 0 or log[i][1] not in VISIBLE_STATES:
             continue
         reports = sim.report_log.get((gs, sat), [])

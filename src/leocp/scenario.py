@@ -1,15 +1,23 @@
 """End-to-end scenario execution.
 
-Builds the snapshot series, predicts per-satellite handover schedules
-against the selected controllers, then replays every predicted
-handover plus periodic status reporting through the event engine.
-Everything downstream of the inputs is deterministic.
+Builds the snapshot series, predicts every satellite's handover schedule
+against the selected controllers (distances sampled in fixed-size
+blocks of satellites, each satellite then scanned on its own), then replays every predicted handover plus
+periodic status reporting through the event engine. Everything
+downstream of the inputs is deterministic.
 """
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assignment import AssignmentParams, predict_handovers, sample_distances
+# ``sample_distances`` is not called here; it stays importable under this
+# name because ``perfbench/tracer.py`` patches it on this module.
+from .assignment import (  # noqa: F401
+    AssignmentParams,
+    DistanceSampler,
+    predict_handovers,
+    sample_distances,
+)
 from .orbits import WalkerShell, generate_constellation, pack_elements, station_positions
 from .protocol import (
     DelayProfile,
@@ -20,6 +28,11 @@ from .protocol import (
     start_seamless,
 )
 from .topology import build_snapshot, shortest_distances
+
+# Satellites sampled per call: enough to amortise the per-call numpy work,
+# few enough that at a full day's horizon a block's samples and
+# propagation temporaries stay within about 2 MiB.
+_BLOCK_SATS = 16
 
 
 @dataclass
@@ -92,20 +105,23 @@ def build_fields(spec: ScenarioSpec):
 
 
 def predict_schedules(spec: ScenarioSpec, elements, fields):
-    """CNAA schedule per satellite against the scenario's controllers."""
+    """CNAA schedule per satellite against the scenario's controllers.
+
+    Distances are sampled ``_BLOCK_SATS`` satellites at a time; each
+    satellite's schedule is its own ``predict_handovers`` call.
+    """
     params = replace(
         spec.assignment,
         horizon_s=spec.duration_s,
         sample_dt_s=min(spec.assignment.sample_dt_s, spec.duration_s),
     )
     controllers = {g: spec.stations[g] for g in sorted(spec.controllers)}
+    sampler = DistanceSampler(controllers, params, spec.metric, elements, fields)
     schedules = {}
-    for row, elem in enumerate(elements):
-        if spec.metric == "network":
-            series = sample_distances(row, controllers, params, metric="network", fields=fields)
-        else:
-            series = sample_distances(elem, controllers, params, metric="geometric")
-        schedules[row] = predict_handovers(series, params)
+    for lo in range(0, len(elements), _BLOCK_SATS):
+        block = sampler(range(lo, min(lo + _BLOCK_SATS, len(elements))))
+        for row, km in enumerate(block, lo):
+            schedules[row] = predict_handovers(sampler.series(km), params)
     return schedules
 
 

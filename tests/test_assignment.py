@@ -1,8 +1,13 @@
+import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from leocp import kernels, scenario
 from leocp.assignment import (
     AssignmentParams,
     DistanceSeries,
@@ -13,8 +18,11 @@ from leocp.assignment import (
     sample_distances,
     sample_times,
 )
+from leocp.config import parse_config
 from leocp.errors import OutOfHorizon
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation, propagate, station_position
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 GEO_ALTITUDE_KM = 35786.0  # geostationary: fixed in the rotating frame
 
@@ -227,6 +235,124 @@ def test_schedule_matches_tick_oracle_below_one():
         assert sched.initial == initial
         assert list(sched.events) == events
         assert predict_handovers(series, params) == sched
+
+
+@st.composite
+def scan_cases(draw):
+    """One satellite's sampled distances to 1-5 controllers.
+
+    Samples come from a small set of values, so exact ties at samples and
+    identical curves are common; a row may copy an earlier one, or be
+    ``delta`` times an earlier one at some samples, which puts the switch
+    threshold exactly on the samples; some entries are ``np.inf``. The
+    sample spacing is not a multiple of the decision interval, and the
+    horizon not a multiple of the sample spacing.
+    """
+    n_ctl = draw(st.integers(1, 5))
+    delta = draw(st.sampled_from([1.0, 0.95, 0.9, 0.5]))
+    decide_dt = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    sample_dt = draw(st.sampled_from([7.25, 13.0, 25.5, 60.0]))
+    horizon = sample_dt * draw(st.integers(1, 4)) + draw(st.sampled_from([0.0, 3.0, 4.75]))
+    params = AssignmentParams(
+        horizon_s=horizon, sample_dt_s=sample_dt, decide_dt_s=decide_dt, delta=delta
+    )
+    ts = sample_times(params)
+    value = st.one_of(
+        st.sampled_from([100.0, 200.0, 300.0, 400.0]),
+        st.floats(50.0, 1000.0),
+        st.just(np.inf),
+    )
+    rows = []
+    for _ in range(n_ctl):
+        kind = draw(st.sampled_from(["free", "copy", "scaled", "threshold"])) if rows else "free"
+        free = [draw(value) for _ in ts]
+        if kind == "free":
+            rows.append(free)
+            continue
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        factor = 1.0 if kind == "copy" else delta
+        if kind == "threshold":  # on the threshold after t=0, where ``src`` may be nearest
+            keep = [False] + [True] * (len(ts) - 1)
+        else:
+            keep = [draw(st.booleans()) for _ in ts]
+        rows.append([factor * a if k else b for a, b, k in zip(src, free, keep)])
+    return params, ts, np.array(rows)
+
+
+# an interval whose ends both sit exactly on the threshold of controller 0:
+# interpolation rounding puts controller 1 strictly below it at inner ticks
+@example(
+    (
+        AssignmentParams(horizon_s=120.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.9),
+        np.array([0.0, 60.0, 120.0]),
+        np.array([[1000.0, 612.0, 684.0], [5000.0, 0.9 * 612.0, 0.9 * 684.0]]),
+    )
+)
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_pruned_scan_matches_tick_oracle(case):
+    params, ts, rows = case
+    initial, events = kernels.handover_scan(
+        ts, rows, params.decide_dt_s, params.horizon_s, params.delta
+    )
+    series = [series_from(g, ts, km, params.horizon_s) for g, km in enumerate(rows)]
+    assert (initial, events) == tick_oracle(series, params)
+    sched = predict_handovers(series, params)
+    assert (sched.initial, list(sched.events)) == (initial, events)
+
+
+def _desk_spec(**assignment):
+    with open(os.path.join(CONFIGS, "desk.json")) as fh:
+        raw = json.load(fh)
+    raw["assignment"].update(assignment)
+    spec = parse_config(raw)
+    return replace(spec, controllers=[0, 1, 3])
+
+
+@pytest.mark.parametrize("metric,delta", [("geometric", 1.0), ("network", 0.9)])
+def test_block_prediction_matches_per_satellite_path(metric, delta):
+    spec = _desk_spec(metric=metric, delta=delta)
+    elements, _, fields = scenario.build_fields(spec)
+    assert len(elements) > scenario._BLOCK_SATS  # a block boundary inside the fleet
+    schedules = scenario.predict_schedules(spec, elements, fields)
+    params = replace(spec.assignment, horizon_s=spec.duration_s)
+    controllers = {g: spec.stations[g] for g in spec.controllers}
+    expected = {}
+    for row, elem in enumerate(elements):
+        sat = row if metric == "network" else elem
+        series = sample_distances(sat, controllers, params, metric=metric, fields=fields)
+        expected[row] = predict_handovers(series, params)
+    assert schedules == expected
+    assert sum(s.count for s in schedules.values()) > 0
+
+
+def test_scan_flags_only_intervals_where_a_switch_can_fire():
+    # controller 0 is nearest at the first two samples, controller 1 at the last
+    d = np.array([[100.0, 100.0, 300.0], [200.0, 150.0, 150.0]])
+    flags = kernels._switch_intervals(d, 1.0)
+    # with 0 current, only the second interval ends below its distance; with
+    # 1 current, both intervals have an end where 0 is nearer
+    assert flags.tolist() == [[False, True], [True, True]]
+    assert kernels._switch_intervals(d, 0.5).tolist() == [[False, True], [True, False]]
+
+
+def test_assigned_distance_trace_matches_tick_loop():
+    rng = np.random.default_rng(14)
+    ts = np.arange(0.0, 1201.0, 60.0)
+    series = [
+        series_from(g, ts, rng.uniform(100.0, 2000.0, ts.shape[0]), 1200.0) for g in range(3)
+    ]
+    params = AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.9)
+    sched = predict_handovers(series, params)
+    assert sched.events
+    ticks = np.arange(0.0, 1200.5, 1.0)
+    by_id = {s.gs_id: s for s in series}
+    for schedule in (sched, HandoverSchedule(initial=2, events=())):
+        loop = np.empty(ticks.shape[0])
+        for i, t in enumerate(ticks):
+            s = by_id[schedule.controller_at(float(t))]
+            loop[i] = np.interp(t, s.times, s.km)
+        assert np.array_equal(assigned_distance_trace(series, schedule, params), loop)
 
 
 def test_schedule_event_times_increase_and_targets_differ():

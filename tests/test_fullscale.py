@@ -3,9 +3,8 @@ the default run. Invoke with:
 
     pytest tests/test_fullscale.py -m slow -s
 
-Expected wall time is a few minutes on a laptop-class machine: about
-half of it in the event engine, most of the rest in per-satellite
-handover prediction.
+Expected wall time is about a minute and a half on a 2-core machine, most
+of it in the event engine; handover prediction takes a few seconds.
 """
 import statistics
 import time

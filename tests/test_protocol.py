@@ -1,6 +1,9 @@
+import bisect
+import gc
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from leocp.errors import ConcurrentHandover, ProtocolViolation, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
+    VISIBLE_STATES,
     BindingState,
     ConstantLatency,
     DelayProfile,
@@ -249,6 +253,53 @@ def test_node_visible_throughout_seamless_at_10ms():
     rec = run_seamless_handover(sim, 0, 1, 0.0)
     for t in np.arange(rec.t_start, rec.t_end + 0.01, 0.01):
         assert node_visible(sim, 0, float(t))
+
+
+def visible_oracle(sim, sat, t):
+    """``node_visible`` with the state log's times listed on every call."""
+    window = sim.report_interval + sim.grace
+    for gs in sim.registries:
+        log = sim.state_log.get((gs, sat))
+        if not log:
+            continue
+        i = bisect.bisect_right([entry[0] for entry in log], t) - 1
+        if i < 0 or log[i][1] not in VISIBLE_STATES:
+            continue
+        reports = sim.report_log.get((gs, sat), [])
+        j = bisect.bisect_right(reports, t) - 1
+        if j >= 0 and t - reports[j] <= window:
+            return True
+    return False
+
+
+def test_node_visible_matches_time_list_oracle():
+    sim = make_sim(one_way_ms=0.4, sats=(0, 1))
+    sim.start_reporting(120.0)
+    sim.schedule(30.0, lambda t: start_legacy(sim, 0, 1, t))
+    sim.schedule(50.0, lambda t: start_seamless(sim, 1, 1, t))
+    sim.run()
+    logged = [t for log in sim.state_log.values() for t, _ in log]
+    probes = sorted(set(np.arange(-1.0, 125.0, 0.05).tolist() + logged))
+    for sat in (0, 1):
+        answers = [node_visible(sim, sat, t) for t in probes]
+        assert answers == [visible_oracle(sim, sat, t) for t in probes]
+        assert not all(answers) and any(answers)
+
+
+def test_report_closures_freed_without_cycle_collector():
+    sim = make_sim(sats=(0, 1))
+    refs = []
+    gc.disable()
+    try:
+        for sat in (0, 1):
+            send = sim._make_report(sat, 60.0)
+            refs.append(weakref.ref(send))
+            sim.schedule(0.0, send)
+        del send
+        sim.run()
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
