@@ -14,7 +14,8 @@ class InfeasibleInstance(LeocpError, RuntimeError):
 
 
 class BudgetExceeded(LeocpError, RuntimeError):
-    """Exhaustive search would exceed the configured combination budget."""
+    """A computation would exceed its work budget: exhaustive placement
+    combinations, or the status reports of a run."""
 
 
 class OutOfHorizon(LeocpError, ValueError):

@@ -12,6 +12,13 @@ first is in flight raises ``ConcurrentHandover``.
 
 The engine is logically single-threaded: one priority queue ordered by
 (time, sequence number), so identical inputs replay identical traces.
+Only handover steps pass through the queue. Periodic status reports
+depend on nothing but the controller a satellite holds at each tick and
+the binding state at each accept, so once the queue drains they are
+derived in bulk from each satellite's controller timeline and the
+registry's state log. Every logged change carries enough of its event's
+ancestry to place it against the report events the queue would have
+held, so exact time ties resolve in the queue's push order.
 """
 import bisect
 import heapq
@@ -24,11 +31,19 @@ from enum import Enum
 import numpy as np
 
 from .constants import EARTH_RADIUS_KM
-from .errors import ConcurrentHandover, ProtocolViolation, Unreachable
+from .errors import BudgetExceeded, ConcurrentHandover, LeocpError, ProtocolViolation, Unreachable
 from .topology import distance_to_latency, nearest_field_index
 
 DEFAULT_REPORT_INTERVAL_S = 10.0
 DEFAULT_TERRESTRIAL_FACTOR = 2.0
+
+# Status reports one run may derive. Full-day Starlink needs 2,282,544;
+# at the budget the report arrays and their aggregation stay within a
+# few hundred MiB.
+REPORT_BUDGET = 5_000_000
+# Satellites whose reports are derived together: bounds the per-tick
+# work arrays while sharing each snapshot lookup across the block.
+_REPORT_BLOCK_SATS = 64
 
 
 class BindingState(Enum):
@@ -47,8 +62,8 @@ _ALLOWED = {
     (BindingState.RELEASING, BindingState.RELEASED),
 }
 
-VISIBLE_STATES = {BindingState.BOUND, BindingState.RELEASING, BindingState.BINDING}
-REPORT_STATES = {BindingState.BOUND, BindingState.RELEASING}
+# states in which a controller manages the node and accepts its reports
+VISIBLE_STATES = frozenset({BindingState.BOUND, BindingState.RELEASING, BindingState.BINDING})
 
 _entry_time = operator.itemgetter(0)  # time of a (t, state) state-log entry
 
@@ -143,7 +158,6 @@ class HandoverRecord:
 @dataclass
 class RegistryEntry:
     state: BindingState
-    last_report: float | None
     pods: set = dc_field(default_factory=set)
 
 
@@ -152,8 +166,6 @@ class SatelliteAgent:
     sat_id: int
     current_gs: int | None
     pods: dict = dc_field(default_factory=dict)  # pod name -> running flag
-    report_interval: float = DEFAULT_REPORT_INTERVAL_S
-    pending_reports: list = dc_field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +180,12 @@ class ConstantLatency:
 
     def __call__(self, a, b, t) -> float:
         return 0.0 if a == b else self.one_way_ms
+
+    def sat_gs_ms(self, sats, gs, times):
+        """``self(("sat", sats[i]), ("gs", gs[i, k]), times[k])`` as an
+        array shaped like ``gs``; entries where ``gs`` is negative are
+        not defined."""
+        return np.full(gs.shape, float(self.one_way_ms))
 
 
 class SnapshotLatency:
@@ -206,13 +224,53 @@ class SnapshotLatency:
         d = self.fields[nearest_field_index(self.times, t)].d[sat, gs]
         return distance_to_latency(d) if np.isfinite(d) else math.inf
 
+    def sat_gs_ms(self, sats, gs, times):
+        """``self(("sat", sats[i]), ("gs", gs[i, k]), times[k])`` as an
+        array shaped like ``gs``; entries where ``gs`` is negative are
+        not defined. Each field is read once for a run of ticks nearest
+        to it."""
+        nearest = np.array([nearest_field_index(self.times, t) for t in times.tolist()])
+        starts = np.flatnonzero(np.diff(nearest, prepend=-1))
+        ends = np.append(starts[1:], len(nearest))
+        rows = np.asarray(sats)[:, None]
+        km = np.empty(gs.shape)
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            km[:, lo:hi] = self.fields[nearest[lo]].d[rows, gs[:, lo:hi]]
+        ms = distance_to_latency(km)
+        ms[~np.isfinite(km)] = math.inf
+        return ms
+
 
 # ---------------------------------------------------------------------------
 # simulation engine
 
 
+def _no_path(a, b, t):
+    return Unreachable(f"no path between {a} and {b} at t={t}")
+
+
+def _tick_grid(duration, interval):
+    """Report tick times: 0, then one ``interval`` added at a time while
+    the sum stays within ``duration``, as each tick scheduled the next."""
+    steps = np.full(max(math.floor(duration / interval), 0) + 2, float(interval))
+    steps[0] = 0.0
+    ticks = np.cumsum(steps)
+    while ticks[-1] <= duration:  # rounding fit more ticks than the estimate
+        ticks = np.append(ticks, ticks[-1] + interval)
+    return ticks[: max(1, int(np.searchsorted(ticks, duration, side="right")))]
+
+
 class Simulation:
-    """Event engine plus controller registries and satellite agents."""
+    """Event engine plus controller registries and satellite agents.
+
+    ``start_reporting`` turns on periodic status reports. They never
+    enter the queue: when ``run`` drains it, they are derived in bulk,
+    exactly as per-event send, arrive and accept steps would have left
+    them. ``report_latencies`` then holds each satellite's latencies
+    (ms) in the order they were recorded, and ``report_log`` each
+    (controller, satellite) pair's accepted report times, as float64
+    arrays.
+    """
 
     def __init__(
         self,
@@ -235,7 +293,6 @@ class Simulation:
                 sat_id=s,
                 current_gs=None,
                 pods={f"pod-{s}-{i}": True for i in range(pods_per_sat)},
-                report_interval=report_interval,
             )
             for s in satellites
         }
@@ -243,7 +300,7 @@ class Simulation:
         self._seq = itertools.count()
         self.now = 0.0
         self.records = []
-        self.report_latencies = {s: [] for s in satellites}
+        self.report_latencies = dict.fromkeys(satellites, np.empty(0))
         self._in_flight = set()
         self._request_ids = itertools.count(1)
         self.requests = []
@@ -252,26 +309,74 @@ class Simulation:
         # accepted report times, both in event order
         self.state_log = {}
         self.report_log = {}
+        # report bookkeeping, in event order: per satellite its controller
+        # changes as (rank, t, gs, flush); per (gs, sat) state-log entry
+        # its pusher's time and the pusher's own pusher's rank
+        self._controller_log = {}
+        self._state_pushed = {}
+        self._ticks = None  # report tick times, while reports are pending
+        self._tick_list = []
+        self._root = self._ctx = self._parent = (-math.inf, -1, -1)
 
     # -- engine ------------------------------------------------------------
+    #
+    # Every queued event carries the context (time, rank, pusher's rank)
+    # of the event that pushed it. An event's rank is how many report
+    # ticks of a satellite fire before it; all satellites tick on one
+    # grid, so it is the same count for each. On a time tie the queue
+    # fires first the event pushed first, which is the one whose pusher
+    # fired first, so a rank follows from an event's time and its
+    # pusher's rank. An event pushed from outside ``run`` has the root
+    # context: it comes before every event pushed in a run, and before
+    # the first ticks unless ``start_reporting`` came first.
 
     def schedule(self, t, fn):
         if not math.isfinite(t):
             raise Unreachable("event scheduled over an unreachable link")
-        heapq.heappush(self._queue, (t, next(self._seq), fn))
+        heapq.heappush(self._queue, (t, next(self._seq), fn, self._ctx))
 
     def run(self, until=None):
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
-                break
-            t, _, fn = heapq.heappop(self._queue)
-            self.now = t
-            fn(t)
+        """Fire queued events up to ``until``; once the queue is drained,
+        derive the reports ``start_reporting`` turned on."""
+        queue = self._queue
+        try:
+            while queue:
+                if until is not None and queue[0][0] > until:
+                    break
+                t, _, fn, parent = heapq.heappop(queue)
+                self.now = t
+                self._parent = parent
+                self._ctx = (t, self._rank(t, parent[1]), parent[1])
+                fn(t)
+        except LeocpError:
+            # a report over an unreachable link that fired before the
+            # failing event would have stopped the run first
+            first = None if self._ticks is None else self._derive_reports(limit=self._ctx[1])
+            if first is not None:
+                raise first from None
+            raise
+        finally:
+            self._ctx = self._parent = self._root
+        if not queue and self._ticks is not None:
+            first = self._derive_reports()
+            self._ticks, self._tick_list = None, []
+            if first is not None:
+                raise first
+
+    def _rank(self, t, pusher_rank):
+        """Report ticks before an event at ``t`` pushed by an event of
+        rank ``pusher_rank``: every earlier tick, and a tick at ``t``
+        itself iff the tick before it fired before the pusher."""
+        ticks = self._tick_list
+        k = bisect.bisect_left(ticks, t)
+        if k < len(ticks) and ticks[k] == t and pusher_rank >= k:
+            k += 1
+        return k
 
     def _leg_s(self, a, b, t) -> float:
         ms = self.latency(a, b, t)
         if not math.isfinite(ms):
-            raise Unreachable(f"no path between {a} and {b} at t={t}")
+            raise _no_path(a, b, t)
         return ms / 1000.0
 
     def _emit(self, t, event, **fields):
@@ -282,17 +387,25 @@ class Simulation:
 
     def _log_state(self, gs, sat, t, state):
         self.state_log.setdefault((gs, sat), []).append((t, state))
+        self._state_pushed.setdefault((gs, sat), []).append((self._parent[0], self._parent[2]))
 
     def _log_report(self, gs, sat, t):
         self.report_log.setdefault((gs, sat), []).append(t)
+
+    def _set_controller(self, sat, gs, t, flush=False):
+        """Point ``sat`` at controller ``gs`` (None: unmanaged). ``flush``
+        marks the change that completes the reports queued while the
+        node was unmanaged."""
+        self.agents[sat].current_gs = gs
+        self._controller_log.setdefault(sat, []).append((self._ctx[1], t, gs, flush))
 
     def bind_initial(self, sat, gs, t=0.0):
         """Bootstrap registration: entry is Bound with a synchronous
         initial status, as if the node joined before the scenario."""
         self.registries[gs][sat] = RegistryEntry(
-            state=BindingState.BOUND, last_report=t, pods=set(self.agents[sat].pods)
+            state=BindingState.BOUND, pods=set(self.agents[sat].pods)
         )
-        self.agents[sat].current_gs = gs
+        self._set_controller(sat, gs, t)
         self._log_state(gs, sat, t, BindingState.BOUND)
         self._log_report(gs, sat, t)
 
@@ -307,10 +420,8 @@ class Simulation:
         entry.state = new_state
         self._log_state(gs, sat, t, new_state)
 
-    def _create_entry(self, gs, sat, state, t, last_report=None, pods=()):
-        self.registries[gs][sat] = RegistryEntry(
-            state=state, last_report=last_report, pods=set(pods)
-        )
+    def _create_entry(self, gs, sat, state, t, pods=()):
+        self.registries[gs][sat] = RegistryEntry(state=state, pods=set(pods))
         self._log_state(gs, sat, t, state)
 
     def _drop_entry(self, gs, sat, t):
@@ -319,53 +430,134 @@ class Simulation:
 
     def _accept_report(self, gs, sat, t):
         entry = self.registries[gs].get(sat)
-        if entry is not None and entry.state in REPORT_STATES | {BindingState.BINDING}:
-            entry.last_report = t
+        if entry is not None and entry.state in VISIBLE_STATES:
             self._log_report(gs, sat, t)
 
     # -- periodic status reports --------------------------------------------
 
     def start_reporting(self, duration):
-        """Periodic status reports per satellite; each tick schedules the
-        next so the queue stays small at fleet scale."""
-        for sat in sorted(self.agents):
-            self.schedule(0.0, self._make_report(sat, duration))
+        """Turn on status reports: every satellite reports at t = 0, then
+        each ``report_interval`` (added tick by tick) up to ``duration``.
 
-    def _make_report(self, sat, duration):
-        def send(t):
-            nonlocal send
-            agent = self.agents[sat]
-            next_tick = t + self.report_interval
-            if next_tick <= duration:
-                self.schedule(next_tick, send)
-            else:
-                # last tick: break the closure's self-reference so reference
-                # counting frees it without waiting for the cycle collector
-                send = None
-            if agent.current_gs is None:
-                agent.pending_reports.append(t)
-                return
-            gs = agent.current_gs
-            leg = self._leg_s(("sat", sat), ("gs", gs), t)
-            self.report_latencies[sat].append(leg * 1000.0)
+        A report goes to the controller the node holds at its tick and
+        is accepted ``status_report_process`` after it arrives if that
+        controller still manages the node; a tick while the node holds
+        none waits for the legacy rejoin. Raises ``BudgetExceeded``,
+        before any work, past ``REPORT_BUDGET`` reports.
+        """
+        per_sat = max(math.floor(duration / self.report_interval), 0) + 1
+        reports = len(self.agents) * per_sat
+        if reports > REPORT_BUDGET:
+            raise BudgetExceeded(
+                f"{len(self.agents)} satellites x {per_sat} ticks = {reports} status "
+                f"reports, over the budget of {REPORT_BUDGET}; raise "
+                f"protocol.report_interval_s (now {self.report_interval})"
+            )
+        self._ticks = _tick_grid(duration, self.report_interval)
+        self._tick_list = self._ticks.tolist()
+        # the first ticks count as pushed now, after every event so far
+        self._root = self._ctx = self._parent = (-math.inf, 0, 0)
 
-            def arrive(t2, gs=gs):
-                self.schedule(
-                    t2 + self.delays.status_report_process,
-                    lambda t3: self._accept_report(gs, sat, t3),
-                )
+    def _derive_reports(self, limit=None):
+        """Derive every satellite's reports from its controller log and
+        the state log, then return the ``Unreachable`` error of the first
+        report (by tick, then satellite) sent over an unreachable link,
+        or None. With ``limit``, only look for that error among the first
+        ``limit`` ticks."""
+        ticks = self._ticks[:limit]
+        sats = sorted(self.agents)
+        first = None  # (tick, satellite position, error)
+        if limit is None:
+            self.report_log = {k: np.array(v, dtype=float) for k, v in self.report_log.items()}
+        for lo in range(0, len(sats), _REPORT_BLOCK_SATS):
+            block = sats[lo : lo + _REPORT_BLOCK_SATS]
+            runs = [_controller_runs(self._controller_log.get(s, []), len(ticks)) for s in block]
+            held = np.full((len(block), len(ticks)), -1)
+            for row, sat_runs in zip(held, runs):
+                for gs, a, b, _ in sat_runs:
+                    if gs is not None:
+                        row[a:b] = gs
+            ms = self._report_ms(block, held, ticks)
+            bad = (held >= 0) & ~np.isfinite(ms)
+            if bad.any():
+                k, i = np.argwhere(bad.T)[0].tolist()
+                if first is None or (k, lo + i) < first[:2]:
+                    gs = next(gs for gs, a, b, _ in runs[i] if a <= k < b)
+                    first = (k, lo + i, _no_path(("sat", block[i]), ("gs", gs), ticks[k].item()))
+            elif first is None and limit is None:
+                leg = ms / 1000.0
+                arrive = ticks + leg
+                accept = arrive + self.delays.status_report_process
+                for i, sat in enumerate(block):
+                    self._derive_satellite(sat, runs[i], leg[i], arrive[i], accept[i], ticks)
+        return None if first is None else first[2]
 
-            self.schedule(t + leg, arrive)
+    def _report_ms(self, sats, gs, ticks):
+        vector = getattr(self.latency, "sat_gs_ms", None)
+        if vector is not None:
+            return vector(sats, gs, ticks)
+        ms = np.full(gs.shape, math.nan)
+        for i, k in np.argwhere(gs >= 0).tolist():
+            ms[i, k] = self.latency(("sat", sats[i]), ("gs", int(gs[i, k])), ticks[k].item())
+        return ms
 
-        return send
+    def _derive_satellite(self, sat, runs, leg, arrive, accept, ticks):
+        log = self._controller_log.get(sat, [])
+        pieces = []  # (slot, latencies): tick k recorded at slot 2k + 1
+        accepted = {}
+        for gs, lo, hi, j in runs:
+            if gs is not None:
+                pieces.append((2 * lo + 1, leg[lo:hi] * 1000.0))
+                times = self._accepted(gs, sat, lo, arrive[lo:hi], accept[lo:hi])
+                accepted.setdefault(gs, []).append(times)
+                continue
+            # the ticks wait for the next flush, which fires after ticks
+            # 0..g-1 (g its rank) and records them at slot 2g
+            flush = next((e for e in log[j + 1 :] if e[3]), None)
+            if flush is not None:
+                pieces.append((2 * flush[0], (flush[1] - ticks[lo:hi]) * 1000.0))
+        pieces.sort(key=operator.itemgetter(0))
+        self.report_latencies[sat] = (
+            pieces[0][1] if len(pieces) == 1 else np.concatenate([np.empty(0)] + [p for _, p in pieces])
+        )
+        for gs, times in accepted.items():
+            merged = np.sort(np.concatenate([self.report_log.get((gs, sat), np.empty(0))] + times))
+            if merged.size:
+                self.report_log[(gs, sat)] = merged
 
-    def _flush_pending_reports(self, sat, t):
-        """Reports that queued while the node was unmanaged complete now;
-        their latency includes the wait for the handover to finish."""
-        agent = self.agents[sat]
-        for tick in agent.pending_reports:
-            self.report_latencies[sat].append((t - tick) * 1000.0)
-        agent.pending_reports.clear()
+    def _accepted(self, gs, sat, k0, arrive, accept):
+        """The accept times (of ticks k0, k0 + 1, ...) that find ``sat``'s
+        entry at ``gs`` in a managed state."""
+        log = self.state_log.get((gs, sat), ())
+        state_t = np.array([t for t, _ in log])
+        managed = np.array([state in VISIBLE_STATES for _, state in log] + [False])
+        lo = np.searchsorted(state_t, accept, side="left")
+        hi = np.searchsorted(state_t, accept, side="right")
+        at = lo - 1
+        pushed = self._state_pushed.get((gs, sat), ())
+        for p in np.flatnonzero(hi > lo).tolist():
+            # an entry logged at the accept's own time came first iff it
+            # was pushed first: its pusher fired before the report's
+            # arrive, or with it, while its own pusher fired before the tick
+            v, k = arrive[p], k0 + p
+            at[p] += sum(tp < v or (tp == v and gpp <= k) for tp, gpp in pushed[lo[p] : hi[p]])
+        return accept[managed[at]]
+
+
+def _controller_runs(log, n):
+    """Split ticks ``0..n-1`` into runs over which a satellite holds one
+    controller: (gs, lo, hi, j) for ticks ``lo..hi-1`` under entry ``j`` of
+    its controller log (-1, with gs None, before the first). An entry of
+    rank r governs the ticks from r on."""
+    runs, gs, lo, j = [], None, 0, -1
+    for i, (rank, _, held, _) in enumerate(log):
+        start = min(max(rank, 0), n)
+        if lo < start:
+            runs.append((gs, lo, start, j))
+        gs, lo, j = held, max(lo, start), i
+    if lo < n:
+        runs.append((gs, lo, n, j))
+    return runs
 
 
 def node_visible(sim: Simulation, sat: int, t: float) -> bool:
@@ -519,7 +711,7 @@ def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
 
     def on_bound_ack(t):
         sim._emit(t, "bound_ack", sat=sat)
-        sim.agents[sat].current_gs = target_gs
+        sim._set_controller(sat, target_gs, t)
         # step 15: release the source binding
         sim.schedule(t + sim._leg_s(sat_ep, src_ep, t), on_released_arrive)
 
@@ -591,7 +783,10 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
     # -- drain: cordon, then evict pods one at a time ------------------------
     sim._emit(t0, "drain_begin", gs=source_gs, sat=sat)
 
-    def evict(i):
+    # ``evict`` and ``auth`` loop by calling the function passed to them as
+    # ``again`` (themselves), not by their own name, so no closure refers
+    # to itself and reference counting frees them without the collector
+    def evict(i, again):
         def process(t):
             def send(t2):
                 sim.schedule(t2 + sim._leg_s(src_ep, sat_ep, t2), stop)
@@ -612,7 +807,7 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
 
         def confirmed(t):
             if i + 1 < len(pods):
-                evict(i + 1)(t)
+                again(i + 1, again)(t)
             else:
                 remove_node(t)
 
@@ -622,7 +817,7 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
         def committed(t2):
             marks["removed"] = t2
             sim._drop_entry(source_gs, sat, t2)
-            agent.current_gs = None
+            sim._set_controller(sat, None, t2)
             sim._emit(t2, "node_removed", gs=source_gs, sat=sat)
             sim.schedule(t2 + sim._leg_s(src_ep, sat_ep, t2), cleanup)
 
@@ -631,17 +826,17 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
     def cleanup(t):
         def cleaned(t2):
             sim._emit(t2, "cleanup_done", sat=sat)
-            auth(t2, d.auth_roundtrips)
+            auth(t2, d.auth_roundtrips, auth)
 
         sim.schedule(t + d.legacy_cleanup, cleaned)
 
-    def auth(t, remaining):
+    def auth(t, remaining, again):
         if remaining == 0:
             sim._emit(t, "auth_done", sat=sat)
             sim.schedule(t + d.client_init, client_ready)
             return
         rtt = sim._leg_s(sat_ep, tgt_ep, t) + sim._leg_s(tgt_ep, sat_ep, t)
-        sim.schedule(t + rtt, lambda t2: auth(t2, remaining - 1))
+        sim.schedule(t + rtt, lambda t2: again(t2, remaining - 1, again))
 
     def client_ready(t):
         sim._emit(t, "client_ready", sat=sat)
@@ -652,7 +847,7 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
 
         def registered(t2):
             # node object exists but carries no status yet
-            sim._create_entry(target_gs, sat, BindingState.BOUND, t2, last_report=None)
+            sim._create_entry(target_gs, sat, BindingState.BOUND, t2)
             sim._emit(t2, "node_registered", gs=target_gs, sat=sat)
             sim.schedule(t2 + sim._leg_s(tgt_ep, sat_ep, t2), register_acked)
             resync_pods(t2)  # the target pulls pod records in parallel
@@ -660,9 +855,8 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
         sim.schedule(t + d.register, registered)
 
     def register_acked(t):
-        agent.current_gs = target_gs
+        sim._set_controller(sat, target_gs, t, flush=True)
         sim._emit(t, "register_acked", sat=sat)
-        sim._flush_pending_reports(sat, t)
         sim.schedule(t + sim._leg_s(sat_ep, tgt_ep, t), report_arrive)
 
     def report_arrive(t):
@@ -710,6 +904,6 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
         sim.schedule(t + d.pod_start, started)
 
     if pods:
-        evict(0)(t0)
+        evict(0, evict)(t0)
     else:
         remove_node(t0)

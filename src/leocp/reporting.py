@@ -1,5 +1,10 @@
 """Metric aggregation over handover records and report latencies.
 
+Report latencies stay float64 arrays from the simulation to the CDF
+file: sorted with ``np.sort``, summed per satellite with a sequential
+``np.cumsum`` (the order of Python's ``sum``), and written through
+``tolist`` so every value prints as the same float.
+
 The records and CDF writers stream their rows with the bytes of
 ``csv.writer`` (CRLF line ends, numbers unquoted), one generated
 line at a time, so no whole file is held as one string.
@@ -12,28 +17,36 @@ import numpy as np
 
 from .errors import EmptyInput
 
+# CDF rows turned into Python floats at a time while writing
+_CDF_WRITE_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class MetricsReport:
     per_satellite: dict  # sat -> metrics dict
     aggregate: dict
-    cdf_points: dict  # metric name -> [(value, fraction)]
+    cdf_points: dict  # metric name -> rows of (value, fraction)
 
 
 def cdf(values):
-    """Empirical CDF: fraction k/n at the k-th smallest value (1-based)."""
-    vals = sorted(float(v) for v in values)
-    if not vals:
+    """Empirical CDF: fraction k/n at the k-th smallest value (1-based),
+    as an (n, 2) float64 array of (value, fraction) rows."""
+    n = len(values)
+    if not n:
         raise EmptyInput("cdf of no values")
-    n = len(vals)
-    return [(v, (i + 1) / n) for i, v in enumerate(vals)]
+    points = np.empty((n, 2))
+    points[:, 0] = values
+    points[:, 0].sort()
+    points[:, 1] = np.arange(1, n + 1) / n
+    return points
 
 
 def aggregate(records, report_latencies=None) -> MetricsReport:
     """Exact sums and means per satellite plus fleet totals.
 
-    ``report_latencies`` maps sat -> list of per-report latencies (ms).
-    Fleet totals are reported in hours to match daily-overhead tables.
+    ``report_latencies`` maps sat -> per-report latencies (ms), an
+    array or a list. Fleet totals are reported in hours to match
+    daily-overhead tables.
     """
     report_latencies = report_latencies or {}
     by_sat = {}  # sat -> its records, in the order of ``records``
@@ -43,7 +56,7 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
     per_sat = {}
     for s in sats:
         recs = by_sat.get(s, [])
-        lats = report_latencies.get(s, [])
+        lats = report_latencies.get(s, ())
         per_sat[s] = {
             "handover_count": len(recs),
             "mean_handover_duration_s": (
@@ -51,11 +64,13 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
             ),
             "total_invisibility_s": sum(r.invisibility for r in recs),
             "total_pod_unavail_s": sum(r.pod_unavailability for r in recs),
-            "mean_report_latency_ms": sum(lats) / len(lats) if lats else 0.0,
+            "mean_report_latency_ms": _mean(lats),
         }
 
     durations = [r.duration for r in records]
-    all_lats = [v for s in sats for v in report_latencies.get(s, [])]
+    all_lats = np.concatenate(
+        [np.empty(0)] + [np.asarray(report_latencies.get(s, ()), dtype=float) for s in sats]
+    )
     agg = {
         "total_handovers": len(records),
         "mean_duration_s": sum(durations) / len(durations) if durations else 0.0,
@@ -67,16 +82,23 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
     cdfs = {}
     if durations:
         cdfs["handover_duration_s"] = cdf(durations)
-    if all_lats:
+    if all_lats.size:
         cdfs["report_latency_ms"] = cdf(all_lats)
     return MetricsReport(per_satellite=per_sat, aggregate=agg, cdf_points=cdfs)
 
 
+def _mean(values):
+    """Mean with the left-to-right sum of Python's ``sum``; ``np.sum``
+    adds pairwise and can differ in the last bit."""
+    if not len(values):
+        return 0.0
+    return np.cumsum(values, dtype=float)[-1].item() / len(values)
+
+
 def _percentiles(values):
-    if not values:
+    if not values.size:
         return {"p50": 0.0, "p90": 0.0, "p99": 0.0}
-    arr = np.asarray(values, dtype=float)
-    p50, p90, p99 = np.percentile(arr, [50.0, 90.0, 99.0])
+    p50, p90, p99 = np.percentile(values, [50.0, 90.0, 99.0])
     return {"p50": float(p50), "p90": float(p90), "p99": float(p99)}
 
 
@@ -125,4 +147,9 @@ def write_report(report: MetricsReport, out_dir, scenario_name="scenario"):
     for name, points in sorted(report.cdf_points.items()):
         with open(os.path.join(out_dir, f"cdf_{name}.csv"), "w", newline="") as fh:
             fh.write("value,fraction\r\n")
-            fh.writelines(f"{value:.6f},{fraction:.6f}\r\n" for value, fraction in points)
+            for lo in range(0, len(points), _CDF_WRITE_ROWS):
+                rows = points[lo : lo + _CDF_WRITE_ROWS]
+                fh.writelines(
+                    f"{value:.6f},{fraction:.6f}\r\n"
+                    for value, fraction in zip(rows[:, 0].tolist(), rows[:, 1].tolist())
+                )

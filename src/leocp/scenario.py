@@ -2,9 +2,10 @@
 
 Builds the snapshot series, predicts every satellite's handover schedule
 against the selected controllers (distances sampled in fixed-size
-blocks of satellites, each satellite then scanned on its own), then replays every predicted handover plus
-periodic status reporting through the event engine. Everything
-downstream of the inputs is deterministic.
+blocks of satellites, each satellite then scanned on its own), then
+replays every predicted handover through the event engine, which
+derives the periodic status reports in bulk once its queue drains.
+Everything downstream of the inputs is deterministic.
 """
 from dataclasses import dataclass, field, replace
 
@@ -71,7 +72,7 @@ class ScenarioSpec:
 @dataclass
 class ScenarioResult:
     records: list
-    report_latencies: dict  # sat -> [ms]
+    report_latencies: dict  # sat -> float64 array of ms
     schedules: dict  # sat -> HandoverSchedule
     fields: list
     snapshots: list
@@ -126,7 +127,7 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
 
 
 def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResult:
-    """Replay every predicted handover plus status reporting.
+    """Replay every predicted handover, then derive the status reports.
 
     ``built`` is the (elements, snapshots, fields) triple of
     ``build_fields(spec)`` and ``schedules`` the output of

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from leocp.orbits import GroundStation, WalkerShell
+
+# CI runs with ``--hypothesis-profile=ci``: the same examples on every run
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

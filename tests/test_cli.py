@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -252,6 +253,21 @@ def test_overlapping_legacy_handover_names_concurrent_error(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "already in flight for node 28" in capsys.readouterr().err
+
+
+def test_report_budget_stops_tiny_interval_at_once(tmp_path, capsys):
+    # 48 sats x 2 h at 1 ms would be 345,600,048 reports
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
+    with open(config) as fh:
+        raw = json.load(fh)
+    raw["protocol"]["report_interval_s"] = 1e-3
+    path = tmp_path / "desk_1ms.json"
+    path.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "[simulate] FAILED" in err and "protocol.report_interval_s" in err
 
 
 def test_json_dump_only_for_indented_files():

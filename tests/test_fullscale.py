@@ -3,8 +3,9 @@ the default run. Invoke with:
 
     pytest tests/test_fullscale.py -m slow -s
 
-Expected wall time is about a minute and a half on a 2-core machine, most
-of it in the event engine; handover prediction takes a few seconds.
+Expected wall time is about 20 seconds on a 2-core machine: the event
+engine runs the handover steps only, and the status reports are derived
+in bulk afterwards.
 """
 import statistics
 import time

@@ -5,7 +5,9 @@ Each fixture holds the sha256 of every file the pipeline writes, except
 ``configs/desk.json`` as it is; ``desk_network_all`` runs it with
 ``assignment.metric: "network"``, which reads the distance fields
 through the nearest-snapshot lookup in both the sampler and the
-simulation's latency model. A refactor that must keep outputs
+simulation's latency model; ``desk_legacy_all`` runs it with
+``protocol.type: "legacy"``, whose reports queue while a node rejoins
+and complete when it does. A refactor that must keep outputs
 byte-identical proves it against these digests, not only run to run.
 When an output is meant to change, record the new digests from the run
 below and say why in the commit.
@@ -54,3 +56,7 @@ def test_desk_all_outputs_match_golden_digests(tmp_path):
 
 def test_desk_network_all_outputs_match_golden_digests(tmp_path):
     check_golden(tmp_path, "desk_network_all_digests.json", {"assignment": {"metric": "network"}})
+
+
+def test_desk_legacy_all_outputs_match_golden_digests(tmp_path):
+    check_golden(tmp_path, "desk_legacy_all_digests.json", {"protocol": {"type": "legacy"}})

@@ -3,7 +3,6 @@ import gc
 import json
 import math
 import os
-import weakref
 
 import numpy as np
 import pytest
@@ -286,18 +285,25 @@ def test_node_visible_matches_time_list_oracle():
         assert not all(answers) and any(answers)
 
 
-def test_report_closures_freed_without_cycle_collector():
-    sim = make_sim(sats=(0, 1))
-    refs = []
+def test_runs_leave_no_reference_cycles():
+    """A run with reports frees everything by reference counting alone,
+    so when the cycle collector runs cannot move the peak memory."""
+
+    def run_and_drop(start):
+        sim = make_sim(sats=(0, 1), pods_per_sat=2)
+        sim.start_reporting(120.0)
+        for sat in (0, 1):
+            sim.schedule(20.0 + sat, lambda t, sat=sat: start(sim, sat, 1, t))
+        sim.run()
+        assert all(len(lats) for lats in sim.report_latencies.values())
+
+    run_and_drop(start_legacy)  # first calls into numpy may leave garbage of their own
+    gc.collect()
     gc.disable()
     try:
-        for sat in (0, 1):
-            send = sim._make_report(sat, 60.0)
-            refs.append(weakref.ref(send))
-            sim.schedule(0.0, send)
-        del send
-        sim.run()
-        assert [r() for r in refs] == [None, None]
+        for start in (start_seamless, start_legacy):
+            run_and_drop(start)
+            assert gc.collect() == 0, start.__name__
     finally:
         gc.enable()
 

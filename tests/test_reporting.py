@@ -93,12 +93,31 @@ def test_report_latencies_flow_through():
 
 
 def test_cdf_single_value():
-    assert cdf([5.0]) == [(5.0, 1.0)]
+    assert cdf([5.0]).tolist() == [[5.0, 1.0]]
 
 
 def test_cdf_four_values():
     points = cdf([4.0, 1.0, 3.0, 2.0])
-    assert points == [(1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]
+    assert points.tolist() == [[1.0, 0.25], [2.0, 0.5], [3.0, 0.75], [4.0, 1.0]]
+
+
+def test_cdf_matches_python_sort_and_division():
+    rng = np.random.default_rng(19)
+    values = np.round(rng.uniform(0, 50, size=2001), 1)  # many exact repeats
+    n = len(values)
+    expected = [[v, (i + 1) / n] for i, v in enumerate(sorted(values.tolist()))]
+    assert cdf(values).tolist() == expected
+    assert cdf(values.tolist()).tolist() == expected
+
+
+def test_mean_report_latency_is_the_sequential_sum():
+    # pairwise summation (np.sum) differs from Python's left-to-right sum here
+    values = np.random.default_rng(23).uniform(0, 100, size=34608)
+    assert float(np.sum(values)) != sum(values.tolist())
+    rep = aggregate([], {0: values, 1: values.tolist()})
+    expected = sum(values.tolist()) / len(values)
+    assert rep.per_satellite[0]["mean_report_latency_ms"] == expected
+    assert rep.per_satellite[1]["mean_report_latency_ms"] == expected
 
 
 def test_cdf_empty_raises():

@@ -1,0 +1,310 @@
+"""Bulk status reports against the per-event engine they replace.
+
+``PerEventSimulation`` puts every report back on the queue as the send,
+arrive and accept events the engine used to run: each tick schedules
+the next, a tick while the node holds no controller waits for the
+legacy rejoin, and an accept finds the binding state of that moment.
+The bulk derivation must give the same latencies (same order, same
+bits), the same accepted report times, the same records and the same
+error.
+"""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from leocp.errors import BudgetExceeded, ConcurrentHandover, Unreachable
+from leocp.orbits import GroundStation
+from leocp.protocol import (
+    REPORT_BUDGET,
+    ConstantLatency,
+    DelayProfile,
+    Simulation,
+    SnapshotLatency,
+    _tick_grid,
+    start_legacy,
+    start_seamless,
+)
+from leocp.topology import DistanceField
+
+
+class PerEventSimulation(Simulation):
+    """The engine with status reports as queued events."""
+
+    def start_reporting(self, duration):
+        self.report_latencies = {sat: [] for sat in self.agents}
+        self.waiting = {sat: [] for sat in self.agents}
+        for sat in sorted(self.agents):
+            self.schedule(0.0, self._sender(sat, duration))
+
+    def _sender(self, sat, duration):
+        def send(t):
+            if t + self.report_interval <= duration:
+                self.schedule(t + self.report_interval, send)
+            gs = self.agents[sat].current_gs
+            if gs is None:
+                self.waiting[sat].append(t)
+                return
+            leg = self._leg_s(("sat", sat), ("gs", gs), t)
+            self.report_latencies[sat].append(leg * 1000.0)
+
+            def arrive(t2):
+                self.schedule(
+                    t2 + self.delays.status_report_process,
+                    lambda t3: self._accept_report(gs, sat, t3),
+                )
+
+            self.schedule(t + leg, arrive)
+
+        return send
+
+    def _set_controller(self, sat, gs, t, flush=False):
+        super()._set_controller(sat, gs, t, flush)
+        if flush:
+            for tick in self.waiting[sat]:
+                self.report_latencies[sat].append((t - tick) * 1000.0)
+            self.waiting[sat].clear()
+
+
+def replay(cls, case):
+    """Run ``case`` on engine class ``cls``: the outcome, or the error."""
+    sim = cls(
+        controllers=[0, 1, 2],
+        satellites=list(range(len(case["initial"]))),
+        latency=case["latency"](),
+        delays=case["delays"],
+        report_interval=case["interval"],
+        pods_per_sat=case["pods"],
+    )
+    for sat, gs in enumerate(case["initial"]):
+        sim.bind_initial(sat, gs)
+    if case["report_first"]:
+        sim.start_reporting(case["duration"])
+    start = start_legacy if case["legacy"] else start_seamless
+    for sat, handovers in enumerate(case["handovers"]):
+        for t, target in handovers:
+            sim.schedule(t, lambda t, sat=sat, target=target: start(sim, sat, target, t))
+    if not case["report_first"]:
+        sim.start_reporting(case["duration"])
+    try:
+        sim.run()
+    except (Unreachable, ConcurrentHandover) as exc:
+        return {"error": (type(exc), str(exc))}
+    return {
+        "latencies": {s: np.asarray(v, dtype=float).tobytes() for s, v in sim.report_latencies.items()},
+        "report_log": {k: np.asarray(v, dtype=float).tobytes() for k, v in sim.report_log.items()},
+        "state_log": sim.state_log,
+        "records": sim.records,
+    }
+
+
+def snapshot_latency(seed):
+    """Fields every 4 s with whole-kilometre distances; some pairs are
+    unreachable in some snapshots."""
+
+    def build():
+        rng = np.random.default_rng(seed)
+        stations = [GroundStation(g, f"gs{g}", 0.0, 60.0 * g) for g in range(3)]
+        fields = []
+        for i in range(16):
+            d = rng.integers(0, 3000, size=(3, 3)).astype(float)
+            d[rng.random((3, 3)) < 0.03] = np.inf
+            fields.append(DistanceField(t=4.0 * i, d=d))
+        return SnapshotLatency(fields, stations)
+
+    return build
+
+
+INTEGER_DELAYS = st.builds(
+    DelayProfile,
+    **{
+        name: st.sampled_from([0.0, 1.0, 2.0])
+        for name in (
+            "controller_process", "persist", "client_init", "status_report_process",
+            "pod_stop", "pod_start", "drain_per_pod", "register", "legacy_cleanup",
+        )
+    },
+    auth_roundtrips=st.integers(0, 2),
+)
+
+
+@st.composite
+def cases(draw):
+    n_sats = draw(st.integers(1, 3))
+    duration = float(draw(st.integers(5, 60)))
+    initial = [draw(st.integers(0, 2)) for _ in range(n_sats)]
+    handovers = []
+    for gs in initial:
+        events, t = [], draw(st.integers(0, 10))
+        while t <= duration and len(events) < 4:
+            gs = draw(st.sampled_from([g for g in range(3) if g != gs]))
+            events.append((float(t), gs))
+            t += draw(st.integers(1, 25))
+        handovers.append(events)
+    ms = draw(st.sampled_from([0.0, 1.0, 25.0, 500.0, 1000.0]))
+    latency = draw(
+        st.one_of(
+            st.just(lambda: ConstantLatency(ms)),
+            st.integers(0, 2**16).map(snapshot_latency),
+        )
+    )
+    return {
+        "initial": initial,
+        "handovers": handovers,
+        "duration": duration,
+        "interval": draw(st.sampled_from([0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 10.0])),
+        "latency": latency,
+        "delays": draw(st.one_of(st.just(DelayProfile.zero()), st.just(DelayProfile()), INTEGER_DELAYS)),
+        "pods": draw(st.integers(1, 3)),
+        "legacy": draw(st.booleans()),
+        "report_first": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_bulk_reports_match_per_event_engine(case):
+    assert replay(Simulation, case) == replay(PerEventSimulation, case)
+
+
+def test_exact_ties_follow_push_order():
+    # zero delays and latencies put accepts, ticks and every handover step
+    # at whole seconds; the handover at t=2 (pushed after the first ticks)
+    # must see the tick at t=2 first, as the queue would
+    case = {
+        "initial": [0, 1], "handovers": [[(2.0, 1)], [(2.0, 0), (4.0, 2)]], "duration": 6.0,
+        "interval": 1.0, "latency": lambda: ConstantLatency(0.0), "delays": DelayProfile.zero(),
+        "pods": 2, "legacy": True, "report_first": True,
+    }
+    got = replay(Simulation, case)
+    assert "error" not in got
+    assert got == replay(PerEventSimulation, case)
+
+
+def test_step_queued_an_interval_early_fires_before_the_tick():
+    # Legacy, zero latency, 1 s ticks. The pod stops at t=3 and is stopped
+    # at t=5, queued before the tick at t=5 was; so the removal, queued in
+    # turn, commits at t=6 before the t=5 report (accepted at 6) and the
+    # report is refused.
+    delays = DelayProfile(
+        controller_process=0.0, persist=1.0, client_init=0.0, status_report_process=1.0,
+        pod_stop=2.0, pod_start=0.0, drain_per_pod=0.0, register=0.0, legacy_cleanup=0.0,
+        auth_roundtrips=0,
+    )
+    case = {
+        "initial": [0], "handovers": [[(3.0, 1)]], "duration": 10.0, "interval": 1.0,
+        "latency": lambda: ConstantLatency(0.0), "delays": delays, "pods": 1,
+        "legacy": True, "report_first": True,
+    }
+    got = replay(Simulation, case)
+    assert got == replay(PerEventSimulation, case)
+    accepted = np.frombuffer(got["report_log"][(0, 0)]).tolist()
+    assert accepted == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]  # bind at 0, then ticks 0-4
+
+
+@pytest.mark.parametrize("report_first", [True, False])
+def test_root_events_order_against_the_first_ticks(report_first):
+    # a node bound by an event at t=0 misses the first tick iff that event
+    # was queued after reporting started (a bind flushes no waiting report)
+    def run(cls):
+        sim = cls([0, 1], [0, 1], latency=ConstantLatency(5.0), report_interval=10.0)
+        sim.bind_initial(0, 0)
+        if report_first:
+            sim.start_reporting(30.0)
+        sim.schedule(0.0, lambda t: sim.bind_initial(1, 1, t))
+        if not report_first:
+            sim.start_reporting(30.0)
+        sim.run()
+        return {s: np.asarray(v, dtype=float).tolist() for s, v in sim.report_latencies.items()}
+
+    got = run(Simulation)
+    assert got == run(PerEventSimulation)
+    assert len(got[1]) == (3 if report_first else 4)
+
+
+def unreachable_case(handover):
+    """Sat 0 loses its path to gs 0 from the snapshot at t=30; with
+    ``handover``, it first hands over to gs 1, unreachable from t=10."""
+    stations = [GroundStation(g, f"gs{g}", 0.0, 90.0 * g) for g in range(3)]
+
+    def build():
+        fields = []
+        for i in range(7):
+            d = np.full((1, 3), 900.0)
+            if i >= 3:
+                d[0, 0] = np.inf
+            if i >= 1:
+                d[0, 1] = np.inf
+            fields.append(DistanceField(t=10.0 * i, d=d))
+        return SnapshotLatency(fields, stations)
+
+    return {
+        "initial": [0], "handovers": [[(12.0, 1)] if handover else []], "duration": 60.0,
+        "interval": 10.0, "latency": build, "delays": DelayProfile(), "pods": 1,
+        "legacy": False, "report_first": True,
+    }
+
+
+def test_unreachable_report_leg_raises_at_its_tick():
+    # the snapshot at t=30 is nearest from t=25 on, so the tick at t=30 fails
+    got = replay(Simulation, unreachable_case(handover=False))
+    assert got == {"error": (Unreachable, "no path between ('sat', 0) and ('gs', 0) at t=30.0")}
+    assert got == replay(PerEventSimulation, unreachable_case(handover=False))
+
+
+def test_earlier_unreachable_handover_leg_wins():
+    # the seamless handover's first leg to gs 1 (step 12) fails near t=12.5
+    got = replay(Simulation, unreachable_case(handover=True))
+    kind, message = got["error"]
+    assert kind is Unreachable
+    assert message.startswith("no path between ('sat', 0) and ('gs', 1) at t=12.")
+    assert got == replay(PerEventSimulation, unreachable_case(handover=True))
+
+
+def test_unreachable_report_before_a_failing_handover_wins():
+    case = unreachable_case(handover=False)
+    case["handovers"] = [[(40.0, 1)]]
+    got = replay(Simulation, case)
+    assert got == {"error": (Unreachable, "no path between ('sat', 0) and ('gs', 0) at t=30.0")}
+    assert got == replay(PerEventSimulation, case)
+
+
+@pytest.mark.parametrize("interval", [0.1, 0.7, 1.0 / 3.0, 2.5, 10.0])
+@pytest.mark.parametrize("duration", [0.0, 0.65, 59.9, 60.0, 7200.0])
+def test_tick_grid_is_repeated_addition(interval, duration):
+    expected, t = [0.0], 0.0
+    while t + interval <= duration:
+        t += interval
+        expected.append(t)
+    assert _tick_grid(duration, interval).tolist() == expected
+
+
+def test_vector_snapshot_latency_matches_scalar_lookup():
+    rng = np.random.default_rng(29)
+    stations = [GroundStation(g, f"gs{g}", 10.0 * g, 40.0 * g) for g in range(4)]
+    fields = []
+    for i in range(9):
+        d = rng.uniform(500.0, 20000.0, size=(6, 4))
+        d[rng.random((6, 4)) < 0.1] = np.inf
+        fields.append(DistanceField(t=60.0 * i, d=d))
+    lat = SnapshotLatency(fields, stations)
+    times = np.concatenate([[-5.0, 0.0, 30.0, 29.999, 90.0], np.arange(0.0, 600.0, 7.5), [481.0, 900.0]])
+    sats = [5, 0, 3]
+    gs = rng.integers(0, 4, size=(len(sats), len(times)))
+    got = lat.sat_gs_ms(sats, gs, times)
+    expected = [
+        [lat(("sat", s), ("gs", int(g)), t) for g, t in zip(row, times.tolist())]
+        for s, row in zip(sats, gs)
+    ]
+    assert got.tobytes() == np.array(expected).tobytes()
+    assert np.isinf(got).any()
+
+
+def test_report_budget_refuses_before_any_work():
+    sats = REPORT_BUDGET // 1000
+    sim = Simulation([0], range(sats), latency=ConstantLatency(1.0), report_interval=1.0)
+    with pytest.raises(BudgetExceeded, match="protocol.report_interval_s"):
+        sim.start_reporting(1000.0)  # 1001 ticks each
+    assert sim._ticks is None
+    sim.start_reporting(999.0)  # exactly the budget
+    assert len(sim._ticks) * sats == REPORT_BUDGET

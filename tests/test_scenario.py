@@ -42,7 +42,10 @@ def test_scenario_deterministic():
     a = run_scenario(equatorial_flip_spec())
     b = run_scenario(equatorial_flip_spec())
     assert a.records == b.records
-    assert a.report_latencies == b.report_latencies
+    assert a.report_latencies.keys() == b.report_latencies.keys()
+    for sat, lats in a.report_latencies.items():
+        assert lats.dtype == np.float64
+        assert lats.tobytes() == b.report_latencies[sat].tobytes()
 
 
 def test_scenario_legacy_records_measure_downtime():
