@@ -6,6 +6,7 @@ of the parsed file and the effective config is echoed next to the
 outputs so any run can be reproduced exactly.
 """
 import json
+import math
 import os
 
 from .assignment import AssignmentParams
@@ -80,6 +81,8 @@ def _check_keys(section: dict, allowed: dict, where: str, required=()):
             raise ConfigError(f"{where}.{key} must not be a bool")
         if not isinstance(section[key], expected):
             raise ConfigError(f"{where}.{key} has wrong type {type(section[key]).__name__}")
+        if isinstance(section[key], float) and not math.isfinite(section[key]):
+            raise ConfigError(f"{where}.{key} must be finite, got {section[key]}")
     for key in required:
         if key not in section:
             raise ConfigError(f"missing required key {key!r} in {where}")
@@ -208,6 +211,10 @@ def _validate(spec: ScenarioSpec):
         )
     if not 0 < spec.snapshot_dt_s <= spec.duration_s:
         raise ConfigError("topology.snapshot_dt_s must be in (0, sim.duration_s]")
+    if spec.gsl_limit is not None and spec.gsl_limit < 1:
+        raise ConfigError("topology.gsl_limit must be at least 1")
+    if spec.terrestrial_factor <= 0:
+        raise ConfigError("topology.terrestrial_factor must be positive")
     if spec.method not in _METHODS:
         raise ConfigError(
             f"placement.method must be one of {sorted(_METHODS)}, got {spec.method!r}"
@@ -226,6 +233,8 @@ def _validate(spec: ScenarioSpec):
         raise ConfigError("protocol.grace_s must be non-negative")
     if spec.pods_per_sat < 0:
         raise ConfigError("protocol.pods_per_sat must be non-negative")
+    if isinstance(spec.latency_model, ConstantLatency) and spec.latency_model.one_way_ms < 0:
+        raise ConfigError("protocol.constant_latency_ms must be non-negative")
 
 
 def load_config(path: str) -> ScenarioSpec:

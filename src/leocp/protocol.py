@@ -7,8 +7,11 @@ binding, and final release commit; the satellite stays registered with
 at least one controller throughout and pods never stop. The legacy
 protocol drains the node, removes it, and rejoins it at the target,
 which opens measurable windows of node invisibility and pod downtime.
-A node runs one handover at a time: starting a second one while the
-first is in flight raises ``ConcurrentHandover``.
+Each protocol is one generator whose body is the protocol in order:
+every queued step yields the time it fires, and ``_advance`` queues the
+generator's resumption there. A node runs one handover at a time:
+starting a second one while the first is in flight raises
+``ConcurrentHandover``.
 
 The engine is logically single-threaded: one priority queue ordered by
 (time, sequence number), so identical inputs replay identical traces.
@@ -21,6 +24,7 @@ ancestry to place it against the report events the queue would have
 held, so exact time ties resolve in the queue's push order.
 """
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -75,12 +79,7 @@ class RequestStatus(Enum):
     COMPLETED = "Completed"
 
 
-_STATUS_ORDER = [
-    RequestStatus.CREATED,
-    RequestStatus.PROCESSING,
-    RequestStatus.FINISHED,
-    RequestStatus.COMPLETED,
-]
+_STATUS_ORDER = list(RequestStatus)
 
 
 @dataclass
@@ -124,13 +123,8 @@ class DelayProfile:
     auth_roundtrips: int = 2
 
     def __post_init__(self):
-        numeric = [
-            self.controller_process, self.persist, self.client_init,
-            self.status_report_process, self.pod_stop, self.pod_start,
-            self.drain_per_pod, self.register, self.legacy_cleanup,
-        ]
-        if any(v < 0 for v in numeric) or self.auth_roundtrips < 0:
-            raise ValueError("delays must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in vars(self).values()):
+            raise ValueError("delays must be finite and non-negative")
 
     @classmethod
     def zero(cls):
@@ -579,14 +573,18 @@ def node_visible(sim: Simulation, sat: int, t: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# seamless protocol
+# handover protocols: each step yields its firing time, which is sent back
+# in when it fires; acks off the critical path are queued directly
 
 
-def run_seamless_handover(sim: Simulation, sat: int, target_gs: int, t0: float) -> HandoverRecord:
-    """Execute one seamless handover to completion and return its record."""
-    start_seamless(sim, sat, target_gs, t0)
-    sim.run()
-    return sim.records[-1]
+def _advance(sim: Simulation, steps, t=None):
+    """Run ``steps`` up to its next step and queue the rest at that step's
+    time. A fresh partial per step leaves no object that refers to itself."""
+    try:
+        at = steps.send(t)
+    except StopIteration:
+        return
+    sim.schedule(at, functools.partial(_advance, sim, steps))
 
 
 def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
@@ -607,137 +605,106 @@ def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
     return source_gs
 
 
-def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
-    source_gs = _begin_handover(sim, sat, target_gs)
+def _finish(sim, protocol, sat, source_gs, target_gs, t_start, t_end, invisibility, pod_unavailability):
+    sim.records.append(
+        HandoverRecord(
+            sat_id=sat,
+            source_gs=source_gs,
+            target_gs=target_gs,
+            t_start=t_start,
+            t_end=t_end,
+            duration=t_end - t_start,
+            invisibility=invisibility,
+            pod_unavailability=pod_unavailability,
+            protocol=protocol,
+        )
+    )
+    sim._in_flight.discard(sat)
 
+
+def run_seamless_handover(sim: Simulation, sat: int, target_gs: int, t0: float) -> HandoverRecord:
+    """Execute one seamless handover to completion and return its record."""
+    start_seamless(sim, sat, target_gs, t0)
+    sim.run()
+    return sim.records[-1]
+
+
+def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
+    """Start a seamless handover of ``sat`` to ``target_gs`` at ``t0``."""
+    _advance(sim, _seamless(sim, sat, target_gs, t0))
+
+
+def _seamless(sim, sat, target_gs, t0):
+    source_gs = _begin_handover(sim, sat, target_gs)
     d = sim.delays
     req = HandoverRequest(
         request_id=next(sim._request_ids), node_id=sat, source_gs=source_gs, target_gs=target_gs
     )
     sim.requests.append(req)
-    marks = {}
-
     sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
-
-    def finish(t_end):
-        sim.records.append(
-            HandoverRecord(
-                sat_id=sat,
-                source_gs=source_gs,
-                target_gs=target_gs,
-                t_start=t0,
-                t_end=t_end,
-                duration=t_end - t0,
-                invisibility=max(0.0, marks["bound"] - marks["released"]),
-                pod_unavailability=0.0,
-                protocol=Protocol.SEAMLESS,
-            )
-        )
-        sim._in_flight.discard(sat)
 
     # steps 1-4: daemon submits the request; API server persists and acks
     sim._emit(t0, "daemon_submit", sat=sat, source=source_gs, target=target_gs)
+    t = yield t0 + sim._leg_s(sat_ep, src_ep, t0)
+    t = yield t + d.persist
+    req.advance(RequestStatus.CREATED, t)
+    sim._emit(t, "request_created", gs=source_gs, sat=sat)
+    # creation ack back over the daemon's watch channel (off the critical
+    # path; the controller chain continues locally)
+    sim.schedule(t + sim._leg_s(src_ep, sat_ep, t), lambda t3: sim._emit(t3, "create_ack", sat=sat))
+    t = yield t + d.controller_process
 
-    def on_submit_arrive(t):
-        t_created = t + d.persist
+    # steps 5-6: status Processing, source binding -> Releasing
+    req.advance(RequestStatus.PROCESSING, t)
+    sim._emit(t, "hr_processing", gs=source_gs, sat=sat)
+    sim._transition(source_gs, sat, BindingState.RELEASING, t)
+    sim._emit(t, "binding_releasing", gs=source_gs, sat=sat)
+    # step 7: synchronous record transfer to the target
+    t = yield t + sim._leg_s(src_ep, tgt_ep, t)
+    sim._emit(t, "sync_arrived", gs=target_gs, sat=sat)
+    t = yield t + d.persist
+    # target now knows the node and its pods, but is not managing it
+    sim._create_entry(target_gs, sat, BindingState.RELEASED, t, pods=set(sim.agents[sat].pods))
+    sim._emit(t, "sync_persisted", gs=target_gs, sat=sat)
+    t = yield t + sim._leg_s(tgt_ep, src_ep, t)
 
-        def on_created(t2):
-            req.advance(RequestStatus.CREATED, t2)
-            sim._emit(t2, "request_created", gs=source_gs, sat=sat)
-            # creation ack back over the daemon's watch channel (off the
-            # critical path; the controller chain continues locally)
-            sim.schedule(
-                t2 + sim._leg_s(src_ep, sat_ep, t2),
-                lambda t3: sim._emit(t3, "create_ack", sat=sat),
-            )
-            sim.schedule(t2 + d.controller_process, on_processing)
+    # step 8: request status Finished
+    req.advance(RequestStatus.FINISHED, t)
+    sim._emit(t, "status_finished", gs=source_gs, sat=sat)
+    # step 9: watch push to the satellite daemon
+    t = yield t + sim._leg_s(src_ep, sat_ep, t)
+    sim._emit(t, "watch_finished", sat=sat)
+    # steps 10-11: build the clientset for the target control node
+    t = yield t + d.client_init
+    sim._emit(t, "client_ready", sat=sat)
+    # step 12: first status report to the target
+    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
+    sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
+    t = yield t + d.status_report_process
 
-        sim.schedule(t_created, on_created)
+    # step 13: Binding, then Bound; the dwell in Binding is zero
+    sim._transition(target_gs, sat, BindingState.BINDING, t)
+    sim._emit(t, "binding_binding", gs=target_gs, sat=sat)
+    sim._transition(target_gs, sat, BindingState.BOUND, t)
+    sim._emit(t, "binding_bound", gs=target_gs, sat=sat)
+    bound = t
+    sim._accept_report(target_gs, sat, t)
+    # step 14: ack to the kubelet, which swaps its clientset pointer
+    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
+    sim._emit(t, "bound_ack", sat=sat)
+    sim._set_controller(sat, target_gs, t)
 
-    def on_processing(t):
-        # steps 5-6: status Processing, source binding -> Releasing
-        req.advance(RequestStatus.PROCESSING, t)
-        sim._emit(t, "hr_processing", gs=source_gs, sat=sat)
-        sim._transition(source_gs, sat, BindingState.RELEASING, t)
-        sim._emit(t, "binding_releasing", gs=source_gs, sat=sat)
-        # step 7: synchronous record transfer to the target
-        sim.schedule(t + sim._leg_s(src_ep, tgt_ep, t), on_sync_arrive)
-
-    def on_sync_arrive(t):
-        sim._emit(t, "sync_arrived", gs=target_gs, sat=sat)
-
-        def on_persisted(t2):
-            # target now knows the node and its pods, but is not managing it
-            sim._create_entry(
-                target_gs, sat, BindingState.RELEASED, t2, pods=set(sim.agents[sat].pods)
-            )
-            sim._emit(t2, "sync_persisted", gs=target_gs, sat=sat)
-            sim.schedule(t2 + sim._leg_s(tgt_ep, src_ep, t2), on_sync_ack)
-
-        sim.schedule(t + d.persist, on_persisted)
-
-    def on_sync_ack(t):
-        # step 8: request status Finished
-        req.advance(RequestStatus.FINISHED, t)
-        sim._emit(t, "status_finished", gs=source_gs, sat=sat)
-        # step 9: watch push to the satellite daemon
-        sim.schedule(t + sim._leg_s(src_ep, sat_ep, t), on_watch_finished)
-
-    def on_watch_finished(t):
-        sim._emit(t, "watch_finished", sat=sat)
-        # steps 10-11: build the clientset for the target control node
-        sim.schedule(t + d.client_init, on_client_ready)
-
-    def on_client_ready(t):
-        sim._emit(t, "client_ready", sat=sat)
-        # step 12: first status report to the target
-        sim.schedule(t + sim._leg_s(sat_ep, tgt_ep, t), on_report_arrive)
-
-    def on_report_arrive(t):
-        sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
-
-        def on_bound(t2):
-            # step 13: Binding, then Bound; the dwell in Binding is zero
-            sim._transition(target_gs, sat, BindingState.BINDING, t2)
-            sim._emit(t2, "binding_binding", gs=target_gs, sat=sat)
-            sim._transition(target_gs, sat, BindingState.BOUND, t2)
-            sim._emit(t2, "binding_bound", gs=target_gs, sat=sat)
-            marks["bound"] = t2
-            sim._accept_report(target_gs, sat, t2)
-            # step 14: ack to the kubelet, which swaps its clientset pointer
-            sim.schedule(t2 + sim._leg_s(tgt_ep, sat_ep, t2), on_bound_ack)
-
-        sim.schedule(t + d.status_report_process, on_bound)
-
-    def on_bound_ack(t):
-        sim._emit(t, "bound_ack", sat=sat)
-        sim._set_controller(sat, target_gs, t)
-        # step 15: release the source binding
-        sim.schedule(t + sim._leg_s(sat_ep, src_ep, t), on_released_arrive)
-
-    def on_released_arrive(t):
-        sim._emit(t, "released_arrived", gs=source_gs, sat=sat)
-
-        def on_released_commit(t2):
-            sim._transition(source_gs, sat, BindingState.RELEASED, t2)
-            marks["released"] = t2
-            sim._emit(t2, "released_commit", gs=source_gs, sat=sat)
-            # steps 16-17: commit marks formal completion at the source
-            req.advance(RequestStatus.COMPLETED, t2)
-            sim._emit(t2, "status_completed", gs=source_gs, sat=sat)
-            sim.schedule(
-                t2 + sim._leg_s(src_ep, sat_ep, t2),
-                lambda t3: sim._emit(t3, "released_ack", sat=sat),
-            )
-            finish(t2)
-
-        sim.schedule(t + d.persist, on_released_commit)
-
-    sim.schedule(t0 + sim._leg_s(sat_ep, src_ep, t0), on_submit_arrive)
-
-
-# ---------------------------------------------------------------------------
-# legacy protocol
+    # step 15: release the source binding
+    t = yield t + sim._leg_s(sat_ep, src_ep, t)
+    sim._emit(t, "released_arrived", gs=source_gs, sat=sat)
+    t = yield t + d.persist
+    sim._transition(source_gs, sat, BindingState.RELEASED, t)
+    sim._emit(t, "released_commit", gs=source_gs, sat=sat)
+    # steps 16-17: commit marks formal completion at the source
+    req.advance(RequestStatus.COMPLETED, t)
+    sim._emit(t, "status_completed", gs=source_gs, sat=sat)
+    sim.schedule(t + sim._leg_s(src_ep, sat_ep, t), lambda t3: sim._emit(t3, "released_ack", sat=sat))
+    _finish(sim, Protocol.SEAMLESS, sat, source_gs, target_gs, t0, t, max(0.0, bound - t), 0.0)
 
 
 def run_legacy_handover(sim: Simulation, sat: int, target_gs: int, t0: float) -> HandoverRecord:
@@ -748,162 +715,94 @@ def run_legacy_handover(sim: Simulation, sat: int, target_gs: int, t0: float) ->
 
 
 def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
+    """Start a drain-and-rejoin handover of ``sat`` to ``target_gs`` at ``t0``."""
+    _advance(sim, _legacy(sim, sat, target_gs, t0))
+
+
+def _legacy(sim, sat, target_gs, t):
     source_gs = _begin_handover(sim, sat, target_gs)
-    agent = sim.agents[sat]
-
     d = sim.delays
-    sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
+    agent = sim.agents[sat]
     pods = sorted(agent.pods)
-    marks = {"pod_stop_start": None, "pod_running": None, "removed": None, "accepted": None}
-    done = {"report": False, "pods": len(pods) == 0}
+    sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
 
-    def maybe_finish(t):
-        if not (done["report"] and done["pods"]):
-            return
-        t_end = t
-        t_start = marks["removed"]
-        pod_unavail = (
-            marks["pod_running"] - marks["pod_stop_start"] if pods else 0.0
-        )
-        sim.records.append(
-            HandoverRecord(
-                sat_id=sat,
-                source_gs=source_gs,
-                target_gs=target_gs,
-                t_start=t_start,
-                t_end=t_end,
-                duration=t_end - t_start,
-                invisibility=marks["accepted"] - marks["removed"],
-                pod_unavailability=pod_unavail,
-                protocol=Protocol.LEGACY,
-            )
-        )
-        sim._in_flight.discard(sat)
+    # drain: cordon, then evict the pods one at a time
+    sim._emit(t, "drain_begin", gs=source_gs, sat=sat)
+    pods_stopped = None
+    for pod in pods:
+        t = yield t + d.drain_per_pod
+        t = yield t + sim._leg_s(src_ep, sat_ep, t)
+        if pods_stopped is None:
+            pods_stopped = t
+        agent.pods[pod] = False
+        sim._emit(t, "pod_stopping", sat=sat, pod=pod)
+        t = yield t + d.pod_stop
+        sim._emit(t, "pod_stopped", sat=sat, pod=pod)
+        t = yield t + sim._leg_s(sat_ep, src_ep, t)
 
-    # -- drain: cordon, then evict pods one at a time ------------------------
-    sim._emit(t0, "drain_begin", gs=source_gs, sat=sat)
-
-    # ``evict`` and ``auth`` loop by calling the function passed to them as
-    # ``again`` (themselves), not by their own name, so no closure refers
-    # to itself and reference counting frees them without the collector
-    def evict(i, again):
-        def process(t):
-            def send(t2):
-                sim.schedule(t2 + sim._leg_s(src_ep, sat_ep, t2), stop)
-
-            sim.schedule(t + d.drain_per_pod, send)
-
-        def stop(t):
-            if marks["pod_stop_start"] is None:
-                marks["pod_stop_start"] = t
-            agent.pods[pods[i]] = False
-            sim._emit(t, "pod_stopping", sat=sat, pod=pods[i])
-
-            def stopped(t2):
-                sim._emit(t2, "pod_stopped", sat=sat, pod=pods[i])
-                sim.schedule(t2 + sim._leg_s(sat_ep, src_ep, t2), confirmed)
-
-            sim.schedule(t + d.pod_stop, stopped)
-
-        def confirmed(t):
-            if i + 1 < len(pods):
-                again(i + 1, again)(t)
-            else:
-                remove_node(t)
-
-        return process
-
-    def remove_node(t):
-        def committed(t2):
-            marks["removed"] = t2
-            sim._drop_entry(source_gs, sat, t2)
-            sim._set_controller(sat, None, t2)
-            sim._emit(t2, "node_removed", gs=source_gs, sat=sat)
-            sim.schedule(t2 + sim._leg_s(src_ep, sat_ep, t2), cleanup)
-
-        sim.schedule(t + d.persist, committed)
-
-    def cleanup(t):
-        def cleaned(t2):
-            sim._emit(t2, "cleanup_done", sat=sat)
-            auth(t2, d.auth_roundtrips, auth)
-
-        sim.schedule(t + d.legacy_cleanup, cleaned)
-
-    def auth(t, remaining, again):
-        if remaining == 0:
-            sim._emit(t, "auth_done", sat=sat)
-            sim.schedule(t + d.client_init, client_ready)
-            return
+    # remove the node at the source, then clean up and re-authenticate
+    t = yield t + d.persist
+    removed = t
+    sim._drop_entry(source_gs, sat, t)
+    sim._set_controller(sat, None, t)
+    sim._emit(t, "node_removed", gs=source_gs, sat=sat)
+    t = yield t + sim._leg_s(src_ep, sat_ep, t)
+    t = yield t + d.legacy_cleanup
+    sim._emit(t, "cleanup_done", sat=sat)
+    for _ in range(d.auth_roundtrips):
         rtt = sim._leg_s(sat_ep, tgt_ep, t) + sim._leg_s(tgt_ep, sat_ep, t)
-        sim.schedule(t + rtt, lambda t2: again(t2, remaining - 1, again))
+        t = yield t + rtt
+    sim._emit(t, "auth_done", sat=sat)
+    t = yield t + d.client_init
+    sim._emit(t, "client_ready", sat=sat)
 
-    def client_ready(t):
-        sim._emit(t, "client_ready", sat=sat)
-        sim.schedule(t + sim._leg_s(sat_ep, tgt_ep, t), register_arrive)
+    # register at the target
+    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
+    sim._emit(t, "register_arrived", gs=target_gs, sat=sat)
+    t = yield t + d.register
+    # node object exists but carries no status yet
+    sim._create_entry(target_gs, sat, BindingState.BOUND, t)
+    sim._emit(t, "node_registered", gs=target_gs, sat=sat)
+    # the node's ack and first report run beside the pod resync; the
+    # second of the two legs to end records the handover
+    legs = {} if pods else {"pod_unavailability": 0.0}
+    finish = functools.partial(_finish, sim, Protocol.LEGACY, sat, source_gs, target_gs, removed)
+    _advance(sim, _legacy_report(sim, sat, target_gs, t, removed, legs, finish))
+    if not pods:
+        return
 
-    def register_arrive(t):
-        sim._emit(t, "register_arrived", gs=target_gs, sat=sat)
+    # the target pulls the pod records from the source, persists them and
+    # re-schedules the pods
+    rtt = sim._leg_s(tgt_ep, src_ep, t) + sim._leg_s(src_ep, tgt_ep, t)
+    t = yield t + rtt + d.persist
+    sim._emit(t, "pods_persisted", gs=target_gs, sat=sat)
+    t = yield t + d.controller_process + d.persist
+    sim._emit(t, "pods_scheduled", gs=target_gs, sat=sat)
+    sim.registries[target_gs][sat].pods = set(pods)
+    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
+    sim._emit(t, "pod_push", sat=sat)
+    t = yield t + d.client_init
+    t = yield t + d.pod_start
+    for pod in pods:
+        agent.pods[pod] = True
+    sim._emit(t, "pods_started", sat=sat)
+    legs["pod_unavailability"] = t - pods_stopped
+    if len(legs) == 2:
+        finish(t, **legs)
 
-        def registered(t2):
-            # node object exists but carries no status yet
-            sim._create_entry(target_gs, sat, BindingState.BOUND, t2)
-            sim._emit(t2, "node_registered", gs=target_gs, sat=sat)
-            sim.schedule(t2 + sim._leg_s(tgt_ep, sat_ep, t2), register_acked)
-            resync_pods(t2)  # the target pulls pod records in parallel
 
-        sim.schedule(t + d.register, registered)
-
-    def register_acked(t):
-        sim._set_controller(sat, target_gs, t, flush=True)
-        sim._emit(t, "register_acked", sat=sat)
-        sim.schedule(t + sim._leg_s(sat_ep, tgt_ep, t), report_arrive)
-
-    def report_arrive(t):
-        sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
-
-        def accepted(t2):
-            marks["accepted"] = t2
-            sim._accept_report(target_gs, sat, t2)
-            sim._emit(t2, "report_accepted", gs=target_gs, sat=sat)
-            done["report"] = True
-            maybe_finish(t2)
-
-        sim.schedule(t + d.status_report_process, accepted)
-
-    def resync_pods(t):
-        if not pods:
-            return
-        # fetch scheduling metadata from the source, persist, re-schedule
-        rtt = sim._leg_s(tgt_ep, src_ep, t) + sim._leg_s(src_ep, tgt_ep, t)
-
-        def persisted(t2):
-            sim._emit(t2, "pods_persisted", gs=target_gs, sat=sat)
-            sim.schedule(t2 + d.controller_process + d.persist, scheduled)
-
-        def scheduled(t2):
-            sim._emit(t2, "pods_scheduled", gs=target_gs, sat=sat)
-            sim.registries[target_gs][sat].pods = set(pods)
-            sim.schedule(t2 + sim._leg_s(tgt_ep, sat_ep, t2), pod_push)
-
-        sim.schedule(t + rtt + d.persist, persisted)
-
-    def pod_push(t):
-        sim._emit(t, "pod_push", sat=sat)
-        sim.schedule(t + d.client_init, pods_start)
-
-    def pods_start(t):
-        def started(t2):
-            for name in pods:
-                agent.pods[name] = True
-            marks["pod_running"] = t2
-            sim._emit(t2, "pods_started", sat=sat)
-            done["pods"] = True
-            maybe_finish(t2)
-
-        sim.schedule(t + d.pod_start, started)
-
-    if pods:
-        evict(0, evict)(t0)
-    else:
-        remove_node(t0)
+def _legacy_report(sim, sat, target_gs, t, removed, legs, finish):
+    """The legacy rejoin's leg from registration: ack, first status
+    report, accept."""
+    sat_ep, tgt_ep = ("sat", sat), ("gs", target_gs)
+    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
+    sim._set_controller(sat, target_gs, t, flush=True)
+    sim._emit(t, "register_acked", sat=sat)
+    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
+    sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
+    t = yield t + sim.delays.status_report_process
+    sim._accept_report(target_gs, sat, t)
+    sim._emit(t, "report_accepted", gs=target_gs, sat=sat)
+    legs["invisibility"] = t - removed
+    if len(legs) == 2:
+        finish(t, **legs)

@@ -7,6 +7,7 @@ replays every predicted handover through the event engine, which
 derives the periodic status reports in bulk once its queue drains.
 Everything downstream of the inputs is deterministic.
 """
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -157,7 +158,7 @@ def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResu
     starter = start_seamless if spec.protocol is Protocol.SEAMLESS else start_legacy
     for sat in sorted(schedules):
         for t, target in schedules[sat].events:
-            sim.schedule(t, _make_starter(sim, starter, sat, target))
+            sim.schedule(t, functools.partial(starter, sim, sat, target))
     sim.run()
 
     return ScenarioResult(
@@ -168,10 +169,3 @@ def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResu
         snapshots=snapshots,
         sim=sim,
     )
-
-
-def _make_starter(sim, starter, sat, target):
-    def fire(t):
-        starter(sim, sat, target, t)
-
-    return fire

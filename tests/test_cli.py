@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from leocp.cli import main
 from leocp.config import ConfigError, load_config, parse_config, stage_seed
+from leocp.protocol import DelayProfile
 
 MINI_CONFIG = {
     "seed": 5,
@@ -181,11 +183,26 @@ def test_out_of_range_k_rejected():
         ("protocol", "pods_per_sat", -1),
         ("protocol", "grace_s", -1.0),
         ("placement", "clusters", 0),
+        # JSON's NaN and Infinity, each named by its field before it can
+        # crash a stage or run on as a nonsense value
+        ("sim", "duration_s", math.inf),
+        ("protocol", "report_interval_s", math.nan),
+        ("protocol.delays", "persist", math.nan),
+        ("protocol.delays", "persist", math.inf),
+        ("protocol", "grace_s", math.nan),
+        ("stations.0", "latitude_deg", math.nan),
+        ("protocol", "constant_latency_ms", -5),  # negative message legs
+        ("topology", "terrestrial_factor", -1),
+        ("topology", "gsl_limit", 0),  # would keep one link, as gsl_limit 1 does
+        ("topology", "gsl_limit", -1),
     ],
 )
 def test_out_of_range_value_rejected(section, key, value):
     raw = json.loads(json.dumps(MINI_CONFIG))
-    raw[section][key] = value
+    node = raw
+    for part in section.split("."):  # "stations.0" is the first station
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[key] = value
     with pytest.raises(ConfigError, match=key):
         parse_config(raw)
 
@@ -202,6 +219,11 @@ def test_bad_delay_override_rejected():
     raw["protocol"]["delays"] = {"pod_stop": -1.0}
     with pytest.raises(ConfigError, match="delays"):
         parse_config(raw)
+
+
+def test_non_finite_delay_rejected_by_delay_profile():
+    with pytest.raises(ValueError, match="finite"):
+        DelayProfile(persist=math.nan)
 
 
 def test_missing_config_file_is_config_error(tmp_path):
