@@ -16,7 +16,9 @@ import sys
 from dataclasses import replace
 
 from . import placement as plc
-from .config import apply_overrides, load_config, parse_config, stage_seed
+from .config import apply_overrides, parse_config, read_config, stage_seed
+# ``load_config`` is not called here; ``perfbench/run.py`` times it on this module.
+from .config import load_config  # noqa: F401
 from .errors import BudgetExceeded, ConfigError, InfeasibleInstance, LeocpError, StageError
 from .orbits import generate_constellation
 from .reporting import aggregate, write_records_csv, write_report
@@ -241,9 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
         raw = apply_overrides(
-            cfg.raw,
+            read_config(args.config),
             {
                 "seed": args.seed,
                 "protocol": args.protocol,

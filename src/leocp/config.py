@@ -1,9 +1,10 @@
 """Scenario configuration: strict JSON schema with named-field errors.
 
 Unknown keys are rejected everywhere; a silent typo in a scientific
-config is worse than a loud failure. Flag overrides are applied on top
-of the parsed file and the effective config is echoed next to the
-outputs so any run can be reproduced exactly.
+config is worse than a loud failure. Flag overrides are folded into the
+file's raw JSON before it is parsed, so a flag replaces a file value,
+valid or not, and the effective config is echoed next to the outputs so
+any run can be reproduced exactly.
 """
 import json
 import math
@@ -237,32 +238,46 @@ def _validate(spec: ScenarioSpec):
         raise ConfigError("protocol.constant_latency_ms must be non-negative")
 
 
-def load_config(path: str) -> ScenarioSpec:
+def read_config(path: str):
+    """The raw JSON of a config file."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def apply_overrides(raw: dict, overrides: dict) -> dict:
-    """Fold non-None CLI flags into the raw config dict."""
+def load_config(path: str) -> ScenarioSpec:
+    return parse_config(read_config(path), base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+# CLI flag -> (config section, key); section None is the top level
+_FLAG_KEYS = {
+    "seed": (None, "seed"),
+    "protocol": ("protocol", "type"),
+    "method": ("placement", "method"),
+    "k": ("placement", "k"),
+    "clusters": ("placement", "clusters"),
+    "delta": ("assignment", "delta"),
+}
+
+
+def apply_overrides(raw, overrides: dict):
+    """Fold non-None CLI flags into a deep copy of the raw config. A
+    config or section that is not an object is left for ``parse_config``
+    to reject."""
     out = json.loads(json.dumps(raw))  # deep copy
-    if overrides.get("seed") is not None:
-        out["seed"] = overrides["seed"]
-    if overrides.get("protocol") is not None:
-        out.setdefault("protocol", {})["type"] = overrides["protocol"]
-    if overrides.get("method") is not None:
-        out.setdefault("placement", {})["method"] = overrides["method"]
-    if overrides.get("k") is not None:
-        out.setdefault("placement", {})["k"] = overrides["k"]
-    if overrides.get("clusters") is not None:
-        out.setdefault("placement", {})["clusters"] = overrides["clusters"]
-    if overrides.get("delta") is not None:
-        out.setdefault("assignment", {})["delta"] = overrides["delta"]
+    if not isinstance(out, dict):
+        return out
+    for flag, value in overrides.items():
+        if value is None:
+            continue
+        section, key = _FLAG_KEYS[flag]
+        target = out if section is None else out.setdefault(section, {})
+        if isinstance(target, dict):
+            target[key] = value
     return out
 
 

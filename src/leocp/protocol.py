@@ -19,9 +19,12 @@ Only handover steps pass through the queue. Periodic status reports
 depend on nothing but the controller a satellite holds at each tick and
 the binding state at each accept, so once the queue drains they are
 derived in bulk from each satellite's controller timeline and the
-registry's state log. Every logged change carries enough of its event's
-ancestry to place it against the report events the queue would have
-held, so exact time ties resolve in the queue's push order.
+registry's state log, replaying the queue's waiting list: a tick under
+a controller records its latency at once, a tick while the node holds
+none waits, and the legacy rejoin's flush records every waiting tick.
+Every logged change carries enough of its event's ancestry to place it
+against the report events the queue would have held, so exact time ties
+resolve in the queue's push order.
 """
 import bisect
 import functools
@@ -150,14 +153,7 @@ class HandoverRecord:
 
 
 @dataclass
-class RegistryEntry:
-    state: BindingState
-    pods: set = dc_field(default_factory=set)
-
-
-@dataclass
 class SatelliteAgent:
-    sat_id: int
     current_gs: int | None
     pods: dict = dc_field(default_factory=dict)  # pod name -> running flag
 
@@ -257,6 +253,11 @@ def _tick_grid(duration, interval):
 class Simulation:
     """Event engine plus controller registries and satellite agents.
 
+    ``latency`` has two methods, both giving one-way milliseconds
+    (``math.inf`` where no path exists): ``latency(a, b, t)``, one leg
+    of a handover step, and ``sat_gs_ms(sats, gs, times)``, the report
+    legs of a block; ``ConstantLatency`` and ``SnapshotLatency`` do both.
+
     ``start_reporting`` turns on periodic status reports. They never
     enter the queue: when ``run`` drains it, they are derived in bulk,
     exactly as per-event send, arrive and accept steps would have left
@@ -281,18 +282,13 @@ class Simulation:
         self.latency = latency
         self.report_interval = report_interval
         self.grace = report_interval if grace is None else grace
-        self.registries = {g: {} for g in controllers}
+        self.registries = {g: {} for g in controllers}  # gs -> {sat: BindingState}
         self.agents = {
-            s: SatelliteAgent(
-                sat_id=s,
-                current_gs=None,
-                pods={f"pod-{s}-{i}": True for i in range(pods_per_sat)},
-            )
+            s: SatelliteAgent(None, {f"pod-{s}-{i}": True for i in range(pods_per_sat)})
             for s in satellites
         }
         self._queue = []
         self._seq = itertools.count()
-        self.now = 0.0
         self.records = []
         self.report_latencies = dict.fromkeys(satellites, np.empty(0))
         self._in_flight = set()
@@ -329,16 +325,12 @@ class Simulation:
             raise Unreachable("event scheduled over an unreachable link")
         heapq.heappush(self._queue, (t, next(self._seq), fn, self._ctx))
 
-    def run(self, until=None):
-        """Fire queued events up to ``until``; once the queue is drained,
-        derive the reports ``start_reporting`` turned on."""
+    def run(self):
+        """Fire every queued event, then derive the reports, if turned on."""
         queue = self._queue
         try:
             while queue:
-                if until is not None and queue[0][0] > until:
-                    break
                 t, _, fn, parent = heapq.heappop(queue)
-                self.now = t
                 self._parent = parent
                 self._ctx = (t, self._rank(t, parent[1]), parent[1])
                 fn(t)
@@ -351,7 +343,7 @@ class Simulation:
             raise
         finally:
             self._ctx = self._parent = self._root
-        if not queue and self._ticks is not None:
+        if self._ticks is not None:
             first = self._derive_reports()
             self._ticks, self._tick_list = None, []
             if first is not None:
@@ -396,26 +388,22 @@ class Simulation:
     def bind_initial(self, sat, gs, t=0.0):
         """Bootstrap registration: entry is Bound with a synchronous
         initial status, as if the node joined before the scenario."""
-        self.registries[gs][sat] = RegistryEntry(
-            state=BindingState.BOUND, pods=set(self.agents[sat].pods)
-        )
+        self._set_state(gs, sat, BindingState.BOUND, t)
         self._set_controller(sat, gs, t)
-        self._log_state(gs, sat, t, BindingState.BOUND)
         self._log_report(gs, sat, t)
 
     def _transition(self, gs, sat, new_state, t):
-        entry = self.registries[gs].get(sat)
-        if entry is None:
+        state = self.registries[gs].get(sat)
+        if state is None:
             raise ProtocolViolation(f"gs {gs} holds no entry for node {sat}")
-        if (entry.state, new_state) not in _ALLOWED:
+        if (state, new_state) not in _ALLOWED:
             raise ProtocolViolation(
-                f"illegal binding transition {entry.state.value} -> {new_state.value}"
+                f"illegal binding transition {state.value} -> {new_state.value}"
             )
-        entry.state = new_state
-        self._log_state(gs, sat, t, new_state)
+        self._set_state(gs, sat, new_state, t)
 
-    def _create_entry(self, gs, sat, state, t, pods=()):
-        self.registries[gs][sat] = RegistryEntry(state=state, pods=set(pods))
+    def _set_state(self, gs, sat, state, t):
+        self.registries[gs][sat] = state
         self._log_state(gs, sat, t, state)
 
     def _drop_entry(self, gs, sat, t):
@@ -423,8 +411,7 @@ class Simulation:
         self._log_state(gs, sat, t, None)
 
     def _accept_report(self, gs, sat, t):
-        entry = self.registries[gs].get(sat)
-        if entry is not None and entry.state in VISIBLE_STATES:
+        if self.registries[gs].get(sat) in VISIBLE_STATES:
             self._log_report(gs, sat, t)
 
     # -- periodic status reports --------------------------------------------
@@ -465,54 +452,42 @@ class Simulation:
             self.report_log = {k: np.array(v, dtype=float) for k, v in self.report_log.items()}
         for lo in range(0, len(sats), _REPORT_BLOCK_SATS):
             block = sats[lo : lo + _REPORT_BLOCK_SATS]
-            runs = [_controller_runs(self._controller_log.get(s, []), len(ticks)) for s in block]
+            spans = [_spans(self._controller_log.get(s, ()), len(ticks)) for s in block]
             held = np.full((len(block), len(ticks)), -1)
-            for row, sat_runs in zip(held, runs):
-                for gs, a, b, _ in sat_runs:
+            for row, sat_spans in zip(held, spans):
+                for gs, a, b, _ in sat_spans:
                     if gs is not None:
                         row[a:b] = gs
-            ms = self._report_ms(block, held, ticks)
+            ms = self.latency.sat_gs_ms(block, held, ticks)
             bad = (held >= 0) & ~np.isfinite(ms)
             if bad.any():
                 k, i = np.argwhere(bad.T)[0].tolist()
                 if first is None or (k, lo + i) < first[:2]:
-                    gs = next(gs for gs, a, b, _ in runs[i] if a <= k < b)
+                    gs = int(held[i, k])
                     first = (k, lo + i, _no_path(("sat", block[i]), ("gs", gs), ticks[k].item()))
             elif first is None and limit is None:
                 leg = ms / 1000.0
                 arrive = ticks + leg
                 accept = arrive + self.delays.status_report_process
                 for i, sat in enumerate(block):
-                    self._derive_satellite(sat, runs[i], leg[i], arrive[i], accept[i], ticks)
+                    self._derive_satellite(sat, spans[i], leg[i], arrive[i], accept[i], ticks)
         return None if first is None else first[2]
 
-    def _report_ms(self, sats, gs, ticks):
-        vector = getattr(self.latency, "sat_gs_ms", None)
-        if vector is not None:
-            return vector(sats, gs, ticks)
-        ms = np.full(gs.shape, math.nan)
-        for i, k in np.argwhere(gs >= 0).tolist():
-            ms[i, k] = self.latency(("sat", sats[i]), ("gs", int(gs[i, k])), ticks[k].item())
-        return ms
-
-    def _derive_satellite(self, sat, runs, leg, arrive, accept, ticks):
-        log = self._controller_log.get(sat, [])
-        pieces = []  # (slot, latencies): tick k recorded at slot 2k + 1
-        accepted = {}
-        for gs, lo, hi, j in runs:
-            if gs is not None:
-                pieces.append((2 * lo + 1, leg[lo:hi] * 1000.0))
+    def _derive_satellite(self, sat, spans, leg, arrive, accept, ticks):
+        """Record ``sat``'s latencies and accepts, replaying the waiting list."""
+        recorded, waiting, accepted = [], [], {}
+        for gs, lo, hi, flush in spans:
+            if gs is None:
+                waiting.append(ticks[lo:hi])
+            else:
+                recorded.append(leg[lo:hi] * 1000.0)
                 times = self._accepted(gs, sat, lo, arrive[lo:hi], accept[lo:hi])
                 accepted.setdefault(gs, []).append(times)
-                continue
-            # the ticks wait for the next flush, which fires after ticks
-            # 0..g-1 (g its rank) and records them at slot 2g
-            flush = next((e for e in log[j + 1 :] if e[3]), None)
             if flush is not None:
-                pieces.append((2 * flush[0], (flush[1] - ticks[lo:hi]) * 1000.0))
-        pieces.sort(key=operator.itemgetter(0))
+                recorded += [(flush - w) * 1000.0 for w in waiting]
+                waiting = []
         self.report_latencies[sat] = (
-            pieces[0][1] if len(pieces) == 1 else np.concatenate([np.empty(0)] + [p for _, p in pieces])
+            recorded[0] if len(recorded) == 1 else np.concatenate([np.empty(0)] + recorded)
         )
         for gs, times in accepted.items():
             merged = np.sort(np.concatenate([self.report_log.get((gs, sat), np.empty(0))] + times))
@@ -538,20 +513,21 @@ class Simulation:
         return accept[managed[at]]
 
 
-def _controller_runs(log, n):
-    """Split ticks ``0..n-1`` into runs over which a satellite holds one
-    controller: (gs, lo, hi, j) for ticks ``lo..hi-1`` under entry ``j`` of
-    its controller log (-1, with gs None, before the first). An entry of
-    rank r governs the ticks from r on."""
-    runs, gs, lo, j = [], None, 0, -1
-    for i, (rank, _, held, _) in enumerate(log):
+def _spans(log, n):
+    """Split ticks ``0..n-1`` along a satellite's controller log into
+    (gs, lo, hi, flush) spans: ticks ``lo..hi-1`` held by ``gs`` (None:
+    no controller), then the time of the flush that closes the span, or
+    None. An entry of rank r governs the ticks from r on; an empty span
+    is kept only if it flushes."""
+    spans, gs, lo = [], None, 0
+    for rank, t, held, flush in log:
         start = min(max(rank, 0), n)
-        if lo < start:
-            runs.append((gs, lo, start, j))
-        gs, lo, j = held, max(lo, start), i
+        if lo < start or flush:
+            spans.append((gs, lo, max(lo, start), t if flush else None))
+        gs, lo = held, max(lo, start)
     if lo < n:
-        runs.append((gs, lo, n, j))
-    return runs
+        spans.append((gs, lo, n, None))
+    return spans
 
 
 def node_visible(sim: Simulation, sat: int, t: float) -> bool:
@@ -597,7 +573,7 @@ def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
     if sat in sim._in_flight:
         raise ConcurrentHandover(f"handover already in flight for node {sat}")
     source_gs = sim.agents[sat].current_gs
-    if source_gs is None or sim.registries[source_gs][sat].state is not BindingState.BOUND:
+    if source_gs is None or sim.registries[source_gs][sat] is not BindingState.BOUND:
         raise ProtocolViolation(f"node {sat} is not Bound anywhere; cannot hand over")
     if target_gs == source_gs:
         raise ProtocolViolation("handover target equals the current controller")
@@ -664,7 +640,7 @@ def _seamless(sim, sat, target_gs, t0):
     sim._emit(t, "sync_arrived", gs=target_gs, sat=sat)
     t = yield t + d.persist
     # target now knows the node and its pods, but is not managing it
-    sim._create_entry(target_gs, sat, BindingState.RELEASED, t, pods=set(sim.agents[sat].pods))
+    sim._set_state(target_gs, sat, BindingState.RELEASED, t)
     sim._emit(t, "sync_persisted", gs=target_gs, sat=sat)
     t = yield t + sim._leg_s(tgt_ep, src_ep, t)
 
@@ -761,7 +737,7 @@ def _legacy(sim, sat, target_gs, t):
     sim._emit(t, "register_arrived", gs=target_gs, sat=sat)
     t = yield t + d.register
     # node object exists but carries no status yet
-    sim._create_entry(target_gs, sat, BindingState.BOUND, t)
+    sim._set_state(target_gs, sat, BindingState.BOUND, t)
     sim._emit(t, "node_registered", gs=target_gs, sat=sat)
     # the node's ack and first report run beside the pod resync; the
     # second of the two legs to end records the handover
@@ -778,7 +754,6 @@ def _legacy(sim, sat, target_gs, t):
     sim._emit(t, "pods_persisted", gs=target_gs, sat=sat)
     t = yield t + d.controller_process + d.persist
     sim._emit(t, "pods_scheduled", gs=target_gs, sat=sat)
-    sim.registries[target_gs][sat].pods = set(pods)
     t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
     sim._emit(t, "pod_push", sat=sat)
     t = yield t + d.client_init

@@ -41,7 +41,12 @@ _BLOCK_SATS = 16
 class ScenarioSpec:
     """One scenario: the constellation, the stations, and the settings of
     every pipeline stage. ``leocp.config.parse_config`` builds it from a
-    JSON config; the defaults here are the config's defaults."""
+    JSON config; the defaults here are the config's defaults.
+
+    ``latency_model`` replaces the snapshot-based latencies. Like every
+    ``Simulation`` latency it implements both ``__call__`` (one leg) and
+    ``sat_gs_ms`` (a block of report legs), as ``ConstantLatency`` does.
+    """
 
     shell: WalkerShell
     stations: list
@@ -75,8 +80,6 @@ class ScenarioResult:
     records: list
     report_latencies: dict  # sat -> float64 array of ms
     schedules: dict  # sat -> HandoverSchedule
-    fields: list
-    snapshots: list
     sim: Simulation
 
 
@@ -134,7 +137,7 @@ def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResu
     ``build_fields(spec)`` and ``schedules`` the output of
     ``predict_schedules``; each is computed here when not given.
     """
-    elements, snapshots, fields = built if built is not None else build_fields(spec)
+    elements, _, fields = built if built is not None else build_fields(spec)
     if schedules is None:
         schedules = predict_schedules(spec, elements, fields)
 
@@ -165,7 +168,5 @@ def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResu
         records=sorted(sim.records, key=lambda r: (r.t_start, r.sat_id)),
         report_latencies=sim.report_latencies,
         schedules=schedules,
-        fields=fields,
-        snapshots=snapshots,
         sim=sim,
     )

@@ -164,9 +164,11 @@ def build_snapshot(
     of ``GroundStation`` or their ECEF positions. ``isl_mode`` is
     "fixed_grid" (index-based pairing, stable over time, built once per
     shell) or "nearest" (recompute the inter-plane neighbor each
-    snapshot). ``gsl_limit`` caps links per satellite to the nearest
-    visible stations; default unlimited.
+    snapshot). ``gsl_limit`` (at least 1) caps links per satellite to the
+    nearest visible stations; default unlimited.
     """
+    if gsl_limit is not None and gsl_limit < 1:
+        raise ValueError(f"gsl_limit must be at least 1, got {gsl_limit}")
     packed = elements if isinstance(elements, ElementArrays) else pack_elements(elements)
     sat_pos = propagate(packed, t)
     gs_pos = station_positions(stations) if isinstance(stations, list) else stations
@@ -183,17 +185,12 @@ def build_snapshot(
 
     vis, rng = _visibility_matrix(sat_pos, gs_pos, min_elevation_deg)
     if gsl_limit is not None:
+        # keep a visible link iff it is among the satellite's first
+        # ``gsl_limit`` visible stations in stable range order
         order = np.argsort(rng, axis=1, kind="stable")
-        keep = np.zeros_like(vis)
-        for s in range(vis.shape[0]):
-            kept = 0
-            for g in order[s]:
-                if vis[s, g]:
-                    keep[s, g] = True
-                    kept += 1
-                    if kept >= gsl_limit:
-                        break
-        vis = keep
+        in_order = np.take_along_axis(vis, order, axis=1)
+        in_order &= np.cumsum(in_order, axis=1) <= gsl_limit
+        np.put_along_axis(vis, order, in_order, axis=1)
     sat_idx, gs_idx = np.nonzero(vis)
     gsl_pairs = np.stack([sat_idx, gs_idx], axis=1) if sat_idx.size else np.empty((0, 2), dtype=np.int64)
     gsl_km = rng[sat_idx, gs_idx] if sat_idx.size else np.empty(0)

@@ -105,6 +105,28 @@ def test_flag_overrides_take_precedence(mini_config, tmp_path):
         assert len(json.load(fh)["selected_ids"]) == 1
 
 
+def test_flag_replaces_an_invalid_file_value(tmp_path, capsys):
+    path = tmp_path / "bad_k.json"
+    path.write_text(json.dumps({**MINI_CONFIG, "placement": {**MINI_CONFIG["placement"], "k": 9}}))
+    out = tmp_path / "o"
+    assert main(["place", "--config", str(path), "--out", str(out)]) == 2
+    assert "placement.k" in capsys.readouterr().err
+    assert main(["place", "--config", str(path), "--out", str(out), "--k", "2"]) == 0
+    with open(out / "effective_config.json") as fh:
+        assert json.load(fh)["placement"]["k"] == 2
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [({**MINI_CONFIG, "placement": 5}, "placement has wrong type"), ([], "missing required key")],
+)
+def test_flag_into_a_malformed_config_is_a_config_error(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["place", "--config", str(path), "--out", str(tmp_path / "o"), "--k", "2"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_writes_records(mini_config, tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", mini_config, "--out", str(out), "--trace"]) == 0

@@ -222,6 +222,59 @@ def test_root_events_order_against_the_first_ticks(report_first):
     assert len(got[1]) == (3 if report_first else 4)
 
 
+def mid_run_bind(cls, bind_t, handover_t, interval, delays):
+    """Sat 1 holds no controller until a ``bind_initial`` queued at
+    ``bind_t`` (after reporting started), then rejoins gs 1 by a legacy
+    handover at ``handover_t``."""
+    sim = cls([0, 1], [0, 1], latency=ConstantLatency(5.0), delays=delays, report_interval=interval)
+    sim.bind_initial(0, 0)
+    sim.start_reporting(30.0)
+    sim.schedule(bind_t, lambda t: sim.bind_initial(1, 0, t))
+    sim.schedule(handover_t, lambda t: start_legacy(sim, 1, 1, t))
+    sim.run()
+    return {
+        "latencies": {s: np.asarray(v, dtype=float).tolist() for s, v in sim.report_latencies.items()},
+        "report_log": {k: np.asarray(v, dtype=float).tolist() for k, v in sim.report_log.items()},
+        "records": sim.records,
+    }
+
+
+@pytest.mark.parametrize("delays", [DelayProfile.zero(), DelayProfile()], ids=["zero", "default"])
+@pytest.mark.parametrize("interval", [1.0, 2.5])
+@pytest.mark.parametrize("handover_t", [12.0, 20.0])
+@pytest.mark.parametrize("bind_t", [0.0, 3.0, 7.5])
+def test_ticks_before_a_mid_run_bind_wait_for_the_legacy_flush(bind_t, handover_t, interval, delays):
+    # the bind flushes nothing: the ticks before it are recorded at the
+    # rejoin's flush, after every tick reported while bound
+    got = mid_run_bind(Simulation, bind_t, handover_t, interval, delays)
+    assert got == mid_run_bind(PerEventSimulation, bind_t, handover_t, interval, delays)
+    (rec,) = got["records"]
+    reported = got["latencies"][1]
+    assert reported[0] == 5.0  # tick 0 waited, so a bound tick comes first
+    assert max(reported) > rec.t_start * 1000.0  # tick 0, recorded after the removal
+
+
+@pytest.mark.parametrize(
+    "pods,delays",
+    [(0, {}), (1, {"pod_start": 0.0, "status_report_process": 5.0})],
+    ids=["no-pods", "report-after-resync"],
+)
+def test_legacy_report_leg_ending_last_records_the_handover(pods, delays):
+    # with no pods there is no resync; with instant pod starts and a slow
+    # report accept, the resync ends first
+    case = {
+        "initial": [0], "handovers": [[(10.0, 1)]], "duration": 40.0, "interval": 10.0,
+        "latency": lambda: ConstantLatency(0.4), "delays": DelayProfile(**delays), "pods": pods,
+        "legacy": True, "report_first": True,
+    }
+    got = replay(Simulation, case)
+    assert got == replay(PerEventSimulation, case)
+    (rec,) = got["records"]
+    accepted = np.frombuffer(got["report_log"][(1, 0)]).tolist()
+    assert rec.t_end == accepted[0] == rec.t_start + rec.invisibility
+    assert (rec.pod_unavailability > 0.0) == (pods > 0)
+
+
 def unreachable_case(handover):
     """Sat 0 loses its path to gs 0 from the snapshot at t=30; with
     ``handover``, it first hands over to gs 1, unreachable from t=10."""

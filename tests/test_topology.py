@@ -138,6 +138,46 @@ def test_gsl_limit_caps_links():
     assert limited.gsl_pairs.shape[0] <= unlimited.gsl_pairs.shape[0]
 
 
+def per_satellite_gsl_cap(vis, rng, limit):
+    """The GSL cap as a loop over satellites and stations in range order."""
+    order = np.argsort(rng, axis=1, kind="stable")
+    keep = np.zeros_like(vis)
+    for s in range(vis.shape[0]):
+        kept = 0
+        for g in order[s]:
+            if vis[s, g]:
+                keep[s, g] = True
+                kept += 1
+                if kept >= limit:
+                    break
+    return keep
+
+
+def test_gsl_limit_matches_per_satellite_loop(monkeypatch):
+    # whole-number ranges make ties, which the stable order breaks by station
+    shell = WalkerShell(3, 4, 53.0, 1200.0, phasing_factor=1)
+    packed = pack_elements(generate_constellation(shell))
+    gen = np.random.default_rng(11)
+    for _ in range(150):
+        m = int(gen.integers(1, 7))
+        vis = gen.random((12, m)) < 0.6
+        rng = gen.integers(1, 4, size=(12, m)).astype(float)
+        monkeypatch.setattr(topology, "_visibility_matrix", lambda *_: (vis.copy(), rng))
+        for limit in range(1, m + 2):
+            snap = build_snapshot(shell, packed, np.zeros((m, 3)), 0.0, gsl_limit=limit)
+            expected = np.argwhere(per_satellite_gsl_cap(vis, rng, limit))
+            assert snap.gsl_pairs.tolist() == expected.tolist()
+            assert snap.gsl_km.tolist() == rng[expected[:, 0], expected[:, 1]].tolist()
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_gsl_limit_below_one_rejected(limit):
+    shell = WalkerShell(2, 3, 53.0, 1200.0)
+    stations = [GroundStation(0, "a", 0.0, 0.0)]
+    with pytest.raises(ValueError, match="gsl_limit"):
+        build_snapshot(shell, generate_constellation(shell), stations, 0.0, gsl_limit=limit)
+
+
 def test_nearest_isl_mode_keeps_degree():
     shell = WalkerShell(4, 5, 53.0, 550.0, phasing_factor=1)
     elements = generate_constellation(shell)
