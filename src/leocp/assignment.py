@@ -174,20 +174,22 @@ def interpolate(series: DistanceSeries, t: float) -> float:
 
 
 def predict_handovers(
-    series_set: list[DistanceSeries], params: AssignmentParams
+    series_set: list[DistanceSeries], params: AssignmentParams, *, ticks=None
 ) -> HandoverSchedule:
     """Scan the horizon and emit threshold-gated handover events.
 
     The initial assignment is the nearest controller at t=0. At every
     decision tick the nearest controller (ties to the lowest id) takes
     over only if its interpolated distance is strictly below ``delta``
-    times the current controller's.
+    times the current controller's. ``ticks``, the decision grid of
+    ``params`` (``kernels.decision_ticks``), is built per call when not
+    given.
     """
     ordered = sorted(series_set, key=lambda s: s.gs_id)
     ids = [s.gs_id for s in ordered]
     sample_d = np.stack([s.km for s in ordered])
     initial, events = kernels.handover_scan(
-        ordered[0].times, sample_d, params.decide_dt_s, params.horizon_s, params.delta
+        ordered[0].times, sample_d, params.decide_dt_s, params.horizon_s, params.delta, ticks
     )
     return HandoverSchedule(initial=ids[initial], events=tuple((t, ids[g]) for t, g in events))
 

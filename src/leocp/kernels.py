@@ -40,7 +40,7 @@ def decision_ticks(decide_dt, horizon):
     return ticks[ticks <= horizon]
 
 
-def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
+def handover_scan(sample_t, sample_d, decide_dt, horizon, delta, ticks=None):
     """Threshold-rule controller scan, returning (initial_index, [(t, target_index)]).
 
     ``sample_d`` has one row per controller. Each row is interpolated
@@ -48,7 +48,9 @@ def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
     the nearest at the first sample (ties to the lowest index), and a
     switch fires at the first tick where the nearest controller (ties to
     the lowest index) is another one, strictly closer than ``delta``
-    times the current one's distance.
+    times the current one's distance. ``ticks`` is
+    ``decision_ticks(decide_dt, horizon)``, built here when not given, so
+    a caller scanning many satellites can build it once.
     """
     sample_t = np.asarray(sample_t, dtype=np.float64)
     sample_d = np.asarray(sample_d, dtype=np.float64)
@@ -59,7 +61,8 @@ def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
     flags = _switch_intervals(sample_d, delta)
     if not flags[current].any():
         return current, []
-    ticks = decision_ticks(decide_dt, horizon)
+    if ticks is None:
+        ticks = decision_ticks(decide_dt, horizon)
     # sample interval j holds the ticks [first[j], first[j + 1]); ticks
     # outside the samples take the end values, so they join the end intervals
     first = np.empty(n_samples, dtype=np.intp)

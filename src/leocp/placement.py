@@ -125,6 +125,15 @@ def _kmeans_pp_init(x, k, rng):
 
 
 def _kmeans(x, k, rng):
+    """Lloyd iterations from a k-means++ seeding, until no centre moves
+    ``KMEANS_TOL`` or more.
+
+    A centre's shift is summed with ufuncs, not ``np.linalg.norm``: on a
+    vector over 10,000 elements OpenBLAS hands the dot product to its
+    thread pool, whose wake-up costs milliseconds per call and whose
+    sum depends on the thread count. The shift only feeds the tolerance
+    test, and at convergence it is exactly 0.0 either way.
+    """
     centers = _kmeans_pp_init(x, k, rng)
     labels = np.zeros(x.shape[0], dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
@@ -136,7 +145,8 @@ def _kmeans(x, k, rng):
             if members.shape[0] == 0:
                 continue  # empty cluster keeps its centroid
             new = members.mean(axis=0)
-            moved = max(moved, float(np.linalg.norm(new - centers[c])))
+            diff = new - centers[c]
+            moved = max(moved, math.sqrt(np.add.reduce(diff * diff)))
             centers[c] = new
         if moved < KMEANS_TOL:
             break

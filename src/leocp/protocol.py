@@ -444,7 +444,15 @@ class Simulation:
         the state log, then return the ``Unreachable`` error of the first
         report (by tick, then satellite) sent over an unreachable link,
         or None. With ``limit``, only look for that error among the first
-        ``limit`` ticks."""
+        ``limit`` ticks.
+
+        A satellite that keeps one controller over every tick, whose state
+        log there is one managed entry logged strictly before its first
+        accept (its accepts in tick order), takes a block path: its
+        latencies are its row of legs and its whole row of accepts is
+        appended to its report log. An accept on the entry's own
+        time needs the push order to rank it, so it stays on the general
+        path, ``_derive_satellite``."""
         ticks = self._ticks[:limit]
         sats = sorted(self.agents)
         first = None  # (tick, satellite position, error)
@@ -469,9 +477,31 @@ class Simulation:
                 leg = ms / 1000.0
                 arrive = ticks + leg
                 accept = arrive + self.delays.status_report_process
+                # a row's first accept is its earliest while its accepts keep tick order
+                in_order = (accept[:, 1:] >= accept[:, :-1]).all(axis=1)
+                earliest = np.where(in_order, accept[:, 0], -math.inf).tolist()
                 for i, sat in enumerate(block):
-                    self._derive_satellite(sat, spans[i], leg[i], arrive[i], accept[i], ticks)
+                    gs = self._kept_controller(sat, spans[i], earliest[i])
+                    if gs is None:
+                        self._derive_satellite(sat, spans[i], leg[i], arrive[i], accept[i], ticks)
+                    else:  # every tick records its leg and is accepted
+                        self.report_latencies[sat] = leg[i] * 1000.0
+                        key = (gs, sat)
+                        self.report_log[key] = np.concatenate((self.report_log[key], accept[i]))
         return None if first is None else first[2]
+
+    def _kept_controller(self, sat, spans, earliest):
+        """The controller ``sat`` keeps over every tick, if it takes the
+        block path: one span, and one managed state entry at its
+        controller, logged before ``earliest``, the earliest accept.
+        Otherwise None. A span held by no controller has no state log, and
+        a flush closing a held span finds no tick waiting."""
+        (gs, _, _, _), *more = spans
+        log = self.state_log.get((gs, sat), ())
+        if more or len(log) != 1:
+            return None
+        t, state = log[0]
+        return gs if state in VISIBLE_STATES and t < earliest else None
 
     def _derive_satellite(self, sat, spans, leg, arrive, accept, ticks):
         """Record ``sat``'s latencies and accepts, replaying the waiting list."""

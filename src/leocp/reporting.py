@@ -6,8 +6,10 @@ file: sorted with ``np.sort``, summed per satellite with a sequential
 ``tolist`` so every value prints as the same float.
 
 The records and CDF writers stream their rows with the bytes of
-``csv.writer`` (CRLF line ends, numbers unquoted), one generated
-line at a time, so no whole file is held as one string.
+``csv.writer`` (CRLF line ends, numbers unquoted), so no whole file is
+held as one string: the records writer one generated line at a time,
+the CDF writer ``_CDF_WRITE_ROWS`` rows at a time, each chunk formatted
+by one ``%`` over a repeated row template.
 """
 import csv
 import json
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyInput
 
-# CDF rows turned into Python floats at a time while writing
+# CDF rows formatted and written at a time
 _CDF_WRITE_ROWS = 4096
 
 
@@ -149,7 +151,4 @@ def write_report(report: MetricsReport, out_dir, scenario_name="scenario"):
             fh.write("value,fraction\r\n")
             for lo in range(0, len(points), _CDF_WRITE_ROWS):
                 rows = points[lo : lo + _CDF_WRITE_ROWS]
-                fh.writelines(
-                    f"{value:.6f},{fraction:.6f}\r\n"
-                    for value, fraction in zip(rows[:, 0].tolist(), rows[:, 1].tolist())
-                )
+                fh.write("%.6f,%.6f\r\n" * len(rows) % tuple(rows.ravel().tolist()))

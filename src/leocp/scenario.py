@@ -20,6 +20,7 @@ from .assignment import (  # noqa: F401
     predict_handovers,
     sample_distances,
 )
+from .kernels import decision_ticks
 from .orbits import WalkerShell, generate_constellation, pack_elements, station_positions
 from .protocol import (
     DelayProfile,
@@ -113,7 +114,8 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
     """CNAA schedule per satellite against the scenario's controllers.
 
     Distances are sampled ``_BLOCK_SATS`` satellites at a time; each
-    satellite's schedule is its own ``predict_handovers`` call.
+    satellite's schedule is its own ``predict_handovers`` call, all on
+    one decision grid built here.
     """
     params = replace(
         spec.assignment,
@@ -122,11 +124,12 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
     )
     controllers = {g: spec.stations[g] for g in sorted(spec.controllers)}
     sampler = DistanceSampler(controllers, params, spec.metric, elements, fields)
+    ticks = decision_ticks(params.decide_dt_s, params.horizon_s)
     schedules = {}
     for lo in range(0, len(elements), _BLOCK_SATS):
         block = sampler(range(lo, min(lo + _BLOCK_SATS, len(elements))))
         for row, km in enumerate(block, lo):
-            schedules[row] = predict_handovers(sampler.series(km), params)
+            schedules[row] = predict_handovers(sampler.series(km), params, ticks=ticks)
     return schedules
 
 

@@ -11,7 +11,9 @@ shared by the simulation's latency model and network-metric sampling.
 The writers stream one snapshot or field at a time and give the bytes of
 the standard library's encoders: ``write_json_array`` those of
 ``json.dump`` of the whole list (each item goes through the C encoder of
-``json.dumps``), ``write_fields_csv`` those of ``csv.writer``.
+``json.dumps``), ``write_fields_csv`` those of ``csv.writer``, each
+field's rows formatted by one ``%`` over a row template built once per
+field shape.
 """
 import bisect
 import functools
@@ -313,16 +315,21 @@ def write_fields_csv(fields, path):
 
     Each field's rows are formatted as ``csv.writer`` would write them:
     CRLF line ends, ``repr`` of ``t`` as a float and ``km`` to six
-    decimals.
+    decimals. One ``%`` template per field shape holds every row's
+    ``sat,station``; each field puts its ``t`` in with ``str.replace``
+    and its distances in with one ``%``.
     """
     with open(path, "w", newline="") as fh:
         fh.write("t_s,sat,station,km\r\n")
+        shape = template = None
         for f in fields:
-            t = repr(float(f.t))
-            km = np.where(f.reachable, f.d, -1.0).tolist()
-            fh.writelines(
-                f"{t},{s},{g},{v:.6f}\r\n" for s, row in enumerate(km) for g, v in enumerate(row)
-            )
+            if f.d.shape != shape:
+                shape = f.d.shape
+                template = "".join(
+                    f"\0,{s},{g},%.6f\r\n" for s in range(shape[0]) for g in range(shape[1])
+                )
+            km = np.where(f.reachable, f.d, -1.0)
+            fh.write(template.replace("\0", repr(float(f.t))) % tuple(km.ravel().tolist()))
 
 
 def write_snapshots_json(snapshots, path):

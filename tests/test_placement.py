@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_distance_fields
+from leocp import placement as plc
 from leocp.errors import BudgetExceeded, EmptySelection, InfeasibleInstance
 from leocp.placement import (
     PlacementProblem,
@@ -118,6 +119,57 @@ def test_representatives_deterministic():
     a = select_representatives(fields, 3, seed=7)
     b = select_representatives(fields, 3, seed=7)
     assert [id(x) for x in a] == [id(x) for x in b]
+
+
+def _norm_loop_representatives(fields, clusters, seed):
+    """``select_representatives`` with the k-means convergence test on
+    ``np.linalg.norm`` of each centre's shift, as first written."""
+    x = plc._feature_matrix(fields)
+    rng = np.random.default_rng(seed)
+    centers = plc._kmeans_pp_init(x, clusters, rng)
+    for _ in range(plc.KMEANS_MAX_ITER):
+        labels = np.argmin(((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+        moved = 0.0
+        for c in range(clusters):
+            members = x[labels == c]
+            if members.shape[0]:
+                new = members.mean(axis=0)
+                moved = max(moved, float(np.linalg.norm(new - centers[c])))
+                centers[c] = new
+        if moved < plc.KMEANS_TOL:
+            break
+    picked = set()
+    for c in range(clusters):
+        members = np.nonzero(labels == c)[0]
+        if members.size:
+            dists = np.linalg.norm(x[members] - centers[c], axis=1)
+            picked.add(int(members[np.argmin(dists)]))
+    return [fields[i] for i in sorted(picked)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_representatives_above_the_blas_threshold_match_the_norm_loop(monkeypatch, seed):
+    # 12 fields of 2,000 satellites x 6 stations: 12,000 features, past the
+    # size at which OpenBLAS threads a level-1 call. Three drifting regimes
+    # with some unreachable pairs keep k-means iterating.
+    rng = np.random.default_rng(seed)
+    regimes = rng.uniform(500.0, 5000.0, size=(3, 2000, 6))
+    fields = []
+    for i in range(12):
+        d = regimes[i % 3] * rng.uniform(0.9, 1.1) + rng.normal(0.0, 50.0, size=(2000, 6))
+        d[rng.random(d.shape) < 0.01] = np.inf
+        fields.append(field_of(d, t=60.0 * i))
+    expected = _norm_loop_representatives(fields, 4, seed)
+
+    norm = np.linalg.norm
+
+    def no_long_vector_norm(x, *args, **kwargs):
+        assert not (np.ndim(x) == 1 and np.size(x) > 10_000), "level-1 BLAS on a long vector"
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", no_long_vector_norm)
+    got = select_representatives(fields, 4, seed=seed)
+    assert [id(f) for f in got] == [id(f) for f in expected]
 
 
 # ---------------------------------------------------------------------------

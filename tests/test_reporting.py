@@ -252,3 +252,23 @@ def test_cdf_csvs_match_csv_writer(tmp_path, cdf_points):
         assert (tmp_path / f"cdf_{name}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     if "empty" in cdf_points:
         assert (tmp_path / "cdf_empty.csv").read_bytes() == b"value,fraction\r\n"
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_chunked_cdf_csv_matches_csv_writer(tmp_path, n):
+    # around the 4,096-row chunks: -0.0 and 0.0, exact .6f rounding ties
+    # (odd multiples of 1/128 end in a 5 at the seventh decimal), and values
+    # of every size
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-1e4, 1e4, size=n) * 10.0 ** rng.integers(-9, 3, size=n)
+    values[:10] = [-0.0, 0.0, 1 / 128, 3 / 128, -5 / 128, 1 + 7 / 128, 2.5e-7, -4e-7, 1 / 3, 1e16]
+    values[-3:] = [-0.0, 2**-20, 9 / 128]
+    points = cdf(values)
+    rep = MetricsReport(per_satellite={}, aggregate=aggregate([]).aggregate,
+                        cdf_points={"report_latency_ms": points})
+    write_report(rep, tmp_path)
+    _reference_cdf_csv(points, tmp_path / "ref.csv")
+    text = (tmp_path / "cdf_report_latency_ms.csv").read_bytes()
+    assert text == (tmp_path / "ref.csv").read_bytes()
+    assert text.count(b"\r\n") == n + 1
+    assert b"\r\n-0.000000," in text and b"\r\n0.007812," in text  # 1/128 rounds to even

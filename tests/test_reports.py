@@ -17,6 +17,7 @@ from leocp.errors import BudgetExceeded, ConcurrentHandover, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
     REPORT_BUDGET,
+    BindingState,
     ConstantLatency,
     DelayProfile,
     Simulation,
@@ -320,6 +321,164 @@ def test_unreachable_report_before_a_failing_handover_wins():
     got = replay(Simulation, case)
     assert got == {"error": (Unreachable, "no path between ('sat', 0) and ('gs', 0) at t=30.0")}
     assert got == replay(PerEventSimulation, case)
+
+
+# ---------------------------------------------------------------------------
+# the block path for a satellite that keeps its controller
+
+
+@pytest.fixture
+def general_path(monkeypatch):
+    """The satellites whose reports go through ``_derive_satellite``; the
+    others take the block path."""
+    seen = []
+    derive = Simulation._derive_satellite
+
+    def spy(self, sat, *args):
+        seen.append(sat)
+        return derive(self, sat, *args)
+
+    monkeypatch.setattr(Simulation, "_derive_satellite", spy)
+    return seen
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["seamless", "legacy"])
+def test_zero_latency_accept_on_the_entry_time_stays_general(general_path, legacy):
+    # zero latency and delays put tick 0's accept at t=0, the time of every
+    # bind entry: only the general path ranks that tie
+    case = {
+        "initial": [0, 1], "handovers": [[(2.0, 1)], []], "duration": 6.0, "interval": 1.0,
+        "latency": lambda: ConstantLatency(0.0), "delays": DelayProfile.zero(), "pods": 1,
+        "legacy": legacy, "report_first": True,
+    }
+    got = replay(Simulation, case)
+    assert sorted(general_path) == [0, 1]
+    assert got == replay(PerEventSimulation, case)
+    assert np.frombuffer(got["report_log"][(1, 1)]).tolist() == [0.0] * 2 + [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def late_bind(cls, bind_t, delays):
+    """Sat 1 holds no controller until a ``bind_initial`` queued at
+    ``bind_t``, after reporting started, and keeps gs 1 from then on."""
+    sim = cls([0, 1], [0, 1], latency=ConstantLatency(5.0), delays=delays, report_interval=2.5)
+    sim.bind_initial(0, 0)
+    sim.start_reporting(30.0)
+    sim.schedule(bind_t, lambda t: sim.bind_initial(1, 1, t))
+    sim.run()
+    return {
+        "latencies": {s: np.asarray(v, dtype=float).tolist() for s, v in sim.report_latencies.items()},
+        "report_log": {k: np.asarray(v, dtype=float).tolist() for k, v in sim.report_log.items()},
+        "state_log": sim.state_log,
+    }
+
+
+@pytest.mark.parametrize("delays", [DelayProfile.zero(), DelayProfile()], ids=["zero", "default"])
+@pytest.mark.parametrize("bind_t,reported", [(0.0, 12), (3.0, 11), (10.0, 9)])
+def test_single_entry_logged_after_the_first_tick(general_path, bind_t, reported, delays):
+    # sat 1's one state entry comes after tick 0 (of 13), and the ticks
+    # before it wait for a flush that never comes; sat 0 keeps gs 0 from
+    # before the first tick
+    got = late_bind(Simulation, bind_t, delays)
+    assert general_path == [1]
+    assert got == late_bind(PerEventSimulation, bind_t, delays)
+    assert got["state_log"][(1, 1)] == [(bind_t, BindingState.BOUND)]
+    assert got["latencies"][1] == [5.0] * reported
+
+
+@pytest.mark.parametrize("pods", [1, 3])
+def test_satellite_keeping_its_controller_in_a_legacy_run(general_path, pods):
+    # sat 1 never hands over while sats 0 and 2 drain and rejoin around it
+    case = {
+        "initial": [0, 1, 2], "handovers": [[(5.0, 1)], [], [(12.0, 0), (31.0, 1)]],
+        "duration": 60.0, "interval": 10.0, "latency": lambda: ConstantLatency(25.0),
+        "delays": DelayProfile(), "pods": pods, "legacy": True, "report_first": True,
+    }
+    got = replay(Simulation, case)
+    assert sorted(general_path) == [0, 2]
+    assert got == replay(PerEventSimulation, case)
+    assert np.frombuffer(got["latencies"][1]).tolist() == [25.0] * 7
+    assert np.frombuffer(got["report_log"][(1, 1)]).tolist() == [0.0] + [
+        10.0 * k + 0.025 + 1.1 for k in range(7)
+    ]
+
+
+def test_satellite_rebound_mid_run_stays_general(general_path):
+    # a second bind_initial moves sat 0 to gs 1 without a handover: two
+    # spans, and one state entry at each controller
+    def run(cls):
+        sim = cls([0, 1], [0], latency=ConstantLatency(5.0), report_interval=10.0)
+        sim.bind_initial(0, 0)
+        sim.start_reporting(60.0)
+        sim.schedule(25.0, lambda t: sim.bind_initial(0, 1, t))
+        sim.run()
+        return {k: np.asarray(v, dtype=float).tolist() for k, v in sim.report_log.items()}
+
+    got = run(Simulation)
+    assert general_path == [0]
+    assert got == run(PerEventSimulation)
+    assert got[(0, 0)] == [0.0] + [tick + 0.005 + 1.1 for tick in (0.0, 10.0, 20.0)]
+    assert got[(1, 0)] == [25.0] + [tick + 0.005 + 1.1 for tick in (30.0, 40.0, 50.0, 60.0)]
+
+
+def test_held_by_an_unmanaged_entry_stays_general(general_path):
+    # sat 0's one entry at its controller is Released, so no report is
+    # accepted; the protocols never log such an entry first
+    def run(cls):
+        sim = cls([0], [0], latency=ConstantLatency(5.0), report_interval=10.0)
+        sim._set_state(0, 0, BindingState.RELEASED, 0.0)
+        sim._set_controller(0, 0, 0.0)
+        sim.start_reporting(30.0)
+        sim.run()
+        return sim.report_latencies, sim.report_log
+
+    (latencies, report_log), (per_event, per_event_log) = run(Simulation), run(PerEventSimulation)
+    assert general_path == [0]
+    assert latencies[0].tolist() == per_event[0] == [5.0] * 4
+    assert report_log == per_event_log == {}
+
+
+def test_accepts_out_of_tick_order_stay_general(general_path):
+    # 2 ms ticks; the report leg drops from 10 ms to 1 ms at t=0.5, so the
+    # tick after it is accepted before the tick at it
+    stations = [GroundStation(g, f"gs{g}", 0.0, 60.0 * g) for g in range(3)]
+    fields = [DistanceField(t=0.0, d=np.full((1, 3), 3000.0)),
+              DistanceField(t=1.0, d=np.full((1, 3), 300.0))]
+    case = {
+        "initial": [0], "handovers": [[]], "duration": 1.0, "interval": 0.002,
+        "latency": lambda: SnapshotLatency(fields, stations), "delays": DelayProfile.zero(),
+        "pods": 1, "legacy": False, "report_first": True,
+    }
+    got = replay(Simulation, case)
+    assert general_path == [0]
+    assert got == replay(PerEventSimulation, case)
+    ticks = _tick_grid(1.0, 0.002)
+    legs_ms = SnapshotLatency(fields, stations).sat_gs_ms([0], np.zeros((1, len(ticks)), int), ticks)
+    accepts = ticks + legs_ms[0] / 1000.0
+    assert (np.diff(accepts) < 0).any()
+    accepted = np.frombuffer(got["report_log"][(0, 0)])
+    assert (np.diff(accepted) >= 0).all() and len(accepted) == len(ticks) + 1
+
+
+def test_source_released_before_the_last_accept_stays_general(general_path):
+    # A seamless handover starts after the last tick (t=20), so gs 0 holds
+    # every tick; the tick's 100 ms report leg lands after the 1 km legs of
+    # the handover have released gs 0, and its accept is refused.
+    stations = [GroundStation(g, f"gs{g}", 0.0, 1.0 * g) for g in range(3)]
+    far = np.full((1, 3), 30000.0)
+    fields = [DistanceField(t=10.0 * i, d=far) for i in range(3)]
+    fields.append(DistanceField(t=20.02, d=np.full((1, 3), 1.0)))
+    case = {
+        "initial": [0], "handovers": [[(20.015, 1)]], "duration": 20.0, "interval": 10.0,
+        "latency": lambda: SnapshotLatency(fields, stations), "delays": DelayProfile.zero(),
+        "pods": 1, "legacy": False, "report_first": True,
+    }
+    got = replay(Simulation, case)
+    assert general_path == [0]
+    assert got == replay(PerEventSimulation, case)
+    states = [state for _, state in got["state_log"][(0, 0)]]
+    assert states[0] is BindingState.BOUND and states[-1] is BindingState.RELEASED
+    accepted = np.frombuffer(got["report_log"][(0, 0)]).tolist()
+    assert len(accepted) == 3 and accepted[-1] < 20.0  # bind, ticks 0 and 10
 
 
 @pytest.mark.parametrize("interval", [0.1, 0.7, 1.0 / 3.0, 2.5, 10.0])

@@ -524,6 +524,30 @@ def test_writers_match_stdlib_encoders(tmp_path, case):
         assert (tmp_path / "snap").read_bytes() == b"[]\n"
 
 
+def test_fields_csv_rebuilds_its_template_when_the_shape_changes(tmp_path):
+    # a template per field shape: shapes change between items and come
+    # back, times have long reprs, and one field is walker-sized
+    rng = np.random.default_rng(41)
+
+    def field(t, n_sats, n_stations):
+        d = rng.uniform(0.0, 20000.0, size=(n_sats, n_stations))
+        d[rng.random(d.shape) < 0.1] = np.inf
+        d.flat[: min(d.size, 3)] = [3 / 128, 0.0, 5 / 128][: min(d.size, 3)]  # .6f ties
+        return DistanceField(t=t, d=d)
+
+    fields = [
+        field(1.0 / 3.0, 3, 2), field(1234.5678901234, 3, 2), field(np.float64(2.0), 2, 3),
+        field(1e-7, 1296, 8), field(60.0, 0, 8), field(1e22, 1, 1), field(0.1 + 0.2, 3, 2),
+    ]
+    write_fields_csv(fields, tmp_path / "new")
+    _reference_fields_csv(fields, tmp_path / "ref")
+    text = (tmp_path / "new").read_bytes()
+    assert text == (tmp_path / "ref").read_bytes()
+    assert text.count(b"\r\n") == 1 + 6 + 6 + 6 + 1296 * 8 + 0 + 1 + 6
+    assert b"\r\n0.3333333333333333,0,0,0.023438\r\n" in text
+    assert b"\r\n0.30000000000000004,2,1," in text and b"\r\n1e+22,0,0," in text
+
+
 def test_fields_csv_marks_partly_unreachable_pairs(tmp_path):
     d = np.array([[12.25, np.inf], [np.inf, 1.0 / 3.0], [7.0, 8.0]])
     fields = [DistanceField(t=np.float64(90.0), d=d), DistanceField(t=150.25, d=d * 2.0)]
