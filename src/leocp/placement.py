@@ -48,11 +48,7 @@ class PlacementSolution:
 
 def _stack(fields) -> np.ndarray:
     """(tau, n_sats, n_stations) distance tensor, inf where unreachable."""
-    mats = []
-    for f in fields:
-        d = np.where(f.reachable, f.d, np.inf)
-        mats.append(d)
-    return np.stack(mats)
+    return np.stack([f.d for f in fields])
 
 
 def evaluate(selected, fields) -> float:

@@ -17,14 +17,16 @@ The engine is logically single-threaded: one priority queue ordered by
 (time, sequence number), so identical inputs replay identical traces.
 Only handover steps pass through the queue. Periodic status reports
 depend on nothing but the controller a satellite holds at each tick and
-the binding state at each accept, so once the queue drains they are
-derived in bulk from each satellite's controller timeline and the
-registry's state log, replaying the queue's waiting list: a tick under
-a controller records its latency at once, a tick while the node holds
-none waits, and the legacy rejoin's flush records every waiting tick.
-Every logged change carries enough of its event's ancestry to place it
-against the report events the queue would have held, so exact time ties
-resolve in the queue's push order.
+the binding state at each accept, so they are derived in bulk from each
+satellite's controller timeline and the registry's state log. Once the
+queue drains, the latencies replay the queue's waiting list: a tick
+under a controller records its latency at once, a tick while the node
+holds none waits, and the legacy rejoin's flush records every waiting
+tick. The accepted report times are derived only when ``report_log`` is
+first read, or before anything else is logged. Every logged change
+carries enough of its event's ancestry to place it against the report
+events the queue would have held, so exact time ties resolve in the
+queue's push order.
 """
 import bisect
 import functools
@@ -259,12 +261,13 @@ class Simulation:
     legs of a block; ``ConstantLatency`` and ``SnapshotLatency`` do both.
 
     ``start_reporting`` turns on periodic status reports. They never
-    enter the queue: when ``run`` drains it, they are derived in bulk,
-    exactly as per-event send, arrive and accept steps would have left
-    them. ``report_latencies`` then holds each satellite's latencies
-    (ms) in the order they were recorded, and ``report_log`` each
-    (controller, satellite) pair's accepted report times, as float64
-    arrays.
+    enter the queue, but are derived in bulk exactly as per-event send,
+    arrive and accept steps would have left them. When ``run`` drains
+    the queue, ``report_latencies`` gets each satellite's latencies (ms)
+    as a float64 array, in the order they were recorded. ``report_log``
+    holds each (controller, satellite) pair's accepted report times, as
+    a list in event order; the reports' accepts are merged into it on
+    its first read after the run, or before the next change is logged.
     """
 
     def __init__(
@@ -298,7 +301,7 @@ class Simulation:
         # visibility bookkeeping: per (gs, sat) state transitions and
         # accepted report times, both in event order
         self.state_log = {}
-        self.report_log = {}
+        self._report_log = {}
         # report bookkeeping, in event order: per satellite its controller
         # changes as (rank, t, gs, flush); per (gs, sat) state-log entry
         # its pusher's time and the pusher's own pusher's rank
@@ -306,6 +309,7 @@ class Simulation:
         self._state_pushed = {}
         self._ticks = None  # report tick times, while reports are pending
         self._tick_list = []
+        self._unaccepted = None  # tick times of a drained run, until its accepts are merged
         self._root = self._ctx = self._parent = (-math.inf, -1, -1)
 
     # -- engine ------------------------------------------------------------
@@ -326,7 +330,8 @@ class Simulation:
         heapq.heappush(self._queue, (t, next(self._seq), fn, self._ctx))
 
     def run(self):
-        """Fire every queued event, then derive the reports, if turned on."""
+        """Fire every queued event, then derive the report latencies, if
+        reporting is on; the accepts wait for ``report_log``."""
         queue = self._queue
         try:
             while queue:
@@ -345,9 +350,11 @@ class Simulation:
             self._ctx = self._parent = self._root
         if self._ticks is not None:
             first = self._derive_reports()
-            self._ticks, self._tick_list = None, []
+            self._settle_accepts()  # an earlier run's, before this run's
+            ticks, self._ticks, self._tick_list = self._ticks, None, []
             if first is not None:
                 raise first
+            self._unaccepted = ticks
 
     def _rank(self, t, pusher_rank):
         """Report ticks before an event at ``t`` pushed by an event of
@@ -371,7 +378,14 @@ class Simulation:
 
     # -- registry ----------------------------------------------------------
 
+    @property
+    def report_log(self):
+        """(controller, satellite) -> accepted report times, in event order."""
+        self._settle_accepts()
+        return self._report_log
+
     def _log_state(self, gs, sat, t, state):
+        self._settle_accepts()
         self.state_log.setdefault((gs, sat), []).append((t, state))
         self._state_pushed.setdefault((gs, sat), []).append((self._parent[0], self._parent[2]))
 
@@ -382,6 +396,7 @@ class Simulation:
         """Point ``sat`` at controller ``gs`` (None: unmanaged). ``flush``
         marks the change that completes the reports queued while the
         node was unmanaged."""
+        self._settle_accepts()
         self.agents[sat].current_gs = gs
         self._controller_log.setdefault(sat, []).append((self._ctx[1], t, gs, flush))
 
@@ -439,25 +454,11 @@ class Simulation:
         # the first ticks count as pushed now, after every event so far
         self._root = self._ctx = self._parent = (-math.inf, 0, 0)
 
-    def _derive_reports(self, limit=None):
-        """Derive every satellite's reports from its controller log and
-        the state log, then return the ``Unreachable`` error of the first
-        report (by tick, then satellite) sent over an unreachable link,
-        or None. With ``limit``, only look for that error among the first
-        ``limit`` ticks.
-
-        A satellite that keeps one controller over every tick, whose state
-        log there is one managed entry logged strictly before its first
-        accept (its accepts in tick order), takes a block path: its
-        latencies are its row of legs and its whole row of accepts is
-        appended to its report log. An accept on the entry's own
-        time needs the push order to rank it, so it stays on the general
-        path, ``_derive_satellite``."""
-        ticks = self._ticks[:limit]
+    def _blocks(self, ticks):
+        """Per block of satellites: the first one's position, the block,
+        each satellite's spans over ``ticks``, the controller it holds at
+        each tick (-1: none) and the report legs to it (ms)."""
         sats = sorted(self.agents)
-        first = None  # (tick, satellite position, error)
-        if limit is None:
-            self.report_log = {k: np.array(v, dtype=float) for k, v in self.report_log.items()}
         for lo in range(0, len(sats), _REPORT_BLOCK_SATS):
             block = sats[lo : lo + _REPORT_BLOCK_SATS]
             spans = [_spans(self._controller_log.get(s, ()), len(ticks)) for s in block]
@@ -466,63 +467,48 @@ class Simulation:
                 for gs, a, b, _ in sat_spans:
                     if gs is not None:
                         row[a:b] = gs
-            ms = self.latency.sat_gs_ms(block, held, ticks)
+            yield lo, block, spans, held, self.latency.sat_gs_ms(block, held, ticks)
+
+    def _derive_reports(self, limit=None):
+        """Record every satellite's report latencies, then return the
+        ``Unreachable`` error of the first report (by tick, then
+        satellite) sent over an unreachable link, or None. With
+        ``limit``, only look for that error among the first ``limit``
+        ticks."""
+        ticks = self._ticks[:limit]
+        first = None  # (tick, satellite position, error)
+        for lo, block, spans, held, ms in self._blocks(ticks):
             bad = (held >= 0) & ~np.isfinite(ms)
             if bad.any():
                 k, i = np.argwhere(bad.T)[0].tolist()
                 if first is None or (k, lo + i) < first[:2]:
                     gs = int(held[i, k])
                     first = (k, lo + i, _no_path(("sat", block[i]), ("gs", gs), ticks[k].item()))
-            elif first is None and limit is None:
-                leg = ms / 1000.0
-                arrive = ticks + leg
-                accept = arrive + self.delays.status_report_process
-                # a row's first accept is its earliest while its accepts keep tick order
-                in_order = (accept[:, 1:] >= accept[:, :-1]).all(axis=1)
-                earliest = np.where(in_order, accept[:, 0], -math.inf).tolist()
-                for i, sat in enumerate(block):
-                    gs = self._kept_controller(sat, spans[i], earliest[i])
-                    if gs is None:
-                        self._derive_satellite(sat, spans[i], leg[i], arrive[i], accept[i], ticks)
-                    else:  # every tick records its leg and is accepted
-                        self.report_latencies[sat] = leg[i] * 1000.0
-                        key = (gs, sat)
-                        self.report_log[key] = np.concatenate((self.report_log[key], accept[i]))
+            elif limit is None:
+                for sat, sat_spans, row in zip(block, spans, ms):
+                    self.report_latencies[sat] = _recorded(sat_spans, row, ticks)
         return None if first is None else first[2]
 
-    def _kept_controller(self, sat, spans, earliest):
-        """The controller ``sat`` keeps over every tick, if it takes the
-        block path: one span, and one managed state entry at its
-        controller, logged before ``earliest``, the earliest accept.
-        Otherwise None. A span held by no controller has no state log, and
-        a flush closing a held span finds no tick waiting."""
-        (gs, _, _, _), *more = spans
-        log = self.state_log.get((gs, sat), ())
-        if more or len(log) != 1:
-            return None
-        t, state = log[0]
-        return gs if state in VISIBLE_STATES and t < earliest else None
-
-    def _derive_satellite(self, sat, spans, leg, arrive, accept, ticks):
-        """Record ``sat``'s latencies and accepts, replaying the waiting list."""
-        recorded, waiting, accepted = [], [], {}
-        for gs, lo, hi, flush in spans:
-            if gs is None:
-                waiting.append(ticks[lo:hi])
-            else:
-                recorded.append(leg[lo:hi] * 1000.0)
-                times = self._accepted(gs, sat, lo, arrive[lo:hi], accept[lo:hi])
-                accepted.setdefault(gs, []).append(times)
-            if flush is not None:
-                recorded += [(flush - w) * 1000.0 for w in waiting]
-                waiting = []
-        self.report_latencies[sat] = (
-            recorded[0] if len(recorded) == 1 else np.concatenate([np.empty(0)] + recorded)
-        )
-        for gs, times in accepted.items():
-            merged = np.sort(np.concatenate([self.report_log.get((gs, sat), np.empty(0))] + times))
+    def _settle_accepts(self):
+        """Merge the accepts of the drained reporting run, if any are
+        pending, into the report log: a report is accepted if its
+        controller's entry for the node is managed at its accept."""
+        ticks, self._unaccepted = self._unaccepted, None
+        if ticks is None:
+            return
+        accepted = {}
+        for _, block, spans, _, ms in self._blocks(ticks):
+            arrive = ticks + ms / 1000.0
+            accept = arrive + self.delays.status_report_process
+            for i, sat in enumerate(block):
+                for gs, lo, hi, _ in spans[i]:
+                    if gs is not None:
+                        times = self._accepted(gs, sat, lo, arrive[i, lo:hi], accept[i, lo:hi])
+                        accepted.setdefault((gs, sat), []).append(times)
+        for key, times in accepted.items():
+            merged = np.sort(np.concatenate([self._report_log.get(key, [])] + times))
             if merged.size:
-                self.report_log[(gs, sat)] = merged
+                self._report_log[key] = merged.tolist()
 
     def _accepted(self, gs, sat, k0, arrive, accept):
         """The accept times (of ticks k0, k0 + 1, ...) that find ``sat``'s
@@ -541,6 +527,22 @@ class Simulation:
             v, k = arrive[p], k0 + p
             at[p] += sum(tp < v or (tp == v and gpp <= k) for tp, gpp in pushed[lo[p] : hi[p]])
         return accept[managed[at]]
+
+
+def _recorded(spans, ms, ticks):
+    """A satellite's report latencies, replaying the queue's waiting list
+    span by span: a held span records its legs ``ms`` at once, and a
+    flush records every tick left waiting by the unheld spans before it."""
+    recorded, waiting = [], []
+    for gs, lo, hi, flush in spans:
+        if gs is None:
+            waiting.append(ticks[lo:hi])
+        else:
+            recorded.append(ms[lo:hi] / 1000.0 * 1000.0)
+        if flush is not None:
+            recorded += [(flush - w) * 1000.0 for w in waiting]
+            waiting = []
+    return recorded[0] if len(recorded) == 1 else np.concatenate([np.empty(0)] + recorded)
 
 
 def _spans(log, n):

@@ -120,7 +120,7 @@ def write_records_csv(records, path):
         )
 
 
-def write_report(report: MetricsReport, out_dir, scenario_name="scenario"):
+def write_report(report: MetricsReport, out_dir):
     """report.json, a daily-overhead style table, and CDF CSVs."""
     import os
 
@@ -143,7 +143,7 @@ def write_report(report: MetricsReport, out_dir, scenario_name="scenario"):
         )
         agg = report.aggregate
         w.writerow(
-            [scenario_name, agg["total_handovers"], f"{agg['mean_duration_s']:.2f}",
+            ["scenario", agg["total_handovers"], f"{agg['mean_duration_s']:.2f}",
              f"{agg['total_invisibility_h']:.2f}", f"{agg['total_pod_unavail_h']:.2f}"]
         )
     for name, points in sorted(report.cdf_points.items()):

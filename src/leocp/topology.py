@@ -19,7 +19,7 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class DistanceField:
 
     t: float
     d: np.ndarray  # (n_sats, n_stations) km, inf where unreachable
-    reachable: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.reachable is None:
-            object.__setattr__(self, "reachable", np.isfinite(self.d))
 
 
 def _intra_plane_ring(shell: WalkerShell) -> list[tuple[int, int]]:
@@ -285,11 +280,11 @@ def snapshot_to_dict(snapshot: TopologySnapshot) -> dict:
 
 
 def field_to_dict(f: DistanceField) -> dict:
-    d = np.where(f.reachable, f.d, -1.0)
+    reachable = np.isfinite(f.d)
     return {
         "t": f.t,
-        "d_km": d.tolist(),
-        "reachable": f.reachable.astype(int).tolist(),
+        "d_km": np.where(reachable, f.d, -1.0).tolist(),
+        "reachable": reachable.astype(int).tolist(),
     }
 
 
@@ -328,7 +323,7 @@ def write_fields_csv(fields, path):
                 template = "".join(
                     f"\0,{s},{g},%.6f\r\n" for s in range(shape[0]) for g in range(shape[1])
                 )
-            km = np.where(f.reachable, f.d, -1.0)
+            km = np.where(np.isfinite(f.d), f.d, -1.0)
             fh.write(template.replace("\0", repr(float(f.t))) % tuple(km.ravel().tolist()))
 
 

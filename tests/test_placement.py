@@ -25,9 +25,8 @@ def brute_force_objective(selected, fields):
     """Triple-loop oracle for the worst-case nearest-controller distance."""
     worst = 0.0
     for f in fields:
-        d = np.where(f.reachable, f.d, np.inf)
-        for s in range(d.shape[0]):
-            nearest = min(d[s, g] for g in selected)
+        for s in range(f.d.shape[0]):
+            nearest = min(f.d[s, g] for g in selected)
             worst = max(worst, nearest)
     return worst
 

@@ -148,10 +148,10 @@ def test_cdf_valid_distribution():
 def test_write_report_outputs(tmp_path):
     recs = [record(0, 4.0, invis=1.0), record(1, 6.0, invis=2.0)]
     rep = aggregate(recs, {0: [10.0], 1: [20.0]})
-    write_report(rep, tmp_path, scenario_name="unit")
+    write_report(rep, tmp_path)
     table = (tmp_path / "report_table.csv").read_text().splitlines()
     assert table[0].startswith("scenario,total_handovers")
-    assert table[1].split(",")[0] == "unit"
+    assert table[1].split(",")[0] == "scenario"
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "cdf_handover_duration_s.csv").exists()
     assert (tmp_path / "cdf_report_latency_ms.csv").exists()

@@ -8,11 +8,15 @@ The bulk derivation must give the same latencies (same order, same
 bits), the same accepted report times, the same records and the same
 error.
 """
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from leocp.config import load_config
 from leocp.errors import BudgetExceeded, ConcurrentHandover, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
@@ -26,7 +30,10 @@ from leocp.protocol import (
     start_legacy,
     start_seamless,
 )
+from leocp.scenario import run_scenario
 from leocp.topology import DistanceField
+
+DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
 
 
 class PerEventSimulation(Simulation):
@@ -324,35 +331,19 @@ def test_unreachable_report_before_a_failing_handover_wins():
 
 
 # ---------------------------------------------------------------------------
-# the block path for a satellite that keeps its controller
-
-
-@pytest.fixture
-def general_path(monkeypatch):
-    """The satellites whose reports go through ``_derive_satellite``; the
-    others take the block path."""
-    seen = []
-    derive = Simulation._derive_satellite
-
-    def spy(self, sat, *args):
-        seen.append(sat)
-        return derive(self, sat, *args)
-
-    monkeypatch.setattr(Simulation, "_derive_satellite", spy)
-    return seen
+# satellites that keep one controller, and the accepts that edge them
 
 
 @pytest.mark.parametrize("legacy", [False, True], ids=["seamless", "legacy"])
-def test_zero_latency_accept_on_the_entry_time_stays_general(general_path, legacy):
+def test_zero_latency_accept_on_the_entry_time_stays_general(legacy):
     # zero latency and delays put tick 0's accept at t=0, the time of every
-    # bind entry: only the general path ranks that tie
+    # bind entry: the push order ranks that tie
     case = {
         "initial": [0, 1], "handovers": [[(2.0, 1)], []], "duration": 6.0, "interval": 1.0,
         "latency": lambda: ConstantLatency(0.0), "delays": DelayProfile.zero(), "pods": 1,
         "legacy": legacy, "report_first": True,
     }
     got = replay(Simulation, case)
-    assert sorted(general_path) == [0, 1]
     assert got == replay(PerEventSimulation, case)
     assert np.frombuffer(got["report_log"][(1, 1)]).tolist() == [0.0] * 2 + [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
@@ -374,19 +365,18 @@ def late_bind(cls, bind_t, delays):
 
 @pytest.mark.parametrize("delays", [DelayProfile.zero(), DelayProfile()], ids=["zero", "default"])
 @pytest.mark.parametrize("bind_t,reported", [(0.0, 12), (3.0, 11), (10.0, 9)])
-def test_single_entry_logged_after_the_first_tick(general_path, bind_t, reported, delays):
+def test_single_entry_logged_after_the_first_tick(bind_t, reported, delays):
     # sat 1's one state entry comes after tick 0 (of 13), and the ticks
     # before it wait for a flush that never comes; sat 0 keeps gs 0 from
     # before the first tick
     got = late_bind(Simulation, bind_t, delays)
-    assert general_path == [1]
     assert got == late_bind(PerEventSimulation, bind_t, delays)
     assert got["state_log"][(1, 1)] == [(bind_t, BindingState.BOUND)]
     assert got["latencies"][1] == [5.0] * reported
 
 
 @pytest.mark.parametrize("pods", [1, 3])
-def test_satellite_keeping_its_controller_in_a_legacy_run(general_path, pods):
+def test_satellite_keeping_its_controller_in_a_legacy_run(pods):
     # sat 1 never hands over while sats 0 and 2 drain and rejoin around it
     case = {
         "initial": [0, 1, 2], "handovers": [[(5.0, 1)], [], [(12.0, 0), (31.0, 1)]],
@@ -394,7 +384,6 @@ def test_satellite_keeping_its_controller_in_a_legacy_run(general_path, pods):
         "delays": DelayProfile(), "pods": pods, "legacy": True, "report_first": True,
     }
     got = replay(Simulation, case)
-    assert sorted(general_path) == [0, 2]
     assert got == replay(PerEventSimulation, case)
     assert np.frombuffer(got["latencies"][1]).tolist() == [25.0] * 7
     assert np.frombuffer(got["report_log"][(1, 1)]).tolist() == [0.0] + [
@@ -402,7 +391,7 @@ def test_satellite_keeping_its_controller_in_a_legacy_run(general_path, pods):
     ]
 
 
-def test_satellite_rebound_mid_run_stays_general(general_path):
+def test_satellite_rebound_mid_run_stays_general():
     # a second bind_initial moves sat 0 to gs 1 without a handover: two
     # spans, and one state entry at each controller
     def run(cls):
@@ -414,13 +403,12 @@ def test_satellite_rebound_mid_run_stays_general(general_path):
         return {k: np.asarray(v, dtype=float).tolist() for k, v in sim.report_log.items()}
 
     got = run(Simulation)
-    assert general_path == [0]
     assert got == run(PerEventSimulation)
     assert got[(0, 0)] == [0.0] + [tick + 0.005 + 1.1 for tick in (0.0, 10.0, 20.0)]
     assert got[(1, 0)] == [25.0] + [tick + 0.005 + 1.1 for tick in (30.0, 40.0, 50.0, 60.0)]
 
 
-def test_held_by_an_unmanaged_entry_stays_general(general_path):
+def test_held_by_an_unmanaged_entry_stays_general():
     # sat 0's one entry at its controller is Released, so no report is
     # accepted; the protocols never log such an entry first
     def run(cls):
@@ -432,12 +420,11 @@ def test_held_by_an_unmanaged_entry_stays_general(general_path):
         return sim.report_latencies, sim.report_log
 
     (latencies, report_log), (per_event, per_event_log) = run(Simulation), run(PerEventSimulation)
-    assert general_path == [0]
     assert latencies[0].tolist() == per_event[0] == [5.0] * 4
     assert report_log == per_event_log == {}
 
 
-def test_accepts_out_of_tick_order_stay_general(general_path):
+def test_accepts_out_of_tick_order_stay_general():
     # 2 ms ticks; the report leg drops from 10 ms to 1 ms at t=0.5, so the
     # tick after it is accepted before the tick at it
     stations = [GroundStation(g, f"gs{g}", 0.0, 60.0 * g) for g in range(3)]
@@ -449,7 +436,6 @@ def test_accepts_out_of_tick_order_stay_general(general_path):
         "pods": 1, "legacy": False, "report_first": True,
     }
     got = replay(Simulation, case)
-    assert general_path == [0]
     assert got == replay(PerEventSimulation, case)
     ticks = _tick_grid(1.0, 0.002)
     legs_ms = SnapshotLatency(fields, stations).sat_gs_ms([0], np.zeros((1, len(ticks)), int), ticks)
@@ -459,7 +445,7 @@ def test_accepts_out_of_tick_order_stay_general(general_path):
     assert (np.diff(accepted) >= 0).all() and len(accepted) == len(ticks) + 1
 
 
-def test_source_released_before_the_last_accept_stays_general(general_path):
+def test_source_released_before_the_last_accept_stays_general():
     # A seamless handover starts after the last tick (t=20), so gs 0 holds
     # every tick; the tick's 100 ms report leg lands after the 1 km legs of
     # the handover have released gs 0, and its accept is refused.
@@ -473,12 +459,104 @@ def test_source_released_before_the_last_accept_stays_general(general_path):
         "pods": 1, "legacy": False, "report_first": True,
     }
     got = replay(Simulation, case)
-    assert general_path == [0]
     assert got == replay(PerEventSimulation, case)
     states = [state for _, state in got["state_log"][(0, 0)]]
     assert states[0] is BindingState.BOUND and states[-1] is BindingState.RELEASED
     accepted = np.frombuffer(got["report_log"][(0, 0)]).tolist()
     assert len(accepted) == 3 and accepted[-1] < 20.0  # bind, ticks 0 and 10
+
+
+# ---------------------------------------------------------------------------
+# accepts derived when the report log is first read
+
+
+@pytest.mark.parametrize("read_between", [False, True])
+@pytest.mark.parametrize("second", [start_seamless, start_legacy], ids=["seamless", "legacy"])
+@pytest.mark.parametrize("second_t", [45.0, 100.0])
+def test_run_after_a_reporting_run_appends_to_the_report_log(second_t, second, read_between):
+    # Every report of the first run came before the second run, even where
+    # the second handover starts before the first run's last tick: its
+    # release of gs 1 after t=45 must not refuse the accepts of ticks 50, 60.
+    def run(cls):
+        sim = cls([0, 1], [0], latency=ConstantLatency(5.0), report_interval=10.0)
+        sim.bind_initial(0, 0)
+        sim.start_reporting(60.0)
+        start_seamless(sim, 0, 1, 20.0)
+        sim.run()
+        if read_between:
+            assert len(sim.report_log[(0, 0)]) == 4  # bind, then ticks 0-20
+        second(sim, 0, 0, second_t)
+        sim.run()
+        return {
+            "latencies": {s: np.asarray(v, dtype=float).tolist() for s, v in sim.report_latencies.items()},
+            "report_log": {k: np.asarray(v, dtype=float).tolist() for k, v in sim.report_log.items()},
+            "records": sim.records,
+        }
+
+    got = run(Simulation)
+    assert got == run(PerEventSimulation)
+    assert got["report_log"][(1, 0)][-2:] == [tick + 0.005 + 1.1 for tick in (50.0, 60.0)]
+    assert got["report_log"][(0, 0)][-1] > second_t
+
+
+def test_controller_change_after_a_reporting_run_keeps_its_accepts():
+    # the change comes after every report of the run, though its rank is 0
+    def run(cls):
+        sim = cls([0, 1], [0], latency=ConstantLatency(5.0), report_interval=10.0)
+        sim.bind_initial(0, 0)
+        sim.start_reporting(30.0)
+        sim.run()
+        sim._set_controller(0, None, 5.0)
+        return {k: np.asarray(v, dtype=float).tolist() for k, v in sim.report_log.items()}
+
+    got = run(Simulation)
+    assert got == run(PerEventSimulation)
+    assert len(got[(0, 0)]) == 1 + 4
+
+
+def test_a_second_reporting_run_keeps_the_first_runs_accepts():
+    # nothing is logged between the runs; the log keeps each pair's times
+    # sorted, where the per-event engine appends the second run's after
+    def run(cls):
+        sim = cls([0, 1], [0], latency=ConstantLatency(5.0), report_interval=10.0)
+        sim.bind_initial(0, 0)
+        for duration in (30.0, 20.0):
+            sim.start_reporting(duration)
+            sim.run()
+        return {k: sorted(v) for k, v in sim.report_log.items()}
+
+    got = run(Simulation)
+    assert got == run(PerEventSimulation)
+    assert len(got[(0, 0)]) == 1 + 4 + 3
+
+
+def test_accepts_wait_for_the_first_read_of_the_report_log(monkeypatch):
+    calls = []
+    accepted = Simulation._accepted
+
+    def spy(self, gs, sat, *args):
+        calls.append((gs, sat))
+        return accepted(self, gs, sat, *args)
+
+    monkeypatch.setattr(Simulation, "_accepted", spy)
+    result = run_scenario(replace(load_config(DESK_CONFIG), controllers=[0, 2]))
+    assert calls == []
+    assert sum(len(v) for v in result.report_latencies.values()) == 48 * 721
+
+    def legacy(cls):
+        sim = cls([0, 1, 2], [0, 1], latency=ConstantLatency(25.0), report_interval=10.0)
+        sim.bind_initial(0, 0)
+        sim.bind_initial(1, 1)
+        sim.start_reporting(60.0)
+        start_legacy(sim, 0, 2, 12.0)
+        sim.run()
+        return sim
+
+    sim, per_event = legacy(Simulation), legacy(PerEventSimulation)
+    assert calls == []
+    assert sim.report_log == per_event.report_log
+    assert sorted(calls) == [(0, 0), (1, 1), (2, 0)]
+    assert {s: v.tolist() for s, v in sim.report_latencies.items()} == per_event.report_latencies
 
 
 @pytest.mark.parametrize("interval", [0.1, 0.7, 1.0 / 3.0, 2.5, 10.0])

@@ -279,8 +279,7 @@ def test_shortest_distances_match_floyd_warshall():
         snap = random_snapshot(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
         f = shortest_distances(snap)
         expected = oracle_field(snap)
-        got = np.where(f.reachable, f.d, np.inf)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(f.d, expected)
 
 
 def test_distance_lower_bounded_by_euclidean():
@@ -292,7 +291,8 @@ def test_distance_lower_bounded_by_euclidean():
     straight = np.linalg.norm(
         snap.sat_positions[:, None, :] - snap.station_positions[None, :, :], axis=2
     )
-    assert np.all(f.d[f.reachable] >= straight[f.reachable] - 1e-9)
+    reachable = np.isfinite(f.d)
+    assert np.all(f.d[reachable] >= straight[reachable] - 1e-9)
 
 
 def test_adding_gsl_edge_never_increases_distance():
@@ -324,8 +324,7 @@ def test_unreachable_flagged_not_raised():
         gsl_km=np.array([10.0]),
     )
     f = shortest_distances(snap)
-    assert f.reachable[0, 0]
-    assert not f.reachable[1, 0]
+    assert np.isfinite(f.d[0, 0])
     assert np.isinf(f.d[1, 0])
 
 
@@ -477,7 +476,7 @@ def _reference_fields_csv(fields, path):
         for f in fields:
             for s in range(f.d.shape[0]):
                 for g in range(f.d.shape[1]):
-                    km = f.d[s, g] if f.reachable[s, g] else -1.0
+                    km = f.d[s, g] if np.isfinite(f.d[s, g]) else -1.0
                     writer.writerow([f.t, s, g, f"{km:.6f}"])
 
 
@@ -506,9 +505,9 @@ def test_writers_match_stdlib_encoders(tmp_path, case):
     snapshots = _writer_snapshots(case)
     fields = [shortest_distances(s) for s in snapshots]
     if case == "no_gsl":
-        assert not fields[0].reachable.any()
+        assert not np.isfinite(fields[0].d).any()
     if case == "star":
-        assert fields[0].reachable.any()
+        assert np.isfinite(fields[0].d).any()
     for write, reference, items in (
         (write_snapshots_json, _reference_snapshots_json, snapshots),
         (lambda fs, p: write_json_array((field_to_dict(f) for f in fs), p), _reference_fields_json,
