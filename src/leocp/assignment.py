@@ -6,13 +6,15 @@ a fine decision interval. A handover fires only when some controller
 is strictly closer than ``delta`` times the current one's distance,
 which suppresses chatter from near-ties.
 
-``DistanceSampler`` samples a block of satellites at once and does the
-per-run work once: geometric sampling is one ``propagate`` call per
-block over all sample times, and the network metric looks each sample
-time up once in the nearest distance field and slices the block's rows
-out of it. ``predict_handovers`` scans one satellite with the
-interval-pruned ``kernels.handover_scan``. ``sample_distances`` is the
-per-satellite sampler, a block of one.
+One satellite's samples are a ``DistanceSamples``: one row of distances
+per controller, in id order, over shared sample times. ``DistanceSampler``
+samples a block of satellites at once and does the per-run work once:
+geometric sampling is one ``propagate`` call per block over all sample
+times, and the network metric looks each sample time up once in the
+nearest distance field and slices the block's rows out of it; it yields
+one ``DistanceSamples`` per satellite. ``predict_handovers`` scans one
+satellite's samples with the interval-pruned ``kernels.handover_scan``.
+``sample_distances`` samples a single satellite.
 """
 import bisect
 import operator
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import OutOfHorizon
+from .errors import EmptySelection, OutOfHorizon
 from .orbits import SatelliteElement, pack_elements, propagate, station_positions
 from .topology import nearest_field_index
 
@@ -44,25 +46,25 @@ class AssignmentParams:
             raise ValueError("need decide_dt <= sample_dt <= horizon")
 
 
-def check_sample_times(times: np.ndarray, horizon_s: float) -> None:
-    """Sample times must increase strictly and cover [0, horizon]."""
-    if (times[1:] <= times[:-1]).any():
-        raise ValueError("sample times must be strictly increasing")
-    if times[0] > 0.0 or times[-1] < horizon_s:
-        raise ValueError("samples must cover [0, horizon]")
-
-
 @dataclass(frozen=True)
-class DistanceSeries:
-    """Sampled satellite-to-controller distances over [0, horizon]."""
+class DistanceSamples:
+    """One satellite's sampled distances over [0, horizon]: ``km[i, j]``
+    is the distance to controller ``gs_ids[i]`` at ``times[j]``."""
 
-    gs_id: int
-    times: np.ndarray
-    km: np.ndarray
+    gs_ids: tuple  # strictly increasing
+    times: np.ndarray  # strictly increasing, covering [0, horizon]
+    km: np.ndarray  # (len(gs_ids), len(times))
     horizon_s: float
 
     def __post_init__(self):
-        check_sample_times(self.times, self.horizon_s)
+        if any(a >= b for a, b in zip(self.gs_ids, self.gs_ids[1:])):
+            raise ValueError("controller ids must be strictly increasing")
+        if self.km.shape != (len(self.gs_ids), len(self.times)):
+            raise ValueError("km must be shaped (controllers, sample times)")
+        if (self.times[1:] <= self.times[:-1]).any():
+            raise ValueError("sample times must be strictly increasing")
+        if self.times[0] > 0.0 or self.times[-1] < self.horizon_s:
+            raise ValueError("samples must cover [0, horizon]")
 
 
 @dataclass(frozen=True)
@@ -94,25 +96,24 @@ class DistanceSampler:
     """Distances from a fleet's satellites to fixed controllers, sampled a
     block of satellites at a time.
 
-    ``controllers`` maps controller ids to GroundStation records (a dict
-    or a list of (gs_id, station) pairs). The geometric metric is the
-    straight-line range from ``elements``; the "network" metric reads
-    shortest-path distances out of precomputed ``fields`` (in time order;
-    the snapshot nearest in time). Either metric ignores the other's
-    argument. The sample times and their check, the station positions
-    and the nearest-field lookups are done once, here.
+    ``controllers`` maps controller ids to GroundStation records; they are
+    sampled in id order. The geometric metric is the straight-line range
+    from ``elements``; the "network" metric reads shortest-path distances
+    out of precomputed ``fields`` (in time order; the snapshot nearest in
+    time). Either metric ignores the other's argument. The sample times,
+    the station positions and the nearest-field lookups are done once, here.
     """
 
-    def __init__(self, controllers, params: AssignmentParams, metric: str, elements, fields):
-        items = list(controllers.items()) if isinstance(controllers, dict) else list(controllers)
-        self.ids = [gid for gid, _ in items]
+    def __init__(self, controllers: dict, params: AssignmentParams, metric: str, elements, fields):
+        if not controllers:
+            raise EmptySelection("controller set is empty: no distances to sample")
+        self.ids = tuple(sorted(controllers))
         self.times = sample_times(params)
-        check_sample_times(self.times, params.horizon_s)
         self.horizon_s = params.horizon_s
         self.metric = metric
         if metric == "geometric":
             self._elements = elements
-            self._stations = station_positions([st for _, st in items])
+            self._stations = station_positions([controllers[g] for g in self.ids])
         elif metric == "network":
             if fields is None:
                 raise ValueError("network metric needs precomputed distance fields")
@@ -121,9 +122,9 @@ class DistanceSampler:
         else:
             raise ValueError(f"unknown metric: {metric!r}")
 
-    def __call__(self, rows) -> np.ndarray:
-        """Distances of the satellites at flat indices ``rows``, shaped
-        ``(len(rows), len(ids), len(times))``."""
+    def __call__(self, rows):
+        """Yield the ``DistanceSamples`` of each satellite at a flat index
+        in ``rows``, in order."""
         if self.metric == "geometric":
             elements = pack_elements([self._elements[i] for i in rows])
             pos = propagate(elements, self.times[:, None])
@@ -135,25 +136,18 @@ class DistanceSampler:
         else:
             block = np.ix_(np.asarray(rows, dtype=np.intp), self.ids)
             km = np.stack([d[block] for d in self._fields])
-        return np.ascontiguousarray(km.transpose(1, 2, 0))
-
-    def series(self, km) -> list[DistanceSeries]:
-        """One satellite's ``(len(ids), len(times))`` distances as series."""
-        return [
-            DistanceSeries(gs_id=gid, times=self.times, km=row, horizon_s=self.horizon_s)
-            for gid, row in zip(self.ids, km)
-        ]
+        for sat_km in np.ascontiguousarray(km.transpose(1, 2, 0)):
+            yield DistanceSamples(self.ids, self.times, sat_km, self.horizon_s)
 
 
 def sample_distances(
     sat: SatelliteElement | int,
-    controllers,
+    controllers: dict,
     params: AssignmentParams,
     metric: str = "geometric",
     fields=None,
-) -> list[DistanceSeries]:
-    """Sample the distance from satellite ``sat`` to every controller,
-    one series per controller in the order of ``controllers``.
+) -> DistanceSamples:
+    """Sample the distance from satellite ``sat`` to every controller.
 
     ``sat`` is the element for the geometric metric and the satellite's
     flat row index in ``fields`` for the network metric (see
@@ -163,50 +157,43 @@ def sample_distances(
     sampler = DistanceSampler(controllers, params, metric, None if network else [sat], fields)
     if network and not isinstance(sat, (int, np.integer)):
         raise ValueError("network metric needs a flat satellite row index")
-    return sampler.series(sampler([sat if network else 0])[0])
+    return next(sampler([sat if network else 0]))
 
 
-def interpolate(series: DistanceSeries, t: float) -> float:
-    """Piecewise-linear distance estimate at ``t``; exact at samples."""
-    if t < series.times[0] or t > series.times[-1]:
-        raise OutOfHorizon(f"t={t} outside [{series.times[0]}, {series.times[-1]}]")
-    return float(np.interp(t, series.times, series.km))
+def interpolate(samples: DistanceSamples, t: float) -> np.ndarray:
+    """Piecewise-linear distance to each controller at ``t``; exact at samples."""
+    if t < samples.times[0] or t > samples.times[-1]:
+        raise OutOfHorizon(f"t={t} outside [{samples.times[0]}, {samples.times[-1]}]")
+    return np.array([np.interp(t, samples.times, km) for km in samples.km])
 
 
-def predict_handovers(
-    series_set: list[DistanceSeries], params: AssignmentParams, *, ticks=None
-) -> HandoverSchedule:
+def predict_handovers(samples: DistanceSamples, params: AssignmentParams) -> HandoverSchedule:
     """Scan the horizon and emit threshold-gated handover events.
 
     The initial assignment is the nearest controller at t=0. At every
-    decision tick the nearest controller (ties to the lowest id) takes
-    over only if its interpolated distance is strictly below ``delta``
-    times the current controller's. ``ticks``, the decision grid of
-    ``params`` (``kernels.decision_ticks``), is built per call when not
-    given.
+    decision tick (``kernels.decision_ticks``) the nearest controller
+    (ties to the lowest id) takes over only if its interpolated distance
+    is strictly below ``delta`` times the current controller's.
     """
-    ordered = sorted(series_set, key=lambda s: s.gs_id)
-    ids = [s.gs_id for s in ordered]
-    sample_d = np.stack([s.km for s in ordered])
+    ids = samples.gs_ids
     initial, events = kernels.handover_scan(
-        ordered[0].times, sample_d, params.decide_dt_s, params.horizon_s, params.delta, ticks
+        samples.times, samples.km, params.decide_dt_s, params.horizon_s, params.delta
     )
     return HandoverSchedule(initial=ids[initial], events=tuple((t, ids[g]) for t, g in events))
 
 
 def assigned_distance_trace(
-    series_set: list[DistanceSeries], schedule: HandoverSchedule, params: AssignmentParams
+    samples: DistanceSamples, schedule: HandoverSchedule, params: AssignmentParams
 ) -> np.ndarray:
     """Distance to the assigned controller at every decision tick."""
-    by_id = {s.gs_id: s for s in series_set}
     ticks = kernels.decision_ticks(params.decide_dt_s, params.horizon_s)
     # the controller in charge after the last event at or before each tick
     owners = np.array([schedule.initial] + [g for _, g in schedule.events])
     event_times = np.array([t for t, _ in schedule.events], dtype=np.float64)
     owner = owners[np.searchsorted(event_times, ticks, side="right")]
+    row = {gid: i for i, gid in enumerate(samples.gs_ids)}
     out = np.empty(ticks.shape[0])
     for gid in np.unique(owner).tolist():
         at = owner == gid
-        s = by_id[gid]
-        out[at] = np.interp(ticks[at], s.times, s.km)
+        out[at] = np.interp(ticks[at], samples.times, samples.km[row[gid]])
     return out

@@ -6,7 +6,9 @@ class LeocpError(Exception):
 
 
 class EmptySelection(LeocpError, ValueError):
-    """A placement evaluation was asked to score an empty controller set."""
+    """An empty controller set was given where at least one controller is
+    needed: a placement evaluation, or the distance sampling of handover
+    prediction."""
 
 
 class InfeasibleInstance(LeocpError, RuntimeError):

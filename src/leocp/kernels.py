@@ -12,6 +12,8 @@ with the same ``np.interp`` as a full scan, so event times are bit for
 bit those of a tick-by-tick walk; a satellite with no such interval for
 its initial controller is done in a few array operations.
 """
+import functools
+
 import numpy as np
 
 # Slack on the end-point test, relative to the satellite's largest finite
@@ -34,23 +36,25 @@ def dijkstra_from_sources(indptr, indices, weights, n_nodes, sources):
     return _sp_dijkstra(graph, directed=False, indices=np.asarray(sources))
 
 
+@functools.lru_cache(maxsize=16)
 def decision_ticks(decide_dt, horizon):
-    """The decision grid: multiples of ``decide_dt`` in [0, horizon]."""
+    """The decision grid, multiples of ``decide_dt`` in [0, horizon], as a
+    read-only array built once per (decide_dt, horizon)."""
     ticks = np.arange(0.0, horizon + decide_dt * 0.5, decide_dt)
-    return ticks[ticks <= horizon]
+    ticks = ticks[ticks <= horizon]
+    ticks.setflags(write=False)
+    return ticks
 
 
-def handover_scan(sample_t, sample_d, decide_dt, horizon, delta, ticks=None):
+def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
     """Threshold-rule controller scan, returning (initial_index, [(t, target_index)]).
 
     ``sample_d`` has one row per controller. Each row is interpolated
-    piecewise-linearly at every decision tick; the initial controller is
-    the nearest at the first sample (ties to the lowest index), and a
-    switch fires at the first tick where the nearest controller (ties to
-    the lowest index) is another one, strictly closer than ``delta``
-    times the current one's distance. ``ticks`` is
-    ``decision_ticks(decide_dt, horizon)``, built here when not given, so
-    a caller scanning many satellites can build it once.
+    piecewise-linearly at every tick of ``decision_ticks(decide_dt,
+    horizon)``; the initial controller is the nearest at the first sample
+    (ties to the lowest index), and a switch fires at the first tick where
+    the nearest controller (ties to the lowest index) is another one,
+    strictly closer than ``delta`` times the current one's distance.
     """
     sample_t = np.asarray(sample_t, dtype=np.float64)
     sample_d = np.asarray(sample_d, dtype=np.float64)
@@ -61,8 +65,7 @@ def handover_scan(sample_t, sample_d, decide_dt, horizon, delta, ticks=None):
     flags = _switch_intervals(sample_d, delta)
     if not flags[current].any():
         return current, []
-    if ticks is None:
-        ticks = decision_ticks(decide_dt, horizon)
+    ticks = decision_ticks(decide_dt, horizon)
     # sample interval j holds the ticks [first[j], first[j + 1]); ticks
     # outside the samples take the end values, so they join the end intervals
     first = np.empty(n_samples, dtype=np.intp)

@@ -266,7 +266,7 @@ class Simulation:
     the queue, ``report_latencies`` gets each satellite's latencies (ms)
     as a float64 array, in the order they were recorded. ``report_log``
     holds each (controller, satellite) pair's accepted report times, as
-    a list in event order; the reports' accepts are merged into it on
+    a list in time order; the reports' accepts are merged into it on
     its first read after the run, or before the next change is logged.
     """
 
@@ -298,8 +298,8 @@ class Simulation:
         self._request_ids = itertools.count(1)
         self.requests = []
         self.trace = [] if record_trace else None
-        # visibility bookkeeping: per (gs, sat) state transitions and
-        # accepted report times, both in event order
+        # visibility bookkeeping: per (gs, sat) state transitions, in
+        # event order, and accepted report times, in time order
         self.state_log = {}
         self._report_log = {}
         # report bookkeeping, in event order: per satellite its controller
@@ -380,7 +380,7 @@ class Simulation:
 
     @property
     def report_log(self):
-        """(controller, satellite) -> accepted report times, in event order."""
+        """(controller, satellite) -> accepted report times, in time order."""
         self._settle_accepts()
         return self._report_log
 

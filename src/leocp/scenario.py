@@ -10,8 +10,6 @@ Everything downstream of the inputs is deterministic.
 import functools
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 # ``sample_distances`` is not called here; it stays importable under this
 # name because ``perfbench/tracer.py`` patches it on this module.
 from .assignment import (  # noqa: F401
@@ -23,6 +21,8 @@ from .assignment import (  # noqa: F401
 from .kernels import decision_ticks
 from .orbits import WalkerShell, generate_constellation, pack_elements, station_positions
 from .protocol import (
+    DEFAULT_REPORT_INTERVAL_S,
+    DEFAULT_TERRESTRIAL_FACTOR,
     DelayProfile,
     Protocol,
     Simulation,
@@ -30,7 +30,7 @@ from .protocol import (
     start_legacy,
     start_seamless,
 )
-from .topology import build_snapshot, shortest_distances
+from .topology import DEFAULT_MIN_ELEVATION_DEG, build_snapshot, shortest_distances
 
 # Satellites sampled per call: enough to amortise the per-call numpy work,
 # few enough that at a full day's horizon a block's samples and
@@ -54,16 +54,16 @@ class ScenarioSpec:
     controllers: list  # station indices acting as control nodes
     duration_s: float
     snapshot_dt_s: float = 60.0
-    min_elevation_deg: float = 25.0
+    min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG
     isl_mode: str = "fixed_grid"
     gsl_limit: int | None = None
     assignment: AssignmentParams = field(default_factory=AssignmentParams)
     metric: str = "geometric"
     protocol: Protocol = Protocol.SEAMLESS
     delays: DelayProfile = field(default_factory=DelayProfile)
-    report_interval_s: float = 10.0
+    report_interval_s: float = DEFAULT_REPORT_INTERVAL_S
     grace_s: float | None = None
-    terrestrial_factor: float = 2.0
+    terrestrial_factor: float = DEFAULT_TERRESTRIAL_FACTOR
     pods_per_sat: int = 1
     record_trace: bool = False
     latency_model: object = None  # override; defaults to snapshot-based lookups
@@ -92,8 +92,6 @@ def build_fields(spec: ScenarioSpec):
     elements = generate_constellation(spec.shell)
     packed = pack_elements(elements)
     gs_pos = station_positions(spec.stations)
-    times = np.arange(0.0, spec.duration_s + spec.snapshot_dt_s * 0.5, spec.snapshot_dt_s)
-    times = times[times <= spec.duration_s]
     snapshots = [
         build_snapshot(
             spec.shell,
@@ -104,7 +102,7 @@ def build_fields(spec: ScenarioSpec):
             isl_mode=spec.isl_mode,
             gsl_limit=spec.gsl_limit,
         )
-        for t in times
+        for t in decision_ticks(spec.snapshot_dt_s, spec.duration_s)
     ]
     fields = [shortest_distances(s) for s in snapshots]
     return elements, snapshots, fields
@@ -114,22 +112,21 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
     """CNAA schedule per satellite against the scenario's controllers.
 
     Distances are sampled ``_BLOCK_SATS`` satellites at a time; each
-    satellite's schedule is its own ``predict_handovers`` call, all on
-    one decision grid built here.
+    satellite's schedule is its own ``predict_handovers`` call on its
+    ``DistanceSamples``.
     """
     params = replace(
         spec.assignment,
         horizon_s=spec.duration_s,
         sample_dt_s=min(spec.assignment.sample_dt_s, spec.duration_s),
     )
-    controllers = {g: spec.stations[g] for g in sorted(spec.controllers)}
+    controllers = {g: spec.stations[g] for g in spec.controllers}
     sampler = DistanceSampler(controllers, params, spec.metric, elements, fields)
-    ticks = decision_ticks(params.decide_dt_s, params.horizon_s)
     schedules = {}
     for lo in range(0, len(elements), _BLOCK_SATS):
         block = sampler(range(lo, min(lo + _BLOCK_SATS, len(elements))))
-        for row, km in enumerate(block, lo):
-            schedules[row] = predict_handovers(sampler.series(km), params, ticks=ticks)
+        for row, samples in enumerate(block, lo):
+            schedules[row] = predict_handovers(samples, params)
     return schedules
 
 

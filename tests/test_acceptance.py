@@ -207,19 +207,19 @@ def test_criterion_6_cnaa_hysteresis():
         params = AssignmentParams(
             horizon_s=horizon, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta
         )
-        series = sample_distances(elem, stations, params)
-        sched = predict_handovers(series, params)
+        samples = sample_distances(elem, stations, params)
+        sched = predict_handovers(samples, params)
         counts.append(sched.count)
-        means.append(float(assigned_distance_trace(series, sched, params).mean()))
+        means.append(float(assigned_distance_trace(samples, sched, params).mean()))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
     # delta = 1 reduces to the brute-force nearest-controller scan
     params = AssignmentParams(horizon_s=horizon, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(elem, stations, params)
-    sched = predict_handovers(series, params)
+    samples = sample_distances(elem, stations, params)
+    sched = predict_handovers(samples, params)
     grid = np.arange(0.0, horizon + 0.5, 1.0)
     grid = grid[grid <= horizon]
-    interp = np.stack([np.interp(grid, s.times, s.km) for s in sorted(series, key=lambda s: s.gs_id)])
+    interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km])
     assigned = np.argmin(interp, axis=0)
     oracle_events = [
         (float(grid[i]), int(assigned[i]))
@@ -245,8 +245,8 @@ def test_criterion_7_geometric_handover_count():
     }
     period = elem.period_s
     params = AssignmentParams(horizon_s=period, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(elem, stations, params)
-    sched = predict_handovers(series, params)
+    samples = sample_distances(elem, stations, params)
+    sched = predict_handovers(samples, params)
     assert sched.count == 2
     # independent oracle: sign changes of the distance difference on a 1 s grid
     gs0 = station_position(stations[0])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from leocp import kernels, scenario
 from leocp.assignment import (
     AssignmentParams,
-    DistanceSeries,
+    DistanceSamples,
     HandoverSchedule,
     assigned_distance_trace,
     interpolate,
@@ -18,8 +18,8 @@ from leocp.assignment import (
     sample_distances,
     sample_times,
 )
-from leocp.config import parse_config
-from leocp.errors import OutOfHorizon
+from leocp.config import load_config, parse_config
+from leocp.errors import EmptySelection, OutOfHorizon
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation, propagate, station_position
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -27,9 +27,11 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 GEO_ALTITUDE_KM = 35786.0  # geostationary: fixed in the rotating frame
 
 
-def series_from(gs_id, times, km, horizon):
-    return DistanceSeries(
-        gs_id=gs_id, times=np.asarray(times, float), km=np.asarray(km, float), horizon_s=horizon
+def samples_from(times, rows, horizon):
+    """Distances to controllers 0, 1, ..., one row each."""
+    km = np.array(rows, float)
+    return DistanceSamples(
+        gs_ids=tuple(range(len(km))), times=np.asarray(times, float), km=km, horizon_s=horizon
     )
 
 
@@ -45,8 +47,8 @@ def test_geostationary_satellite_constant_series():
     # so the rotating-frame distance is constant to within a few km
     stations = {0: GroundStation(0, "s", 0.0, 30.0)}
     params = AssignmentParams(horizon_s=3600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(elem, stations, params)[0]
-    assert series.km.max() - series.km.min() < 20.0
+    samples = sample_distances(elem, stations, params)
+    assert samples.km[0].max() - samples.km[0].min() < 20.0
 
 
 def test_equatorial_min_distance_is_altitude():
@@ -55,7 +57,7 @@ def test_equatorial_min_distance_is_altitude():
     station = GroundStation(0, "s", 0.0, 0.0)
     T = elem.period_s
     params = AssignmentParams(horizon_s=T, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(elem, {0: station}, params)[0]
+    samples = sample_distances(elem, {0: station}, params)
     # dense-grid oracle at 1 s resolution
     gs = station_position(station)
     dense = np.array(
@@ -63,7 +65,7 @@ def test_equatorial_min_distance_is_altitude():
     )
     assert dense.min() == pytest.approx(550.0, abs=0.1)
     interp_min = min(
-        interpolate(series, t) for t in np.arange(0.0, T, 1.0)
+        interpolate(samples, t)[0] for t in np.arange(0.0, T, 1.0)
     )
     assert interp_min == pytest.approx(dense.min(), abs=25.0)
 
@@ -80,20 +82,21 @@ def test_network_metric_reads_fields():
         1: GroundStation(1, "b", 0.0, 90.0),
     }
     params = AssignmentParams(horizon_s=60.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(0, stations, params, metric="network", fields=fields)
-    assert series[0].km.tolist() == [100.0, 200.0]
-    assert series[1].km.tolist() == [300.0, 250.0]
+    samples = sample_distances(0, stations, params, metric="network", fields=fields)
+    assert samples.gs_ids == (0, 1)
+    assert samples.km[0].tolist() == [100.0, 200.0]
+    assert samples.km[1].tolist() == [300.0, 250.0]
 
 
 def test_interpolate_exact_and_midpoint():
-    s = series_from(0, [0.0, 60.0], [100.0, 200.0], 60.0)
-    assert interpolate(s, 0.0) == 100.0
-    assert interpolate(s, 60.0) == 200.0
-    assert interpolate(s, 30.0) == 150.0
+    s = samples_from([0.0, 60.0], [[100.0, 200.0]], 60.0)
+    assert interpolate(s, 0.0).tolist() == [100.0]
+    assert interpolate(s, 60.0).tolist() == [200.0]
+    assert interpolate(s, 30.0).tolist() == [150.0]
 
 
 def test_interpolate_out_of_horizon():
-    s = series_from(0, [0.0, 60.0], [100.0, 200.0], 60.0)
+    s = samples_from([0.0, 60.0], [[100.0, 200.0]], 60.0)
     with pytest.raises(OutOfHorizon):
         interpolate(s, -1.0)
     with pytest.raises(OutOfHorizon):
@@ -109,20 +112,20 @@ def test_interpolation_error_bound_on_distant_pass():
     station = GroundStation(0, "s", 0.0, 90.0)
     T = elem.period_s
     params = AssignmentParams(horizon_s=T, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(elem, {0: station}, params)[0]
+    samples = sample_distances(elem, {0: station}, params)
     gs = station_position(station)
     ts = np.arange(0.0, T, 1.0)
     true_d = np.array([np.linalg.norm(propagate(elem, t) - gs) for t in ts])
-    interp_d = np.interp(ts, series.times, series.km)
+    interp_d = np.interp(ts, samples.times, samples.km[0])
     err = float(np.abs(interp_d - true_d).max())
     assert err < 5.0
     assert err == pytest.approx(0.875, abs=0.05)
 
 
 def test_single_controller_empty_schedule():
-    s = series_from(0, [0.0, 60.0, 120.0], [100.0, 150.0, 90.0], 120.0)
+    s = samples_from([0.0, 60.0, 120.0], [[100.0, 150.0, 90.0]], 120.0)
     params = AssignmentParams(horizon_s=120.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    sched = predict_handovers([s], params)
+    sched = predict_handovers(s, params)
     assert sched.initial == 0
     assert sched.events == ()
 
@@ -131,10 +134,9 @@ def test_single_crossing_fires_first_tick_after():
     # f0 = 100 + t, f1 = 200 - t cross at t = 50; with delta = 1 the switch
     # lands on the first decision tick where f1 is strictly smaller
     ts = [0.0, 60.0, 120.0]
-    s0 = series_from(0, ts, [100.0, 160.0, 220.0], 120.0)
-    s1 = series_from(1, ts, [200.0, 140.0, 80.0], 120.0)
+    s = samples_from(ts, [[100.0, 160.0, 220.0], [200.0, 140.0, 80.0]], 120.0)
     params = AssignmentParams(horizon_s=120.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    sched = predict_handovers([s0, s1], params)
+    sched = predict_handovers(s, params)
     assert sched.initial == 0
     assert sched.events == ((51.0, 1),)
 
@@ -144,15 +146,14 @@ def test_delta_one_matches_nearest_scan_oracle():
     for _ in range(20):
         n_ctl = int(rng.integers(2, 5))
         ts = np.arange(0.0, 601.0, 60.0)
-        series = [
-            series_from(g, ts, rng.uniform(100.0, 2000.0, ts.shape[0]), 600.0)
-            for g in range(n_ctl)
-        ]
+        samples = samples_from(
+            ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(n_ctl)], 600.0
+        )
         params = AssignmentParams(horizon_s=600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-        sched = predict_handovers(series, params)
+        sched = predict_handovers(samples, params)
         # oracle: direct argmin scan over the decision grid
         grid = np.arange(0.0, 601.0, 1.0)
-        interp = np.stack([np.interp(grid, s.times, s.km) for s in series])
+        interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km])
         assigned = np.argmin(interp, axis=0)
         events = [
             (float(grid[i]), int(assigned[i]))
@@ -167,14 +168,13 @@ def test_hysteresis_band_never_violated():
     rng = np.random.default_rng(9)
     for delta in (1.0, 0.9, 0.8):
         ts = np.arange(0.0, 1201.0, 60.0)
-        series = [
-            series_from(g, ts, rng.uniform(100.0, 2000.0, ts.shape[0]), 1200.0)
-            for g in range(3)
-        ]
+        samples = samples_from(
+            ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 1200.0
+        )
         params = AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta)
-        sched = predict_handovers(series, params)
+        sched = predict_handovers(samples, params)
         grid = np.arange(0.0, 1201.0, 1.0)
-        interp = np.stack([np.interp(grid, s.times, s.km) for s in series])
+        interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km])
         nearest = interp.min(axis=0)
         current = np.array([sched.controller_at(float(t)) for t in grid])
         f_curr = interp[current, np.arange(grid.shape[0])]
@@ -189,32 +189,34 @@ def test_sweep_monotonicity_small():
     counts, means = [], []
     for delta in (1.0, 0.9, 0.8, 0.7):
         params = AssignmentParams(horizon_s=T, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta)
-        series = sample_distances(elem, stations, params)
-        sched = predict_handovers(series, params)
+        samples = sample_distances(elem, stations, params)
+        sched = predict_handovers(samples, params)
         counts.append(sched.count)
-        means.append(float(assigned_distance_trace(series, sched, params).mean()))
+        means.append(float(assigned_distance_trace(samples, sched, params).mean()))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
 
 
-def tick_oracle(series, params):
+def tick_oracle(samples, params):
     """The threshold rule applied one decision tick and one controller at
     a time: (initial id, [(t, target id), ...])."""
+    n_ctl = len(samples.gs_ids)
+
     def dist(g, t):
-        return float(np.interp(t, series[g].times, series[g].km))
+        return float(np.interp(t, samples.times, samples.km[g]))
 
     def nearest(d):
         return min(range(len(d)), key=lambda g: (d[g], g))  # ties to the lowest id
 
-    current = nearest([dist(g, 0.0) for g in range(len(series))])
-    initial = series[current].gs_id
+    current = nearest([dist(g, 0.0) for g in range(n_ctl)])
+    initial = samples.gs_ids[current]
     events = []
     for i in range(int(params.horizon_s / params.decide_dt_s) + 1):
         t = i * params.decide_dt_s
-        d = [dist(g, t) for g in range(len(series))]
+        d = [dist(g, t) for g in range(n_ctl)]
         best = nearest(d)
         if best != current and d[best] < params.delta * d[current]:
-            events.append((t, series[best].gs_id))
+            events.append((t, samples.gs_ids[best]))
             current = best
     return initial, events
 
@@ -222,19 +224,19 @@ def tick_oracle(series, params):
 def test_schedule_matches_tick_oracle_below_one():
     rng = np.random.default_rng(21)
     ts = np.arange(0.0, 1801.0, 60.0)
-    series = [
-        series_from(g, ts, rng.uniform(100.0, 2000.0, ts.shape[0]), 1800.0) for g in range(4)
-    ]
+    samples = samples_from(
+        ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(4)], 1800.0
+    )
     for delta in (0.95, 0.9, 0.8):
         params = AssignmentParams(
             horizon_s=1800.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta
         )
-        sched = predict_handovers(series, params)
-        initial, events = tick_oracle(series, params)
+        sched = predict_handovers(samples, params)
+        initial, events = tick_oracle(samples, params)
         assert events, delta  # the case must exercise switches
         assert sched.initial == initial
         assert list(sched.events) == events
-        assert predict_handovers(series, params) == sched
+        assert predict_handovers(samples, params) == sched
 
 
 @st.composite
@@ -295,9 +297,9 @@ def test_pruned_scan_matches_tick_oracle(case):
     initial, events = kernels.handover_scan(
         ts, rows, params.decide_dt_s, params.horizon_s, params.delta
     )
-    series = [series_from(g, ts, km, params.horizon_s) for g, km in enumerate(rows)]
-    assert (initial, events) == tick_oracle(series, params)
-    sched = predict_handovers(series, params)
+    samples = samples_from(ts, rows, params.horizon_s)
+    assert (initial, events) == tick_oracle(samples, params)
+    sched = predict_handovers(samples, params)
     assert (sched.initial, list(sched.events)) == (initial, events)
 
 
@@ -320,10 +322,24 @@ def test_block_prediction_matches_per_satellite_path(metric, delta):
     expected = {}
     for row, elem in enumerate(elements):
         sat = row if metric == "network" else elem
-        series = sample_distances(sat, controllers, params, metric=metric, fields=fields)
-        expected[row] = predict_handovers(series, params)
+        samples = sample_distances(sat, controllers, params, metric=metric, fields=fields)
+        expected[row] = predict_handovers(samples, params)
     assert schedules == expected
     assert sum(s.count for s in schedules.values()) > 0
+
+
+def test_controllers_are_sampled_in_id_order():
+    spec = _desk_spec()
+    elements = generate_constellation(spec.shell)
+    params = replace(spec.assignment, horizon_s=spec.duration_s)
+    a, b = spec.stations[0], spec.stations[3]
+    samples = sample_distances(elements[0], {3: b, 0: a}, params)
+    assert samples.gs_ids == (0, 3)
+    assert np.array_equal(samples.km, sample_distances(elements[0], {0: a, 3: b}, params).km)
+    shuffled = replace(spec, controllers=[3, 0, 1])
+    assert scenario.predict_schedules(shuffled, elements, None) == scenario.predict_schedules(
+        spec, elements, None
+    )
 
 
 def test_scan_flags_only_intervals_where_a_switch_can_fire():
@@ -339,30 +355,29 @@ def test_scan_flags_only_intervals_where_a_switch_can_fire():
 def test_assigned_distance_trace_matches_tick_loop():
     rng = np.random.default_rng(14)
     ts = np.arange(0.0, 1201.0, 60.0)
-    series = [
-        series_from(g, ts, rng.uniform(100.0, 2000.0, ts.shape[0]), 1200.0) for g in range(3)
-    ]
+    samples = samples_from(
+        ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 1200.0
+    )
     params = AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.9)
-    sched = predict_handovers(series, params)
+    sched = predict_handovers(samples, params)
     assert sched.events
     ticks = np.arange(0.0, 1200.5, 1.0)
-    by_id = {s.gs_id: s for s in series}
     for schedule in (sched, HandoverSchedule(initial=2, events=())):
         loop = np.empty(ticks.shape[0])
         for i, t in enumerate(ticks):
-            s = by_id[schedule.controller_at(float(t))]
-            loop[i] = np.interp(t, s.times, s.km)
-        assert np.array_equal(assigned_distance_trace(series, schedule, params), loop)
+            km = samples.km[samples.gs_ids.index(schedule.controller_at(float(t)))]
+            loop[i] = np.interp(t, samples.times, km)
+        assert np.array_equal(assigned_distance_trace(samples, schedule, params), loop)
 
 
 def test_schedule_event_times_increase_and_targets_differ():
     rng = np.random.default_rng(33)
     ts = np.arange(0.0, 3601.0, 60.0)
-    series = [
-        series_from(g, ts, rng.uniform(100.0, 2000.0, ts.shape[0]), 3600.0) for g in range(3)
-    ]
+    samples = samples_from(
+        ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 3600.0
+    )
     params = AssignmentParams(horizon_s=3600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.95)
-    sched = predict_handovers(series, params)
+    sched = predict_handovers(samples, params)
     times = [t for t, _ in sched.events]
     assert times == sorted(times)
     assert len(set(times)) == len(times)
@@ -384,6 +399,33 @@ def test_params_invariants():
 
 def test_series_invariants():
     with pytest.raises(ValueError):
-        series_from(0, [0.0, 0.0], [1.0, 2.0], 0.0)
+        samples_from([0.0, 0.0], [[1.0, 2.0]], 0.0)
     with pytest.raises(ValueError):
-        series_from(0, [0.0, 30.0], [1.0, 2.0], 60.0)  # does not cover horizon
+        samples_from([0.0, 30.0], [[1.0, 2.0]], 60.0)  # does not cover horizon
+    times, km = np.array([0.0, 60.0]), np.ones((2, 2))
+    for gs_ids in ((1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="controller ids"):
+            DistanceSamples(gs_ids=gs_ids, times=times, km=km, horizon_s=60.0)
+    with pytest.raises(ValueError, match="shaped"):
+        DistanceSamples(gs_ids=(0, 1, 2), times=times, km=km, horizon_s=60.0)
+
+
+def test_prediction_without_controllers_is_a_named_error():
+    # a parsed config has no controllers until placement picks them
+    spec = load_config(os.path.join(CONFIGS, "desk.json"))
+    assert spec.controllers == []
+    elements = generate_constellation(spec.shell)
+    with pytest.raises(EmptySelection, match="controller"):
+        scenario.predict_schedules(spec, elements, None)
+    with pytest.raises(EmptySelection, match="controller"):
+        sample_distances(elements[0], {}, spec.assignment)
+
+
+def test_decision_grid_built_once_per_interval_and_horizon():
+    kernels.decision_ticks.cache_clear()
+    grid = kernels.decision_ticks(1.5, 100.0)
+    assert kernels.decision_ticks(1.5, 100.0) is grid
+    assert not grid.flags.writeable
+    assert grid.tolist() == [1.5 * i for i in range(67)]
+    assert kernels.decision_ticks(2.0, 100.0) is not grid
+    kernels.decision_ticks.cache_clear()

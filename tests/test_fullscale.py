@@ -5,17 +5,43 @@ the default run. Invoke with:
 
 Expected wall time is about 20 seconds on a 2-core machine: the event
 engine runs the handover steps only, and the status reports are derived
-in bulk afterwards.
+in bulk afterwards. The full-day schedule test alone (``-k schedule``)
+takes about 2 seconds.
 """
+import hashlib
+import json
+import os
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 
 from leocp.assignment import AssignmentParams
-from leocp.orbits import GroundStation, WalkerShell
+from leocp.config import load_config
+from leocp.orbits import GroundStation, WalkerShell, generate_constellation
 from leocp.protocol import ConstantLatency, Protocol
-from leocp.scenario import ScenarioSpec, run_scenario
+from leocp.scenario import ScenarioSpec, predict_schedules, run_scenario
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.slow
+def test_starlink_daily_schedule_digest():
+    # the full-day Starlink prediction, pinned byte for byte: the digest is
+    # of ``schedule.json`` as ``leocp assign`` writes it. The geometric
+    # metric needs the elements only, not the distance fields.
+    spec = load_config(os.path.join(CONFIGS, "starlink_fullscale.json"))
+    spec = replace(spec, controllers=[0, 1])
+    schedules = predict_schedules(spec, generate_constellation(spec.shell), None)
+    data = json.dumps(
+        {str(sat): {"initial": s.initial, "events": s.events} for sat, s in schedules.items()},
+        sort_keys=True,
+    )
+    assert sum(s.count for s in schedules.values()) == 44_586
+    assert hashlib.sha256((data + "\n").encode()).hexdigest() == (
+        "e64c44271f4d9b53668d050f6599953276d8bfabe96db2bd4c4f369028f1ba7c"
+    )
 
 
 @pytest.mark.slow

@@ -516,17 +516,18 @@ def test_controller_change_after_a_reporting_run_keeps_its_accepts():
 
 def test_a_second_reporting_run_keeps_the_first_runs_accepts():
     # nothing is logged between the runs; the log keeps each pair's times
-    # sorted, where the per-event engine appends the second run's after
+    # in time order, where the per-event engine appends the second run's after
     def run(cls):
         sim = cls([0, 1], [0], latency=ConstantLatency(5.0), report_interval=10.0)
         sim.bind_initial(0, 0)
         for duration in (30.0, 20.0):
             sim.start_reporting(duration)
             sim.run()
-        return {k: sorted(v) for k, v in sim.report_log.items()}
+        return sim.report_log
 
     got = run(Simulation)
-    assert got == run(PerEventSimulation)
+    assert got == {k: sorted(v) for k, v in run(PerEventSimulation).items()}
+    assert all(a <= b for v in got.values() for a, b in zip(v, v[1:]))
     assert len(got[(0, 0)]) == 1 + 4 + 3
 
 

@@ -388,10 +388,10 @@ def test_snapshot_latency_and_network_sampler_use_the_lookup():
         for gs in (0, 1):
             assert latency(("sat", 0), ("gs", gs), t) == distance_to_latency(fields[i].d[0, gs])
     params = AssignmentParams(horizon_s=180.0, sample_dt_s=20.0, decide_dt_s=1.0, delta=1.0)
-    series = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields)
-    for s in series:
-        expected = [fields[nearest_field_index(times, t)].d[0, s.gs_id] for t in s.times]
-        assert s.km.tolist() == expected
+    samples = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields)
+    for gs_id, km in zip(samples.gs_ids, samples.km):
+        expected = [fields[nearest_field_index(times, t)].d[0, gs_id] for t in samples.times]
+        assert km.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
