@@ -167,14 +167,26 @@ def interpolate(samples: DistanceSamples, t: float) -> np.ndarray:
     return np.array([np.interp(t, samples.times, km) for km in samples.km])
 
 
+def _require_horizon(samples: DistanceSamples, params: AssignmentParams):
+    """Interpolating past the last sample would hold it flat, so samples
+    must cover the whole decision horizon."""
+    if samples.horizon_s < params.horizon_s:
+        raise OutOfHorizon(
+            f"samples cover [0, {samples.horizon_s}] s, short of the "
+            f"{params.horizon_s} s horizon"
+        )
+
+
 def predict_handovers(samples: DistanceSamples, params: AssignmentParams) -> HandoverSchedule:
     """Scan the horizon and emit threshold-gated handover events.
 
     The initial assignment is the nearest controller at t=0. At every
     decision tick (``kernels.decision_ticks``) the nearest controller
     (ties to the lowest id) takes over only if its interpolated distance
-    is strictly below ``delta`` times the current controller's.
+    is strictly below ``delta`` times the current controller's. Samples
+    that stop short of ``params.horizon_s`` raise ``OutOfHorizon``.
     """
+    _require_horizon(samples, params)
     ids = samples.gs_ids
     initial, events = kernels.handover_scan(
         samples.times, samples.km, params.decide_dt_s, params.horizon_s, params.delta
@@ -186,6 +198,7 @@ def assigned_distance_trace(
     samples: DistanceSamples, schedule: HandoverSchedule, params: AssignmentParams
 ) -> np.ndarray:
     """Distance to the assigned controller at every decision tick."""
+    _require_horizon(samples, params)
     ticks = kernels.decision_ticks(params.decide_dt_s, params.horizon_s)
     # the controller in charge after the last event at or before each tick
     owners = np.array([schedule.initial] + [g for _, g in schedule.events])

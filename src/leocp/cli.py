@@ -6,9 +6,17 @@ prerequisites instead of reading intermediate files. Within one
 invocation each prerequisite (fields, placement, schedules) is computed
 once and shared by the stages that need it. Every invocation echoes the
 effective config next to its outputs.
+
+No later stage reads the snapshot stage's files (``snapshots.json``,
+``fields.json``, ``distances.csv``). So in ``all`` one forked child
+process writes them while the parent places, assigns, simulates and
+reports; ``run_pipeline`` waits for that child before it returns, and a
+child that fails fails the run. A stage command such as ``snapshot``
+writes them in-process.
 """
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -64,14 +72,64 @@ def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = Fals
         fh.write("\n")
 
     stages = STAGES if stage == "all" else [stage]
-    state = {}
-    for name in stages:
+    # stages after ``snapshot`` do not read its files: ``all`` forks their writer
+    state = {"fork_writer": stage == "all"}
+    rc = 0
+    try:
+        for name in stages:
+            try:
+                _run_stage(name, cfg, out_dir, state, trace)
+            except LeocpError as exc:
+                print(f"[{name}] FAILED: {exc}", file=sys.stderr)
+                rc = 1
+                break
+    finally:
+        # reaped on every path, a raised exception included
+        if "writer" in state:
+            try:
+                _reap_writer(state.pop("writer"))
+            except StageError as exc:
+                print(f"[snapshot] FAILED: {exc}", file=sys.stderr)
+                rc = 1
+    return rc
+
+
+def _write_snapshot_files(snapshots, fields, out_dir):
+    write_snapshots_json(snapshots, os.path.join(out_dir, "snapshots.json"))
+    write_json_array((field_to_dict(f) for f in fields), os.path.join(out_dir, "fields.json"))
+    write_fields_csv(fields, os.path.join(out_dir, "distances.csv"))
+
+
+def _fork_writer(snapshots, fields, out_dir):
+    """Start the one child that runs ``_write_snapshot_files``; its pid.
+
+    The child leaves through ``os._exit``: it never flushes the stdio
+    buffers it inherited and never returns into a later stage. It calls
+    no BLAS routine, whose threads the fork does not copy.
+    """
+    pid = os.fork()
+    if pid == 0:
+        # a collection would walk, and so copy, the whole inherited heap;
+        # the writers make no reference cycles, so refcounts free their garbage
+        gc.disable()
+        code = 1
         try:
-            _run_stage(name, cfg, out_dir, state, trace)
-        except LeocpError as exc:
-            print(f"[{name}] FAILED: {exc}", file=sys.stderr)
-            return 1
-    return 0
+            _write_snapshot_files(snapshots, fields, out_dir)
+            code = 0
+        except Exception as exc:
+            os.write(2, f"[snapshot] writer: {type(exc).__name__}: {exc}\n".encode())
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap_writer(pid):
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise StageError(
+            f"the writer of snapshots.json, fields.json and distances.csv (pid {pid}) "
+            f"exited with status {code}"
+        )
 
 
 def _require_built(cfg, state):
@@ -122,11 +180,12 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
 
     elif name == "snapshot":
         _, snapshots, fields = _require_built(cfg, state)
+        if state["fork_writer"]:
+            state["writer"] = _fork_writer(snapshots, fields, out_dir)
+        else:
+            _write_snapshot_files(snapshots, fields, out_dir)
         snap_path = os.path.join(out_dir, "snapshots.json")
-        write_snapshots_json(snapshots, snap_path)
-        write_json_array((field_to_dict(f) for f in fields), os.path.join(out_dir, "fields.json"))
         csv_path = os.path.join(out_dir, "distances.csv")
-        write_fields_csv(fields, csv_path)
         print(f"[snapshot] {len(fields)} snapshots -> {snap_path}, {csv_path}")
 
     elif name == "place":

@@ -103,6 +103,18 @@ def test_interpolate_out_of_horizon():
         interpolate(s, 61.0)
 
 
+def test_samples_short_of_the_horizon_are_out_of_horizon():
+    # np.interp would hold the t=60 s samples flat over the 540 s left
+    s = samples_from([0.0, 60.0], [[100.0, 200.0], [300.0, 50.0]], 60.0)
+    params = AssignmentParams(horizon_s=600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
+    with pytest.raises(OutOfHorizon):
+        predict_handovers(s, params)
+    with pytest.raises(OutOfHorizon):
+        assigned_distance_trace(s, HandoverSchedule(initial=0, events=()), params)
+    schedule = predict_handovers(s, replace(params, horizon_s=60.0))
+    assert schedule.initial == 0 and schedule.count == 1
+
+
 def test_interpolation_error_bound_on_distant_pass():
     # polar orbit with the station 90 degrees away in longitude: the range
     # stays far from closest approach, where 60 s linear interpolation is

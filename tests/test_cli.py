@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from leocp.cli import main
+from leocp.cli import STAGES, main
 from leocp.config import ConfigError, load_config, parse_config, stage_seed
 from leocp.protocol import DelayProfile
 
@@ -88,6 +88,69 @@ def test_all_builds_fields_and_predicts_schedules_once(mini_config, tmp_path, mo
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert main(["all", "--config", mini_config, "--out", str(tmp_path / "once")]) == 0
     assert calls == {"build_fields": 1, "predict_schedules": 1}
+
+
+SNAPSHOT_FILES = ("snapshots.json", "fields.json", "distances.csv")
+DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
+
+
+def test_all_forks_one_snapshot_writer(tmp_path, capfd, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert main(["all", "--config", DESK_CONFIG, "--out", str(tmp_path / "all")]) == 0
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # the child ran no later stage: each stage reported once
+    out = capfd.readouterr().out
+    assert [line.split("]")[0] + "]" for line in out.splitlines()] == [
+        f"[{name}]" for name in STAGES
+    ]
+    monkeypatch.setattr(os, "fork", fork)
+    assert main(["snapshot", "--config", DESK_CONFIG, "--out", str(tmp_path / "one")]) == 0
+    for name in SNAPSHOT_FILES:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_snapshot_alone_writes_in_process(mini_config, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a single stage forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["snapshot", "--config", mini_config, "--out", str(tmp_path / "s")]) == 0
+    assert all((tmp_path / "s" / name).stat().st_size > 0 for name in SNAPSHOT_FILES)
+
+
+def test_failed_snapshot_writer_fails_the_run(mini_config, tmp_path, capfd):
+    out = tmp_path / "out"
+    (out / "snapshots.json").mkdir(parents=True)
+    assert main(["all", "--config", mini_config, "--out", str(out)]) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    err = capfd.readouterr().err
+    assert "[snapshot] FAILED" in err and "exited with status 1" in err
+    assert "IsADirectoryError" in err
+    assert (out / "report.json").exists()  # the later stages ran on
+
+
+def test_writer_reaped_when_a_later_stage_raises(mini_config, tmp_path, monkeypatch):
+    import leocp.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("assign broke")
+
+    monkeypatch.setattr(leocp.cli, "predict_schedules", broken)
+    with pytest.raises(RuntimeError, match="assign broke"):
+        main(["all", "--config", mini_config, "--out", str(tmp_path / "out")])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert all((tmp_path / "out" / name).stat().st_size > 0 for name in SNAPSHOT_FILES)
 
 
 def test_flag_overrides_take_precedence(mini_config, tmp_path):
@@ -297,6 +360,12 @@ def test_overlapping_legacy_handover_names_concurrent_error(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "already in flight for node 28" in capsys.readouterr().err
+    # the snapshot writer the aborted run forked was reaped, and finished
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert main(["snapshot", "--config", str(path), "--out", str(tmp_path / "serial")]) == 0
+    for name in SNAPSHOT_FILES:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_report_budget_stops_tiny_interval_at_once(tmp_path, capsys):
