@@ -8,7 +8,7 @@ simulates seamless vs. drain-and-rejoin controller handovers.
 __version__ = "0.1.0"
 
 from .orbits import GroundStation, SatelliteElement, WalkerShell, generate_constellation
-from .topology import DistanceField, TopologySnapshot, build_snapshot, shortest_distances
+from .topology import DistanceFields, TopologySnapshot, build_snapshot, shortest_distances
 from .placement import PlacementProblem, PlacementSolution, cnpa
 from .assignment import AssignmentParams, HandoverSchedule, predict_handovers
 from .protocol import DelayProfile, HandoverRecord, Protocol, Simulation
@@ -17,7 +17,7 @@ from .scenario import ScenarioSpec, run_scenario
 __all__ = [
     "AssignmentParams",
     "DelayProfile",
-    "DistanceField",
+    "DistanceFields",
     "GroundStation",
     "HandoverRecord",
     "HandoverSchedule",

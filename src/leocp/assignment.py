@@ -10,10 +10,11 @@ One satellite's samples are a ``DistanceSamples``: one row of distances
 per controller, in id order, over shared sample times. ``DistanceSampler``
 samples a block of satellites at once and does the per-run work once:
 geometric sampling is one ``propagate`` call per block over all sample
-times, and the network metric looks each sample time up once in the
-nearest distance field and slices the block's rows out of it; it yields
-one ``DistanceSamples`` per satellite. ``predict_handovers`` scans one
-satellite's samples with the interval-pruned ``kernels.handover_scan``.
+times, and the network metric looks each sample time's nearest snapshot
+up once and gathers the block's rows out of the ``DistanceFields`` array
+in one index; it yields one ``DistanceSamples`` per satellite.
+``predict_handovers`` scans one satellite's samples with the
+interval-pruned ``kernels.handover_scan``.
 ``sample_distances`` samples a single satellite.
 """
 import bisect
@@ -99,9 +100,10 @@ class DistanceSampler:
     ``controllers`` maps controller ids to GroundStation records; they are
     sampled in id order. The geometric metric is the straight-line range
     from ``elements``; the "network" metric reads shortest-path distances
-    out of precomputed ``fields`` (in time order; the snapshot nearest in
-    time). Either metric ignores the other's argument. The sample times,
-    the station positions and the nearest-field lookups are done once, here.
+    out of the precomputed ``DistanceFields`` ``fields``, at the snapshot
+    nearest in time. Either metric ignores the other's argument. The sample
+    times, the station positions and the nearest-snapshot lookups are done
+    once, here.
     """
 
     def __init__(self, controllers: dict, params: AssignmentParams, metric: str, elements, fields):
@@ -117,8 +119,10 @@ class DistanceSampler:
         elif metric == "network":
             if fields is None:
                 raise ValueError("network metric needs precomputed distance fields")
-            field_times = [f.t for f in fields]
-            self._fields = [fields[nearest_field_index(field_times, t)].d for t in self.times.tolist()]
+            self._d = fields.d
+            self._nearest = np.array(
+                [nearest_field_index(fields.times, t) for t in self.times.tolist()], dtype=np.intp
+            )
         else:
             raise ValueError(f"unknown metric: {metric!r}")
 
@@ -134,8 +138,7 @@ class DistanceSampler:
                 diff *= diff
                 km[:, :, g] = np.sqrt(diff.sum(axis=-1))  # np.linalg.norm, in place
         else:
-            block = np.ix_(np.asarray(rows, dtype=np.intp), self.ids)
-            km = np.stack([d[block] for d in self._fields])
+            km = self._d[np.ix_(self._nearest, np.asarray(rows, dtype=np.intp), self.ids)]
         for sat_km in np.ascontiguousarray(km.transpose(1, 2, 0)):
             yield DistanceSamples(self.ids, self.times, sat_km, self.horizon_s)
 

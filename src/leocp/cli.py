@@ -31,7 +31,7 @@ from .errors import BudgetExceeded, ConfigError, InfeasibleInstance, LeocpError,
 from .orbits import generate_constellation
 from .reporting import aggregate, write_records_csv, write_report
 from .scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
-from .topology import field_to_dict, write_fields_csv, write_json_array, write_snapshots_json
+from .topology import write_fields_csv, write_fields_json, write_json_array, write_snapshots_json
 
 STAGES = ["gen", "snapshot", "place", "assign", "simulate", "report"]
 
@@ -96,7 +96,7 @@ def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = Fals
 
 def _write_snapshot_files(snapshots, fields, out_dir):
     write_snapshots_json(snapshots, os.path.join(out_dir, "snapshots.json"))
-    write_json_array((field_to_dict(f) for f in fields), os.path.join(out_dir, "fields.json"))
+    write_fields_json(fields, os.path.join(out_dir, "fields.json"))
     write_fields_csv(fields, os.path.join(out_dir, "distances.csv"))
 
 
@@ -133,7 +133,7 @@ def _reap_writer(pid):
 
 
 def _require_built(cfg, state):
-    """The (elements, snapshots, fields) series, built once per run."""
+    """The (elements, snapshots, ``DistanceFields``) series, built once per run."""
     if "built" not in state:
         state["built"] = build_fields(cfg)
     return state["built"]
@@ -141,7 +141,7 @@ def _require_built(cfg, state):
 
 def _require_placement(cfg, state):
     if "solution" not in state:
-        state["solution"] = _solve_placement(cfg, _require_built(cfg, state)[2], cfg.method)
+        state["solution"] = _solve_placement(cfg, _require_built(cfg, state)[2].d, cfg.method)
     return state["solution"]
 
 
@@ -186,10 +186,10 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
             _write_snapshot_files(snapshots, fields, out_dir)
         snap_path = os.path.join(out_dir, "snapshots.json")
         csv_path = os.path.join(out_dir, "distances.csv")
-        print(f"[snapshot] {len(fields)} snapshots -> {snap_path}, {csv_path}")
+        print(f"[snapshot] {len(fields.times)} snapshots -> {snap_path}, {csv_path}")
 
     elif name == "place":
-        fields = _require_built(cfg, state)[2]
+        fields = _require_built(cfg, state)[2].d
         solution = _require_placement(cfg, state)
         path = os.path.join(out_dir, "placement.json")
         with open(path, "w") as fh:

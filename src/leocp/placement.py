@@ -1,10 +1,12 @@
 """Controller placement: clustering, greedy k-center selection, local search.
 
 The objective is the worst case over snapshot times and satellites of
-the shortest-path distance to the nearest selected station. Candidate
-sets are scored against either the full snapshot set or a clustered
-subset of representative snapshots; the reported objective is always
-recomputed on the full set.
+the shortest-path distance to the nearest selected station. Every
+function here reads the distances as one ``(snapshots, satellites,
+stations)`` array, ``DistanceFields.d``, in place. Candidate sets are
+scored against either the full snapshot set or a clustered subset of
+representative snapshots; the reported objective is always recomputed
+on the full set.
 """
 import itertools
 import math
@@ -14,7 +16,6 @@ import numpy as np
 
 from .constants import LIGHT_SPEED_KM_MS
 from .errors import BudgetExceeded, EmptySelection, InfeasibleInstance
-from .topology import DistanceField
 
 DEFAULT_COMBINATION_BUDGET = 2_000_000
 DEFAULT_MAX_PASSES = 50
@@ -24,7 +25,7 @@ KMEANS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PlacementProblem:
-    fields: list  # DistanceField over the sample times
+    fields: np.ndarray  # (snapshots, sats, stations) km, as ``DistanceFields.d``
     candidates: list  # station indices eligible as controllers
     k: int
     clusters: int
@@ -46,11 +47,6 @@ class PlacementSolution:
     seed: int | None = None
 
 
-def _stack(fields) -> np.ndarray:
-    """(tau, n_sats, n_stations) distance tensor, inf where unreachable."""
-    return np.stack([f.d for f in fields])
-
-
 def evaluate(selected, fields) -> float:
     """Worst-case distance from any satellite to its nearest selected station.
 
@@ -60,8 +56,7 @@ def evaluate(selected, fields) -> float:
     sel = sorted(set(selected))
     if not sel:
         raise EmptySelection("controller set is empty")
-    stacked = fields if isinstance(fields, np.ndarray) else _stack(fields)
-    return float(stacked[:, :, sel].min(axis=2).max())
+    return float(fields[:, :, sel].min(axis=2).max())
 
 
 def _solution(selected, fields, method, seed=None) -> PlacementSolution:
@@ -87,11 +82,10 @@ def _feature_matrix(fields) -> np.ndarray:
     poisoning the statistics. Coordinates with zero variance pass
     through unchanged.
     """
-    stacked = _stack(fields)
-    finite = stacked[np.isfinite(stacked)]
+    reachable = np.isfinite(fields)
+    finite = fields[reachable]
     sentinel = 2.0 * float(finite.max()) if finite.size else 1.0
-    stacked = np.where(np.isfinite(stacked), stacked, sentinel)
-    x = stacked.reshape(stacked.shape[0], -1)
+    x = np.where(reachable, fields, sentinel).reshape(fields.shape[0], -1)
     mu = x.mean(axis=0)
     sigma = x.std(axis=0)
     out = x.copy()
@@ -152,11 +146,11 @@ def _kmeans(x, k, rng):
 def select_representatives(fields, clusters: int, seed: int = 0):
     """Cluster the snapshot set and keep the member nearest each centroid.
 
-    Returns a list of at most ``clusters`` DistanceFields (empty
-    clusters are dropped), ordered by original snapshot index.
+    Returns the rows of at most ``clusters`` snapshots (empty clusters
+    are dropped), in time order; every row when ``clusters`` covers them.
     """
     if clusters >= len(fields):
-        return list(fields)
+        return fields
     x = _feature_matrix(fields)
     rng = np.random.default_rng(seed)
     centers, labels = _kmeans(x, clusters, rng)
@@ -167,7 +161,7 @@ def select_representatives(fields, clusters: int, seed: int = 0):
             continue
         dists = np.linalg.norm(x[members] - centers[c], axis=1)
         picked.append(int(members[np.argmin(dists)]))
-    return [fields[i] for i in sorted(set(picked))]
+    return fields[sorted(set(picked))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +175,9 @@ def greedy_select(fields_eval, candidates, k: int) -> list:
     InfeasibleInstance if the objective is still infinite after all
     rounds.
     """
-    stacked = fields_eval if isinstance(fields_eval, np.ndarray) else _stack(fields_eval)
     cand = sorted(candidates)
-    cols = stacked[:, :, cand]  # (tau, n_sats, n_cand)
-    current = np.full(stacked.shape[:2], np.inf)
+    cols = fields_eval[:, :, cand]  # (tau, n_sats, n_cand)
+    current = np.full(fields_eval.shape[:2], np.inf)
     chosen = []
     chosen_pos = set()
     for _ in range(k):
@@ -206,10 +199,9 @@ def local_search(selected, fields_eval, max_passes: int = DEFAULT_MAX_PASSES) ->
     swap that strictly lowers the objective, and repeats until a full
     pass finds nothing or ``max_passes`` is hit.
     """
-    stacked = fields_eval if isinstance(fields_eval, np.ndarray) else _stack(fields_eval)
-    n_stations = stacked.shape[2]
+    n_stations = fields_eval.shape[2]
     current = sorted(selected)
-    best_obj = evaluate(current, stacked)
+    best_obj = evaluate(current, fields_eval)
     for _ in range(max_passes):
         improved = False
         for out_station in list(current):
@@ -217,7 +209,7 @@ def local_search(selected, fields_eval, max_passes: int = DEFAULT_MAX_PASSES) ->
                 if in_station in current:
                     continue
                 trial = sorted(set(current) - {out_station} | {in_station})
-                obj = evaluate(trial, stacked)
+                obj = evaluate(trial, fields_eval)
                 if obj < best_obj:
                     current, best_obj = trial, obj
                     improved = True
@@ -237,12 +229,10 @@ def cnpa(problem: PlacementProblem, eval_on_full: bool = False) -> PlacementSolu
     representatives. The returned objective is recomputed on the full
     set either way.
     """
-    full = _stack(problem.fields)
-    reps = select_representatives(problem.fields, problem.clusters, problem.seed)
-    reps_stacked = _stack(reps)
-    greedy_fields = full if eval_on_full else reps_stacked
-    selected = greedy_select(greedy_fields, problem.candidates, problem.k)
-    selected = local_search(selected, reps_stacked)
+    full = problem.fields
+    reps = select_representatives(full, problem.clusters, problem.seed)
+    selected = greedy_select(full if eval_on_full else reps, problem.candidates, problem.k)
+    selected = local_search(selected, reps)
     return _solution(selected, full, "cnpa", problem.seed)
 
 
@@ -253,17 +243,16 @@ def exhaustive_optimal(
     n = len(candidates)
     if math.comb(n, k) > budget:
         raise BudgetExceeded(f"C({n},{k}) exceeds budget {budget}")
-    stacked = _stack(fields)
     cand = sorted(candidates)
     best, best_obj = None, np.inf
     for combo in itertools.combinations(cand, k):
-        obj = evaluate(combo, stacked)
+        obj = evaluate(combo, fields)
         if obj < best_obj:
             best, best_obj = combo, obj
     if best is None or not np.isfinite(best_obj):
         # keep the lexicographically first subset for a degenerate instance
         best = tuple(cand[:k])
-    return _solution(best, stacked, "exhaustive")
+    return _solution(best, fields, "exhaustive")
 
 
 def random_select(fields, candidates, k: int, seed: int = 0) -> PlacementSolution:

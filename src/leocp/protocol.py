@@ -181,16 +181,15 @@ class ConstantLatency:
 
 
 class SnapshotLatency:
-    """Latency from the nearest-in-time distance field.
+    """Latency from the nearest-in-time snapshot of a ``DistanceFields``.
 
     Satellite-station legs read the shortest-path distance at the
-    closest snapshot; station-station legs use great-circle distance
-    scaled by a terrestrial routing factor.
+    closest snapshot, in place in ``fields.d``; station-station legs use
+    great-circle distance scaled by a terrestrial routing factor.
     """
 
     def __init__(self, fields, stations, terrestrial_factor=DEFAULT_TERRESTRIAL_FACTOR):
-        self.fields = sorted(fields, key=lambda f: f.t)
-        self.times = [f.t for f in self.fields]
+        self.fields = fields
         self.factor = terrestrial_factor
         self._station_unit = {}
         for st in stations:
@@ -213,21 +212,16 @@ class SnapshotLatency:
             raise ValueError("satellite-to-satellite control traffic is not modeled")
         sat = id_a if kind_a == "sat" else id_b
         gs = id_b if kind_b == "gs" else id_a
-        d = self.fields[nearest_field_index(self.times, t)].d[sat, gs]
+        d = self.fields.d[nearest_field_index(self.fields.times, t), sat, gs]
         return distance_to_latency(d) if np.isfinite(d) else math.inf
 
     def sat_gs_ms(self, sats, gs, times):
         """``self(("sat", sats[i]), ("gs", gs[i, k]), times[k])`` as an
         array shaped like ``gs``; entries where ``gs`` is negative are
-        not defined. Each field is read once for a run of ticks nearest
-        to it."""
-        nearest = np.array([nearest_field_index(self.times, t) for t in times.tolist()])
-        starts = np.flatnonzero(np.diff(nearest, prepend=-1))
-        ends = np.append(starts[1:], len(nearest))
-        rows = np.asarray(sats)[:, None]
-        km = np.empty(gs.shape)
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            km[:, lo:hi] = self.fields[nearest[lo]].d[rows, gs[:, lo:hi]]
+        not defined. One gather reads every leg at its tick's nearest
+        snapshot."""
+        nearest = [nearest_field_index(self.fields.times, t) for t in times.tolist()]
+        km = self.fields.d[np.array(nearest, dtype=np.intp), np.asarray(sats)[:, None], gs]
         ms = distance_to_latency(km)
         ms[~np.isfinite(km)] = math.inf
         return ms
@@ -390,7 +384,8 @@ class Simulation:
         self._state_pushed.setdefault((gs, sat), []).append((self._parent[0], self._parent[2]))
 
     def _log_report(self, gs, sat, t):
-        self.report_log.setdefault((gs, sat), []).append(t)
+        # in time order even when a run's accept precedes an earlier run's
+        bisect.insort(self.report_log.setdefault((gs, sat), []), t)
 
     def _set_controller(self, sat, gs, t, flush=False):
         """Point ``sat`` at controller ``gs`` (None: unmanaged). ``flush``

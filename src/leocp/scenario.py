@@ -10,6 +10,8 @@ Everything downstream of the inputs is deterministic.
 import functools
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 # ``sample_distances`` is not called here; it stays importable under this
 # name because ``perfbench/tracer.py`` patches it on this module.
 from .assignment import (  # noqa: F401
@@ -30,7 +32,7 @@ from .protocol import (
     start_legacy,
     start_seamless,
 )
-from .topology import DEFAULT_MIN_ELEVATION_DEG, build_snapshot, shortest_distances
+from .topology import DEFAULT_MIN_ELEVATION_DEG, DistanceFields, build_snapshot, shortest_distances
 
 # Satellites sampled per call: enough to amortise the per-call numpy work,
 # few enough that at a full day's horizon a block's samples and
@@ -88,24 +90,29 @@ def build_fields(spec: ScenarioSpec):
     """Snapshot + distance-field series over the scenario duration.
 
     The elements are packed and the stations placed once for the series.
+    Each snapshot's distances are copied into its row of one preallocated
+    ``DistanceFields`` array, so no Dijkstra result outlives its copy.
     """
     elements = generate_constellation(spec.shell)
     packed = pack_elements(elements)
     gs_pos = station_positions(spec.stations)
+    times = decision_ticks(spec.snapshot_dt_s, spec.duration_s).tolist()
     snapshots = [
         build_snapshot(
             spec.shell,
             packed,
             gs_pos,
-            float(t),
+            t,
             min_elevation_deg=spec.min_elevation_deg,
             isl_mode=spec.isl_mode,
             gsl_limit=spec.gsl_limit,
         )
-        for t in decision_ticks(spec.snapshot_dt_s, spec.duration_s)
+        for t in times
     ]
-    fields = [shortest_distances(s) for s in snapshots]
-    return elements, snapshots, fields
+    d = np.empty((len(times), len(elements), len(spec.stations)))
+    for row, snapshot in zip(d, snapshots):
+        row[...] = shortest_distances(snapshot)
+    return elements, snapshots, DistanceFields(times, d)
 
 
 def predict_schedules(spec: ScenarioSpec, elements, fields):

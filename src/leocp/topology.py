@@ -3,17 +3,20 @@
 A snapshot at time ``t`` holds satellite/station ECEF positions, the
 +Grid inter-satellite links weighted by Euclidean distance, and one
 ground-satellite link per mutually visible pair. Shortest-path
-distances from every station to every satellite become a
-``DistanceField``; unreachable pairs are flagged rather than raised.
-``nearest_field_index`` is the one lookup of the field nearest in time,
-shared by the simulation's latency model and network-metric sampling.
+distances from every station to every satellite are one
+``(satellites, stations)`` array per snapshot; unreachable pairs are
+``inf`` rather than raised. A series of them is one ``DistanceFields``:
+the snapshot times and one ``(snapshots, satellites, stations)`` array
+that every consumer reads in place. ``nearest_field_index`` is the one
+lookup of the snapshot nearest in time, shared by the simulation's
+latency model and network-metric sampling.
 
-The writers stream one snapshot or field at a time and give the bytes of
-the standard library's encoders: ``write_json_array`` those of
-``json.dump`` of the whole list (each item goes through the C encoder of
+The writers stream one snapshot at a time and give the bytes of the
+standard library's encoders: ``write_json_array`` those of ``json.dump``
+of the whole list (each item goes through the C encoder of
 ``json.dumps``), ``write_fields_csv`` those of ``csv.writer``, each
-field's rows formatted by one ``%`` over a row template built once per
-field shape.
+snapshot's rows formatted by one ``%`` over a row template built once
+per series.
 """
 import bisect
 import functools
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .constants import LIGHT_SPEED_KM_MS
-from .orbits import ElementArrays, WalkerShell, pack_elements, propagate, station_positions
+from .orbits import ElementArrays, WalkerShell, propagate
 
 DEFAULT_MIN_ELEVATION_DEG = 25.0
 
@@ -57,11 +60,18 @@ class TopologySnapshot:
 
 
 @dataclass(frozen=True)
-class DistanceField:
-    """Shortest-path length from every satellite to every station at ``t``."""
+class DistanceFields:
+    """Shortest-path length from every satellite to every station at each
+    snapshot time: ``d[i, sat, gs]`` is the distance at ``times[i]``."""
 
-    t: float
-    d: np.ndarray  # (n_sats, n_stations) km, inf where unreachable
+    times: list  # strictly increasing floats
+    d: np.ndarray  # (n_snapshots, n_sats, n_stations) km, inf where unreachable
+
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("snapshot times must be strictly increasing")
+        if self.d.ndim != 3 or self.d.shape[0] != len(self.times):
+            raise ValueError("d must be shaped (snapshots, satellites, stations)")
 
 
 def _intra_plane_ring(shell: WalkerShell) -> list[tuple[int, int]]:
@@ -107,17 +117,6 @@ def _isl_grid_pairs(shell: WalkerShell) -> np.ndarray:
     return arr
 
 
-def visible(sat_pos: np.ndarray, gs_pos: np.ndarray, min_elevation_deg: float) -> bool:
-    """True iff the satellite sits above the station's local horizon mask."""
-    los = sat_pos - gs_pos
-    rng = np.linalg.norm(los)
-    if rng == 0.0:
-        return True
-    sin_elev = float(np.dot(gs_pos, los)) / (float(np.linalg.norm(gs_pos)) * rng)
-    # tolerance keeps the exact-overhead case visible at a 90 degree mask
-    return bool(sin_elev >= math.sin(math.radians(min_elevation_deg)) - 1e-12)
-
-
 def _visibility_matrix(sat_pos, gs_pos, min_elevation_deg):
     """Boolean (n_sats, n_stations) visibility and the range matrix."""
     diff = sat_pos[:, None, :] - gs_pos[None, :, :]  # (N, M, 3)
@@ -147,8 +146,8 @@ def _nearest_interplane_pairs(shell, sat_pos):
 
 def build_snapshot(
     shell: WalkerShell,
-    elements,
-    stations,
+    elements: ElementArrays,
+    gs_pos: np.ndarray,
     t: float,
     min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG,
     isl_mode: str = "fixed_grid",
@@ -156,19 +155,17 @@ def build_snapshot(
 ) -> TopologySnapshot:
     """Positions plus ISL/GSL edge lists at time ``t``.
 
-    ``elements`` is a list of ``SatelliteElement`` or, to pack them once
-    for a whole series, their ``ElementArrays``; ``stations`` is a list
-    of ``GroundStation`` or their ECEF positions. ``isl_mode`` is
-    "fixed_grid" (index-based pairing, stable over time, built once per
-    shell) or "nearest" (recompute the inter-plane neighbor each
-    snapshot). ``gsl_limit`` (at least 1) caps links per satellite to the
-    nearest visible stations; default unlimited.
+    ``elements`` are the packed satellites (``pack_elements``) and
+    ``gs_pos`` the stations' ECEF positions (``station_positions``), both
+    made once for a whole series. ``isl_mode`` is "fixed_grid"
+    (index-based pairing, stable over time, built once per shell) or
+    "nearest" (recompute the inter-plane neighbor each snapshot).
+    ``gsl_limit`` (at least 1) caps links per satellite to the nearest
+    visible stations; default unlimited.
     """
     if gsl_limit is not None and gsl_limit < 1:
         raise ValueError(f"gsl_limit must be at least 1, got {gsl_limit}")
-    packed = elements if isinstance(elements, ElementArrays) else pack_elements(elements)
-    sat_pos = propagate(packed, t)
-    gs_pos = station_positions(stations) if isinstance(stations, list) else stations
+    sat_pos = propagate(elements, t)
 
     if isl_mode == "fixed_grid":
         isl_pairs = _isl_grid_pairs(shell)
@@ -231,17 +228,16 @@ def _to_csr(snapshot: TopologySnapshot):
     return indptr, dst.astype(np.int64), w.astype(np.float64), n
 
 
-def shortest_distances(snapshot: TopologySnapshot) -> DistanceField:
-    """Dijkstra from every ground station over the ISL+GSL union graph."""
+def shortest_distances(snapshot: TopologySnapshot) -> np.ndarray:
+    """Dijkstra from every ground station over the ISL+GSL union graph:
+    the (n_sats, n_stations) km array, inf where unreachable."""
     n_sats, n_stations = snapshot.n_sats, snapshot.n_stations
     if snapshot.isl_km.size + snapshot.gsl_km.size == 0:
-        d = np.full((n_sats, n_stations), np.inf)
-        return DistanceField(t=snapshot.t, d=d)
+        return np.full((n_sats, n_stations), np.inf)
     indptr, indices, weights, n = _to_csr(snapshot)
     sources = np.arange(n_sats, n_sats + n_stations)
     dist = kernels.dijkstra_from_sources(indptr, indices, weights, n, sources)
-    d = dist[:, :n_sats].T.copy()  # (n_sats, n_stations)
-    return DistanceField(t=snapshot.t, d=d)
+    return dist[:, :n_sats].T
 
 
 def nearest_field_index(times, t) -> int:
@@ -279,11 +275,12 @@ def snapshot_to_dict(snapshot: TopologySnapshot) -> dict:
     }
 
 
-def field_to_dict(f: DistanceField) -> dict:
-    reachable = np.isfinite(f.d)
+def field_to_dict(t, d: np.ndarray) -> dict:
+    """One snapshot's row ``d`` of a ``DistanceFields`` at time ``t``."""
+    reachable = np.isfinite(d)
     return {
-        "t": f.t,
-        "d_km": np.where(reachable, f.d, -1.0).tolist(),
+        "t": t,
+        "d_km": np.where(reachable, d, -1.0).tolist(),
         "reachable": reachable.astype(int).tolist(),
     }
 
@@ -305,26 +302,26 @@ def write_json_array(items, path):
         fh.write("]\n")
 
 
-def write_fields_csv(fields, path):
+def write_fields_json(fields: DistanceFields, path):
+    write_json_array((field_to_dict(t, d) for t, d in zip(fields.times, fields.d)), path)
+
+
+def write_fields_csv(fields: DistanceFields, path):
     """One row per (t, sat, station, km); unreachable pairs get km=-1.
 
-    Each field's rows are formatted as ``csv.writer`` would write them:
+    Each snapshot's rows are formatted as ``csv.writer`` would write them:
     CRLF line ends, ``repr`` of ``t`` as a float and ``km`` to six
-    decimals. One ``%`` template per field shape holds every row's
-    ``sat,station``; each field puts its ``t`` in with ``str.replace``
-    and its distances in with one ``%``.
+    decimals. One ``%`` template holds every row's ``sat,station``; each
+    snapshot puts its ``t`` in with ``str.replace`` and its distances in
+    with one ``%``.
     """
+    _, n_sats, n_stations = fields.d.shape
+    template = "".join(f"\0,{s},{g},%.6f\r\n" for s in range(n_sats) for g in range(n_stations))
     with open(path, "w", newline="") as fh:
         fh.write("t_s,sat,station,km\r\n")
-        shape = template = None
-        for f in fields:
-            if f.d.shape != shape:
-                shape = f.d.shape
-                template = "".join(
-                    f"\0,{s},{g},%.6f\r\n" for s in range(shape[0]) for g in range(shape[1])
-                )
-            km = np.where(np.isfinite(f.d), f.d, -1.0)
-            fh.write(template.replace("\0", repr(float(f.t))) % tuple(km.ravel().tolist()))
+        for t, d in zip(fields.times, fields.d):
+            km = np.where(np.isfinite(d), d, -1.0)
+            fh.write(template.replace("\0", repr(float(t))) % tuple(km.ravel().tolist()))
 
 
 def write_snapshots_json(snapshots, path):

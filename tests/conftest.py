@@ -27,13 +27,12 @@ def desk_stations():
 
 
 def random_distance_fields(rng, n_fields, n_sats, n_stations, lo=1.0, hi=1000.0):
-    """Synthetic distance fields with integer-valued km entries."""
-    from leocp.topology import DistanceField
-
-    return [
-        DistanceField(
-            t=float(i),
-            d=rng.integers(int(lo), int(hi), size=(n_sats, n_stations)).astype(float),
-        )
-        for i in range(n_fields)
-    ]
+    """Synthetic ``(n_fields, n_sats, n_stations)`` distances, as
+    ``DistanceFields.d``, with integer-valued km entries; one draw per
+    snapshot."""
+    return np.stack(
+        [
+            rng.integers(int(lo), int(hi), size=(n_sats, n_stations)).astype(float)
+            for _ in range(n_fields)
+        ]
+    )

@@ -71,12 +71,9 @@ def test_equatorial_min_distance_is_altitude():
 
 
 def test_network_metric_reads_fields():
-    from leocp.topology import DistanceField
+    from leocp.topology import DistanceFields
 
-    fields = [
-        DistanceField(t=0.0, d=np.array([[100.0, 300.0]])),
-        DistanceField(t=60.0, d=np.array([[200.0, 250.0]])),
-    ]
+    fields = DistanceFields([0.0, 60.0], np.array([[[100.0, 300.0]], [[200.0, 250.0]]]))
     stations = {
         0: GroundStation(0, "a", 0.0, 0.0),
         1: GroundStation(1, "b", 0.0, 90.0),

@@ -94,6 +94,36 @@ SNAPSHOT_FILES = ("snapshots.json", "fields.json", "distances.csv")
 DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
 
 
+def test_all_hands_every_placement_solve_the_one_distance_array(tmp_path, monkeypatch):
+    import leocp.cli
+    import leocp.placement
+
+    built, seen = [], {}
+
+    def spy(name, fn, fields_of):
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, []).append(fields_of(args))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def recorded_build(cfg):
+        built.append(build(cfg))
+        return built[-1]
+
+    build = leocp.cli.build_fields
+    monkeypatch.setattr(leocp.cli, "build_fields", recorded_build)
+    monkeypatch.setattr(leocp.placement, "cnpa", spy("cnpa", leocp.placement.cnpa,
+                                                     lambda args: args[0].fields))
+    for name in ("random_select", "best_single", "exhaustive_optimal"):
+        fn = getattr(leocp.placement, name)
+        monkeypatch.setattr(leocp.placement, name, spy(name, fn, lambda args: args[0]))
+    assert main(["all", "--config", DESK_CONFIG, "--out", str(tmp_path / "all")]) == 0
+    assert len(built) == 1
+    assert seen.keys() == {"cnpa", "random_select", "best_single", "exhaustive_optimal"}
+    assert all(d is built[0][2].d for calls in seen.values() for d in calls)
+
+
 def test_all_forks_one_snapshot_writer(tmp_path, capfd, monkeypatch):
     forks = []
     fork = os.fork

@@ -5,8 +5,8 @@ the default run. Invoke with:
 
 Expected wall time is about 20 seconds on a 2-core machine: the event
 engine runs the handover steps only, and the status reports are derived
-in bulk afterwards. The full-day schedule test alone (``-k schedule``)
-takes about 2 seconds.
+in bulk afterwards. The full-day schedule and distance-field digests
+alone (``-k "schedule or fields"``) take about 2 and 4 seconds.
 """
 import hashlib
 import json
@@ -21,7 +21,8 @@ from leocp.assignment import AssignmentParams
 from leocp.config import load_config
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation
 from leocp.protocol import ConstantLatency, Protocol
-from leocp.scenario import ScenarioSpec, predict_schedules, run_scenario
+from leocp.scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
+from leocp.topology import write_fields_csv, write_fields_json
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -42,6 +43,25 @@ def test_starlink_daily_schedule_digest():
     assert hashlib.sha256((data + "\n").encode()).hexdigest() == (
         "e64c44271f4d9b53668d050f6599953276d8bfabe96db2bd4c4f369028f1ba7c"
     )
+
+
+@pytest.mark.slow
+def test_starlink_daily_fields_digest(tmp_path):
+    # the full-day Starlink distance fields, pinned byte for byte as
+    # ``leocp snapshot`` writes ``fields.json`` and ``distances.csv``
+    spec = load_config(os.path.join(CONFIGS, "starlink_fullscale.json"))
+    fields = build_fields(spec)[2]
+    assert fields.d.shape == (289, 1584, 2)
+    write_fields_json(fields, tmp_path / "fields.json")
+    write_fields_csv(fields, tmp_path / "distances.csv")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fields.json", "distances.csv")
+    }
+    assert digests == {
+        "fields.json": "1f32787d93b6d3609da943338037ecae60c8cc2d7544c863c789da3129ddf1c8",
+        "distances.csv": "fae2c18dbf49f5e25f41000d3181562d77920e9f179859cdebbfd912b4f7d960",
+    }
 
 
 @pytest.mark.slow

@@ -18,25 +18,30 @@ from leocp.placement import (
     random_select,
     select_representatives,
 )
-from leocp.topology import DistanceField
 
 
 def brute_force_objective(selected, fields):
     """Triple-loop oracle for the worst-case nearest-controller distance."""
     worst = 0.0
     for f in fields:
-        for s in range(f.d.shape[0]):
-            nearest = min(f.d[s, g] for g in selected)
+        for s in range(f.shape[0]):
+            nearest = min(f[s, g] for g in selected)
             worst = max(worst, nearest)
     return worst
 
 
-def field_of(matrix, t=0.0):
-    return DistanceField(t=t, d=np.asarray(matrix, dtype=float))
+def fields_of(*matrices):
+    """A ``(snapshots, sats, stations)`` distance array, one matrix per snapshot."""
+    return np.array(matrices, dtype=float)
+
+
+def rows_of(reps, fields):
+    """The snapshot index of each row of ``reps`` in ``fields``."""
+    return [next(i for i, f in enumerate(fields) if np.array_equal(r, f)) for r in reps]
 
 
 def test_evaluate_single_entry():
-    fields = [field_of([[100.0]])]
+    fields = fields_of([[100.0]])
     assert evaluate([0], fields) == 100.0
 
 
@@ -70,12 +75,11 @@ def test_evaluate_monotone_in_selection():
 
 def test_evaluate_empty_selection_raises():
     with pytest.raises(EmptySelection):
-        evaluate([], [field_of([[1.0]])])
+        evaluate([], fields_of([[1.0]]))
 
 
 def test_evaluate_unreachable_is_infinite():
-    d = np.array([[np.inf, 5.0]])
-    fields = [DistanceField(t=0.0, d=d)]
+    fields = fields_of([[np.inf, 5.0]])
     assert math.isinf(evaluate([0], fields))
     assert evaluate([0, 1], fields) == 5.0
 
@@ -88,28 +92,29 @@ def test_representatives_identity_when_c_equals_n():
     rng = np.random.default_rng(2)
     fields = random_distance_fields(rng, 4, 3, 3)
     reps = select_representatives(fields, 4, seed=0)
-    assert reps == list(fields)
+    assert reps is fields
 
 
 def test_representatives_c1_nearest_global_mean():
     mats = [np.full((2, 2), v, dtype=float) for v in (0.0, 10.0, 11.0, 30.0)]
-    fields = [field_of(m, t=float(i)) for i, m in enumerate(mats)]
+    fields = fields_of(*mats)
     reps = select_representatives(fields, 1, seed=3)
     # global mean value is 12.75; field with value 10 or 11 is nearest
     assert len(reps) == 1
-    assert reps[0] is fields[2]  # 11.0 is closest to 12.75
+    assert rows_of(reps, fields) == [2]  # 11.0 is closest to 12.75
 
 
 def test_representatives_pick_one_per_group():
     rng = np.random.default_rng(9)
     base_a = rng.uniform(1, 10, size=(3, 3))
     base_b = base_a + 500.0
-    fields = [field_of(base_a + rng.normal(0, 0.01, base_a.shape), t=float(i)) for i in range(4)]
-    fields += [field_of(base_b + rng.normal(0, 0.01, base_b.shape), t=float(4 + i)) for i in range(4)]
+    fields = fields_of(
+        *[base_a + rng.normal(0, 0.01, base_a.shape) for _ in range(4)],
+        *[base_b + rng.normal(0, 0.01, base_b.shape) for _ in range(4)],
+    )
     reps = select_representatives(fields, 2, seed=1)
     assert len(reps) == 2
-    groups = {id(f): (0 if i < 4 else 1) for i, f in enumerate(fields)}
-    assert {groups[id(r)] for r in reps} == {0, 1}
+    assert {0 if i < 4 else 1 for i in rows_of(reps, fields)} == {0, 1}
 
 
 def test_representatives_deterministic():
@@ -117,7 +122,8 @@ def test_representatives_deterministic():
     fields = random_distance_fields(rng, 10, 4, 4)
     a = select_representatives(fields, 3, seed=7)
     b = select_representatives(fields, 3, seed=7)
-    assert [id(x) for x in a] == [id(x) for x in b]
+    assert rows_of(a, fields) == rows_of(b, fields)
+    assert rows_of(a, fields) == sorted(rows_of(a, fields))  # time order
 
 
 def _norm_loop_representatives(fields, clusters, seed):
@@ -143,7 +149,7 @@ def _norm_loop_representatives(fields, clusters, seed):
         if members.size:
             dists = np.linalg.norm(x[members] - centers[c], axis=1)
             picked.add(int(members[np.argmin(dists)]))
-    return [fields[i] for i in sorted(picked)]
+    return sorted(picked)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -157,7 +163,8 @@ def test_representatives_above_the_blas_threshold_match_the_norm_loop(monkeypatc
     for i in range(12):
         d = regimes[i % 3] * rng.uniform(0.9, 1.1) + rng.normal(0.0, 50.0, size=(2000, 6))
         d[rng.random(d.shape) < 0.01] = np.inf
-        fields.append(field_of(d, t=60.0 * i))
+        fields.append(d)
+    fields = fields_of(*fields)
     expected = _norm_loop_representatives(fields, 4, seed)
 
     norm = np.linalg.norm
@@ -168,7 +175,7 @@ def test_representatives_above_the_blas_threshold_match_the_norm_loop(monkeypatc
 
     monkeypatch.setattr(np.linalg, "norm", no_long_vector_norm)
     got = select_representatives(fields, 4, seed=seed)
-    assert [id(f) for f in got] == [id(f) for f in expected]
+    assert rows_of(got, fields) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +192,7 @@ def test_greedy_k1_matches_exhaustive():
 
 
 def test_greedy_prefers_covering_station():
-    d = np.array([[1.0, 1000.0], [1.0, 1000.0], [1.0, 1000.0]])
-    fields = [field_of(d)]
+    fields = fields_of([[1.0, 1000.0], [1.0, 1000.0], [1.0, 1000.0]])
     assert greedy_select(fields, [0, 1], 1) == [0]
 
 
@@ -201,15 +207,13 @@ def test_greedy_never_beats_exhaustive():
 
 
 def test_greedy_infeasible_raises():
-    d = np.array([[np.inf, np.inf], [1.0, 2.0]])
-    fields = [DistanceField(t=0.0, d=d)]
+    fields = fields_of([[np.inf, np.inf], [1.0, 2.0]])
     with pytest.raises(InfeasibleInstance):
         greedy_select(fields, [0, 1], 1)
 
 
 def test_greedy_tie_breaks_lowest_index():
-    d = np.array([[7.0, 7.0, 7.0]])
-    fields = [field_of(d)]
+    fields = fields_of([[7.0, 7.0, 7.0]])
     assert greedy_select(fields, [0, 1, 2], 1) == [0]
 
 
@@ -287,8 +291,8 @@ def test_exhaustive_full_set_and_k1():
 def test_exhaustive_ties_break_lexicographically():
     # stations 0,1 and 2,3 are interchangeable; the lexicographically
     # smallest optimal pair wins
-    d = np.array([[5.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 5.0]])
-    sol = exhaustive_optimal([field_of(d)], range(4), 2)
+    d = [[5.0, 5.0, 5.0, 5.0], [5.0, 5.0, 5.0, 5.0]]
+    sol = exhaustive_optimal(fields_of(d), range(4), 2)
     assert sol.selected == (0, 1)
 
 
@@ -326,7 +330,8 @@ def test_cnpa_clustering_proxy_on_structured_instances():
     fields = []
     for i in range(10):
         base = regime_a if i % 2 == 0 else regime_b
-        fields.append(field_of(base + rng.normal(0.0, 0.5, base.shape), t=float(i)))
+        fields.append(base + rng.normal(0.0, 0.5, base.shape))
+    fields = fields_of(*fields)
     problem = PlacementProblem(fields=fields, candidates=list(range(6)), k=2, clusters=2, seed=4)
     sol = cnpa(problem)
     opt = exhaustive_optimal(fields, range(6), 2)
@@ -351,7 +356,7 @@ def test_best_single_matches_k1_exhaustive():
 
 
 def test_problem_invariants():
-    fields = [field_of([[1.0]])]
+    fields = fields_of([[1.0]])
     with pytest.raises(ValueError):
         PlacementProblem(fields=fields, candidates=[0], k=2, clusters=1)
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from leocp.protocol import (
     start_legacy,
     start_seamless,
 )
-from leocp.topology import DistanceField
+from leocp.topology import DistanceFields
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -325,15 +325,14 @@ def test_constant_latency_self_is_zero():
 
 def test_snapshot_latency_gsl_one_ms():
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 0.0, 180.0)]
-    f = DistanceField(t=0.0, d=np.array([[299.792458, 1000.0]]))
-    lat = SnapshotLatency([f], stations)
+    lat = SnapshotLatency(DistanceFields([0.0], np.array([[[299.792458, 1000.0]]])), stations)
     assert lat(("sat", 0), ("gs", 0), 0.0) == pytest.approx(1.0)
 
 
 def test_snapshot_latency_antipodal_stations():
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 0.0, 180.0)]
-    f = DistanceField(t=0.0, d=np.array([[1.0, 1.0]]))
-    lat = SnapshotLatency([f], stations, terrestrial_factor=2.0)
+    f = DistanceFields([0.0], np.array([[[1.0, 1.0]]]))
+    lat = SnapshotLatency(f, stations, terrestrial_factor=2.0)
     # 2 * pi * R / c computed independently: 2 * 20015.09 km / 299.79 km/ms
     expected = 2.0 * math.pi * 6371.0 / 299.792458
     assert lat(("gs", 0), ("gs", 1), 0.0) == pytest.approx(expected, abs=0.01)
@@ -342,8 +341,7 @@ def test_snapshot_latency_antipodal_stations():
 
 def test_snapshot_latency_unreachable_is_inf():
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 0.0, 180.0)]
-    f = DistanceField(t=0.0, d=np.array([[np.inf, 5.0]]))
-    lat = SnapshotLatency([f], stations)
+    lat = SnapshotLatency(DistanceFields([0.0], np.array([[[np.inf, 5.0]]])), stations)
     assert math.isinf(lat(("sat", 0), ("gs", 0), 0.0))
     sim = Simulation([0, 1], [0], latency=lat)
     sim.bind_initial(0, 0)
@@ -353,9 +351,8 @@ def test_snapshot_latency_unreachable_is_inf():
 
 def test_snapshot_latency_picks_nearest_in_time():
     stations = [GroundStation(0, "a", 0.0, 0.0)]
-    f0 = DistanceField(t=0.0, d=np.array([[299.792458]]))
-    f1 = DistanceField(t=100.0, d=np.array([[2.0 * 299.792458]]))
-    lat = SnapshotLatency([f0, f1], stations)
+    fields = DistanceFields([0.0, 100.0], np.array([[[299.792458]], [[2.0 * 299.792458]]]))
+    lat = SnapshotLatency(fields, stations)
     assert lat(("sat", 0), ("gs", 0), 10.0) == pytest.approx(1.0)
     assert lat(("sat", 0), ("gs", 0), 90.0) == pytest.approx(2.0)
 

@@ -27,11 +27,12 @@ from leocp.protocol import (
     Simulation,
     SnapshotLatency,
     _tick_grid,
+    node_visible,
     start_legacy,
     start_seamless,
 )
 from leocp.scenario import run_scenario
-from leocp.topology import DistanceField
+from leocp.topology import DistanceFields
 
 DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
 
@@ -113,12 +114,11 @@ def snapshot_latency(seed):
     def build():
         rng = np.random.default_rng(seed)
         stations = [GroundStation(g, f"gs{g}", 0.0, 60.0 * g) for g in range(3)]
-        fields = []
-        for i in range(16):
-            d = rng.integers(0, 3000, size=(3, 3)).astype(float)
-            d[rng.random((3, 3)) < 0.03] = np.inf
-            fields.append(DistanceField(t=4.0 * i, d=d))
-        return SnapshotLatency(fields, stations)
+        d = []
+        for _ in range(16):
+            d.append(rng.integers(0, 3000, size=(3, 3)).astype(float))
+            d[-1][rng.random((3, 3)) < 0.03] = np.inf
+        return SnapshotLatency(DistanceFields([4.0 * i for i in range(16)], np.array(d)), stations)
 
     return build
 
@@ -289,15 +289,10 @@ def unreachable_case(handover):
     stations = [GroundStation(g, f"gs{g}", 0.0, 90.0 * g) for g in range(3)]
 
     def build():
-        fields = []
-        for i in range(7):
-            d = np.full((1, 3), 900.0)
-            if i >= 3:
-                d[0, 0] = np.inf
-            if i >= 1:
-                d[0, 1] = np.inf
-            fields.append(DistanceField(t=10.0 * i, d=d))
-        return SnapshotLatency(fields, stations)
+        d = np.full((7, 1, 3), 900.0)
+        d[3:, 0, 0] = np.inf
+        d[1:, 0, 1] = np.inf
+        return SnapshotLatency(DistanceFields([10.0 * i for i in range(7)], d), stations)
 
     return {
         "initial": [0], "handovers": [[(12.0, 1)] if handover else []], "duration": 60.0,
@@ -428,8 +423,7 @@ def test_accepts_out_of_tick_order_stay_general():
     # 2 ms ticks; the report leg drops from 10 ms to 1 ms at t=0.5, so the
     # tick after it is accepted before the tick at it
     stations = [GroundStation(g, f"gs{g}", 0.0, 60.0 * g) for g in range(3)]
-    fields = [DistanceField(t=0.0, d=np.full((1, 3), 3000.0)),
-              DistanceField(t=1.0, d=np.full((1, 3), 300.0))]
+    fields = DistanceFields([0.0, 1.0], np.array([np.full((1, 3), 3000.0), np.full((1, 3), 300.0)]))
     case = {
         "initial": [0], "handovers": [[]], "duration": 1.0, "interval": 0.002,
         "latency": lambda: SnapshotLatency(fields, stations), "delays": DelayProfile.zero(),
@@ -450,9 +444,9 @@ def test_source_released_before_the_last_accept_stays_general():
     # every tick; the tick's 100 ms report leg lands after the 1 km legs of
     # the handover have released gs 0, and its accept is refused.
     stations = [GroundStation(g, f"gs{g}", 0.0, 1.0 * g) for g in range(3)]
-    far = np.full((1, 3), 30000.0)
-    fields = [DistanceField(t=10.0 * i, d=far) for i in range(3)]
-    fields.append(DistanceField(t=20.02, d=np.full((1, 3), 1.0)))
+    d = np.full((4, 1, 3), 30000.0)
+    d[3] = 1.0
+    fields = DistanceFields([0.0, 10.0, 20.0, 20.02], d)
     case = {
         "initial": [0], "handovers": [[(20.015, 1)]], "duration": 20.0, "interval": 10.0,
         "latency": lambda: SnapshotLatency(fields, stations), "delays": DelayProfile.zero(),
@@ -531,6 +525,26 @@ def test_a_second_reporting_run_keeps_the_first_runs_accepts():
     assert len(got[(0, 0)]) == 1 + 4 + 3
 
 
+def test_report_log_stays_in_time_order_across_runs():
+    # the second handover's accepts come after every report of the first
+    # run; the third's report at about 9.5 s comes before them
+    def run(cls):
+        sim = cls([0, 1], [0], latency=ConstantLatency(5.0), report_interval=10.0)
+        sim.bind_initial(0, 0)
+        sim.start_reporting(30.0)
+        sim.run()
+        for target, t in ((1, 5.0), (0, 8.0)):
+            start_seamless(sim, 0, target, t)
+            sim.run()
+        return sim
+
+    sim = run(Simulation)
+    log = sim.report_log[(0, 0)]
+    assert log == sorted(log) and len(log) == 6
+    assert log == run(PerEventSimulation).report_log[(0, 0)]
+    assert node_visible(sim, 0, 35.0)
+
+
 def test_accepts_wait_for_the_first_read_of_the_report_log(monkeypatch):
     calls = []
     accepted = Simulation._accepted
@@ -573,12 +587,11 @@ def test_tick_grid_is_repeated_addition(interval, duration):
 def test_vector_snapshot_latency_matches_scalar_lookup():
     rng = np.random.default_rng(29)
     stations = [GroundStation(g, f"gs{g}", 10.0 * g, 40.0 * g) for g in range(4)]
-    fields = []
-    for i in range(9):
-        d = rng.uniform(500.0, 20000.0, size=(6, 4))
-        d[rng.random((6, 4)) < 0.1] = np.inf
-        fields.append(DistanceField(t=60.0 * i, d=d))
-    lat = SnapshotLatency(fields, stations)
+    d = []
+    for _ in range(9):
+        d.append(rng.uniform(500.0, 20000.0, size=(6, 4)))
+        d[-1][rng.random((6, 4)) < 0.1] = np.inf
+    lat = SnapshotLatency(DistanceFields([60.0 * i for i in range(9)], np.array(d)), stations)
     times = np.concatenate([[-5.0, 0.0, 30.0, 29.999, 90.0], np.arange(0.0, 600.0, 7.5), [481.0, 900.0]])
     sats = [5, 0, 3]
     gs = rng.integers(0, 4, size=(len(sats), len(times)))

@@ -16,19 +16,33 @@ from leocp.orbits import (
     station_positions,
 )
 from leocp.topology import (
-    DistanceField,
+    DistanceFields,
     TopologySnapshot,
+    _visibility_matrix,
     build_isl_grid,
     build_snapshot,
     distance_to_latency,
     field_to_dict,
     nearest_field_index,
     shortest_distances,
-    visible,
     write_fields_csv,
+    write_fields_json,
     write_json_array,
     write_snapshots_json,
 )
+
+
+def snapshot_at(shell, stations, t, **kwargs):
+    """``build_snapshot`` of the shell's packed elements and the stations'
+    positions."""
+    elements = pack_elements(generate_constellation(shell))
+    return build_snapshot(shell, elements, station_positions(stations), t, **kwargs)
+
+
+def visible(sat_pos, gs_pos, min_elevation_deg):
+    """One satellite-station entry of the rule ``build_snapshot`` runs."""
+    vis, _ = _visibility_matrix(sat_pos[None, :], gs_pos[None, :], min_elevation_deg)
+    return bool(vis[0, 0])
 
 
 def degrees_of(pairs):
@@ -74,6 +88,7 @@ def test_visible_overhead_and_antipode():
     assert visible(overhead, gs, 90.0)
     assert visible(overhead, gs, 25.0)
     assert not visible(-overhead, gs, 0.0)
+    assert not visible(gs, gs, 0.0)  # no link to a satellite at range 0
 
 
 def test_visibility_threshold_range_oracle():
@@ -95,28 +110,24 @@ def test_visibility_threshold_range_oracle():
 
 def test_snapshot_isl_set_time_invariant():
     shell = WalkerShell(3, 4, 53.0, 550.0)
-    elements = generate_constellation(shell)
     stations = [GroundStation(0, "x", 0.0, 0.0)]
-    period = elements[0].period_s
-    s0 = build_snapshot(shell, elements, stations, 0.0)
-    s1 = build_snapshot(shell, elements, stations, period)
+    period = generate_constellation(shell)[0].period_s
+    s0 = snapshot_at(shell, stations, 0.0)
+    s1 = snapshot_at(shell, stations, period)
     assert np.array_equal(s0.isl_pairs, s1.isl_pairs)
 
 
 def test_snapshot_radial_gsl_weight_is_altitude():
     shell = WalkerShell(1, 1, 0.0, 550.0)
-    elements = generate_constellation(shell)
-    stations = [GroundStation(0, "x", 0.0, 0.0)]
-    snap = build_snapshot(shell, elements, stations, 0.0)
+    snap = snapshot_at(shell, [GroundStation(0, "x", 0.0, 0.0)], 0.0)
     assert snap.gsl_pairs.shape[0] == 1
     assert snap.gsl_km[0] == pytest.approx(550.0, abs=1e-9)
 
 
 def test_snapshot_counts():
     shell = WalkerShell(3, 4, 53.0, 550.0)
-    elements = generate_constellation(shell)
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 30.0, 100.0)]
-    snap = build_snapshot(shell, elements, stations, 0.0)
+    snap = snapshot_at(shell, stations, 0.0)
     assert snap.isl_pairs.shape[0] == 24
     assert snap.gsl_pairs.shape[0] >= 0
     assert np.all(snap.isl_km > 0)
@@ -125,14 +136,13 @@ def test_snapshot_counts():
 
 def test_gsl_limit_caps_links():
     shell = WalkerShell(6, 8, 53.0, 1200.0, phasing_factor=1)
-    elements = generate_constellation(shell)
     stations = [
         GroundStation(0, "a", 0.0, 0.0),
         GroundStation(1, "b", 5.0, 5.0),
         GroundStation(2, "c", -5.0, -5.0),
     ]
-    unlimited = build_snapshot(shell, elements, stations, 0.0, min_elevation_deg=5.0)
-    limited = build_snapshot(shell, elements, stations, 0.0, min_elevation_deg=5.0, gsl_limit=1)
+    unlimited = snapshot_at(shell, stations, 0.0, min_elevation_deg=5.0)
+    limited = snapshot_at(shell, stations, 0.0, min_elevation_deg=5.0, gsl_limit=1)
     per_sat = Counter(limited.gsl_pairs[:, 0].tolist())
     assert max(per_sat.values()) <= 1
     assert limited.gsl_pairs.shape[0] <= unlimited.gsl_pairs.shape[0]
@@ -175,13 +185,12 @@ def test_gsl_limit_below_one_rejected(limit):
     shell = WalkerShell(2, 3, 53.0, 1200.0)
     stations = [GroundStation(0, "a", 0.0, 0.0)]
     with pytest.raises(ValueError, match="gsl_limit"):
-        build_snapshot(shell, generate_constellation(shell), stations, 0.0, gsl_limit=limit)
+        snapshot_at(shell, stations, 0.0, gsl_limit=limit)
 
 
 def test_nearest_isl_mode_keeps_degree():
     shell = WalkerShell(4, 5, 53.0, 550.0, phasing_factor=1)
-    elements = generate_constellation(shell)
-    snap = build_snapshot(shell, elements, [GroundStation(0, "x", 0.0, 0.0)], 0.0, isl_mode="nearest")
+    snap = snapshot_at(shell, [GroundStation(0, "x", 0.0, 0.0)], 0.0, isl_mode="nearest")
     assert snap.isl_pairs.shape[0] >= 4 * 5  # intra-plane ring plus inter-plane links
 
 
@@ -254,8 +263,8 @@ def test_shortest_distances_direct_edge():
         gsl_pairs=np.array([[0, 0]], dtype=np.int64),
         gsl_km=np.array([123.0]),
     )
-    f = shortest_distances(snap)
-    assert f.d[0, 0] == 123.0
+    d = shortest_distances(snap)
+    assert d[0, 0] == 123.0
 
 
 def test_shortest_distances_two_hop():
@@ -268,31 +277,31 @@ def test_shortest_distances_two_hop():
         gsl_pairs=np.array([[1, 0]], dtype=np.int64),
         gsl_km=np.array([40.0]),
     )
-    f = shortest_distances(snap)
-    assert f.d[0, 0] == 110.0
-    assert f.d[1, 0] == 40.0
+    d = shortest_distances(snap)
+    assert d[0, 0] == 110.0
+    assert d[1, 0] == 40.0
 
 
 def test_shortest_distances_match_floyd_warshall():
     rng = np.random.default_rng(42)
     for _ in range(50):
         snap = random_snapshot(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
-        f = shortest_distances(snap)
+        d = shortest_distances(snap)
         expected = oracle_field(snap)
-        assert np.array_equal(f.d, expected)
+        assert d.shape == (snap.n_sats, snap.n_stations)
+        assert np.array_equal(d, expected)
 
 
 def test_distance_lower_bounded_by_euclidean():
     shell = WalkerShell(4, 6, 53.0, 1200.0, phasing_factor=1)
-    elements = generate_constellation(shell)
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 40.0, 120.0)]
-    snap = build_snapshot(shell, elements, stations, 500.0, min_elevation_deg=10.0)
-    f = shortest_distances(snap)
+    snap = snapshot_at(shell, stations, 500.0, min_elevation_deg=10.0)
+    d = shortest_distances(snap)
     straight = np.linalg.norm(
         snap.sat_positions[:, None, :] - snap.station_positions[None, :, :], axis=2
     )
-    reachable = np.isfinite(f.d)
-    assert np.all(f.d[reachable] >= straight[reachable] - 1e-9)
+    reachable = np.isfinite(d)
+    assert np.all(d[reachable] >= straight[reachable] - 1e-9)
 
 
 def test_adding_gsl_edge_never_increases_distance():
@@ -310,7 +319,7 @@ def test_adding_gsl_edge_never_increases_distance():
         gsl_km=np.concatenate([snap.gsl_km, [5.0]]),
     )
     after = shortest_distances(richer)
-    assert np.all(after.d <= base.d + 1e-12)
+    assert np.all(after <= base + 1e-12)
 
 
 def test_unreachable_flagged_not_raised():
@@ -323,9 +332,9 @@ def test_unreachable_flagged_not_raised():
         gsl_pairs=np.array([[0, 0]], dtype=np.int64),
         gsl_km=np.array([10.0]),
     )
-    f = shortest_distances(snap)
-    assert np.isfinite(f.d[0, 0])
-    assert np.isinf(f.d[1, 0])
+    d = shortest_distances(snap)
+    assert np.isfinite(d[0, 0])
+    assert np.isinf(d[1, 0])
 
 
 @pytest.mark.parametrize(
@@ -379,38 +388,21 @@ def test_snapshot_latency_and_network_sampler_use_the_lookup():
 
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 0.0, 90.0)]
     times = [0.0, 50.0, 110.0, 180.0]
-    fields = [
-        DistanceField(t=t, d=np.array([[100.0 + i, 200.0 + i]])) for i, t in enumerate(times)
-    ]
+    fields = DistanceFields(times, np.array([[[100.0 + i, 200.0 + i]] for i in range(4)]))
     latency = SnapshotLatency(fields, stations)
     for t in (-5.0, 0.0, 25.0, 80.0, 80.1, 145.0, 179.0, 300.0):
         i = nearest_field_index(times, t)
         for gs in (0, 1):
-            assert latency(("sat", 0), ("gs", gs), t) == distance_to_latency(fields[i].d[0, gs])
+            assert latency(("sat", 0), ("gs", gs), t) == distance_to_latency(fields.d[i, 0, gs])
     params = AssignmentParams(horizon_s=180.0, sample_dt_s=20.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields)
     for gs_id, km in zip(samples.gs_ids, samples.km):
-        expected = [fields[nearest_field_index(times, t)].d[0, gs_id] for t in samples.times]
+        expected = [fields.d[nearest_field_index(times, t), 0, gs_id] for t in samples.times]
         assert km.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
 # per-shell invariants
-
-
-def test_packed_elements_and_station_positions_give_the_same_snapshot():
-    shell = WalkerShell(4, 5, 53.0, 550.0, phasing_factor=1)
-    elements = generate_constellation(shell)
-    stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 30.0, 100.0)]
-    for isl_mode in ("fixed_grid", "nearest"):
-        a = build_snapshot(shell, elements, stations, 321.5, isl_mode=isl_mode, min_elevation_deg=5.0)
-        b = build_snapshot(
-            shell, pack_elements(elements), station_positions(stations), 321.5,
-            isl_mode=isl_mode, min_elevation_deg=5.0,
-        )
-        for name in ("sat_positions", "station_positions", "isl_pairs", "isl_km", "gsl_pairs",
-                     "gsl_km"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (isl_mode, name)
 
 
 def test_fixed_grid_pairing_built_once_per_shell(monkeypatch):
@@ -426,8 +418,7 @@ def test_fixed_grid_pairing_built_once_per_shell(monkeypatch):
     shells = [WalkerShell(3, 4, 53.0, 550.0), WalkerShell(3, 4, 53.0, 550.0, raan_span_deg=180.0)]
     stations = [GroundStation(0, "x", 0.0, 0.0)]
     for shell in shells:
-        elements = generate_constellation(shell)
-        snaps = [build_snapshot(shell, elements, stations, t) for t in (0.0, 60.0, 120.0)]
+        snaps = [snapshot_at(shell, stations, t) for t in (0.0, 60.0, 120.0)]
         assert all(s.isl_pairs is snaps[0].isl_pairs for s in snaps)
         assert not snaps[0].isl_pairs.flags.writeable
         assert snaps[0].isl_pairs.tolist() == [list(p) for p in real(shell)]
@@ -465,7 +456,7 @@ def _reference_snapshots_json(snapshots, path):
 
 def _reference_fields_json(fields, path):
     with open(path, "w") as fh:
-        json.dump([field_to_dict(f) for f in fields], fh)
+        json.dump([field_to_dict(t, d) for t, d in zip(fields.times, fields.d)], fh)
         fh.write("\n")
 
 
@@ -473,11 +464,20 @@ def _reference_fields_csv(fields, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "sat", "station", "km"])
-        for f in fields:
-            for s in range(f.d.shape[0]):
-                for g in range(f.d.shape[1]):
-                    km = f.d[s, g] if np.isfinite(f.d[s, g]) else -1.0
-                    writer.writerow([f.t, s, g, f"{km:.6f}"])
+        for t, d in zip(fields.times, fields.d):
+            for s in range(d.shape[0]):
+                for g in range(d.shape[1]):
+                    km = d[s, g] if np.isfinite(d[s, g]) else -1.0
+                    writer.writerow([t, s, g, f"{km:.6f}"])
+
+
+def _fields_of(snapshots):
+    """The ``DistanceFields`` of a snapshot series, as ``build_fields`` fills it."""
+    shape = (snapshots[0].n_sats, snapshots[0].n_stations) if snapshots else (0, 0)
+    d = np.empty((len(snapshots),) + shape)
+    for row, snap in zip(d, snapshots):
+        row[...] = shortest_distances(snap)
+    return DistanceFields([s.t for s in snapshots], d)
 
 
 def _writer_snapshots(case):
@@ -488,30 +488,27 @@ def _writer_snapshots(case):
     if case == "no_gsl":
         # a 90 degree mask off the sub-satellite points leaves no GSL edge
         station = GroundStation(0, "x", 12.3, 45.6)
-        snap = build_snapshot(delta, generate_constellation(delta), [station], 7.0,
-                              min_elevation_deg=90.0)
+        snap = snapshot_at(delta, [station], 7.0, min_elevation_deg=90.0)
         assert snap.gsl_pairs.shape == (0, 2)
         return [snap]
     shell = delta if case == "delta" else WalkerShell(4, 3, 86.4, 780.0, raan_span_deg=180.0)
-    elements = generate_constellation(shell)
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 30.0, 100.0)]
     # np.float64 and non-round times: both encoders must print repr(float(t))
     times = [0.0, np.float64(1.0 / 3.0), np.float64(60.0), 1234.5678901234]
-    return [build_snapshot(shell, elements, stations, t, min_elevation_deg=5.0) for t in times]
+    return [snapshot_at(shell, stations, t, min_elevation_deg=5.0) for t in times]
 
 
 @pytest.mark.parametrize("case", ["empty", "delta", "star", "no_gsl"])
 def test_writers_match_stdlib_encoders(tmp_path, case):
     snapshots = _writer_snapshots(case)
-    fields = [shortest_distances(s) for s in snapshots]
+    fields = _fields_of(snapshots)
     if case == "no_gsl":
-        assert not np.isfinite(fields[0].d).any()
+        assert not np.isfinite(fields.d).any()
     if case == "star":
-        assert np.isfinite(fields[0].d).any()
+        assert np.isfinite(fields.d).any()
     for write, reference, items in (
         (write_snapshots_json, _reference_snapshots_json, snapshots),
-        (lambda fs, p: write_json_array((field_to_dict(f) for f in fs), p), _reference_fields_json,
-         fields),
+        (write_fields_json, _reference_fields_json, fields),
         (write_fields_csv, _reference_fields_csv, fields),
     ):
         write(items, tmp_path / "new")
@@ -523,39 +520,46 @@ def test_writers_match_stdlib_encoders(tmp_path, case):
         assert (tmp_path / "snap").read_bytes() == b"[]\n"
 
 
-def test_fields_csv_rebuilds_its_template_when_the_shape_changes(tmp_path):
-    # a template per field shape: shapes change between items and come
-    # back, times have long reprs, and one field is walker-sized
+def test_fields_csv_matches_csv_writer_on_odd_times_and_ties(tmp_path):
+    # times with long reprs, .6f ties and unreachable pairs on a
+    # walker-sized series
     rng = np.random.default_rng(41)
-
-    def field(t, n_sats, n_stations):
-        d = rng.uniform(0.0, 20000.0, size=(n_sats, n_stations))
-        d[rng.random(d.shape) < 0.1] = np.inf
-        d.flat[: min(d.size, 3)] = [3 / 128, 0.0, 5 / 128][: min(d.size, 3)]  # .6f ties
-        return DistanceField(t=t, d=d)
-
-    fields = [
-        field(1.0 / 3.0, 3, 2), field(1234.5678901234, 3, 2), field(np.float64(2.0), 2, 3),
-        field(1e-7, 1296, 8), field(60.0, 0, 8), field(1e22, 1, 1), field(0.1 + 0.2, 3, 2),
-    ]
+    times = [1e-7, 0.1 + 0.2, 1.0 / 3.0, np.float64(2.0), 1234.5678901234, 1e22]
+    d = rng.uniform(0.0, 20000.0, size=(len(times), 1296, 8))
+    d[rng.random(d.shape) < 0.1] = np.inf
+    d[:, 0, :3] = [3 / 128, 0.0, 5 / 128]  # .6f ties
+    fields = DistanceFields(times, d)
     write_fields_csv(fields, tmp_path / "new")
     _reference_fields_csv(fields, tmp_path / "ref")
     text = (tmp_path / "new").read_bytes()
     assert text == (tmp_path / "ref").read_bytes()
-    assert text.count(b"\r\n") == 1 + 6 + 6 + 6 + 1296 * 8 + 0 + 1 + 6
+    assert text.count(b"\r\n") == 1 + 6 * 1296 * 8
     assert b"\r\n0.3333333333333333,0,0,0.023438\r\n" in text
-    assert b"\r\n0.30000000000000004,2,1," in text and b"\r\n1e+22,0,0," in text
+    assert b"\r\n0.30000000000000004,0,2,0.039062\r\n" in text
+    assert b"\r\n1e+22,0,0," in text and b"\r\n1e-07,0,1,0.000000\r\n" in text
+    assert b"\r\n2.0,1295,7," in text
+    assert b",-1.000000\r\n" in text
+
+
+@pytest.mark.parametrize(
+    "times,shape",
+    [([0.0, 0.0], (2, 1, 1)), ([1.0, 0.5], (2, 1, 1)), ([0.0, 1.0], (3, 1, 1)),
+     ([0.0], (1, 2))],
+)
+def test_distance_fields_reject_unordered_times_and_mismatched_shapes(times, shape):
+    with pytest.raises(ValueError):
+        DistanceFields(times, np.zeros(shape))
 
 
 def test_fields_csv_marks_partly_unreachable_pairs(tmp_path):
     d = np.array([[12.25, np.inf], [np.inf, 1.0 / 3.0], [7.0, 8.0]])
-    fields = [DistanceField(t=np.float64(90.0), d=d), DistanceField(t=150.25, d=d * 2.0)]
+    fields = DistanceFields([np.float64(90.0), 150.25], np.array([d, d * 2.0]))
     write_fields_csv(fields, tmp_path / "new")
     _reference_fields_csv(fields, tmp_path / "ref")
     text = (tmp_path / "new").read_bytes()
     assert text == (tmp_path / "ref").read_bytes()
     assert b"90.0,0,1,-1.000000\r\n" in text
     assert b"150.25,1,1,0.666667\r\n" in text
-    write_json_array((field_to_dict(f) for f in fields), tmp_path / "new")
+    write_fields_json(fields, tmp_path / "new")
     _reference_fields_json(fields, tmp_path / "ref")
     assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
