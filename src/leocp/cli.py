@@ -66,10 +66,14 @@ def _solution_dict(sol):
 
 
 def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = False) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "effective_config.json"), "w") as fh:
-        json.dump(cfg.raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "effective_config.json"), "w") as fh:
+            json.dump(cfg.raw, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"output error: cannot write to {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     stages = STAGES if stage == "all" else [stage]
     # stages after ``snapshot`` do not read its files: ``all`` forks their writer

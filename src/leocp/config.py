@@ -73,6 +73,9 @@ _METHODS = {"cnpa", "exhaustive", "random", "single"}
 
 
 def _check_keys(section: dict, allowed: dict, where: str, required=()):
+    if not isinstance(section, dict):
+        missing = f"; missing required key {required[0]!r}" if required else ""
+        raise ConfigError(f"{where} must be an object, got {type(section).__name__}{missing}")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
@@ -97,8 +100,11 @@ def _load_stations(raw, base_dir):
             path = os.path.join(base_dir, path)
         if not os.path.exists(path):
             raise ConfigError(f"stations.file does not exist: {path}")
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"stations.file {path} is not readable JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise ConfigError("stations must be a non-empty list")
     stations = []
@@ -247,6 +253,8 @@ def read_config(path: str):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {path} is not readable: {exc}") from exc
 
 
 def load_config(path: str) -> ScenarioSpec:

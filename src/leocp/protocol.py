@@ -18,7 +18,7 @@ The engine is logically single-threaded: one priority queue ordered by
 Only handover steps pass through the queue. Periodic status reports
 depend on nothing but the controller a satellite holds at each tick and
 the binding state at each accept, so they are derived in bulk from each
-satellite's controller timeline and the registry's state log. Once the
+satellite's controller log and the binding-state log. Once the
 queue drains, the latencies replay the queue's waiting list: a tick
 under a controller records its latency at once, a tick while the node
 holds none waits, and the legacy rejoin's flush records every waiting
@@ -62,7 +62,7 @@ class BindingState(Enum):
     RELEASED = "Released"
 
 
-# Allowed transitions on an existing registry entry: the target walks
+# Allowed transitions on an existing binding entry: the target walks
 # Released -> Binding -> Bound, the source walks Bound -> Releasing -> Released.
 _ALLOWED = {
     (BindingState.RELEASED, BindingState.BINDING),
@@ -84,9 +84,6 @@ class RequestStatus(Enum):
     COMPLETED = "Completed"
 
 
-_STATUS_ORDER = list(RequestStatus)
-
-
 @dataclass
 class HandoverRequest:
     request_id: int
@@ -97,15 +94,6 @@ class HandoverRequest:
     timestamps: dict = dc_field(default_factory=dict)
 
     def advance(self, status: RequestStatus, t: float):
-        if self.source_gs == self.target_gs:
-            raise ProtocolViolation("source and target controller coincide")
-        if self.status is not None:
-            if _STATUS_ORDER.index(status) != _STATUS_ORDER.index(self.status) + 1:
-                raise ProtocolViolation(
-                    f"request status {self.status.value} -> {status.value} skips a stage"
-                )
-        elif status is not RequestStatus.CREATED:
-            raise ProtocolViolation("request must start in Created")
         self.status = status
         self.timestamps[status.value] = t
 
@@ -152,12 +140,6 @@ class HandoverRecord:
     invisibility: float
     pod_unavailability: float
     protocol: Protocol
-
-
-@dataclass
-class SatelliteAgent:
-    current_gs: int | None
-    pods: dict = dc_field(default_factory=dict)  # pod name -> running flag
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +229,9 @@ def _tick_grid(duration, interval):
 
 
 class Simulation:
-    """Event engine plus controller registries and satellite agents.
+    """Event engine whose per-node state is its logs: a node's binding
+    state at a controller is the last entry of ``state_log`` (``binding``),
+    and the controller it holds the last of its controller log (``controller``).
 
     ``latency`` has two methods, both giving one-way milliseconds
     (``math.inf`` where no path exists): ``latency(a, b, t)``, one leg
@@ -279,11 +263,9 @@ class Simulation:
         self.latency = latency
         self.report_interval = report_interval
         self.grace = report_interval if grace is None else grace
-        self.registries = {g: {} for g in controllers}  # gs -> {sat: BindingState}
-        self.agents = {
-            s: SatelliteAgent(None, {f"pod-{s}-{i}": True for i in range(pods_per_sat)})
-            for s in satellites
-        }
+        self.controllers = frozenset(controllers)
+        self.satellites = frozenset(satellites)
+        self.pods_per_sat = pods_per_sat
         self._queue = []
         self._seq = itertools.count()
         self.records = []
@@ -370,7 +352,7 @@ class Simulation:
         if self.trace is not None:
             self.trace.append({"t": t, "event": event, **fields})
 
-    # -- registry ----------------------------------------------------------
+    # -- logs --------------------------------------------------------------
 
     @property
     def report_log(self):
@@ -378,7 +360,19 @@ class Simulation:
         self._settle_accepts()
         return self._report_log
 
-    def _log_state(self, gs, sat, t, state):
+    def binding(self, gs, sat):
+        """``sat``'s binding state at ``gs``: the last one logged, or None
+        if ``gs`` holds no entry for it."""
+        log = self.state_log.get((gs, sat))
+        return log[-1][1] if log else None
+
+    def controller(self, sat):
+        """The controller ``sat`` holds now, or None."""
+        log = self._controller_log.get(sat)
+        return log[-1][2] if log else None
+
+    def _log_state(self, gs, sat, state, t):
+        """Log ``sat``'s binding ``state`` at ``gs`` (None: entry removed)."""
         self._settle_accepts()
         self.state_log.setdefault((gs, sat), []).append((t, state))
         self._state_pushed.setdefault((gs, sat), []).append((self._parent[0], self._parent[2]))
@@ -392,36 +386,34 @@ class Simulation:
         marks the change that completes the reports queued while the
         node was unmanaged."""
         self._settle_accepts()
-        self.agents[sat].current_gs = gs
         self._controller_log.setdefault(sat, []).append((self._ctx[1], t, gs, flush))
 
     def bind_initial(self, sat, gs, t=0.0):
         """Bootstrap registration: entry is Bound with a synchronous
         initial status, as if the node joined before the scenario."""
-        self._set_state(gs, sat, BindingState.BOUND, t)
+        self._check_ids(sat, gs)
+        self._log_state(gs, sat, BindingState.BOUND, t)
         self._set_controller(sat, gs, t)
         self._log_report(gs, sat, t)
 
+    def _check_ids(self, sat, gs):
+        if gs not in self.controllers:
+            raise ProtocolViolation(f"gs {gs} is not a controller of this simulation")
+        if sat not in self.satellites:
+            raise ProtocolViolation(f"node {sat} is not a satellite of this simulation")
+
     def _transition(self, gs, sat, new_state, t):
-        state = self.registries[gs].get(sat)
+        state = self.binding(gs, sat)
         if state is None:
             raise ProtocolViolation(f"gs {gs} holds no entry for node {sat}")
         if (state, new_state) not in _ALLOWED:
             raise ProtocolViolation(
                 f"illegal binding transition {state.value} -> {new_state.value}"
             )
-        self._set_state(gs, sat, new_state, t)
-
-    def _set_state(self, gs, sat, state, t):
-        self.registries[gs][sat] = state
-        self._log_state(gs, sat, t, state)
-
-    def _drop_entry(self, gs, sat, t):
-        self.registries[gs].pop(sat, None)
-        self._log_state(gs, sat, t, None)
+        self._log_state(gs, sat, new_state, t)
 
     def _accept_report(self, gs, sat, t):
-        if self.registries[gs].get(sat) in VISIBLE_STATES:
+        if self.binding(gs, sat) in VISIBLE_STATES:
             self._log_report(gs, sat, t)
 
     # -- periodic status reports --------------------------------------------
@@ -437,10 +429,10 @@ class Simulation:
         before any work, past ``REPORT_BUDGET`` reports.
         """
         per_sat = max(math.floor(duration / self.report_interval), 0) + 1
-        reports = len(self.agents) * per_sat
+        reports = len(self.satellites) * per_sat
         if reports > REPORT_BUDGET:
             raise BudgetExceeded(
-                f"{len(self.agents)} satellites x {per_sat} ticks = {reports} status "
+                f"{len(self.satellites)} satellites x {per_sat} ticks = {reports} status "
                 f"reports, over the budget of {REPORT_BUDGET}; raise "
                 f"protocol.report_interval_s (now {self.report_interval})"
             )
@@ -453,7 +445,7 @@ class Simulation:
         """Per block of satellites: the first one's position, the block,
         each satellite's spans over ``ticks``, the controller it holds at
         each tick (-1: none) and the report legs to it (ms)."""
-        sats = sorted(self.agents)
+        sats = sorted(self.satellites)
         for lo in range(0, len(sats), _REPORT_BLOCK_SATS):
             block = sats[lo : lo + _REPORT_BLOCK_SATS]
             spans = [_spans(self._controller_log.get(s, ()), len(ticks)) for s in block]
@@ -561,7 +553,7 @@ def node_visible(sim: Simulation, sat: int, t: float) -> bool:
     """True iff some controller currently holds the node in a managed
     state with a sufficiently recent accepted status report."""
     window = sim.report_interval + sim.grace
-    for gs in sim.registries:
+    for gs in sim.controllers:
         log = sim.state_log.get((gs, sat))
         if not log:
             continue
@@ -595,12 +587,13 @@ def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
 
     An overlapping switch is checked first, so it raises
     ``ConcurrentHandover`` rather than a complaint about the node's
-    mid-handover binding state.
+    mid-handover binding state; unknown ids are checked next.
     """
     if sat in sim._in_flight:
         raise ConcurrentHandover(f"handover already in flight for node {sat}")
-    source_gs = sim.agents[sat].current_gs
-    if source_gs is None or sim.registries[source_gs][sat] is not BindingState.BOUND:
+    sim._check_ids(sat, target_gs)
+    source_gs = sim.controller(sat)
+    if source_gs is None or sim.binding(source_gs, sat) is not BindingState.BOUND:
         raise ProtocolViolation(f"node {sat} is not Bound anywhere; cannot hand over")
     if target_gs == source_gs:
         raise ProtocolViolation("handover target equals the current controller")
@@ -667,7 +660,7 @@ def _seamless(sim, sat, target_gs, t0):
     sim._emit(t, "sync_arrived", gs=target_gs, sat=sat)
     t = yield t + d.persist
     # target now knows the node and its pods, but is not managing it
-    sim._set_state(target_gs, sat, BindingState.RELEASED, t)
+    sim._log_state(target_gs, sat, BindingState.RELEASED, t)
     sim._emit(t, "sync_persisted", gs=target_gs, sat=sat)
     t = yield t + sim._leg_s(tgt_ep, src_ep, t)
 
@@ -725,8 +718,7 @@ def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
 def _legacy(sim, sat, target_gs, t):
     source_gs = _begin_handover(sim, sat, target_gs)
     d = sim.delays
-    agent = sim.agents[sat]
-    pods = sorted(agent.pods)
+    pods = sorted(f"pod-{sat}-{i}" for i in range(sim.pods_per_sat))
     sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
 
     # drain: cordon, then evict the pods one at a time
@@ -737,7 +729,6 @@ def _legacy(sim, sat, target_gs, t):
         t = yield t + sim._leg_s(src_ep, sat_ep, t)
         if pods_stopped is None:
             pods_stopped = t
-        agent.pods[pod] = False
         sim._emit(t, "pod_stopping", sat=sat, pod=pod)
         t = yield t + d.pod_stop
         sim._emit(t, "pod_stopped", sat=sat, pod=pod)
@@ -746,7 +737,7 @@ def _legacy(sim, sat, target_gs, t):
     # remove the node at the source, then clean up and re-authenticate
     t = yield t + d.persist
     removed = t
-    sim._drop_entry(source_gs, sat, t)
+    sim._log_state(source_gs, sat, None, t)
     sim._set_controller(sat, None, t)
     sim._emit(t, "node_removed", gs=source_gs, sat=sat)
     t = yield t + sim._leg_s(src_ep, sat_ep, t)
@@ -764,7 +755,7 @@ def _legacy(sim, sat, target_gs, t):
     sim._emit(t, "register_arrived", gs=target_gs, sat=sat)
     t = yield t + d.register
     # node object exists but carries no status yet
-    sim._set_state(target_gs, sat, BindingState.BOUND, t)
+    sim._log_state(target_gs, sat, BindingState.BOUND, t)
     sim._emit(t, "node_registered", gs=target_gs, sat=sat)
     # the node's ack and first report run beside the pod resync; the
     # second of the two legs to end records the handover
@@ -785,8 +776,6 @@ def _legacy(sim, sat, target_gs, t):
     sim._emit(t, "pod_push", sat=sat)
     t = yield t + d.client_init
     t = yield t + d.pod_start
-    for pod in pods:
-        agent.pods[pod] = True
     sim._emit(t, "pods_started", sat=sat)
     legs["pod_unavailability"] = t - pods_stopped
     if len(legs) == 2:

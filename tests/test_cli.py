@@ -148,6 +148,26 @@ def test_all_forks_one_snapshot_writer(tmp_path, capfd, monkeypatch):
         assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "stages,flags",
+    [(STAGES, []), (["simulate"], ["--protocol", "legacy", "--trace"])],
+    ids=["every-stage", "legacy-traced-simulate"],
+)
+def test_each_stage_alone_writes_the_bytes_all_writes(tmp_path, stages, flags):
+    # a stage recomputes its prerequisites instead of reading earlier files
+    args = ["--config", DESK_CONFIG, *flags]
+    assert main(["all", *args, "--out", str(tmp_path / "all")]) == 0
+    everything = read_tree(tmp_path / "all")
+    for stage in stages:
+        assert main([stage, *args, "--out", str(tmp_path / stage)]) == 0
+        alone = read_tree(tmp_path / stage)
+        assert len(alone) > 1, stage  # more than effective_config.json
+        for name, data in alone.items():
+            assert data == everything[name], (stage, name)
+    if flags:
+        assert "trace.jsonl" in alone
+
+
 def test_snapshot_alone_writes_in_process(mini_config, tmp_path, monkeypatch):
     def no_fork():
         raise AssertionError("a single stage forked")
@@ -343,6 +363,40 @@ def test_non_finite_delay_rejected_by_delay_profile():
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["gen", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+def _with_stations(stations):
+    return json.dumps({**MINI_CONFIG, "stations": stations})
+
+
+_STATIONS_FILE = _with_stations({"file": "stations.json"})
+
+
+@pytest.mark.parametrize(
+    "files,message",
+    [  # file name -> text, bytes, or None for a directory; gen reads cfg.json
+        ({"cfg.json": _with_stations([5])}, "stations[0] must be an object"),
+        ({"cfg.json": _STATIONS_FILE, "stations.json": "[1, 2]"}, "stations[0] must be an object"),
+        ({"cfg.json": _STATIONS_FILE, "stations.json": "{not json"}, "stations.file"),
+        ({"cfg.json": _STATIONS_FILE, "stations.json": None}, "stations.file"),
+        ({"cfg.json": None}, "cfg.json is not readable"),
+        ({"cfg.json": b'{"seed": "\xff\xfe"}'}, "cfg.json is not readable"),
+        ({"cfg.json": json.dumps(MINI_CONFIG), "out": "a regular file"}, "cannot write to"),
+    ],
+    ids=["station-entry-int", "stations-file-of-ints", "stations-file-not-json",
+         "stations-file-directory", "config-directory", "config-not-utf8", "out-is-a-file"],
+)
+def test_unusable_input_or_output_is_one_named_line(tmp_path, capsys, files, message):
+    for name, content in files.items():
+        if content is None:
+            (tmp_path / name).mkdir()
+        elif isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    assert main(["gen", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
 
 
 def test_stage_seed_stable():

@@ -123,9 +123,10 @@ def test_seamless_never_two_bound():
 
 
 def test_seamless_pods_never_stop():
-    sim = make_sim(one_way_ms=2.0, pods_per_sat=3)
+    sim = make_sim(one_way_ms=2.0, pods_per_sat=3, record_trace=True)
     run_seamless_handover(sim, 0, 1, 0.0)
-    assert all(sim.agents[0].pods.values())
+    events = {row["event"] for row in sim.trace}
+    assert "binding_bound" in events and "pod_stopping" not in events
     rec = sim.records[0]
     assert rec.pod_unavailability == 0.0
 
@@ -153,6 +154,30 @@ def test_handover_to_self_rejected():
         run_seamless_handover(sim, 0, 0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "misuse,message",
+    [
+        (lambda sim: sim.bind_initial(0, 7), "gs 7 is not a controller"),
+        (lambda sim: sim.bind_initial(9, 1), "node 9 is not a satellite"),
+        (lambda sim: start_seamless(sim, 0, 7, 0.0), "gs 7 is not a controller"),
+        (lambda sim: start_legacy(sim, 0, 7, 0.0), "gs 7 is not a controller"),
+        (lambda sim: start_seamless(sim, 9, 1, 0.0), "node 9 is not a satellite"),
+        (lambda sim: start_legacy(sim, 9, 1, 0.0), "node 9 is not a satellite"),
+    ],
+    ids=["bind-gs", "bind-sat", "seamless-gs", "legacy-gs", "seamless-sat", "legacy-sat"],
+)
+def test_unknown_ids_are_rejected_by_name(misuse, message):
+    # controllers 0 and 1, satellite 0: each misuse is refused before it
+    # logs anything or queues a step
+    sim = make_sim()
+    logs = (sim.state_log, sim._controller_log)
+    before = [{key: list(entries) for key, entries in log.items()} for log in logs]
+    with pytest.raises(ProtocolViolation, match=message):
+        misuse(sim)
+    assert list(logs) == before
+    assert sim._queue == [] and sim._in_flight == set()
+
+
 def test_concurrent_handover_rejected():
     sim = make_sim(one_way_ms=50.0, controllers=(0, 1, 2))
     start_seamless(sim, 0, 1, 0.0)
@@ -169,7 +194,7 @@ def test_overlapping_handover_is_concurrent_not_unbound(start, at):
     seen = []
 
     def second(t):
-        seen.append(sim.registries[0].get(0))
+        seen.append(sim.binding(0, 0))
         start(sim, 0, 2, t)
 
     sim.schedule(at, second)
@@ -262,7 +287,7 @@ def test_node_visible_throughout_seamless_at_10ms():
 def visible_oracle(sim, sat, t):
     """``node_visible`` with the state log's times listed on every call."""
     window = sim.report_interval + sim.grace
-    for gs in sim.registries:
+    for gs in sim.controllers:
         log = sim.state_log.get((gs, sat))
         if not log:
             continue

@@ -41,16 +41,16 @@ class PerEventSimulation(Simulation):
     """The engine with status reports as queued events."""
 
     def start_reporting(self, duration):
-        self.report_latencies = {sat: [] for sat in self.agents}
-        self.waiting = {sat: [] for sat in self.agents}
-        for sat in sorted(self.agents):
+        self.report_latencies = {sat: [] for sat in self.satellites}
+        self.waiting = {sat: [] for sat in self.satellites}
+        for sat in sorted(self.satellites):
             self.schedule(0.0, self._sender(sat, duration))
 
     def _sender(self, sat, duration):
         def send(t):
             if t + self.report_interval <= duration:
                 self.schedule(t + self.report_interval, send)
-            gs = self.agents[sat].current_gs
+            gs = self.controller(sat)
             if gs is None:
                 self.waiting[sat].append(t)
                 return
@@ -408,7 +408,7 @@ def test_held_by_an_unmanaged_entry_stays_general():
     # accepted; the protocols never log such an entry first
     def run(cls):
         sim = cls([0], [0], latency=ConstantLatency(5.0), report_interval=10.0)
-        sim._set_state(0, 0, BindingState.RELEASED, 0.0)
+        sim._log_state(0, 0, BindingState.RELEASED, 0.0)
         sim._set_controller(0, 0, 0.0)
         sim.start_reporting(30.0)
         sim.run()
