@@ -13,6 +13,11 @@ process writes them while the parent places, assigns, simulates and
 reports; ``run_pipeline`` waits for that child before it returns, and a
 child that fails fails the run. A stage command such as ``snapshot``
 writes them in-process.
+
+``run_pipeline`` freezes the start-up heap (``gc.freeze``) before any
+stage, and so before the fork: a full collection would walk it, free
+nothing, and make the parent copy every page it touched after the fork.
+It unfreezes on the way out, unless the caller had frozen objects itself.
 """
 import argparse
 import csv
@@ -31,7 +36,7 @@ from .errors import BudgetExceeded, ConfigError, InfeasibleInstance, LeocpError,
 from .orbits import generate_constellation
 from .reporting import aggregate, write_records_csv, write_report
 from .scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
-from .topology import write_fields_csv, write_fields_json, write_json_array, write_snapshots_json
+from .topology import write_fields_csv, write_fields_json, write_snapshots_json
 
 STAGES = ["gen", "snapshot", "place", "assign", "simulate", "report"]
 
@@ -79,6 +84,11 @@ def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = Fals
     # stages after ``snapshot`` do not read its files: ``all`` forks their writer
     state = {"fork_writer": stage == "all"}
     rc = 0
+    # frozen before the writer fork (see the module docstring); a caller's
+    # own freeze is left as it was
+    froze = gc.get_freeze_count() == 0
+    if froze:
+        gc.freeze()
     try:
         for name in stages:
             try:
@@ -95,6 +105,8 @@ def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = Fals
             except StageError as exc:
                 print(f"[snapshot] FAILED: {exc}", file=sys.stderr)
                 rc = 1
+        if froze:
+            gc.unfreeze()
     return rc
 
 
@@ -166,20 +178,23 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
     if name == "gen":
         elements = generate_constellation(cfg.shell)
         path = os.path.join(out_dir, "constellation.json")
-        write_json_array(
-            (
-                {
-                    "plane": e.sat_id[0],
-                    "slot": e.sat_id[1],
-                    "raan_rad": e.raan,
-                    "phase_rad": e.initial_phase,
-                    "semi_major_axis_km": e.semi_major_axis_km,
-                    "inclination_rad": e.inclination,
-                }
-                for e in elements
-            ),
-            path,
-        )
+        with open(path, "w") as fh:
+            fh.write(
+                json.dumps(
+                    [
+                        {
+                            "plane": e.sat_id[0],
+                            "slot": e.sat_id[1],
+                            "raan_rad": e.raan,
+                            "phase_rad": e.initial_phase,
+                            "semi_major_axis_km": e.semi_major_axis_km,
+                            "inclination_rad": e.inclination,
+                        }
+                        for e in elements
+                    ]
+                )
+            )
+            fh.write("\n")
         print(f"[gen] {len(elements)} satellites -> {path}")
 
     elif name == "snapshot":

@@ -17,7 +17,8 @@ class InfeasibleInstance(LeocpError, RuntimeError):
 
 class BudgetExceeded(LeocpError, RuntimeError):
     """A computation would exceed its work budget: exhaustive placement
-    combinations, or the status reports of a run."""
+    combinations, the status reports of a run, or the ticks of a snapshot
+    or decision grid (``kernels.TICK_BUDGET``)."""
 
 
 class OutOfHorizon(LeocpError, ValueError):

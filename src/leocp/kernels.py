@@ -16,6 +16,11 @@ import functools
 
 import numpy as np
 
+from .errors import BudgetExceeded
+
+# Ticks one grid may hold; a full day at 1 s is 86,401
+TICK_BUDGET = 10_000_000
+
 # Slack on the end-point test, relative to the satellite's largest finite
 # distance: it covers the rounding of ``np.interp`` inside an interval (a
 # few ulps of its end values), so an interval whose ends sit exactly on the
@@ -33,14 +38,27 @@ def dijkstra_from_sources(indptr, indices, weights, n_nodes, sources):
     from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
     graph = csr_matrix((weights, indices, indptr), shape=(n_nodes, n_nodes))
-    return _sp_dijkstra(graph, directed=False, indices=np.asarray(sources))
+    # directed: the CSR already holds both directions, so an undirected run
+    # would only symmetrise it again
+    return _sp_dijkstra(graph, directed=True, indices=np.asarray(sources))
 
 
 @functools.lru_cache(maxsize=16)
 def decision_ticks(decide_dt, horizon):
     """The decision grid, multiples of ``decide_dt`` in [0, horizon], as a
-    read-only array built once per (decide_dt, horizon)."""
-    ticks = np.arange(0.0, horizon + decide_dt * 0.5, decide_dt)
+    read-only array built once per (decide_dt, horizon).
+
+    Raises ``BudgetExceeded`` before allocating a grid of more than
+    ``TICK_BUDGET`` ticks.
+    """
+    stop = horizon + decide_dt * 0.5
+    n_ticks = np.ceil(stop / decide_dt)  # the length ``np.arange`` would allocate
+    if n_ticks > TICK_BUDGET:
+        raise BudgetExceeded(
+            f"a grid every {decide_dt!r} s over a {horizon!r} s horizon has "
+            f"{n_ticks:.3g} ticks, over the budget of {TICK_BUDGET:,}"
+        )
+    ticks = np.arange(0.0, stop, decide_dt)
     ticks = ticks[ticks <= horizon]
     ticks.setflags(write=False)
     return ticks

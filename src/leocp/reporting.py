@@ -1,19 +1,25 @@
 """Metric aggregation over handover records and report latencies.
 
 Report latencies stay float64 arrays from the simulation to the CDF
-file: sorted with ``np.sort``, summed per satellite with a sequential
-``np.cumsum`` (the order of Python's ``sum``), and written through
-``tolist`` so every value prints as the same float.
+file: sorted with ``np.sort``, summed for every satellite at once by one
+sequential ``np.cumsum`` along the rows of a zero-padded matrix (the
+order of Python's ``sum``), and written through ``tolist`` so every
+value prints as the same float.
 
 The records and CDF writers stream their rows with the bytes of
 ``csv.writer`` (CRLF line ends, numbers unquoted), so no whole file is
 held as one string: the records writer one generated line at a time,
 the CDF writer ``_CDF_WRITE_ROWS`` rows at a time, each chunk formatted
-by one ``%`` over a repeated row template.
+by one ``%`` over a repeated row template. ``report.json`` has the bytes
+of ``json.dump(..., indent=2, sort_keys=True)``, which has no C path:
+its per-satellite rows go ``_REPORT_WRITE_ROWS`` at a time through one
+C-encoder ``json.dumps`` and indented row templates.
 """
 import csv
+import functools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,6 +27,8 @@ from .errors import EmptyInput
 
 # CDF rows formatted and written at a time
 _CDF_WRITE_ROWS = 4096
+# per-satellite report.json rows encoded and written at a time
+_REPORT_WRITE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -55,10 +63,12 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
     for r in records:
         by_sat.setdefault(r.sat_id, []).append(r)
     sats = sorted(set(by_sat) | set(report_latencies))
+    lats = [np.asarray(report_latencies.get(s, ()), dtype=float) for s in sats]
+    all_lats = np.concatenate([np.empty(0)] + lats)
+    lat_means = _row_means(lats, all_lats)
     per_sat = {}
-    for s in sats:
+    for s, lat_mean in zip(sats, lat_means):
         recs = by_sat.get(s, [])
-        lats = report_latencies.get(s, ())
         per_sat[s] = {
             "handover_count": len(recs),
             "mean_handover_duration_s": (
@@ -66,13 +76,10 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
             ),
             "total_invisibility_s": sum(r.invisibility for r in recs),
             "total_pod_unavail_s": sum(r.pod_unavailability for r in recs),
-            "mean_report_latency_ms": _mean(lats),
+            "mean_report_latency_ms": lat_mean,
         }
 
     durations = [r.duration for r in records]
-    all_lats = np.concatenate(
-        [np.empty(0)] + [np.asarray(report_latencies.get(s, ()), dtype=float) for s in sats]
-    )
     agg = {
         "total_handovers": len(records),
         "mean_duration_s": sum(durations) / len(durations) if durations else 0.0,
@@ -89,12 +96,22 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
     return MetricsReport(per_satellite=per_sat, aggregate=agg, cdf_points=cdfs)
 
 
-def _mean(values):
-    """Mean with the left-to-right sum of Python's ``sum``; ``np.sum``
-    adds pairwise and can differ in the last bit."""
-    if not len(values):
-        return 0.0
-    return np.cumsum(values, dtype=float)[-1].item() / len(values)
+def _row_means(rows, flat):
+    """The mean of each 1-D array in ``rows`` (0.0 for an empty one), as a
+    list of floats; ``flat`` is their concatenation.
+
+    Each sum is left to right, as Python's ``sum`` adds (``np.sum`` adds
+    pairwise and can differ in the last bit): one sequential ``np.cumsum``
+    along the rows of a zero-padded matrix, read at each row's last entry.
+    The padding comes after that entry, so it changes no sum read.
+    """
+    counts = np.array([row.size for row in rows], dtype=np.intp)
+    padded = np.zeros((counts.size, max(counts.max(initial=0), 1)))
+    # a boolean mask assigns in row-major order: each row's entries, left-aligned
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = flat
+    np.cumsum(padded, axis=1, out=padded)
+    sums = padded[np.arange(counts.size), np.maximum(counts - 1, 0)]
+    return (sums / np.maximum(counts, 1)).tolist()
 
 
 def _percentiles(values):
@@ -120,21 +137,53 @@ def write_records_csv(records, path):
         )
 
 
+def _write_report_json(report: MetricsReport, fh):
+    """The text of ``json.dump({"aggregate": ..., "per_satellite": ...},
+    fh, indent=2, sort_keys=True)`` plus a newline.
+
+    ``json.dump`` with ``indent`` encodes in pure Python. Only the small
+    aggregate takes that path; the per-satellite rows, sorted by their
+    string keys, are encoded ``_REPORT_WRITE_ROWS`` at a time by one
+    C-encoder ``json.dumps`` of their keys and values, split on its
+    ``", "`` separator and set into indented row templates. So a row's
+    key must be a number and its values numbers, as ``aggregate`` makes
+    them.
+    """
+    agg = json.dumps(report.aggregate, indent=2, sort_keys=True).replace("\n", "\n  ")
+    fh.write('{\n  "aggregate": %s,\n  "per_satellite": {' % agg)
+    rows = sorted(((str(k), v) for k, v in report.per_satellite.items()), key=itemgetter(0))
+    sep = ""
+    for lo in range(0, len(rows), _REPORT_WRITE_ROWS):
+        templates, scalars = [], []
+        for key, row in rows[lo : lo + _REPORT_WRITE_ROWS]:
+            names = tuple(sorted(row))
+            templates.append(_row_template(names))
+            scalars.append(key)
+            scalars.extend(map(row.__getitem__, names))
+        fh.write(sep)
+        fh.write(",".join(templates) % tuple(json.dumps(scalars)[1:-1].split(", ")))
+        sep = ","
+    fh.write("\n  }\n}\n" if rows else "}\n}\n")
+
+
+@functools.lru_cache(maxsize=16)
+def _row_template(names):
+    """One per-satellite row of ``report.json`` at its indent, with ``%s``
+    for the encoded key and for each value in ``names`` order."""
+    if not names:
+        return "\n    %s: {}"
+    fields = ",".join(
+        "\n      %s: %%s" % json.dumps(name).replace("%", "%%") for name in names
+    )
+    return "\n    %s: {" + fields + "\n    }"
+
+
 def write_report(report: MetricsReport, out_dir):
     """report.json, a daily-overhead style table, and CDF CSVs."""
     import os
 
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(
-            {
-                "per_satellite": {str(k): v for k, v in sorted(report.per_satellite.items())},
-                "aggregate": report.aggregate,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        _write_report_json(report, fh)
     with open(os.path.join(out_dir, "report_table.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(

@@ -19,7 +19,7 @@ from leocp.assignment import (
     sample_times,
 )
 from leocp.config import load_config, parse_config
-from leocp.errors import EmptySelection, OutOfHorizon
+from leocp.errors import BudgetExceeded, EmptySelection, OutOfHorizon
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation, propagate, station_position
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -437,4 +437,13 @@ def test_decision_grid_built_once_per_interval_and_horizon():
     assert not grid.flags.writeable
     assert grid.tolist() == [1.5 * i for i in range(67)]
     assert kernels.decision_ticks(2.0, 100.0) is not grid
+    kernels.decision_ticks.cache_clear()
+
+
+def test_decision_grid_over_the_tick_budget_is_refused(monkeypatch):
+    kernels.decision_ticks.cache_clear()
+    monkeypatch.setattr(kernels, "TICK_BUDGET", 100)
+    assert kernels.decision_ticks(1.0, 99.0).shape == (100,)
+    with pytest.raises(BudgetExceeded, match="every 1.0 s over a 100.0 s horizon has 101 ticks"):
+        kernels.decision_ticks(1.0, 100.0)  # 101 ticks
     kernels.decision_ticks.cache_clear()

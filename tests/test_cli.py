@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -198,6 +199,7 @@ def test_writer_reaped_when_a_later_stage_raises(mini_config, tmp_path, monkeypa
     monkeypatch.setattr(leocp.cli, "predict_schedules", broken)
     with pytest.raises(RuntimeError, match="assign broke"):
         main(["all", "--config", mini_config, "--out", str(tmp_path / "out")])
+    assert gc.get_freeze_count() == 0  # unfrozen on the way out, too
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert all((tmp_path / "out" / name).stat().st_size > 0 for name in SNAPSHOT_FILES)
@@ -465,6 +467,90 @@ def test_report_budget_stops_tiny_interval_at_once(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert "[simulate] FAILED" in err and "protocol.report_interval_s" in err
+
+
+@pytest.mark.parametrize(
+    "section,key,stage",
+    [("topology", "snapshot_dt_s", "snapshot"), ("assignment", "decide_dt_s", "assign")],
+)
+def test_degenerate_tick_grid_is_a_named_budget_error(tmp_path, capsys, section, key, stage):
+    # 7200 s every 1e-300 s is about 7e303 ticks: refused before any allocation
+    with open(DESK_CONFIG) as fh:
+        raw = json.load(fh)
+    raw[section][key] = 1e-300
+    path = tmp_path / "desk_tiny_dt.json"
+    path.write_text(json.dumps(raw))
+    assert main([stage, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"[{stage}] FAILED: a grid every 1e-300 s over a 7200.0 s horizon" in err
+    assert "over the budget of 10,000,000" in err
+    assert "Traceback" not in err
+
+
+def _gc_state():
+    return gc.get_freeze_count(), gc.isenabled()
+
+
+def _run_all(tmp_path, config):
+    return main(["all", "--config", config, "--out", str(tmp_path / "out")])
+
+
+def _run_all_failing_in_simulate(tmp_path, config):
+    with open(DESK_CONFIG) as fh:
+        raw = json.load(fh)
+    raw["protocol"]["report_interval_s"] = 1e-3  # BudgetExceeded
+    path = tmp_path / "desk_1ms.json"
+    path.write_text(json.dumps(raw))
+    return _run_all(tmp_path, str(path))
+
+
+def _run_all_with_failing_writer(tmp_path, config):
+    (tmp_path / "out" / "snapshots.json").mkdir(parents=True)
+    return _run_all(tmp_path, config)
+
+
+@pytest.mark.parametrize(
+    "run,rc",
+    [
+        (_run_all, 0),
+        (_run_all_failing_in_simulate, 1),
+        (_run_all_with_failing_writer, 1),
+    ],
+    ids=["ok", "failing-stage", "failing-writer"],
+)
+def test_pipeline_leaves_the_gc_state_as_it_found_it(mini_config, tmp_path, monkeypatch, run, rc):
+    frozen_at_fork = []
+    fork = os.fork
+
+    def spied_fork():
+        frozen_at_fork.append(gc.get_freeze_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spied_fork)
+    before = _gc_state()
+    assert before[0] == 0
+    assert run(tmp_path, mini_config) == rc
+    assert _gc_state() == before
+    # the start-up heap was frozen when the writer forked
+    assert len(frozen_at_fork) == 1 and frozen_at_fork[0] > 0
+
+
+def test_pipeline_keeps_a_callers_frozen_heap_and_disabled_gc(mini_config, tmp_path):
+    sentinel = [[]]
+    gc.freeze()
+    gc.disable()
+    try:
+        frozen, enabled = _gc_state()
+        assert frozen > 0 and not enabled
+        assert main(["all", "--config", mini_config, "--out", str(tmp_path)]) == 0
+        # still frozen (a frozen object is in no generation), and nothing more
+        # was; the count drops by whatever frozen objects the run freed
+        assert not any(obj is sentinel for obj in gc.get_objects())
+        assert 0 < gc.get_freeze_count() <= frozen
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+        gc.unfreeze()
 
 
 def test_json_dump_only_for_indented_files():

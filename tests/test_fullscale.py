@@ -3,10 +3,12 @@ the default run. Invoke with:
 
     pytest tests/test_fullscale.py -m slow -s
 
-Expected wall time is about 20 seconds on a 2-core machine: the event
+Expected wall time is about 30 seconds on a 2-core machine: the event
 engine runs the handover steps only, and the status reports are derived
 in bulk afterwards. The full-day schedule and distance-field digests
-alone (``-k "schedule or fields"``) take about 2 and 4 seconds.
+alone (``-k "schedule or fields"``) take about 2 and 4 seconds; the
+report, records and constellation digests (``-k report``), one full
+``leocp all`` run, about 11 seconds.
 """
 import hashlib
 import json
@@ -18,6 +20,7 @@ from dataclasses import replace
 import pytest
 
 from leocp.assignment import AssignmentParams
+from leocp.cli import main
 from leocp.config import load_config
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation
 from leocp.protocol import ConstantLatency, Protocol
@@ -61,6 +64,25 @@ def test_starlink_daily_fields_digest(tmp_path):
     assert digests == {
         "fields.json": "1f32787d93b6d3609da943338037ecae60c8cc2d7544c863c789da3129ddf1c8",
         "distances.csv": "fae2c18dbf49f5e25f41000d3181562d77920e9f179859cdebbfd912b4f7d960",
+    }
+
+
+@pytest.mark.slow
+def test_starlink_daily_report_records_and_constellation_digests(tmp_path):
+    # ``leocp all`` on the full-day Starlink config: the files whose writers
+    # bypass ``json.dump`` (report.json, constellation.json) or are derived
+    # from the simulation (records.csv), pinned byte for byte
+    out = tmp_path / "out"
+    assert main(["all", "--config", os.path.join(CONFIGS, "starlink_fullscale.json"),
+                 "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("report.json", "records.csv", "constellation.json")
+    }
+    assert digests == {
+        "report.json": "5c7d6a6c2dddd85a48143809d21e767851d744d649838a2cff49e63700773d0f",
+        "records.csv": "8770a374783a7bc1c003bc9fbdfdbd64f134fdc8df04fb38717e1f985dfbf95b",
+        "constellation.json": "f348bb56a95f9ae25b732280e26b62be4c7dafe8f8b4e4c40f5a049c1a5f8e6f",
     }
 
 

@@ -1,8 +1,13 @@
 import csv
+import json
 import statistics
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leocp.errors import EmptyInput
 from leocp.protocol import HandoverRecord, Protocol
@@ -108,6 +113,42 @@ def test_cdf_matches_python_sort_and_division():
     expected = [[v, (i + 1) / n] for i, v in enumerate(sorted(values.tolist()))]
     assert cdf(values).tolist() == expected
     assert cdf(values.tolist()).tolist() == expected
+
+
+def _mean(values):
+    """The reference mean: one left-to-right ``np.cumsum``, 0.0 when empty."""
+    if not len(values):
+        return 0.0
+    return np.cumsum(values, dtype=float)[-1].item() / len(values)
+
+
+# finite, as simulated latencies are, but of every size and sign
+LATENCY = st.floats(-1e12, 1e12) | st.sampled_from([0.0, -0.0, 1 / 3, 5e-324])
+
+
+@st.composite
+def ragged_latencies(draw):
+    """Per-satellite latencies, each an array or a list, some empty, plus
+    records on satellites with and without latencies."""
+    sats = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
+    lats = {}
+    for sat in sats:
+        values = draw(st.lists(LATENCY, max_size=40))
+        lats[sat] = np.array(values, dtype=float) if draw(st.booleans()) else values
+    recorded = draw(st.lists(st.integers(0, 30), max_size=6))
+    return lats, [record(sat, 1.0) for sat in recorded]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged_latencies())
+def test_report_latency_means_are_bit_identical_to_per_satellite_cumsum(case):
+    lats, recs = case
+    rep = aggregate(recs, lats)
+    assert set(rep.per_satellite) == set(lats) | {r.sat_id for r in recs}
+    for sat, row in rep.per_satellite.items():
+        mean = row["mean_report_latency_ms"]
+        assert type(mean) is float
+        assert mean.hex() == _mean(lats.get(sat, ())).hex(), sat
 
 
 def test_mean_report_latency_is_the_sequential_sum():
@@ -272,3 +313,70 @@ def test_chunked_cdf_csv_matches_csv_writer(tmp_path, n):
     assert text == (tmp_path / "ref.csv").read_bytes()
     assert text.count(b"\r\n") == n + 1
     assert b"\r\n-0.000000," in text and b"\r\n0.007812," in text  # 1/128 rounds to even
+
+
+# ---------------------------------------------------------------------------
+# report.json: byte-identical to json.dump with indent=2
+
+
+def _reference_report_json(report):
+    per_sat = {str(k): v for k, v in sorted(report.per_satellite.items())}
+    text = json.dumps({"per_satellite": per_sat, "aggregate": report.aggregate},
+                      indent=2, sort_keys=True)
+    return (text + "\n").encode()
+
+
+def _written_report_json(report):
+    with tempfile.TemporaryDirectory() as out:
+        write_report(report, out)
+        return (Path(out) / "report.json").read_bytes()
+
+
+NUMBER = (
+    st.sampled_from([0, 0.0, -0.0, 1, 1e16, 1 / 3, float("inf"), -float("inf"), float("nan")])
+    | st.integers(-10**20, 10**20)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+ROW_KEYS = ("handover_count", "mean_handover_duration_s", "total_invisibility_s",
+            "total_pod_unavail_s", "mean_report_latency_ms")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # 0, 1, and around the 256-row chunks
+    n=st.sampled_from([0, 1, 2, 255, 256, 257, 700]) | st.integers(0, 40),
+    values=st.lists(NUMBER, min_size=1, max_size=30),
+    aggregate_values=st.lists(NUMBER, min_size=8, max_size=8),
+    rng=st.randoms(use_true_random=False),
+)
+def test_report_json_matches_indented_json_dump(n, values, aggregate_values, rng):
+    # sat ids drawn sparse, so "10" sorts before "2"
+    sats = rng.sample(range(3 * n + 12), n)
+    per_sat = {
+        sat: {key: values[(5 * i + j) % len(values)] for j, key in enumerate(ROW_KEYS)}
+        for i, sat in enumerate(sats)
+    }
+    agg = dict(zip(["total_handovers", "mean_duration_s", "total_invisibility_h",
+                    "total_pod_unavail_h", "total_handover_time_h"], aggregate_values))
+    agg["report_latency_percentiles_ms"] = dict(zip(["p50", "p90", "p99"], aggregate_values[5:]))
+    report = MetricsReport(per_satellite=per_sat, aggregate=agg, cdf_points={})
+    assert _written_report_json(report) == _reference_report_json(report)
+
+
+def test_report_json_of_aggregate_matches_indented_json_dump():
+    # satellites with records only (integer 0 sums beside floats), with
+    # latencies only, with both; ids whose string order is not numeric
+    recs = [record(2, 4.0, invis=1.5), record(10, 6.0), record(2, 1.0 / 3.0, unavail=2.0)]
+    lats = {10: [12.5, 7.0], 11: np.array([1.0, 2.0, 4.0]), 3: []}
+    report = aggregate(recs, lats)
+    assert report.per_satellite[11]["total_invisibility_s"] == 0
+    assert type(report.per_satellite[11]["total_invisibility_s"]) is int
+    text = _written_report_json(report)
+    assert text == _reference_report_json(report)
+    assert list(json.loads(text)["per_satellite"]) == ["10", "11", "2", "3"]
+    empty = aggregate([])
+    assert _written_report_json(empty) == _reference_report_json(empty)
+    # rows with keys of their own, none, or a "%" in a key
+    mixed = MetricsReport(per_satellite={2: {"b": 1, "a": 0.5}, 10: {}, 7: {"a%s": 2.0}},
+                          aggregate=empty.aggregate, cdf_points={})
+    assert _written_report_json(mixed) == _reference_report_json(mixed)
