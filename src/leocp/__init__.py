@@ -7,7 +7,7 @@ simulates seamless vs. drain-and-rejoin controller handovers.
 
 __version__ = "0.1.0"
 
-from .orbits import GroundStation, SatelliteElement, WalkerShell, generate_constellation
+from .orbits import Constellation, GroundStation, WalkerShell, generate_constellation
 from .topology import DistanceFields, TopologySnapshot, build_snapshot, shortest_distances
 from .placement import PlacementProblem, PlacementSolution, cnpa
 from .assignment import AssignmentParams, HandoverSchedule, predict_handovers
@@ -16,6 +16,7 @@ from .scenario import ScenarioSpec, run_scenario
 
 __all__ = [
     "AssignmentParams",
+    "Constellation",
     "DelayProfile",
     "DistanceFields",
     "GroundStation",
@@ -24,7 +25,6 @@ __all__ = [
     "PlacementProblem",
     "PlacementSolution",
     "Protocol",
-    "SatelliteElement",
     "ScenarioSpec",
     "Simulation",
     "TopologySnapshot",

@@ -9,13 +9,15 @@ which suppresses chatter from near-ties.
 One satellite's samples are a ``DistanceSamples``: one row of distances
 per controller, in id order, over shared sample times. ``DistanceSampler``
 samples a block of satellites at once and does the per-run work once:
-geometric sampling is one ``propagate`` call per block over all sample
-times, and the network metric looks each sample time's nearest snapshot
-up once and gathers the block's rows out of the ``DistanceFields`` array
-in one index; it yields one ``DistanceSamples`` per satellite.
+geometric sampling is one ``propagate`` call per block (the block's rows
+of the ``Constellation``) over all sample times, and the network metric
+looks each sample time's nearest snapshot up once and gathers the block's
+rows out of the ``DistanceFields`` array in one index; it yields one
+``DistanceSamples`` per satellite.
 ``predict_handovers`` scans one satellite's samples with the
 interval-pruned ``kernels.handover_scan``.
-``sample_distances`` samples a single satellite.
+``sample_distances`` samples a single satellite. Satellites are flat
+indices (``plane * sats_per_plane + slot``) under either metric.
 """
 import bisect
 import operator
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import EmptySelection, OutOfHorizon
-from .orbits import SatelliteElement, pack_elements, propagate, station_positions
+from .orbits import propagate, station_positions
 from .topology import nearest_field_index
 
 _event_time = operator.itemgetter(0)  # time of a (t, gs_id) schedule event
@@ -99,11 +101,11 @@ class DistanceSampler:
 
     ``controllers`` maps controller ids to GroundStation records; they are
     sampled in id order. The geometric metric is the straight-line range
-    from ``elements``; the "network" metric reads shortest-path distances
-    out of the precomputed ``DistanceFields`` ``fields``, at the snapshot
-    nearest in time. Either metric ignores the other's argument. The sample
-    times, the station positions and the nearest-snapshot lookups are done
-    once, here.
+    from the satellites of the ``Constellation`` ``elements``; the "network"
+    metric reads shortest-path distances out of the precomputed
+    ``DistanceFields`` ``fields``, at the snapshot nearest in time. Either
+    metric ignores the other's argument. The sample times, the station
+    positions and the nearest-snapshot lookups are done once, here.
     """
 
     def __init__(self, controllers: dict, params: AssignmentParams, metric: str, elements, fields):
@@ -114,6 +116,8 @@ class DistanceSampler:
         self.horizon_s = params.horizon_s
         self.metric = metric
         if metric == "geometric":
+            if elements is None:
+                raise ValueError("geometric metric needs the constellation")
             self._elements = elements
             self._stations = station_positions([controllers[g] for g in self.ids])
         elif metric == "network":
@@ -129,38 +133,32 @@ class DistanceSampler:
     def __call__(self, rows):
         """Yield the ``DistanceSamples`` of each satellite at a flat index
         in ``rows``, in order."""
+        rows = np.asarray(rows, dtype=np.intp)
         if self.metric == "geometric":
-            elements = pack_elements([self._elements[i] for i in rows])
-            pos = propagate(elements, self.times[:, None])
+            pos = propagate(self._elements[rows], self.times[:, None])
             km = np.empty(pos.shape[:2] + (len(self.ids),))
             for g, station in enumerate(self._stations):
                 diff = pos - station
                 diff *= diff
                 km[:, :, g] = np.sqrt(diff.sum(axis=-1))  # np.linalg.norm, in place
         else:
-            km = self._d[np.ix_(self._nearest, np.asarray(rows, dtype=np.intp), self.ids)]
+            km = self._d[np.ix_(self._nearest, rows, self.ids)]
         for sat_km in np.ascontiguousarray(km.transpose(1, 2, 0)):
             yield DistanceSamples(self.ids, self.times, sat_km, self.horizon_s)
 
 
 def sample_distances(
-    sat: SatelliteElement | int,
+    sat: int,
     controllers: dict,
     params: AssignmentParams,
     metric: str = "geometric",
+    elements=None,
     fields=None,
 ) -> DistanceSamples:
-    """Sample the distance from satellite ``sat`` to every controller.
-
-    ``sat`` is the element for the geometric metric and the satellite's
-    flat row index in ``fields`` for the network metric (see
-    ``DistanceSampler``).
-    """
-    network = metric == "network"
-    sampler = DistanceSampler(controllers, params, metric, None if network else [sat], fields)
-    if network and not isinstance(sat, (int, np.integer)):
-        raise ValueError("network metric needs a flat satellite row index")
-    return next(sampler([sat if network else 0]))
+    """Sample the distance from the satellite at flat index ``sat`` to
+    every controller, out of the ``Constellation`` ``elements`` or the
+    ``DistanceFields`` ``fields`` (see ``DistanceSampler``)."""
+    return next(DistanceSampler(controllers, params, metric, elements, fields)([sat]))
 
 
 def interpolate(samples: DistanceSamples, t: float) -> np.ndarray:

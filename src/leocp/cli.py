@@ -149,7 +149,7 @@ def _reap_writer(pid):
 
 
 def _require_built(cfg, state):
-    """The (elements, snapshots, ``DistanceFields``) series, built once per run."""
+    """The (``Constellation``, snapshots, ``DistanceFields``) series, built once per run."""
     if "built" not in state:
         state["built"] = build_fields(cfg)
     return state["built"]
@@ -176,26 +176,24 @@ def _require_result(cfg, state, record_trace=False):
 
 def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
     if name == "gen":
-        elements = generate_constellation(cfg.shell)
+        c = generate_constellation(cfg.shell)
+        slots = cfg.shell.sats_per_plane
+        sats = [
+            {
+                "plane": i // slots,
+                "slot": i % slots,
+                "raan_rad": raan,
+                "phase_rad": phase,
+                "semi_major_axis_km": c.semi_major_axis_km,
+                "inclination_rad": c.inclination,
+            }
+            for i, (raan, phase) in enumerate(zip(c.raan.tolist(), c.initial_phase.tolist()))
+        ]
         path = os.path.join(out_dir, "constellation.json")
         with open(path, "w") as fh:
-            fh.write(
-                json.dumps(
-                    [
-                        {
-                            "plane": e.sat_id[0],
-                            "slot": e.sat_id[1],
-                            "raan_rad": e.raan,
-                            "phase_rad": e.initial_phase,
-                            "semi_major_axis_km": e.semi_major_axis_km,
-                            "inclination_rad": e.inclination,
-                        }
-                        for e in elements
-                    ]
-                )
-            )
+            fh.write(json.dumps(sats))
             fh.write("\n")
-        print(f"[gen] {len(elements)} satellites -> {path}")
+        print(f"[gen] {len(sats)} satellites -> {path}")
 
     elif name == "snapshot":
         _, snapshots, fields = _require_built(cfg, state)

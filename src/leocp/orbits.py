@@ -4,11 +4,13 @@ Satellites follow circular two-body orbits; the Earth is a rotating
 sphere of radius 6371 km. Positions come out in the Earth-centered
 Earth-fixed (ECEF) frame as float64 arrays in kilometers, so ground
 stations are time-independent and satellite-ground geometry is a plain
-Euclidean computation. ``propagate`` is the one propagator: it takes a
-single element or packed elements and broadcasts over times.
+Euclidean computation. A shell's satellites are one ``Constellation`` of
+column arrays; ``propagate`` is the one propagator: it takes a
+``Constellation`` (or one satellite of it) and broadcasts over times.
 """
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +44,12 @@ class WalkerShell:
             raise ValueError("altitude must be positive")
         if not 0 <= self.phasing_factor < self.planes:
             raise ValueError("phasing_factor must satisfy 0 <= F < planes")
+        try:
+            self.mean_motion
+        except OverflowError:
+            raise ValueError(
+                f"altitude_km {self.altitude_km!r} is too large: the mean motion overflows"
+            ) from None
 
     @property
     def total_sats(self) -> int:
@@ -51,22 +59,7 @@ class WalkerShell:
     def semi_major_axis_km(self) -> float:
         return EARTH_RADIUS_KM + self.altitude_km
 
-
-@dataclass(frozen=True)
-class SatelliteElement:
-    """Orbital parameters of one satellite; angles in radians."""
-
-    sat_id: tuple[int, int]  # (plane_index, slot_index)
-    raan: float
-    initial_phase: float
-    semi_major_axis_km: float
-    inclination: float
-
-    def __post_init__(self):
-        if self.semi_major_axis_km <= EARTH_RADIUS_KM:
-            raise ValueError("semi-major axis must exceed Earth radius")
-
-    @property
+    @functools.cached_property
     def mean_motion(self) -> float:
         """Angular rate of the circular orbit, rad/s."""
         return math.sqrt(MU_EARTH / self.semi_major_axis_km**3)
@@ -74,6 +67,29 @@ class SatelliteElement:
     @property
     def period_s(self) -> float:
         return TWO_PI / self.mean_motion
+
+
+@dataclass(frozen=True)
+class Constellation:
+    """A shell's satellites in flat index order (``plane * sats_per_plane +
+    slot``): each one's RAAN and initial phase, and the circular orbit the
+    whole shell shares. Angles in radians.
+
+    Indexing with an int, a slice or an index array selects satellites; an
+    int gives scalar ``raan`` and ``initial_phase``.
+    """
+
+    raan: np.ndarray
+    initial_phase: np.ndarray
+    semi_major_axis_km: float
+    inclination: float
+    mean_motion: float
+
+    def __len__(self) -> int:
+        return len(self.raan)
+
+    def __getitem__(self, rows) -> "Constellation":
+        return replace(self, raan=self.raan[rows], initial_phase=self.initial_phase[rows])
 
 
 @dataclass(frozen=True)
@@ -89,66 +105,41 @@ class GroundStation:
             raise ValueError("latitude out of range")
         if abs(self.longitude_deg) > 180.0:
             raise ValueError("longitude out of range")
+        if self.altitude_m <= -1000.0 * EARTH_RADIUS_KM:
+            raise ValueError("altitude_m must be above the Earth's centre")
 
 
-def generate_constellation(shell: WalkerShell) -> list[SatelliteElement]:
-    """Expand a shell into its planes x sats_per_plane satellite elements.
+def generate_constellation(shell: WalkerShell) -> Constellation:
+    """Expand a shell into its planes x sats_per_plane satellites.
 
     RAANs are evenly spaced over the shell's RAAN span; in-plane phases
     are evenly spaced over 360 degrees with an inter-plane offset of
     ``phasing_factor * 360 / (planes * sats_per_plane)`` degrees.
     """
-    a = shell.semi_major_axis_km
-    incl = math.radians(shell.inclination_deg)
     raan_step = math.radians(shell.raan_span_deg) / shell.planes
     slot_step = TWO_PI / shell.sats_per_plane
     phase_offset = shell.phasing_factor * TWO_PI / shell.total_sats
-
-    elements = []
-    for p in range(shell.planes):
-        raan = p * raan_step
-        for s in range(shell.sats_per_plane):
-            elements.append(
-                SatelliteElement(
-                    sat_id=(p, s),
-                    raan=raan,
-                    initial_phase=(s * slot_step + p * phase_offset) % TWO_PI,
-                    semi_major_axis_km=a,
-                    inclination=incl,
-                )
-            )
-    return elements
-
-
-@dataclass(frozen=True)
-class ElementArrays:
-    """Column-packed elements under the ``SatelliteElement`` names, so
-    ``propagate`` takes either. ``mean_motion`` packs each element's own
-    value, so a packed entry propagates bit for bit like its element."""
-
-    raan: np.ndarray
-    initial_phase: np.ndarray
-    semi_major_axis_km: np.ndarray
-    inclination: np.ndarray
-    mean_motion: np.ndarray
-
-
-def pack_elements(elements: list[SatelliteElement]) -> ElementArrays:
-    return ElementArrays(
-        raan=np.array([e.raan for e in elements]),
-        initial_phase=np.array([e.initial_phase for e in elements]),
-        semi_major_axis_km=np.array([e.semi_major_axis_km for e in elements]),
-        inclination=np.array([e.inclination for e in elements]),
-        mean_motion=np.array([e.mean_motion for e in elements]),
+    plane, slot = np.divmod(np.arange(shell.total_sats), shell.sats_per_plane)
+    raan = plane * raan_step
+    initial_phase = (slot * slot_step + plane * phase_offset) % TWO_PI
+    raan.setflags(write=False)
+    initial_phase.setflags(write=False)
+    return Constellation(
+        raan=raan,
+        initial_phase=initial_phase,
+        semi_major_axis_km=shell.semi_major_axis_km,
+        inclination=math.radians(shell.inclination_deg),
+        mean_motion=shell.mean_motion,
     )
 
 
-def propagate(elem: SatelliteElement | ElementArrays, t) -> np.ndarray:
+def propagate(elem: Constellation, t) -> np.ndarray:
     """ECEF position(s) at time(s) ``t`` seconds.
 
-    Elements and times broadcast: one element at one time gives ``(3,)``,
-    packed elements at one time ``(n, 3)``, one element over an array of
-    times ``(T, 3)``. Each entry equals the one-element, one-time result.
+    Satellites and times broadcast: one satellite (``elem[i]``) at one time
+    gives ``(3,)``, ``n`` satellites at one time ``(n, 3)``, one satellite
+    over an array of times ``(T, 3)``. Each entry equals the
+    one-satellite, one-time result.
     """
     u = elem.initial_phase + elem.mean_motion * t
     a = elem.semi_major_axis_km

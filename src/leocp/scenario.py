@@ -21,7 +21,7 @@ from .assignment import (  # noqa: F401
     sample_distances,
 )
 from .kernels import decision_ticks
-from .orbits import WalkerShell, generate_constellation, pack_elements, station_positions
+from .orbits import WalkerShell, generate_constellation, station_positions
 from .protocol import (
     DEFAULT_REPORT_INTERVAL_S,
     DEFAULT_TERRESTRIAL_FACTOR,
@@ -87,20 +87,21 @@ class ScenarioResult:
 
 
 def build_fields(spec: ScenarioSpec):
-    """Snapshot + distance-field series over the scenario duration.
+    """The (``Constellation``, snapshots, ``DistanceFields``) series over
+    the scenario duration.
 
-    The elements are packed and the stations placed once for the series.
-    Each snapshot's distances are copied into its row of one preallocated
+    The constellation is generated and the stations placed once for the
+    series, and every snapshot propagates the whole constellation. Each
+    snapshot's distances are copied into its row of one preallocated
     ``DistanceFields`` array, so no Dijkstra result outlives its copy.
     """
     elements = generate_constellation(spec.shell)
-    packed = pack_elements(elements)
     gs_pos = station_positions(spec.stations)
     times = decision_ticks(spec.snapshot_dt_s, spec.duration_s).tolist()
     snapshots = [
         build_snapshot(
             spec.shell,
-            packed,
+            elements,
             gs_pos,
             t,
             min_elevation_deg=spec.min_elevation_deg,
@@ -140,7 +141,7 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
 def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResult:
     """Replay every predicted handover, then derive the status reports.
 
-    ``built`` is the (elements, snapshots, fields) triple of
+    ``built`` is the (constellation, snapshots, fields) triple of
     ``build_fields(spec)`` and ``schedules`` the output of
     ``predict_schedules``; each is computed here when not given.
     """

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .constants import LIGHT_SPEED_KM_MS
-from .orbits import ElementArrays, WalkerShell, propagate
+from .orbits import Constellation, WalkerShell, propagate
 
 DEFAULT_MIN_ELEVATION_DEG = 25.0
 
@@ -92,8 +92,10 @@ def _adjacent_planes(shell: WalkerShell) -> list[tuple[int, int]]:
     return [(p, (p + 1) % planes) for p in range(last)]
 
 
-def build_isl_grid(shell: WalkerShell) -> list[tuple[int, int]]:
-    """+Grid pairing over flat satellite indices.
+@functools.lru_cache(maxsize=16)
+def build_isl_grid(shell: WalkerShell) -> np.ndarray:
+    """+Grid pairing over flat satellite indices, as a read-only
+    ``(n_isl, 2)`` array built once per shell: it does not change over time.
 
     Each satellite links to slot +-1 in its own plane (wrapping) and to
     the same slot in plane +-1. Plane adjacency wraps for delta
@@ -102,16 +104,9 @@ def build_isl_grid(shell: WalkerShell) -> list[tuple[int, int]]:
     planes or slots simply omit the impossible links.
     """
     slots = shell.sats_per_plane
-    return _intra_plane_ring(shell) + [
+    pairs = _intra_plane_ring(shell) + [
         (p * slots + s, q * slots + s) for p, q in _adjacent_planes(shell) for s in range(slots)
     ]
-
-
-@functools.lru_cache(maxsize=16)
-def _isl_grid_pairs(shell: WalkerShell) -> np.ndarray:
-    """``build_isl_grid`` as a read-only (n_isl, 2) array, built once per
-    shell: the pairing does not change over time."""
-    pairs = build_isl_grid(shell)
     arr = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
     arr.setflags(write=False)
     return arr
@@ -146,7 +141,7 @@ def _nearest_interplane_pairs(shell, sat_pos):
 
 def build_snapshot(
     shell: WalkerShell,
-    elements: ElementArrays,
+    constellation: Constellation,
     gs_pos: np.ndarray,
     t: float,
     min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG,
@@ -155,20 +150,20 @@ def build_snapshot(
 ) -> TopologySnapshot:
     """Positions plus ISL/GSL edge lists at time ``t``.
 
-    ``elements`` are the packed satellites (``pack_elements``) and
+    ``constellation`` is the shell's ``generate_constellation`` and
     ``gs_pos`` the stations' ECEF positions (``station_positions``), both
     made once for a whole series. ``isl_mode`` is "fixed_grid"
-    (index-based pairing, stable over time, built once per shell) or
+    (``build_isl_grid``: index-based, stable over time) or
     "nearest" (recompute the inter-plane neighbor each snapshot).
     ``gsl_limit`` (at least 1) caps links per satellite to the nearest
     visible stations; default unlimited.
     """
     if gsl_limit is not None and gsl_limit < 1:
         raise ValueError(f"gsl_limit must be at least 1, got {gsl_limit}")
-    sat_pos = propagate(elements, t)
+    sat_pos = propagate(constellation, t)
 
     if isl_mode == "fixed_grid":
-        isl_pairs = _isl_grid_pairs(shell)
+        isl_pairs = build_isl_grid(shell)
     elif isl_mode == "nearest":
         pairs = _intra_plane_ring(shell) + _nearest_interplane_pairs(shell, sat_pos)
         isl_pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)

@@ -198,16 +198,16 @@ def test_criterion_5_baseline_dominance():
 def test_criterion_6_cnaa_hysteresis():
     t0 = time.time()
     shell = WalkerShell(1, 1, 53.0, 550.0)
-    elem = generate_constellation(shell)[0]
+    c = generate_constellation(shell)
     stations = {0: GroundStation(0, "a", 0.0, 0.0), 1: GroundStation(1, "b", 25.0, 15.0)}
-    horizon = 6 * elem.period_s
+    horizon = 6 * shell.period_s
     deltas = [1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7]
     counts, means = [], []
     for delta in deltas:
         params = AssignmentParams(
             horizon_s=horizon, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta
         )
-        samples = sample_distances(elem, stations, params)
+        samples = sample_distances(0, stations, params, elements=c)
         sched = predict_handovers(samples, params)
         counts.append(sched.count)
         means.append(float(assigned_distance_trace(samples, sched, params).mean()))
@@ -215,7 +215,7 @@ def test_criterion_6_cnaa_hysteresis():
     assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
     # delta = 1 reduces to the brute-force nearest-controller scan
     params = AssignmentParams(horizon_s=horizon, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    samples = sample_distances(elem, stations, params)
+    samples = sample_distances(0, stations, params, elements=c)
     sched = predict_handovers(samples, params)
     grid = np.arange(0.0, horizon + 0.5, 1.0)
     grid = grid[grid <= horizon]
@@ -238,14 +238,15 @@ def test_criterion_6_cnaa_hysteresis():
 
 def test_criterion_7_geometric_handover_count():
     shell = WalkerShell(1, 1, 0.0, 550.0)
-    elem = generate_constellation(shell)[0]
+    c = generate_constellation(shell)
+    elem = c[0]
     stations = {
         0: GroundStation(0, "meridian", 0.0, 0.0),
         1: GroundStation(1, "antimeridian", 0.0, 180.0),
     }
-    period = elem.period_s
+    period = shell.period_s
     params = AssignmentParams(horizon_s=period, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    samples = sample_distances(elem, stations, params)
+    samples = sample_distances(0, stations, params, elements=c)
     sched = predict_handovers(samples, params)
     assert sched.count == 2
     # independent oracle: sign changes of the distance difference on a 1 s grid

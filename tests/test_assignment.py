@@ -42,22 +42,23 @@ def test_sample_count_forced():
 
 def test_geostationary_satellite_constant_series():
     shell = WalkerShell(1, 1, 0.0, GEO_ALTITUDE_KM)
-    elem = generate_constellation(shell)[0]
+    c = generate_constellation(shell)
     # the orbital rate differs from Earth's rotation by well under 0.1%,
     # so the rotating-frame distance is constant to within a few km
     stations = {0: GroundStation(0, "s", 0.0, 30.0)}
     params = AssignmentParams(horizon_s=3600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    samples = sample_distances(elem, stations, params)
+    samples = sample_distances(0, stations, params, elements=c)
     assert samples.km[0].max() - samples.km[0].min() < 20.0
 
 
 def test_equatorial_min_distance_is_altitude():
     shell = WalkerShell(1, 1, 0.0, 550.0)
-    elem = generate_constellation(shell)[0]
+    c = generate_constellation(shell)
+    elem = c[0]
     station = GroundStation(0, "s", 0.0, 0.0)
-    T = elem.period_s
+    T = shell.period_s
     params = AssignmentParams(horizon_s=T, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    samples = sample_distances(elem, {0: station}, params)
+    samples = sample_distances(0, {0: station}, params, elements=c)
     # dense-grid oracle at 1 s resolution
     gs = station_position(station)
     dense = np.array(
@@ -117,11 +118,12 @@ def test_interpolation_error_bound_on_distant_pass():
     # stays far from closest approach, where 60 s linear interpolation is
     # accurate to well under 5 km (measured max error ~0.88 km)
     shell = WalkerShell(1, 1, 90.0, 550.0)
-    elem = generate_constellation(shell)[0]
+    c = generate_constellation(shell)
+    elem = c[0]
     station = GroundStation(0, "s", 0.0, 90.0)
-    T = elem.period_s
+    T = shell.period_s
     params = AssignmentParams(horizon_s=T, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    samples = sample_distances(elem, {0: station}, params)
+    samples = sample_distances(0, {0: station}, params, elements=c)
     gs = station_position(station)
     ts = np.arange(0.0, T, 1.0)
     true_d = np.array([np.linalg.norm(propagate(elem, t) - gs) for t in ts])
@@ -192,13 +194,13 @@ def test_hysteresis_band_never_violated():
 
 def test_sweep_monotonicity_small():
     shell = WalkerShell(1, 1, 53.0, 550.0)
-    elem = generate_constellation(shell)[0]
+    c = generate_constellation(shell)
     stations = {0: GroundStation(0, "a", 0.0, 0.0), 1: GroundStation(1, "b", 25.0, 15.0)}
-    T = 3 * elem.period_s
+    T = 3 * shell.period_s
     counts, means = [], []
     for delta in (1.0, 0.9, 0.8, 0.7):
         params = AssignmentParams(horizon_s=T, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta)
-        samples = sample_distances(elem, stations, params)
+        samples = sample_distances(0, stations, params, elements=c)
         sched = predict_handovers(samples, params)
         counts.append(sched.count)
         means.append(float(assigned_distance_trace(samples, sched, params).mean()))
@@ -329,9 +331,8 @@ def test_block_prediction_matches_per_satellite_path(metric, delta):
     params = replace(spec.assignment, horizon_s=spec.duration_s)
     controllers = {g: spec.stations[g] for g in spec.controllers}
     expected = {}
-    for row, elem in enumerate(elements):
-        sat = row if metric == "network" else elem
-        samples = sample_distances(sat, controllers, params, metric=metric, fields=fields)
+    for row in range(len(elements)):
+        samples = sample_distances(row, controllers, params, metric, elements, fields)
         expected[row] = predict_handovers(samples, params)
     assert schedules == expected
     assert sum(s.count for s in schedules.values()) > 0
@@ -342,9 +343,10 @@ def test_controllers_are_sampled_in_id_order():
     elements = generate_constellation(spec.shell)
     params = replace(spec.assignment, horizon_s=spec.duration_s)
     a, b = spec.stations[0], spec.stations[3]
-    samples = sample_distances(elements[0], {3: b, 0: a}, params)
+    samples = sample_distances(0, {3: b, 0: a}, params, elements=elements)
     assert samples.gs_ids == (0, 3)
-    assert np.array_equal(samples.km, sample_distances(elements[0], {0: a, 3: b}, params).km)
+    in_order = sample_distances(0, {0: a, 3: b}, params, elements=elements)
+    assert np.array_equal(samples.km, in_order.km)
     shuffled = replace(spec, controllers=[3, 0, 1])
     assert scenario.predict_schedules(shuffled, elements, None) == scenario.predict_schedules(
         spec, elements, None
@@ -427,7 +429,7 @@ def test_prediction_without_controllers_is_a_named_error():
     with pytest.raises(EmptySelection, match="controller"):
         scenario.predict_schedules(spec, elements, None)
     with pytest.raises(EmptySelection, match="controller"):
-        sample_distances(elements[0], {}, spec.assignment)
+        sample_distances(0, {}, spec.assignment, elements=elements)
 
 
 def test_decision_grid_built_once_per_interval_and_horizon():

@@ -487,6 +487,30 @@ def test_degenerate_tick_grid_is_a_named_budget_error(tmp_path, capsys, section,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        # (6371 + 1e200) ** 3 overflows a float in the mean motion
+        ("shell", "altitude_km", 1e200, "config error: shell: altitude_km"),
+        # a radius of 6371 - 7000 km would mirror the station through the centre
+        ("stations.0", "altitude_m", -7e6, "config error: stations[0]: altitude_m"),
+    ],
+)
+def test_geometry_out_of_range_is_a_config_error(tmp_path, capsys, section, key, value, message):
+    with open(DESK_CONFIG) as fh:
+        raw = json.load(fh)
+    node = raw
+    for part in section.split("."):  # "stations.0" is the first station
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[key] = value
+    path = tmp_path / "desk_bad_geometry.json"
+    path.write_text(json.dumps(raw))
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(message), err
+    assert not (tmp_path / "out" / "constellation.json").exists()
+
+
 def _gc_state():
     return gc.get_freeze_count(), gc.isenabled()
 

@@ -3,12 +3,13 @@ the default run. Invoke with:
 
     pytest tests/test_fullscale.py -m slow -s
 
-Expected wall time is about 30 seconds on a 2-core machine: the event
+Expected wall time is about 40 seconds on a 2-core machine: the event
 engine runs the handover steps only, and the status reports are derived
 in bulk afterwards. The full-day schedule and distance-field digests
 alone (``-k "schedule or fields"``) take about 2 and 4 seconds; the
 report, records and constellation digests (``-k report``), one full
-``leocp all`` run, about 11 seconds.
+``leocp all`` run, about 11 seconds; the Kuiper and OneWeb ``leocp all``
+digests (``-k "kuiper or oneweb"``) about 7 and 4 seconds.
 """
 import hashlib
 import json
@@ -84,6 +85,37 @@ def test_starlink_daily_report_records_and_constellation_digests(tmp_path):
         "records.csv": "8770a374783a7bc1c003bc9fbdfdbd64f134fdc8df04fb38717e1f985dfbf95b",
         "constellation.json": "f348bb56a95f9ae25b732280e26b62be4c7dafe8f8b4e4c40f5a049c1a5f8e6f",
     }
+
+
+# ``leocp all`` outputs of the full-day Kuiper (36 x 36 delta shell) and
+# OneWeb (87.9 degree star pattern, 180 degree RAAN span) configs, which
+# cover grid shapes and a seam the Starlink config does not
+DAILY_ALL_DIGESTS = {
+    "kuiper": {
+        "constellation.json": "ffc537ab946b43df1859a6e5dc619e3ec421fc2904a6c75b36ab25464978dbe5",
+        "snapshots.json": "895e830bac755e9b8931c3aa3569592afdc6b6304ee1c73d10500bf997a1d650",
+        "schedule.json": "d049699b2907bcec96012d02d73a56cbf2de05e697a22324835e719b83908e0e",
+        "records.csv": "22a24d4acd0b87e4acc817ca9259ee3d2eec6d180f5cadf0032e325936ae7c7d",
+        "report.json": "ac777017a08d62d19edf537bc380c0274c8339523957863177c677d4f8338697",
+    },
+    "oneweb": {
+        "constellation.json": "ddbac86603f5cd4064b3cdf614a3864ae4a5ba9a762769bfb733896dc9bcc1e3",
+        "snapshots.json": "3a7158bdd90d486eded846a54deca7e86a5ffb960afe8afa1677e42b0ca9d63f",
+        "schedule.json": "16fc0d6239b84290bb70c08feafddba8724817f03867f44187d274be5c73ef7c",
+        "records.csv": "603550e096e607b9e54ae3709bb1bf99bea86dfd61d3039ccfe916e17ef96f5a",
+        "report.json": "22371bd78391aaab7fa5df37935262f7b8dc359bfeceb779bdc91d41a7b01f2b",
+    },
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(DAILY_ALL_DIGESTS))
+def test_daily_all_digests(name, tmp_path):
+    out = tmp_path / "out"
+    config = os.path.join(CONFIGS, f"{name}_fullscale.json")
+    assert main(["all", "--config", config, "--out", str(out)]) == 0
+    expected = DAILY_ALL_DIGESTS[name]
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected} == expected
 
 
 @pytest.mark.slow

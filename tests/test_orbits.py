@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leocp.constants import EARTH_ROTATION_RAD_S
 from leocp.orbits import (
     GroundStation,
     WalkerShell,
     generate_constellation,
-    pack_elements,
     propagate,
     station_position,
 )
@@ -18,30 +18,80 @@ MU = 398600.4418  # km^3/s^2, restated here so the oracle stays independent
 
 def test_starlink_shell_element_count():
     shell = WalkerShell(72, 22, 53.0, 550.0, phasing_factor=1)
-    elements = generate_constellation(shell)
-    assert len(elements) == 1584
-    assert len({e.sat_id for e in elements}) == 1584
+    c = generate_constellation(shell)
+    assert len(c) == 1584
+    assert c.raan.shape == c.initial_phase.shape == (1584,)
+    assert len(set(zip(c.raan.tolist(), c.initial_phase.tolist()))) == 1584
 
 
 def test_single_satellite_shell():
-    elements = generate_constellation(WalkerShell(1, 1, 30.0, 550.0))
-    assert len(elements) == 1
-    assert elements[0].raan == 0.0
-    assert elements[0].initial_phase == 0.0
+    c = generate_constellation(WalkerShell(1, 1, 30.0, 550.0))
+    assert len(c) == 1
+    assert c[0].raan == 0.0
+    assert c[0].initial_phase == 0.0
 
 
 def test_raan_even_spacing():
-    elements = generate_constellation(WalkerShell(3, 8, 53.0, 550.0))
-    raans = sorted({e.raan for e in elements})
+    c = generate_constellation(WalkerShell(3, 8, 53.0, 550.0))
+    raans = sorted(set(c.raan.tolist()))
     assert raans == pytest.approx([0.0, math.radians(120.0), math.radians(240.0)])
 
 
 def test_interplane_phase_offset():
     shell = WalkerShell(4, 5, 53.0, 550.0, phasing_factor=2)
-    elements = generate_constellation(shell)
-    by_id = {e.sat_id: e for e in elements}
+    c = generate_constellation(shell)
     expected = 2 * 2 * math.pi / 20
-    assert by_id[(1, 0)].initial_phase - by_id[(0, 0)].initial_phase == pytest.approx(expected)
+    # flat index plane * 5 + slot: (1, 0) is 5, (0, 0) is 0
+    assert c[5].initial_phase - c[0].initial_phase == pytest.approx(expected)
+
+
+def per_satellite_constellation(shell):
+    """The shell expanded one satellite at a time, as ``(raan,
+    initial_phase)`` float pairs in flat index order: the loop
+    ``generate_constellation`` replaced, kept as its oracle."""
+    raan_step = math.radians(shell.raan_span_deg) / shell.planes
+    slot_step = 2.0 * math.pi / shell.sats_per_plane
+    phase_offset = shell.phasing_factor * 2.0 * math.pi / shell.total_sats
+    return [
+        (p * raan_step, (s * slot_step + p * phase_offset) % (2.0 * math.pi))
+        for p in range(shell.planes)
+        for s in range(shell.sats_per_plane)
+    ]
+
+
+@st.composite
+def shells(draw):
+    planes = draw(st.integers(1, 80))
+    span = draw(
+        st.one_of(
+            st.sampled_from([180.0, 360.0]),
+            st.floats(0.0, 720.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    return WalkerShell(
+        planes=planes,
+        sats_per_plane=draw(st.integers(1, 60)),
+        inclination_deg=draw(st.floats(0.0, 180.0)),
+        altitude_km=draw(st.floats(160.0, 40000.0)),
+        phasing_factor=draw(st.integers(0, planes - 1)),
+        raan_span_deg=span,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(shells())
+@example(WalkerShell(72, 22, 53.0, 550.0, phasing_factor=1))  # Starlink
+@example(WalkerShell(36, 36, 51.9, 630.0, phasing_factor=1))  # Kuiper
+@example(WalkerShell(18, 36, 87.9, 1200.0, raan_span_deg=180.0))  # OneWeb star
+def test_constellation_matches_per_satellite_loop(shell):
+    c = generate_constellation(shell)
+    oracle = per_satellite_constellation(shell)
+    assert list(zip(c.raan.tolist(), c.initial_phase.tolist())) == oracle
+    assert c.raan.dtype == c.initial_phase.dtype == np.float64
+    assert c.semi_major_axis_km == 6371.0 + shell.altitude_km
+    assert c.inclination == math.radians(shell.inclination_deg)
+    assert c.mean_motion == math.sqrt(MU / (6371.0 + shell.altitude_km) ** 3)
+    assert not c.raan.flags.writeable and not c.initial_phase.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -59,11 +109,11 @@ def test_shell_invariants_rejected(kwargs):
 
 
 def test_circular_radius_preserved():
-    elements = generate_constellation(WalkerShell(2, 3, 53.0, 550.0))
-    for elem in elements:
+    c = generate_constellation(WalkerShell(2, 3, 53.0, 550.0))
+    for i in range(len(c)):
         for t in [0.0, 137.0, 5000.0, 86400.0]:
-            assert np.linalg.norm(propagate(elem, t)) == pytest.approx(
-                elem.semi_major_axis_km, abs=1e-6
+            assert np.linalg.norm(propagate(c[i], t)) == pytest.approx(
+                c.semi_major_axis_km, abs=1e-6
             )
 
 
@@ -72,13 +122,13 @@ def test_orbital_period_oracle():
     a = 6371.0 + 550.0
     oracle = 2.0 * math.pi * math.sqrt(a**3 / MU)
     assert oracle == pytest.approx(5730.1, abs=0.5)
-    elem = generate_constellation(WalkerShell(1, 1, 0.0, 550.0))[0]
-    assert elem.period_s == pytest.approx(oracle, rel=1e-12)
+    assert WalkerShell(1, 1, 0.0, 550.0).period_s == pytest.approx(oracle, rel=1e-12)
 
 
 def test_periodicity_in_inertial_frame():
-    elem = generate_constellation(WalkerShell(1, 1, 47.0, 550.0))[0]
-    T = elem.period_s
+    shell = WalkerShell(1, 1, 47.0, 550.0)
+    elem = generate_constellation(shell)[0]
+    T = shell.period_s
     p0 = propagate(elem, 0.0)
     pT = propagate(elem, T)
     # after one period the ECI position repeats, so the ECEF position is
@@ -95,8 +145,8 @@ def test_periodicity_in_inertial_frame():
 
 
 def test_same_plane_constant_separation():
-    elements = generate_constellation(WalkerShell(1, 6, 53.0, 550.0))
-    a, b = elements[0], elements[2]
+    c = generate_constellation(WalkerShell(1, 6, 53.0, 550.0))
+    a, b = c[0], c[2]
     dphi = b.initial_phase - a.initial_phase
     for t in [0.0, 321.0, 4000.0, 20000.0]:
         pa, pb = propagate(a, t), propagate(b, t)
@@ -105,19 +155,22 @@ def test_same_plane_constant_separation():
 
 
 def test_propagate_broadcasts_exactly():
-    elements = generate_constellation(WalkerShell(3, 4, 53.0, 550.0, phasing_factor=1))
-    packed = pack_elements(elements)
+    c = generate_constellation(WalkerShell(3, 4, 53.0, 550.0, phasing_factor=1))
     ts = np.array([0.0, 777.7, 5400.25])
     for t in ts:
-        batch = propagate(packed, t)
-        assert batch.shape == (len(elements), 3)
-        for i, elem in enumerate(elements):
-            assert np.array_equal(batch[i], propagate(elem, t))
-    for elem in elements:
-        series = propagate(elem, ts)
+        batch = propagate(c, t)
+        assert batch.shape == (len(c), 3)
+        for i in range(len(c)):
+            assert np.array_equal(batch[i], propagate(c[i], t))
+        for rows in (7, slice(2, 9, 3), np.array([10, 3, 3, 0, 11, 5])):
+            assert np.array_equal(propagate(c[rows], t), batch[rows])
+    for i in range(len(c)):
+        series = propagate(c[i], ts)
         assert series.shape == (len(ts), 3)
-        assert np.array_equal(series, np.stack([propagate(elem, t) for t in ts]))
-    assert propagate(elements[0], 1.0).shape == (3,)
+        assert np.array_equal(series, np.stack([propagate(c[i], t) for t in ts]))
+    rows = np.array([11, 0, 4])
+    assert np.array_equal(propagate(c[rows], ts[:, None]), propagate(c, ts[:, None])[:, rows])
+    assert propagate(c[0], 1.0).shape == (3,)
 
 
 @pytest.mark.parametrize(

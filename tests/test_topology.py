@@ -11,7 +11,6 @@ from leocp.orbits import (
     GroundStation,
     WalkerShell,
     generate_constellation,
-    pack_elements,
     station_position,
     station_positions,
 )
@@ -33,10 +32,10 @@ from leocp.topology import (
 
 
 def snapshot_at(shell, stations, t, **kwargs):
-    """``build_snapshot`` of the shell's packed elements and the stations'
+    """``build_snapshot`` of the shell's constellation and the stations'
     positions."""
-    elements = pack_elements(generate_constellation(shell))
-    return build_snapshot(shell, elements, station_positions(stations), t, **kwargs)
+    c = generate_constellation(shell)
+    return build_snapshot(shell, c, station_positions(stations), t, **kwargs)
 
 
 def visible(sat_pos, gs_pos, min_elevation_deg):
@@ -111,7 +110,7 @@ def test_visibility_threshold_range_oracle():
 def test_snapshot_isl_set_time_invariant():
     shell = WalkerShell(3, 4, 53.0, 550.0)
     stations = [GroundStation(0, "x", 0.0, 0.0)]
-    period = generate_constellation(shell)[0].period_s
+    period = shell.period_s
     s0 = snapshot_at(shell, stations, 0.0)
     s1 = snapshot_at(shell, stations, period)
     assert np.array_equal(s0.isl_pairs, s1.isl_pairs)
@@ -166,7 +165,7 @@ def per_satellite_gsl_cap(vis, rng, limit):
 def test_gsl_limit_matches_per_satellite_loop(monkeypatch):
     # whole-number ranges make ties, which the stable order breaks by station
     shell = WalkerShell(3, 4, 53.0, 1200.0, phasing_factor=1)
-    packed = pack_elements(generate_constellation(shell))
+    c = generate_constellation(shell)
     gen = np.random.default_rng(11)
     for _ in range(150):
         m = int(gen.integers(1, 7))
@@ -174,7 +173,7 @@ def test_gsl_limit_matches_per_satellite_loop(monkeypatch):
         rng = gen.integers(1, 4, size=(12, m)).astype(float)
         monkeypatch.setattr(topology, "_visibility_matrix", lambda *_: (vis.copy(), rng))
         for limit in range(1, m + 2):
-            snap = build_snapshot(shell, packed, np.zeros((m, 3)), 0.0, gsl_limit=limit)
+            snap = build_snapshot(shell, c, np.zeros((m, 3)), 0.0, gsl_limit=limit)
             expected = np.argwhere(per_satellite_gsl_cap(vis, rng, limit))
             assert snap.gsl_pairs.tolist() == expected.tolist()
             assert snap.gsl_km.tolist() == rng[expected[:, 0], expected[:, 1]].tolist()
@@ -395,7 +394,7 @@ def test_snapshot_latency_and_network_sampler_use_the_lookup():
         for gs in (0, 1):
             assert latency(("sat", 0), ("gs", gs), t) == distance_to_latency(fields.d[i, 0, gs])
     params = AssignmentParams(horizon_s=180.0, sample_dt_s=20.0, decide_dt_s=1.0, delta=1.0)
-    samples = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields)
+    samples = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields=fields)
     for gs_id, km in zip(samples.gs_ids, samples.km):
         expected = [fields.d[nearest_field_index(times, t), 0, gs_id] for t in samples.times]
         assert km.tolist() == expected
@@ -405,25 +404,19 @@ def test_snapshot_latency_and_network_sampler_use_the_lookup():
 # per-shell invariants
 
 
-def test_fixed_grid_pairing_built_once_per_shell(monkeypatch):
-    calls = Counter()
-    real = topology.build_isl_grid
-
-    def counting(shell):
-        calls[shell] += 1
-        return real(shell)
-
-    monkeypatch.setattr(topology, "build_isl_grid", counting)
-    topology._isl_grid_pairs.cache_clear()
+def test_fixed_grid_pairing_built_once_per_shell():
+    build_isl_grid.cache_clear()
     shells = [WalkerShell(3, 4, 53.0, 550.0), WalkerShell(3, 4, 53.0, 550.0, raan_span_deg=180.0)]
     stations = [GroundStation(0, "x", 0.0, 0.0)]
     for shell in shells:
         snaps = [snapshot_at(shell, stations, t) for t in (0.0, 60.0, 120.0)]
         assert all(s.isl_pairs is snaps[0].isl_pairs for s in snaps)
+        assert snaps[0].isl_pairs is build_isl_grid(shell)
         assert not snaps[0].isl_pairs.flags.writeable
-        assert snaps[0].isl_pairs.tolist() == [list(p) for p in real(shell)]
-    assert calls == {shells[0]: 1, shells[1]: 1}
-    topology._isl_grid_pairs.cache_clear()
+        assert snaps[0].isl_pairs.dtype == np.int64
+    info = build_isl_grid.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    build_isl_grid.cache_clear()
 
 
 # ---------------------------------------------------------------------------
