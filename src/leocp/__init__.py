@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .orbits import Constellation, GroundStation, WalkerShell, generate_constellation
 from .topology import DistanceFields, TopologySnapshot, build_snapshot, shortest_distances
 from .placement import PlacementProblem, PlacementSolution, cnpa
-from .assignment import AssignmentParams, HandoverSchedule, predict_handovers
+from .assignment import AssignmentParams, HandoverSchedule, HandoverSchedules, predict_handovers
 from .protocol import DelayProfile, HandoverRecord, Protocol, Simulation
 from .scenario import ScenarioSpec, run_scenario
 
@@ -22,6 +22,7 @@ __all__ = [
     "GroundStation",
     "HandoverRecord",
     "HandoverSchedule",
+    "HandoverSchedules",
     "PlacementProblem",
     "PlacementSolution",
     "Protocol",

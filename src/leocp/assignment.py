@@ -6,18 +6,20 @@ a fine decision interval. A handover fires only when some controller
 is strictly closer than ``delta`` times the current one's distance,
 which suppresses chatter from near-ties.
 
-One satellite's samples are a ``DistanceSamples``: one row of distances
-per controller, in id order, over shared sample times. ``DistanceSampler``
-samples a block of satellites at once and does the per-run work once:
-geometric sampling is one ``propagate`` call per block (the block's rows
-of the ``Constellation``) over all sample times, and the network metric
-looks each sample time's nearest snapshot up once and gathers the block's
-rows out of the ``DistanceFields`` array in one index; it yields one
-``DistanceSamples`` per satellite.
-``predict_handovers`` scans one satellite's samples with the
-interval-pruned ``kernels.handover_scan``.
-``sample_distances`` samples a single satellite. Satellites are flat
-indices (``plane * sats_per_plane + slot``) under either metric.
+A block of satellites' samples is one ``DistanceSamples``: a
+``(satellites, controllers, times)`` array of distances, controllers in id
+order, over shared sample times. ``DistanceSampler`` samples a block at
+once and does the per-run work once: geometric sampling is one
+``propagate`` call per block (the block's rows of the ``Constellation``)
+over all sample times, and the network metric looks each sample time's
+nearest snapshot up once and gathers the block's rows out of the
+``DistanceFields`` array in one index.
+``predict_handovers`` scans a whole block with one call of the
+interval-pruned ``kernels.handover_scan`` and returns its
+``HandoverSchedules``, one ``HandoverSchedule`` per satellite.
+``sample_distances`` samples a single satellite, as a one-satellite block.
+Satellites are flat indices (``plane * sats_per_plane + slot``) under
+either metric.
 """
 import bisect
 import operator
@@ -51,19 +53,20 @@ class AssignmentParams:
 
 @dataclass(frozen=True)
 class DistanceSamples:
-    """One satellite's sampled distances over [0, horizon]: ``km[i, j]``
-    is the distance to controller ``gs_ids[i]`` at ``times[j]``."""
+    """A block of satellites' sampled distances over [0, horizon]:
+    ``km[s, i, j]`` is the distance from the block's satellite ``s`` to
+    controller ``gs_ids[i]`` at ``times[j]``."""
 
     gs_ids: tuple  # strictly increasing
     times: np.ndarray  # strictly increasing, covering [0, horizon]
-    km: np.ndarray  # (len(gs_ids), len(times))
+    km: np.ndarray  # (satellites, len(gs_ids), len(times))
     horizon_s: float
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.gs_ids, self.gs_ids[1:])):
             raise ValueError("controller ids must be strictly increasing")
-        if self.km.shape != (len(self.gs_ids), len(self.times)):
-            raise ValueError("km must be shaped (controllers, sample times)")
+        if self.km.ndim != 3 or self.km.shape[1:] != (len(self.gs_ids), len(self.times)):
+            raise ValueError("km must be shaped (satellites, controllers, sample times)")
         if (self.times[1:] <= self.times[:-1]).any():
             raise ValueError("sample times must be strictly increasing")
         if self.times[0] > 0.0 or self.times[-1] < self.horizon_s:
@@ -85,6 +88,27 @@ class HandoverSchedule:
         """Controller assigned at time ``t`` under this schedule."""
         i = bisect.bisect_right(self.events, t, key=_event_time)
         return self.initial if i == 0 else self.events[i - 1][1]
+
+
+@dataclass(frozen=True)
+class HandoverSchedules:
+    """The ``HandoverSchedule`` of each satellite of a block, in block order."""
+
+    schedules: tuple
+
+    def __len__(self):
+        return len(self.schedules)
+
+    def __getitem__(self, i):
+        return self.schedules[i]
+
+    def __iter__(self):
+        return iter(self.schedules)
+
+    @property
+    def count(self) -> int:
+        """Events over the whole block."""
+        return sum(s.count for s in self.schedules)
 
 
 def sample_times(params: AssignmentParams) -> np.ndarray:
@@ -131,20 +155,21 @@ class DistanceSampler:
             raise ValueError(f"unknown metric: {metric!r}")
 
     def __call__(self, rows):
-        """Yield the ``DistanceSamples`` of each satellite at a flat index
-        in ``rows``, in order."""
+        """The ``DistanceSamples`` of the satellites at the flat indices
+        ``rows``, in order."""
         rows = np.asarray(rows, dtype=np.intp)
         if self.metric == "geometric":
             pos = propagate(self._elements[rows], self.times[:, None])
-            km = np.empty(pos.shape[:2] + (len(self.ids),))
+            km = np.empty((len(rows), len(self.ids), len(self.times)))
             for g, station in enumerate(self._stations):
                 diff = pos - station
                 diff *= diff
-                km[:, :, g] = np.sqrt(diff.sum(axis=-1))  # np.linalg.norm, in place
+                km[:, g] = np.sqrt(diff.sum(axis=-1)).T  # np.linalg.norm, in place
         else:
-            km = self._d[np.ix_(self._nearest, rows, self.ids)]
-        for sat_km in np.ascontiguousarray(km.transpose(1, 2, 0)):
-            yield DistanceSamples(self.ids, self.times, sat_km, self.horizon_s)
+            km = np.ascontiguousarray(
+                self._d[np.ix_(self._nearest, rows, self.ids)].transpose(1, 2, 0)
+            )
+        return DistanceSamples(self.ids, self.times, km, self.horizon_s)
 
 
 def sample_distances(
@@ -157,15 +182,17 @@ def sample_distances(
 ) -> DistanceSamples:
     """Sample the distance from the satellite at flat index ``sat`` to
     every controller, out of the ``Constellation`` ``elements`` or the
-    ``DistanceFields`` ``fields`` (see ``DistanceSampler``)."""
-    return next(DistanceSampler(controllers, params, metric, elements, fields)([sat]))
+    ``DistanceFields`` ``fields`` (see ``DistanceSampler``), as a
+    one-satellite block."""
+    return DistanceSampler(controllers, params, metric, elements, fields)([sat])
 
 
 def interpolate(samples: DistanceSamples, t: float) -> np.ndarray:
-    """Piecewise-linear distance to each controller at ``t``; exact at samples."""
+    """Piecewise-linear distance from each satellite to each controller at
+    ``t``, shaped ``(satellites, controllers)``; exact at samples."""
     if t < samples.times[0] or t > samples.times[-1]:
         raise OutOfHorizon(f"t={t} outside [{samples.times[0]}, {samples.times[-1]}]")
-    return np.array([np.interp(t, samples.times, km) for km in samples.km])
+    return np.array([[np.interp(t, samples.times, km) for km in sat] for sat in samples.km])
 
 
 def _require_horizon(samples: DistanceSamples, params: AssignmentParams):
@@ -178,36 +205,46 @@ def _require_horizon(samples: DistanceSamples, params: AssignmentParams):
         )
 
 
-def predict_handovers(samples: DistanceSamples, params: AssignmentParams) -> HandoverSchedule:
-    """Scan the horizon and emit threshold-gated handover events.
+def predict_handovers(samples: DistanceSamples, params: AssignmentParams) -> HandoverSchedules:
+    """Scan the horizon and emit threshold-gated handover events for every
+    satellite of the block.
 
-    The initial assignment is the nearest controller at t=0. At every
-    decision tick (``kernels.decision_ticks``) the nearest controller
+    A satellite's initial assignment is the nearest controller at t=0. At
+    every decision tick (``kernels.decision_ticks``) the nearest controller
     (ties to the lowest id) takes over only if its interpolated distance
     is strictly below ``delta`` times the current controller's. Samples
     that stop short of ``params.horizon_s`` raise ``OutOfHorizon``.
     """
     _require_horizon(samples, params)
     ids = samples.gs_ids
-    initial, events = kernels.handover_scan(
+    scans = kernels.handover_scan(
         samples.times, samples.km, params.decide_dt_s, params.horizon_s, params.delta
     )
-    return HandoverSchedule(initial=ids[initial], events=tuple((t, ids[g]) for t, g in events))
+    return HandoverSchedules(
+        tuple(
+            HandoverSchedule(ids[initial], tuple([(t, ids[g]) for t, g in events]))
+            for initial, events in scans
+        )
+    )
 
 
 def assigned_distance_trace(
-    samples: DistanceSamples, schedule: HandoverSchedule, params: AssignmentParams
+    samples: DistanceSamples, schedules: HandoverSchedules, params: AssignmentParams
 ) -> np.ndarray:
-    """Distance to the assigned controller at every decision tick."""
+    """Distance from each satellite of the block to its assigned controller
+    at every decision tick, shaped ``(satellites, ticks)``."""
     _require_horizon(samples, params)
+    if len(schedules) != samples.km.shape[0]:
+        raise ValueError("need one schedule per satellite of the block")
     ticks = kernels.decision_ticks(params.decide_dt_s, params.horizon_s)
-    # the controller in charge after the last event at or before each tick
-    owners = np.array([schedule.initial] + [g for _, g in schedule.events])
-    event_times = np.array([t for t, _ in schedule.events], dtype=np.float64)
-    owner = owners[np.searchsorted(event_times, ticks, side="right")]
     row = {gid: i for i, gid in enumerate(samples.gs_ids)}
-    out = np.empty(ticks.shape[0])
-    for gid in np.unique(owner).tolist():
-        at = owner == gid
-        out[at] = np.interp(ticks[at], samples.times, samples.km[row[gid]])
+    out = np.empty((len(schedules), ticks.shape[0]))
+    for sat_km, schedule, sat_out in zip(samples.km, schedules, out):
+        # the controller in charge after the last event at or before each tick
+        owners = np.array([schedule.initial] + [g for _, g in schedule.events])
+        event_times = np.array([t for t, _ in schedule.events], dtype=np.float64)
+        owner = owners[np.searchsorted(event_times, ticks, side="right")]
+        for gid in np.unique(owner).tolist():
+            at = owner == gid
+            sat_out[at] = np.interp(ticks[at], samples.times, sat_km[row[gid]])
     return out

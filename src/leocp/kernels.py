@@ -4,13 +4,16 @@ Two inner loops dominate large runs: single-source Dijkstra over the
 satellite-ground graph (once per ground station per snapshot) and the
 handover decision scan (one tick per decision interval over a
 multi-hour horizon, for every satellite). Dijkstra runs in scipy's
-compiled csgraph routine. The scan is interval-pruned: between two
-samples every distance curve is linear, so a switch can only fire
-inside a sample interval where the switch condition holds at one of its
-two ends. Only those intervals are interpolated onto the decision grid,
-with the same ``np.interp`` as a full scan, so event times are bit for
-bit those of a tick-by-tick walk; a satellite with no such interval for
-its initial controller is done in a few array operations.
+compiled csgraph routine. The scan takes a block of satellites per call
+and is interval-pruned: between two samples every distance curve is
+linear, so a switch can only fire inside a sample interval where the
+switch condition holds at one of its two ends. The initial controllers
+and those intervals are found for the whole block in a few array
+operations; a satellite with no such interval for its initial controller
+is done there. Only the others are walked, one at a time, and only their
+flagged intervals are interpolated onto the decision grid, with the same
+``np.interp`` as a full scan, so event times are bit for bit those of a
+tick-by-tick walk.
 """
 import functools
 
@@ -65,50 +68,62 @@ def decision_ticks(decide_dt, horizon):
 
 
 def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
-    """Threshold-rule controller scan, returning (initial_index, [(t, target_index)]).
+    """Threshold-rule controller scan of a block of satellites, returning
+    one ``(initial_index, [(t, target_index), ...])`` pair per satellite.
 
-    ``sample_d`` has one row per controller. Each row is interpolated
-    piecewise-linearly at every tick of ``decision_ticks(decide_dt,
-    horizon)``; the initial controller is the nearest at the first sample
-    (ties to the lowest index), and a switch fires at the first tick where
-    the nearest controller (ties to the lowest index) is another one,
-    strictly closer than ``delta`` times the current one's distance.
+    ``sample_d`` is shaped ``(satellites, controllers, samples)``. Each
+    controller's row is interpolated piecewise-linearly at every tick of
+    ``decision_ticks(decide_dt, horizon)``; a satellite's initial
+    controller is the nearest at the first sample (ties to the lowest
+    index), and a switch fires at the first tick where the nearest
+    controller (ties to the lowest index) is another one, strictly closer
+    than ``delta`` times the current one's distance.
     """
     sample_t = np.asarray(sample_t, dtype=np.float64)
     sample_d = np.asarray(sample_d, dtype=np.float64)
-    n_ctl, n_samples = sample_d.shape
-    current = int(np.argmin(sample_d[:, 0]))
-    if n_ctl < 2 or n_samples < 2:
-        return current, []
-    flags = _switch_intervals(sample_d, delta)
-    if not flags[current].any():
-        return current, []
-    ticks = decision_ticks(decide_dt, horizon)
-    # sample interval j holds the ticks [first[j], first[j + 1]); ticks
-    # outside the samples take the end values, so they join the end intervals
-    first = np.empty(n_samples, dtype=np.intp)
-    first[0], first[-1] = 0, ticks.shape[0]
-    first[1:-1] = np.searchsorted(ticks, sample_t[1:-1], side="left")
-    return current, _walk(sample_t, sample_d, flags, current, ticks, first, delta)
+    n_sats, n_ctl, n_samples = sample_d.shape
+    initial = np.argmin(sample_d[:, :, 0], axis=1)
+    events = [[] for _ in range(n_sats)]
+    if n_ctl >= 2 and n_samples >= 2:
+        flags = _switch_intervals(sample_d, delta)
+        moving = flags[np.arange(n_sats), initial].any(axis=1).nonzero()[0]
+        if moving.size:
+            ticks = decision_ticks(decide_dt, horizon)
+            # sample interval j holds the ticks [first[j], first[j + 1]); ticks
+            # outside the samples take the end values, so they join the end intervals
+            first = np.empty(n_samples, dtype=np.intp)
+            first[0], first[-1] = 0, ticks.shape[0]
+            first[1:-1] = np.searchsorted(ticks, sample_t[1:-1], side="left")
+            for s in moving.tolist():
+                events[s] = _walk(
+                    sample_t, sample_d[s], flags[s], int(initial[s]), ticks, first, delta
+                )
+    return list(zip(initial.tolist(), events))
 
 
 def _switch_intervals(d, delta):
-    """``flags[c, j]``: with controller ``c`` current, a switch can fire in
-    sample interval ``j``. True where another controller is below ``delta``
-    times ``c``'s distance, give or take the slack, at either end.
+    """``flags[..., c, j]``: with controller ``c`` current, a switch can fire
+    in sample interval ``j``. True where another controller is below
+    ``delta`` times ``c``'s distance, give or take the slack, at either end.
+    ``d`` is shaped ``(..., controllers, samples)``; the slack scales with
+    each satellite's own distances.
 
     Non-finite samples need no rule of their own: ``np.interp`` is ``inf``
     inside an interval with an infinite end, so a controller that can
     undercut there is finite at both ends and meets the end test."""
-    scale = np.abs(d).max()
-    if not np.isfinite(scale):  # unreachable samples: scale by the finite ones
-        scale = np.max(np.abs(d), where=np.isfinite(d), initial=0.0)
+    size = np.abs(d)
+    scale = size.max(axis=(-2, -1), keepdims=True)
+    unreachable = ~np.isfinite(scale)
+    if unreachable.any():  # unreachable samples: scale those satellites by their finite ones
+        finite = np.max(size, axis=(-2, -1), keepdims=True, where=np.isfinite(d), initial=0.0)
+        scale = np.where(unreachable, finite, scale)
     # the nearest distance among the other controllers, for each controller:
     # the second lowest for a lowest one (the same value on a tie), else the lowest
-    low = np.sort(d, axis=0)
-    others = np.where(d == low[0], low[1], low[0])
+    low = np.sort(d, axis=-2)
+    lowest, second = low[..., :1, :], low[..., 1:2, :]
+    others = np.where(d == lowest, second, lowest)
     below = others < delta * d + _SLACK * scale
-    return below[:, :-1] | below[:, 1:]
+    return below[..., :-1] | below[..., 1:]
 
 
 def _walk(sample_t, d, flags, current, ticks, first, delta):

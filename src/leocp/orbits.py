@@ -44,6 +44,10 @@ class WalkerShell:
             raise ValueError("altitude must be positive")
         if not 0 <= self.phasing_factor < self.planes:
             raise ValueError("phasing_factor must satisfy 0 <= F < planes")
+        if not 0.0 < self.raan_span_deg <= 360.0:  # NaN fails too
+            raise ValueError(
+                f"raan_span_deg {self.raan_span_deg!r} is outside (0, 360] degrees"
+            )
         try:
             self.mean_motion
         except OverflowError:

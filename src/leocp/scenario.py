@@ -1,8 +1,8 @@
 """End-to-end scenario execution.
 
 Builds the snapshot series, predicts every satellite's handover schedule
-against the selected controllers (distances sampled in fixed-size
-blocks of satellites, each satellite then scanned on its own), then
+against the selected controllers (distances sampled and scanned in
+fixed-size blocks of satellites, one ``predict_handovers`` call each), then
 replays every predicted handover through the event engine, which
 derives the periodic status reports in bulk once its queue drains.
 Everything downstream of the inputs is deterministic.
@@ -34,9 +34,9 @@ from .protocol import (
 )
 from .topology import DEFAULT_MIN_ELEVATION_DEG, DistanceFields, build_snapshot, shortest_distances
 
-# Satellites sampled per call: enough to amortise the per-call numpy work,
-# few enough that at a full day's horizon a block's samples and
-# propagation temporaries stay within about 2 MiB.
+# Satellites sampled and scanned per call: enough to amortise the per-call
+# numpy work, few enough that at a full day's horizon a block's samples,
+# propagation temporaries and interval flags stay within about 2 MiB.
 _BLOCK_SATS = 16
 
 
@@ -119,9 +119,8 @@ def build_fields(spec: ScenarioSpec):
 def predict_schedules(spec: ScenarioSpec, elements, fields):
     """CNAA schedule per satellite against the scenario's controllers.
 
-    Distances are sampled ``_BLOCK_SATS`` satellites at a time; each
-    satellite's schedule is its own ``predict_handovers`` call on its
-    ``DistanceSamples``.
+    Satellites go ``_BLOCK_SATS`` at a time: each block's distances are
+    one ``DistanceSamples``, scanned by one ``predict_handovers`` call.
     """
     params = replace(
         spec.assignment,
@@ -133,8 +132,7 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
     schedules = {}
     for lo in range(0, len(elements), _BLOCK_SATS):
         block = sampler(range(lo, min(lo + _BLOCK_SATS, len(elements))))
-        for row, samples in enumerate(block, lo):
-            schedules[row] = predict_handovers(samples, params)
+        schedules.update(enumerate(predict_handovers(block, params), lo))
     return schedules
 
 

@@ -1,0 +1,41 @@
+"""Reference implementations the fast paths are checked against, and the
+helpers that build their inputs."""
+import numpy as np
+
+from leocp.assignment import DistanceSamples
+
+
+def samples_from(times, rows, horizon):
+    """Distances to controllers 0, 1, ..., one row each, as a one-satellite
+    block; a ``(satellites, controllers, times)`` nesting of rows is taken
+    as it is."""
+    km = np.array(rows, float)
+    km = km.reshape((-1,) + km.shape[-2:])
+    return DistanceSamples(
+        gs_ids=tuple(range(km.shape[1])), times=np.asarray(times, float), km=km, horizon_s=horizon
+    )
+
+
+def tick_oracle(samples, params):
+    """The threshold rule applied one decision tick and one controller at
+    a time to a one-satellite block: (initial id, [(t, target id), ...])."""
+    (km,) = samples.km
+    n_ctl = len(samples.gs_ids)
+
+    def dist(g, t):
+        return float(np.interp(t, samples.times, km[g]))
+
+    def nearest(d):
+        return min(range(len(d)), key=lambda g: (d[g], g))  # ties to the lowest id
+
+    current = nearest([dist(g, 0.0) for g in range(n_ctl)])
+    initial = samples.gs_ids[current]
+    events = []
+    for i in range(int(params.horizon_s / params.decide_dt_s) + 1):
+        t = i * params.decide_dt_s
+        d = [dist(g, t) for g in range(n_ctl)]
+        best = nearest(d)
+        if best != current and d[best] < params.delta * d[current]:
+            events.append((t, samples.gs_ids[best]))
+            current = best
+    return initial, events

@@ -210,16 +210,16 @@ def test_criterion_6_cnaa_hysteresis():
         samples = sample_distances(0, stations, params, elements=c)
         sched = predict_handovers(samples, params)
         counts.append(sched.count)
-        means.append(float(assigned_distance_trace(samples, sched, params).mean()))
+        means.append(float(assigned_distance_trace(samples, sched, params)[0].mean()))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
     # delta = 1 reduces to the brute-force nearest-controller scan
     params = AssignmentParams(horizon_s=horizon, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, stations, params, elements=c)
-    sched = predict_handovers(samples, params)
+    (sched,) = predict_handovers(samples, params)
     grid = np.arange(0.0, horizon + 0.5, 1.0)
     grid = grid[grid <= horizon]
-    interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km])
+    interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km[0]])
     assigned = np.argmin(interp, axis=0)
     oracle_events = [
         (float(grid[i]), int(assigned[i]))
@@ -247,7 +247,7 @@ def test_criterion_7_geometric_handover_count():
     period = shell.period_s
     params = AssignmentParams(horizon_s=period, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, stations, params, elements=c)
-    sched = predict_handovers(samples, params)
+    (sched,) = predict_handovers(samples, params)
     assert sched.count == 2
     # independent oracle: sign changes of the distance difference on a 1 s grid
     gs0 = station_position(stations[0])

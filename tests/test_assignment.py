@@ -12,6 +12,7 @@ from leocp.assignment import (
     AssignmentParams,
     DistanceSamples,
     HandoverSchedule,
+    HandoverSchedules,
     assigned_distance_trace,
     interpolate,
     predict_handovers,
@@ -21,18 +22,11 @@ from leocp.assignment import (
 from leocp.config import load_config, parse_config
 from leocp.errors import BudgetExceeded, EmptySelection, OutOfHorizon
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation, propagate, station_position
+from oracles import samples_from, tick_oracle
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 GEO_ALTITUDE_KM = 35786.0  # geostationary: fixed in the rotating frame
-
-
-def samples_from(times, rows, horizon):
-    """Distances to controllers 0, 1, ..., one row each."""
-    km = np.array(rows, float)
-    return DistanceSamples(
-        gs_ids=tuple(range(len(km))), times=np.asarray(times, float), km=km, horizon_s=horizon
-    )
 
 
 def test_sample_count_forced():
@@ -48,7 +42,7 @@ def test_geostationary_satellite_constant_series():
     stations = {0: GroundStation(0, "s", 0.0, 30.0)}
     params = AssignmentParams(horizon_s=3600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, stations, params, elements=c)
-    assert samples.km[0].max() - samples.km[0].min() < 20.0
+    assert samples.km[0, 0].max() - samples.km[0, 0].min() < 20.0
 
 
 def test_equatorial_min_distance_is_altitude():
@@ -66,7 +60,7 @@ def test_equatorial_min_distance_is_altitude():
     )
     assert dense.min() == pytest.approx(550.0, abs=0.1)
     interp_min = min(
-        interpolate(samples, t)[0] for t in np.arange(0.0, T, 1.0)
+        interpolate(samples, t)[0, 0] for t in np.arange(0.0, T, 1.0)
     )
     assert interp_min == pytest.approx(dense.min(), abs=25.0)
 
@@ -82,15 +76,16 @@ def test_network_metric_reads_fields():
     params = AssignmentParams(horizon_s=60.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, stations, params, metric="network", fields=fields)
     assert samples.gs_ids == (0, 1)
-    assert samples.km[0].tolist() == [100.0, 200.0]
-    assert samples.km[1].tolist() == [300.0, 250.0]
+    assert samples.km.shape == (1, 2, 2)  # one satellite, two controllers, two times
+    assert samples.km[0, 0].tolist() == [100.0, 200.0]
+    assert samples.km[0, 1].tolist() == [300.0, 250.0]
 
 
 def test_interpolate_exact_and_midpoint():
     s = samples_from([0.0, 60.0], [[100.0, 200.0]], 60.0)
-    assert interpolate(s, 0.0).tolist() == [100.0]
-    assert interpolate(s, 60.0).tolist() == [200.0]
-    assert interpolate(s, 30.0).tolist() == [150.0]
+    assert interpolate(s, 0.0).tolist() == [[100.0]]
+    assert interpolate(s, 60.0).tolist() == [[200.0]]
+    assert interpolate(s, 30.0).tolist() == [[150.0]]
 
 
 def test_interpolate_out_of_horizon():
@@ -108,8 +103,10 @@ def test_samples_short_of_the_horizon_are_out_of_horizon():
     with pytest.raises(OutOfHorizon):
         predict_handovers(s, params)
     with pytest.raises(OutOfHorizon):
-        assigned_distance_trace(s, HandoverSchedule(initial=0, events=()), params)
-    schedule = predict_handovers(s, replace(params, horizon_s=60.0))
+        assigned_distance_trace(
+            s, HandoverSchedules((HandoverSchedule(initial=0, events=()),)), params
+        )
+    (schedule,) = predict_handovers(s, replace(params, horizon_s=60.0))
     assert schedule.initial == 0 and schedule.count == 1
 
 
@@ -127,7 +124,7 @@ def test_interpolation_error_bound_on_distant_pass():
     gs = station_position(station)
     ts = np.arange(0.0, T, 1.0)
     true_d = np.array([np.linalg.norm(propagate(elem, t) - gs) for t in ts])
-    interp_d = np.interp(ts, samples.times, samples.km[0])
+    interp_d = np.interp(ts, samples.times, samples.km[0, 0])
     err = float(np.abs(interp_d - true_d).max())
     assert err < 5.0
     assert err == pytest.approx(0.875, abs=0.05)
@@ -136,7 +133,7 @@ def test_interpolation_error_bound_on_distant_pass():
 def test_single_controller_empty_schedule():
     s = samples_from([0.0, 60.0, 120.0], [[100.0, 150.0, 90.0]], 120.0)
     params = AssignmentParams(horizon_s=120.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    sched = predict_handovers(s, params)
+    (sched,) = predict_handovers(s, params)
     assert sched.initial == 0
     assert sched.events == ()
 
@@ -147,7 +144,7 @@ def test_single_crossing_fires_first_tick_after():
     ts = [0.0, 60.0, 120.0]
     s = samples_from(ts, [[100.0, 160.0, 220.0], [200.0, 140.0, 80.0]], 120.0)
     params = AssignmentParams(horizon_s=120.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    sched = predict_handovers(s, params)
+    (sched,) = predict_handovers(s, params)
     assert sched.initial == 0
     assert sched.events == ((51.0, 1),)
 
@@ -161,10 +158,10 @@ def test_delta_one_matches_nearest_scan_oracle():
             ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(n_ctl)], 600.0
         )
         params = AssignmentParams(horizon_s=600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-        sched = predict_handovers(samples, params)
+        (sched,) = predict_handovers(samples, params)
         # oracle: direct argmin scan over the decision grid
         grid = np.arange(0.0, 601.0, 1.0)
-        interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km])
+        interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km[0]])
         assigned = np.argmin(interp, axis=0)
         events = [
             (float(grid[i]), int(assigned[i]))
@@ -183,9 +180,9 @@ def test_hysteresis_band_never_violated():
             ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 1200.0
         )
         params = AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta)
-        sched = predict_handovers(samples, params)
+        (sched,) = predict_handovers(samples, params)
         grid = np.arange(0.0, 1201.0, 1.0)
-        interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km])
+        interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km[0]])
         nearest = interp.min(axis=0)
         current = np.array([sched.controller_at(float(t)) for t in grid])
         f_curr = interp[current, np.arange(grid.shape[0])]
@@ -203,33 +200,9 @@ def test_sweep_monotonicity_small():
         samples = sample_distances(0, stations, params, elements=c)
         sched = predict_handovers(samples, params)
         counts.append(sched.count)
-        means.append(float(assigned_distance_trace(samples, sched, params).mean()))
+        means.append(float(assigned_distance_trace(samples, sched, params)[0].mean()))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
-
-
-def tick_oracle(samples, params):
-    """The threshold rule applied one decision tick and one controller at
-    a time: (initial id, [(t, target id), ...])."""
-    n_ctl = len(samples.gs_ids)
-
-    def dist(g, t):
-        return float(np.interp(t, samples.times, samples.km[g]))
-
-    def nearest(d):
-        return min(range(len(d)), key=lambda g: (d[g], g))  # ties to the lowest id
-
-    current = nearest([dist(g, 0.0) for g in range(n_ctl)])
-    initial = samples.gs_ids[current]
-    events = []
-    for i in range(int(params.horizon_s / params.decide_dt_s) + 1):
-        t = i * params.decide_dt_s
-        d = [dist(g, t) for g in range(n_ctl)]
-        best = nearest(d)
-        if best != current and d[best] < params.delta * d[current]:
-            events.append((t, samples.gs_ids[best]))
-            current = best
-    return initial, events
 
 
 def test_schedule_matches_tick_oracle_below_one():
@@ -242,34 +215,36 @@ def test_schedule_matches_tick_oracle_below_one():
         params = AssignmentParams(
             horizon_s=1800.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta
         )
-        sched = predict_handovers(samples, params)
+        (sched,) = predict_handovers(samples, params)
         initial, events = tick_oracle(samples, params)
         assert events, delta  # the case must exercise switches
         assert sched.initial == initial
         assert list(sched.events) == events
-        assert predict_handovers(samples, params) == sched
+        assert predict_handovers(samples, params) == HandoverSchedules((sched,))
 
 
 @st.composite
-def scan_cases(draw):
-    """One satellite's sampled distances to 1-5 controllers.
-
-    Samples come from a small set of values, so exact ties at samples and
-    identical curves are common; a row may copy an earlier one, or be
-    ``delta`` times an earlier one at some samples, which puts the switch
-    threshold exactly on the samples; some entries are ``np.inf``. The
-    sample spacing is not a multiple of the decision interval, and the
-    horizon not a multiple of the sample spacing.
-    """
-    n_ctl = draw(st.integers(1, 5))
+def scan_params(draw):
+    """Scan settings whose sample spacing is not a multiple of the decision
+    interval, and whose horizon is not a multiple of the sample spacing."""
     delta = draw(st.sampled_from([1.0, 0.95, 0.9, 0.5]))
     decide_dt = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
     sample_dt = draw(st.sampled_from([7.25, 13.0, 25.5, 60.0]))
     horizon = sample_dt * draw(st.integers(1, 4)) + draw(st.sampled_from([0.0, 3.0, 4.75]))
-    params = AssignmentParams(
+    return AssignmentParams(
         horizon_s=horizon, sample_dt_s=sample_dt, decide_dt_s=decide_dt, delta=delta
     )
-    ts = sample_times(params)
+
+
+@st.composite
+def scan_rows(draw, ts, n_ctl, delta):
+    """One satellite's sampled distances to ``n_ctl`` controllers at ``ts``.
+
+    Samples come from a small set of values, so exact ties at samples and
+    identical curves are common; a row may copy an earlier one, or be
+    ``delta`` times an earlier one at some samples, which puts the switch
+    threshold exactly on the samples; some entries are ``np.inf``.
+    """
     value = st.one_of(
         st.sampled_from([100.0, 200.0, 300.0, 400.0]),
         st.floats(50.0, 1000.0),
@@ -289,7 +264,33 @@ def scan_cases(draw):
         else:
             keep = [draw(st.booleans()) for _ in ts]
         rows.append([factor * a if k else b for a, b, k in zip(src, free, keep)])
-    return params, ts, np.array(rows)
+    return rows
+
+
+@st.composite
+def scan_cases(draw):
+    """One satellite's ``scan_rows`` to 1-5 controllers under ``scan_params``."""
+    n_ctl = draw(st.integers(1, 5))
+    params = draw(scan_params())
+    ts = sample_times(params)
+    return params, ts, np.array(draw(scan_rows(ts, n_ctl, params.delta)))
+
+
+@st.composite
+def scan_blocks(draw):
+    """A block of 1-20 satellites' ``scan_rows``, over shared sample times
+    and the same 1-5 controllers; about one satellite in five is
+    unreachable throughout (every entry ``np.inf``)."""
+    n_ctl = draw(st.integers(1, 5))
+    params = draw(scan_params())
+    ts = sample_times(params)
+    block = [
+        [[np.inf] * len(ts)] * n_ctl
+        if draw(st.integers(0, 4)) == 0
+        else draw(scan_rows(ts, n_ctl, params.delta))
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    return params, ts, np.array(block)
 
 
 # an interval whose ends both sit exactly on the threshold of controller 0:
@@ -305,37 +306,59 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_pruned_scan_matches_tick_oracle(case):
     params, ts, rows = case
-    initial, events = kernels.handover_scan(
-        ts, rows, params.decide_dt_s, params.horizon_s, params.delta
+    [(initial, events)] = kernels.handover_scan(
+        ts, rows[None], params.decide_dt_s, params.horizon_s, params.delta
     )
     samples = samples_from(ts, rows, params.horizon_s)
     assert (initial, events) == tick_oracle(samples, params)
-    sched = predict_handovers(samples, params)
+    (sched,) = predict_handovers(samples, params)
     assert (sched.initial, list(sched.events)) == (initial, events)
 
 
-def _desk_spec(**assignment):
+@settings(max_examples=100, deadline=None)
+@given(scan_blocks())
+def test_block_scan_matches_tick_oracle_per_satellite(case):
+    params, ts, block = case
+    scans = kernels.handover_scan(
+        ts, block, params.decide_dt_s, params.horizon_s, params.delta
+    )
+    assert len(scans) == len(block)
+    for rows, scan in zip(block, scans):
+        assert scan == tick_oracle(samples_from(ts, rows, params.horizon_s), params)
+    schedules = predict_handovers(samples_from(ts, block, params.horizon_s), params)
+    assert [(s.initial, list(s.events)) for s in schedules] == scans
+    assert schedules.count == sum(len(events) for _, events in scans)
+    if block.shape[1] > 1:  # each satellite's flags, slack included, as if scanned alone
+        flags = kernels._switch_intervals(block, params.delta)
+        for rows, sat_flags in zip(block, flags):
+            assert np.array_equal(sat_flags, kernels._switch_intervals(rows, params.delta))
+
+
+def _desk_spec(shell=None, **assignment):
     with open(os.path.join(CONFIGS, "desk.json")) as fh:
         raw = json.load(fh)
     raw["assignment"].update(assignment)
+    raw["shell"].update(shell or {})
     spec = parse_config(raw)
     return replace(spec, controllers=[0, 1, 3])
 
 
 @pytest.mark.parametrize("metric,delta", [("geometric", 1.0), ("network", 0.9)])
 def test_block_prediction_matches_per_satellite_path(metric, delta):
-    spec = _desk_spec(metric=metric, delta=delta)
-    elements, _, fields = scenario.build_fields(spec)
-    assert len(elements) > scenario._BLOCK_SATS  # a block boundary inside the fleet
-    schedules = scenario.predict_schedules(spec, elements, fields)
-    params = replace(spec.assignment, horizon_s=spec.duration_s)
-    controllers = {g: spec.stations[g] for g in spec.controllers}
-    expected = {}
-    for row in range(len(elements)):
-        samples = sample_distances(row, controllers, params, metric, elements, fields)
-        expected[row] = predict_handovers(samples, params)
-    assert schedules == expected
-    assert sum(s.count for s in schedules.values()) > 0
+    # desk's 6 x 8 is three whole blocks; 5 x 7 = 35 ends on a short block of 3
+    for shell in (None, {"planes": 5, "sats_per_plane": 7}):
+        spec = _desk_spec(shell, metric=metric, delta=delta)
+        elements, _, fields = scenario.build_fields(spec)
+        assert len(elements) > scenario._BLOCK_SATS  # a block boundary inside the fleet
+        schedules = scenario.predict_schedules(spec, elements, fields)
+        params = replace(spec.assignment, horizon_s=spec.duration_s)
+        controllers = {g: spec.stations[g] for g in spec.controllers}
+        expected = {}
+        for row in range(len(elements)):
+            samples = sample_distances(row, controllers, params, metric, elements, fields)
+            (expected[row],) = predict_handovers(samples, params)
+        assert schedules == expected
+        assert sum(s.count for s in schedules.values()) > 0
 
 
 def test_controllers_are_sampled_in_id_order():
@@ -370,15 +393,16 @@ def test_assigned_distance_trace_matches_tick_loop():
         ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 1200.0
     )
     params = AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.9)
-    sched = predict_handovers(samples, params)
+    (sched,) = predict_handovers(samples, params)
     assert sched.events
     ticks = np.arange(0.0, 1200.5, 1.0)
     for schedule in (sched, HandoverSchedule(initial=2, events=())):
         loop = np.empty(ticks.shape[0])
         for i, t in enumerate(ticks):
-            km = samples.km[samples.gs_ids.index(schedule.controller_at(float(t)))]
+            km = samples.km[0, samples.gs_ids.index(schedule.controller_at(float(t)))]
             loop[i] = np.interp(t, samples.times, km)
-        assert np.array_equal(assigned_distance_trace(samples, schedule, params), loop)
+        trace = assigned_distance_trace(samples, HandoverSchedules((schedule,)), params)
+        assert np.array_equal(trace, loop[None])
 
 
 def test_schedule_event_times_increase_and_targets_differ():
@@ -388,7 +412,7 @@ def test_schedule_event_times_increase_and_targets_differ():
         ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 3600.0
     )
     params = AssignmentParams(horizon_s=3600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.95)
-    sched = predict_handovers(samples, params)
+    (sched,) = predict_handovers(samples, params)
     times = [t for t, _ in sched.events]
     assert times == sorted(times)
     assert len(set(times)) == len(times)
@@ -413,12 +437,14 @@ def test_series_invariants():
         samples_from([0.0, 0.0], [[1.0, 2.0]], 0.0)
     with pytest.raises(ValueError):
         samples_from([0.0, 30.0], [[1.0, 2.0]], 60.0)  # does not cover horizon
-    times, km = np.array([0.0, 60.0]), np.ones((2, 2))
+    times, km = np.array([0.0, 60.0]), np.ones((1, 2, 2))
     for gs_ids in ((1, 0), (0, 0)):
         with pytest.raises(ValueError, match="controller ids"):
             DistanceSamples(gs_ids=gs_ids, times=times, km=km, horizon_s=60.0)
     with pytest.raises(ValueError, match="shaped"):
         DistanceSamples(gs_ids=(0, 1, 2), times=times, km=km, horizon_s=60.0)
+    with pytest.raises(ValueError, match="shaped"):  # one satellite's rows, not a block
+        DistanceSamples(gs_ids=(0, 1), times=times, km=km[0], horizon_s=60.0)
 
 
 def test_prediction_without_controllers_is_a_named_error():

@@ -494,6 +494,11 @@ def test_degenerate_tick_grid_is_a_named_budget_error(tmp_path, capsys, section,
         ("shell", "altitude_km", 1e200, "config error: shell: altitude_km"),
         # a radius of 6371 - 7000 km would mirror the station through the centre
         ("stations.0", "altitude_m", -7e6, "config error: stations[0]: altitude_m"),
+        # the planes' RAANs must fit in one turn: 720 would put planes 0 and
+        # 3 of desk's six on one RAAN, 0 all of them, -10 run them backwards
+        ("shell", "raan_span_deg", 720.0, "config error: shell: raan_span_deg"),
+        ("shell", "raan_span_deg", 0.0, "config error: shell: raan_span_deg"),
+        ("shell", "raan_span_deg", -10.0, "config error: shell: raan_span_deg"),
     ],
 )
 def test_geometry_out_of_range_is_a_config_error(tmp_path, capsys, section, key, value, message):

@@ -5,11 +5,12 @@ the default run. Invoke with:
 
 Expected wall time is about 40 seconds on a 2-core machine: the event
 engine runs the handover steps only, and the status reports are derived
-in bulk afterwards. The full-day schedule and distance-field digests
-alone (``-k "schedule or fields"``) take about 2 and 4 seconds; the
-report, records and constellation digests (``-k report``), one full
-``leocp all`` run, about 11 seconds; the Kuiper and OneWeb ``leocp all``
-digests (``-k "kuiper or oneweb"``) about 7 and 4 seconds.
+in bulk afterwards. The full-day schedule digest alone (``-k schedule``)
+takes about 2 seconds, about 1.8 of them in the block-wise prediction
+(median of 20 runs), and the distance-field digests (``-k fields``) about
+3 seconds; the report, records and constellation digests (``-k report``),
+one full ``leocp all`` run, about 11 seconds; the Kuiper and OneWeb
+``leocp all`` digests (``-k "kuiper or oneweb"``) about 7 and 4 seconds.
 """
 import hashlib
 import json

@@ -65,7 +65,7 @@ def shells(draw):
     span = draw(
         st.one_of(
             st.sampled_from([180.0, 360.0]),
-            st.floats(0.0, 720.0, allow_nan=False, allow_infinity=False),
+            st.floats(0.0, 360.0, exclude_min=True),
         )
     )
     return WalkerShell(
@@ -106,6 +106,13 @@ def test_constellation_matches_per_satellite_loop(shell):
 def test_shell_invariants_rejected(kwargs):
     with pytest.raises(ValueError):
         WalkerShell(**kwargs)
+
+
+@pytest.mark.parametrize("span", [720.0, 360.0 + 1e-9, 0.0, -10.0, math.nan, math.inf])
+def test_raan_span_outside_one_turn_rejected(span):
+    with pytest.raises(ValueError, match="raan_span_deg"):
+        WalkerShell(3, 4, 53.0, 550.0, raan_span_deg=span)
+    assert WalkerShell(3, 4, 53.0, 550.0, raan_span_deg=360.0).raan_span_deg == 360.0
 
 
 def test_circular_radius_preserved():

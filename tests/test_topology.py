@@ -395,7 +395,7 @@ def test_snapshot_latency_and_network_sampler_use_the_lookup():
             assert latency(("sat", 0), ("gs", gs), t) == distance_to_latency(fields.d[i, 0, gs])
     params = AssignmentParams(horizon_s=180.0, sample_dt_s=20.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields=fields)
-    for gs_id, km in zip(samples.gs_ids, samples.km):
+    for gs_id, km in zip(samples.gs_ids, samples.km[0]):
         expected = [fields.d[nearest_field_index(times, t), 0, gs_id] for t in samples.times]
         assert km.tolist() == expected
 
