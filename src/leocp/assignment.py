@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .errors import EmptySelection, OutOfHorizon
 from .orbits import propagate, station_positions
-from .topology import nearest_field_index
+from .topology import nearest_field_indices
 
 _event_time = operator.itemgetter(0)  # time of a (t, gs_id) schedule event
 
@@ -148,9 +148,7 @@ class DistanceSampler:
             if fields is None:
                 raise ValueError("network metric needs precomputed distance fields")
             self._d = fields.d
-            self._nearest = np.array(
-                [nearest_field_index(fields.times, t) for t in self.times.tolist()], dtype=np.intp
-            )
+            self._nearest = nearest_field_indices(fields.times, self.times)
         else:
             raise ValueError(f"unknown metric: {metric!r}")
 

@@ -1,34 +1,44 @@
 """Discrete-event simulation of controller handovers.
 
-Two protocols are modeled over the same event engine. The seamless
-protocol walks a handover request through creation, source-side
-release, record sync to the target, client re-initialization, target
-binding, and final release commit; the satellite stays registered with
-at least one controller throughout and pods never stop. The legacy
-protocol drains the node, removes it, and rejoins it at the target,
-which opens measurable windows of node invisibility and pod downtime.
-Each protocol is one generator whose body is the protocol in order:
-every queued step yields the time it fires, and ``_advance`` queues the
-generator's resumption there. A node runs one handover at a time:
-starting a second one while the first is in flight raises
+Two protocols are modeled. The seamless protocol walks a handover
+request through creation, source-side release, record sync to the
+target, client re-initialization, target binding, and final release
+commit; the satellite stays registered with at least one controller
+throughout and pods never stop. The legacy protocol drains the node,
+removes it, and rejoins it at the target, which opens measurable
+windows of node invisibility and pod downtime. A node runs one handover
+at a time: starting a second one while the first is in flight raises
 ``ConcurrentHandover``.
+
+Each protocol is written twice. As one generator whose body is the
+protocol in order: every queued step yields the time it fires, and
+``_advance`` queues the generator's resumption there. This event engine
+runs direct ``start_seamless``/``start_legacy`` calls and every
+simulation that records a trace. And as a fixed chain of steps
+(``_seamless_chain``, ``_legacy_chain``), over which ``run`` replays a
+``start_handovers`` batch in bulk: each step is ``t + delay`` or
+``t + leg(t)``, one numpy operation over every handover of the batch
+with the engine's float association, and each step's event gets the
+rank the queue would give it. A batch the engine would stop on (an
+overlapping switch, an unknown id, an unusable leg) goes through the
+queue instead, so it raises the engine's first error.
 
 The engine is logically single-threaded: one priority queue ordered by
 (time, sequence number), so identical inputs replay identical traces.
-Only handover steps pass through the queue. Periodic status reports
-depend on nothing but the controller a satellite holds at each tick and
-the binding state at each accept, so they are derived in bulk from each
-satellite's controller log and the binding-state log. Once the
-queue drains, the latencies replay the queue's waiting list: a tick
-under a controller records its latency at once, a tick while the node
-holds none waits, and the legacy rejoin's flush records every waiting
-tick. The accepted report times are derived only when ``report_log`` is
-first read, or before anything else is logged. Every logged change
-carries enough of its event's ancestry to place it against the report
-events the queue would have held, so exact time ties resolve in the
-queue's push order.
+Periodic status reports never enter it: they depend on nothing but the
+controller a satellite holds at each tick and the binding state at each
+accept, so they are derived in bulk from each satellite's controller
+log and the binding-state log. Once the handovers are done, the
+latencies replay the queue's waiting list: a tick under a controller
+records its latency at once, a tick while the node holds none waits,
+and the legacy rejoin's flush records every waiting tick. The accepted
+report times are derived only when ``report_log`` is first read, or
+before anything else is logged. Every logged change carries enough of
+its event's ancestry to place it against the report events the queue
+would have held, so exact time ties resolve in the queue's push order.
 """
 import bisect
+import collections
 import functools
 import heapq
 import itertools
@@ -41,7 +51,7 @@ import numpy as np
 
 from .constants import EARTH_RADIUS_KM
 from .errors import BudgetExceeded, ConcurrentHandover, LeocpError, ProtocolViolation, Unreachable
-from .topology import distance_to_latency, nearest_field_index
+from .topology import distance_to_latency, nearest_field_index, nearest_field_indices
 
 DEFAULT_REPORT_INTERVAL_S = 10.0
 DEFAULT_TERRESTRIAL_FACTOR = 2.0
@@ -53,6 +63,9 @@ REPORT_BUDGET = 5_000_000
 # Satellites whose reports are derived together: bounds the per-tick
 # work arrays while sharing each snapshot lookup across the block.
 _REPORT_BLOCK_SATS = 64
+# Handover steps one batch may replay (queue events: a start, every
+# step, seamless's two acks). Full-day legacy Starlink makes 936,306.
+STEP_BUDGET = 10_000_000
 
 
 class BindingState(Enum):
@@ -156,9 +169,9 @@ class ConstantLatency:
         return 0.0 if a == b else self.one_way_ms
 
     def sat_gs_ms(self, sats, gs, times):
-        """``self(("sat", sats[i]), ("gs", gs[i, k]), times[k])`` as an
-        array shaped like ``gs``; entries where ``gs`` is negative are
-        not defined."""
+        """``self(("sat", sats[i]), ("gs", gs[i, k]), t[i, k])`` as an
+        array shaped like ``gs``, where ``t`` is ``times`` broadcast to
+        that shape; entries where ``gs`` is negative are not defined."""
         return np.full(gs.shape, float(self.one_way_ms))
 
 
@@ -172,6 +185,7 @@ class SnapshotLatency:
 
     def __init__(self, fields, stations, terrestrial_factor=DEFAULT_TERRESTRIAL_FACTOR):
         self.fields = fields
+        self._times = np.asarray(fields.times, dtype=float)
         self.factor = terrestrial_factor
         self._station_unit = {}
         for st in stations:
@@ -198,12 +212,12 @@ class SnapshotLatency:
         return distance_to_latency(d) if np.isfinite(d) else math.inf
 
     def sat_gs_ms(self, sats, gs, times):
-        """``self(("sat", sats[i]), ("gs", gs[i, k]), times[k])`` as an
-        array shaped like ``gs``; entries where ``gs`` is negative are
-        not defined. One gather reads every leg at its tick's nearest
-        snapshot."""
-        nearest = [nearest_field_index(self.fields.times, t) for t in times.tolist()]
-        km = self.fields.d[np.array(nearest, dtype=np.intp), np.asarray(sats)[:, None], gs]
+        """``self(("sat", sats[i]), ("gs", gs[i, k]), t[i, k])`` as an
+        array shaped like ``gs``, where ``t`` is ``times`` broadcast to
+        that shape; entries where ``gs`` is negative are not defined. One
+        gather reads every leg at its time's nearest snapshot."""
+        nearest = nearest_field_indices(self._times, times)
+        km = self.fields.d[nearest, np.asarray(sats)[:, None], gs]
         ms = distance_to_latency(km)
         ms[~np.isfinite(km)] = math.inf
         return ms
@@ -234,9 +248,17 @@ class Simulation:
     and the controller it holds the last of its controller log (``controller``).
 
     ``latency`` has two methods, both giving one-way milliseconds
-    (``math.inf`` where no path exists): ``latency(a, b, t)``, one leg
-    of a handover step, and ``sat_gs_ms(sats, gs, times)``, the report
-    legs of a block; ``ConstantLatency`` and ``SnapshotLatency`` do both.
+    (``math.inf`` where no path exists): ``latency(a, b, t)``, one leg,
+    and ``sat_gs_ms(sats, gs, times)``, a block of satellite-station
+    legs; ``ConstantLatency`` and ``SnapshotLatency`` do both. The bulk
+    replay reads every satellite-station leg of a step through
+    ``sat_gs_ms`` and every station-station leg at t = 0, so a
+    model must give the same leg both ways and station legs that do not
+    change with time.
+
+    ``start_handovers`` starts a batch of handovers that ``run`` replays
+    in bulk; it leaves ``records`` in (t_start, satellite) order, where
+    the queue leaves them in the order they end.
 
     ``start_reporting`` turns on periodic status reports. They never
     enter the queue, but are derived in bulk exactly as per-event send,
@@ -286,6 +308,7 @@ class Simulation:
         self._ticks = None  # report tick times, while reports are pending
         self._tick_list = []
         self._unaccepted = None  # tick times of a drained run, until its accepts are merged
+        self._batch = None  # handovers of ``start_handovers``, until ``run``
         self._root = self._ctx = self._parent = (-math.inf, -1, -1)
 
     # -- engine ------------------------------------------------------------
@@ -301,13 +324,57 @@ class Simulation:
     # the first ticks unless ``start_reporting`` came first.
 
     def schedule(self, t, fn):
+        self._push(t, next(self._seq), fn, self._ctx)
+
+    def _push(self, t, seq, fn, ctx):
         if not math.isfinite(t):
             raise Unreachable("event scheduled over an unreachable link")
-        heapq.heappush(self._queue, (t, next(self._seq), fn, self._ctx))
+        heapq.heappush(self._queue, (t, seq, fn, ctx))
+
+    def start_handovers(self, protocol, schedules):
+        """Start every switch of ``schedules`` (satellite -> its ``(t,
+        target)`` switches) under ``protocol``: the ``start_seamless`` or
+        ``start_legacy`` events scheduled here, satellite by satellite.
+
+        ``run`` replays the batch in bulk if nothing else is queued then.
+        The queue runs it instead when the simulation records a trace,
+        or when the engine would stop on it, so that it raises the
+        engine's first error. Raises ``BudgetExceeded``, before any work,
+        past ``STEP_BUDGET`` steps.
+        """
+        if self._batch is not None:
+            self._queue_batch(*self._batch)
+            self._batch = None
+        flat = [(sat, t, target) for sat in sorted(schedules) for t, target in schedules[sat]]
+        per = _steps_per_handover(protocol, self.pods_per_sat, self.delays.auth_roundtrips)
+        if len(flat) * per > STEP_BUDGET:
+            raise BudgetExceeded(
+                f"{len(flat)} handovers x {per} steps = {len(flat) * per:,} handover steps, "
+                f"over the budget of {STEP_BUDGET:,}; lower protocol.delays.auth_roundtrips "
+                f"(now {self.delays.auth_roundtrips}) or protocol.pods_per_sat "
+                f"(now {self.pods_per_sat})"
+            )
+        first = next(self._seq)  # the batch's events take the next sequence numbers
+        self._seq = itertools.count(first + len(flat))
+        batch = (protocol, flat, first, self._ctx)
+        if self.trace is not None or not all(math.isfinite(t) for _, t, _ in flat):
+            self._queue_batch(*batch)
+        else:
+            self._batch = batch
+
+    def _queue_batch(self, protocol, flat, first, ctx):
+        starter = start_seamless if protocol is Protocol.SEAMLESS else start_legacy
+        for seq, (sat, t, target) in enumerate(flat, first):
+            self._push(t, seq, functools.partial(starter, self, sat, target), ctx)
 
     def run(self):
-        """Fire every queued event, then derive the report latencies, if
+        """Replay the pending ``start_handovers`` batch in bulk, or fire
+        every queued event, then derive the report latencies, if
         reporting is on; the accepts wait for ``report_log``."""
+        if self._batch is not None:
+            batch, self._batch = self._batch, None
+            if self._queue or self._in_flight or not _replay(self, *batch):
+                self._queue_batch(*batch)
         queue = self._queue
         try:
             while queue:
@@ -391,10 +458,20 @@ class Simulation:
     def bind_initial(self, sat, gs, t=0.0):
         """Bootstrap registration: entry is Bound with a synchronous
         initial status, as if the node joined before the scenario."""
-        self._check_ids(sat, gs)
-        self._log_state(gs, sat, BindingState.BOUND, t)
-        self._set_controller(sat, gs, t)
-        self._log_report(gs, sat, t)
+        self.bind_all({sat: gs}, t)
+
+    def bind_all(self, initial, t=0.0):
+        """``bind_initial(sat, gs, t)`` for each ``sat: gs`` of ``initial``,
+        in order."""
+        self._settle_accepts()
+        entry, pushed = (t, BindingState.BOUND), (self._parent[0], self._parent[2])
+        rank = self._ctx[1]
+        for sat, gs in initial.items():
+            self._check_ids(sat, gs)
+            self.state_log.setdefault((gs, sat), []).append(entry)
+            self._state_pushed.setdefault((gs, sat), []).append(pushed)
+            self._controller_log.setdefault(sat, []).append((rank, t, gs, False))
+            bisect.insort(self._report_log.setdefault((gs, sat), []), t)
 
     def _check_ids(self, sat, gs):
         if gs not in self.controllers:
@@ -797,3 +874,200 @@ def _legacy_report(sim, sat, target_gs, t, removed, legs, finish):
     legs["invisibility"] = t - removed
     if len(legs) == 2:
         finish(t, **legs)
+
+
+# ---------------------------------------------------------------------------
+# bulk replay: a batch's handovers stepped together, one numpy operation
+# over every handover per protocol step
+
+
+def _steps_per_handover(protocol, pods, auth_roundtrips):
+    """Queue events of one handover: its start, every step, and seamless's
+    two acks."""
+    if protocol is Protocol.SEAMLESS:
+        return 16
+    return 10 + auth_roundtrips + (5 + 4 * pods if pods > 0 else 0)
+
+
+# an event of every handover: its times, ranks, and the context of the
+# event that pushed it, (time, rank, its pusher's rank) as ``Simulation._parent``
+_Event = collections.namedtuple("_Event", "t rank parent")
+# what a protocol's chain logs: binding entries (gs, event, state), controller
+# changes (event, gs, flush), accept times at the target, the record's
+# (t_start, t_end, invisibility, pod_unavailability), the request statuses
+_Outcome = collections.namedtuple("_Outcome", "states changes accepts record statuses")
+
+
+class _Lockstep:
+    """Steps over a batch's handovers. Each event gets the rank the
+    queue would give it; ``ok`` drops a handover with a leg the engine
+    would refuse, or one that runs back in time."""
+
+    def __init__(self, sim, sats, src, tgt):
+        self.sim, self.sats, self.src, self.tgt = sim, sats, src, tgt
+        self.ticks = np.empty(0) if sim._ticks is None else sim._ticks
+        self._tick_at = np.append(self.ticks, math.inf)
+        self.ok = np.ones(len(sats), dtype=bool)
+
+    def at(self, ev, t):
+        """The events at times ``t`` that ``ev`` pushes (``Simulation._rank``)."""
+        k = np.searchsorted(self.ticks, t)
+        rank = k + ((self._tick_at[k] == t) & (ev.rank >= k))
+        return _Event(t, rank, (ev.t, ev.rank, ev.parent[1]))
+
+    def sat_s(self, gs, t):
+        """Seconds between each satellite and its station ``gs`` at ``t``."""
+        return self._checked(self.sim.latency.sat_gs_ms(self.sats, gs[:, None], t[:, None])[:, 0])
+
+    def gs_s(self, a, b):
+        """Seconds from station ``a`` to ``b``; station legs do not depend on time."""
+        pairs = list(zip(a.tolist(), b.tolist()))
+        ms = {p: self.sim.latency(("gs", p[0]), ("gs", p[1]), 0.0) for p in set(pairs)}
+        return self._checked(np.array([ms[p] for p in pairs], dtype=float))
+
+    def _checked(self, ms):
+        self.ok &= np.isfinite(ms) & (ms >= 0.0)
+        return ms / 1000.0
+
+
+def _seamless_chain(steps, d, e, _pods):
+    src, tgt, t0 = steps.src, steps.tgt, e.t
+    e = steps.at(e, e.t + steps.sat_s(src, e.t))  # steps 1-4
+    e = created = steps.at(e, e.t + d.persist)
+    steps.sat_s(src, e.t)  # creation ack
+    e = releasing = steps.at(e, e.t + d.controller_process)  # steps 5-6
+    e = steps.at(e, e.t + steps.gs_s(src, tgt))  # step 7
+    e = synced = steps.at(e, e.t + d.persist)
+    e = finished = steps.at(e, e.t + steps.gs_s(tgt, src))  # step 8
+    e = steps.at(e, e.t + steps.sat_s(src, e.t))  # step 9
+    e = steps.at(e, e.t + d.client_init)  # steps 10-11
+    e = steps.at(e, e.t + steps.sat_s(tgt, e.t))  # step 12
+    e = bound = steps.at(e, e.t + d.status_report_process)  # step 13
+    e = switched = steps.at(e, e.t + steps.sat_s(tgt, e.t))  # step 14
+    e = steps.at(e, e.t + steps.sat_s(src, e.t))  # step 15
+    done = steps.at(e, e.t + d.persist)
+    steps.sat_s(src, done.t)  # released ack
+    lag = bound.t - done.t
+    return _Outcome(
+        [(src, releasing, BindingState.RELEASING), (tgt, synced, BindingState.RELEASED),
+         (tgt, bound, BindingState.BINDING), (tgt, bound, BindingState.BOUND),
+         (src, done, BindingState.RELEASED)],
+        [(switched, tgt, False)],
+        bound.t,
+        (t0, done.t, np.where(lag > 0.0, lag, 0.0), np.zeros_like(t0)),
+        [(RequestStatus.CREATED, created.t), (RequestStatus.PROCESSING, releasing.t),
+         (RequestStatus.FINISHED, finished.t), (RequestStatus.COMPLETED, done.t)],
+    )
+
+
+def _legacy_chain(steps, d, e, pods):
+    src, tgt, stopped = steps.src, steps.tgt, None
+    for _ in range(pods):  # drain: evict the pods one at a time
+        e = steps.at(e, e.t + d.drain_per_pod)
+        e = steps.at(e, e.t + steps.sat_s(src, e.t))
+        stopped = e.t if stopped is None else stopped
+        e = steps.at(e, e.t + d.pod_stop)
+        e = steps.at(e, e.t + steps.sat_s(src, e.t))
+    e = removed = steps.at(e, e.t + d.persist)
+    e = steps.at(e, e.t + steps.sat_s(src, e.t))
+    e = steps.at(e, e.t + d.legacy_cleanup)
+    for _ in range(d.auth_roundtrips):
+        leg = steps.sat_s(tgt, e.t)  # both ways
+        e = steps.at(e, e.t + (leg + leg))
+    e = steps.at(e, e.t + d.client_init)
+    e = steps.at(e, e.t + steps.sat_s(tgt, e.t))
+    registered = steps.at(e, e.t + d.register)
+    # the ack and first report, beside the pod resync
+    e = acked = steps.at(registered, registered.t + steps.sat_s(tgt, registered.t))
+    e = steps.at(e, e.t + steps.sat_s(tgt, e.t))
+    accepted = e.t + d.status_report_process
+    end, unavailable = accepted, np.zeros_like(accepted)
+    if pods:
+        rtt = steps.gs_s(tgt, src) + steps.gs_s(src, tgt)
+        e = steps.at(registered, registered.t + rtt + d.persist)
+        e = steps.at(e, e.t + d.controller_process + d.persist)
+        e = steps.at(e, e.t + steps.sat_s(tgt, e.t))
+        e = steps.at(e, e.t + d.client_init)
+        resynced = e.t + d.pod_start
+        end, unavailable = np.maximum(accepted, resynced), resynced - stopped
+    return _Outcome(
+        [(src, removed, None), (tgt, registered, BindingState.BOUND)],
+        [(removed, None, False), (acked, tgt, True)],
+        accepted,
+        (removed.t, end, accepted - removed.t, unavailable),
+        [],
+    )
+
+
+def _replay(sim, protocol, flat, _first, ctx):
+    """Replay the batch ``flat`` of (satellite, start time, target)
+    handovers in bulk, leaving the logs, records and requests the queue
+    would; ``sim.records`` gets them in (t_start, satellite) order.
+
+    Returns False, having changed nothing, if the engine would stop on the
+    batch (an unknown id, a node not Bound, a switch to the controller it
+    holds or at or before the end of its previous handover, an unusable
+    leg) or the bulk form cannot follow it (a leg running back in time).
+    A node's handovers do not overlap, so each chain depends on the
+    others of its node only through its source controller.
+    """
+    if not flat:
+        return True
+    sats, t0, tgt = zip(*flat)
+    if not (set(sats) <= sim.satellites and set(tgt) <= sim.controllers):
+        return False
+    sats, t0, tgt = np.array(sats), np.array(t0), np.array(tgt)
+    pos = np.lexsort((t0, sats))  # each node's handovers in starting order
+    sats, t0, tgt = sats[pos], t0[pos].astype(float), tgt[pos]
+    same = np.append(False, sats[1:] == sats[:-1])  # the node's previous handover is the one before
+    src = np.roll(tgt, 1)
+    for i in np.flatnonzero(~same).tolist():
+        sat = sats[i].item()
+        held = sim.controller(sat)
+        if held is None or sim.binding(held, sat) is not BindingState.BOUND:
+            return False
+        src[i] = held
+    if (src == tgt).any():
+        return False
+    steps = _Lockstep(sim, sats, src, tgt)
+    chain = _seamless_chain if protocol is Protocol.SEAMLESS else _legacy_chain
+    with np.errstate(invalid="ignore"):  # inf - inf of a dropped handover
+        start = steps.at(_Event(ctx[0], ctx[1], (None, ctx[2], None)), t0)
+        out = chain(steps, sim.delays, start, max(sim.pods_per_sat, 0))
+    if not steps.ok.all() or (same[1:] & (t0[1:] <= out.record[1][:-1])).any():
+        return False
+
+    sim._settle_accepts()
+    n = len(sats)
+
+    def rows(kinds):  # each handover's rows of every kind, handover-major, as Python values
+        fields = ([np.broadcast_to(v, n) for v in field] for field in zip(*kinds))
+        return zip(*(np.stack(field, axis=1).ravel().tolist() for field in fields))
+
+    states = [(gs, sats, e.t, state, e.parent[0], e.parent[2]) for gs, e, state in out.states]
+    for gs, sat, t, state, *pushed in rows(states):
+        sim.state_log.setdefault((gs, sat), []).append((t, state))
+        sim._state_pushed.setdefault((gs, sat), []).append(tuple(pushed))
+    for sat, *change in rows([(sats, e.rank, e.t, gs, flush) for e, gs, flush in out.changes]):
+        sim._controller_log.setdefault(sat, []).append(tuple(change))
+    for gs, sat, t in zip(tgt.tolist(), sats.tolist(), out.accepts.tolist()):
+        bisect.insort(sim._report_log.setdefault((gs, sat), []), t)
+
+    t_start, t_end, invisibility, unavailable = out.record
+    order = np.lexsort((sats, t_start))
+    columns = (sats, src, tgt, t_start, t_end, t_end - t_start, invisibility, unavailable)
+    rows = zip(*(c[order].tolist() for c in columns))
+    sim.records += [HandoverRecord(*row, protocol) for row in rows]
+    if out.statuses:
+        base = next(sim._request_ids)
+        sim._request_ids = itertools.count(base + n)
+        order = np.lexsort((pos, t0))  # the order the start events fire
+        names = [status.value for status, _ in out.statuses]
+        columns = (sats, src, tgt) + tuple(t for _, t in out.statuses)
+        rows = zip(*(c[order].tolist() for c in columns))
+        for rid, (sat, source, target, *times) in enumerate(rows, base):
+            stamps = dict(zip(names, times))
+            req = HandoverRequest(rid, sat, source, target, RequestStatus.COMPLETED, stamps)
+            sim.requests.append(req)
+    return True
+

@@ -3,11 +3,11 @@
 Builds the snapshot series, predicts every satellite's handover schedule
 against the selected controllers (distances sampled and scanned in
 fixed-size blocks of satellites, one ``predict_handovers`` call each), then
-replays every predicted handover through the event engine, which
-derives the periodic status reports in bulk once its queue drains.
+replays every predicted handover in one bulk batch
+(``Simulation.start_handovers``) and derives the periodic status reports
+in bulk after it.
 Everything downstream of the inputs is deterministic.
 """
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,8 +29,6 @@ from .protocol import (
     Protocol,
     Simulation,
     SnapshotLatency,
-    start_legacy,
-    start_seamless,
 )
 from .topology import DEFAULT_MIN_ELEVATION_DEG, DistanceFields, build_snapshot, shortest_distances
 
@@ -48,7 +46,7 @@ class ScenarioSpec:
 
     ``latency_model`` replaces the snapshot-based latencies. Like every
     ``Simulation`` latency it implements both ``__call__`` (one leg) and
-    ``sat_gs_ms`` (a block of report legs), as ``ConstantLatency`` does.
+    ``sat_gs_ms`` (a block of legs), as ``ConstantLatency`` does.
     """
 
     shell: WalkerShell
@@ -160,14 +158,9 @@ def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResu
         pods_per_sat=spec.pods_per_sat,
         record_trace=spec.record_trace,
     )
-    for sat in range(len(elements)):
-        sim.bind_initial(sat, schedules[sat].initial, t=0.0)
+    sim.bind_all({sat: schedules[sat].initial for sat in range(len(elements))}, t=0.0)
     sim.start_reporting(spec.duration_s)
-
-    starter = start_seamless if spec.protocol is Protocol.SEAMLESS else start_legacy
-    for sat in sorted(schedules):
-        for t, target in schedules[sat].events:
-            sim.schedule(t, functools.partial(starter, sim, sat, target))
+    sim.start_handovers(spec.protocol, {sat: s.events for sat, s in schedules.items()})
     sim.run()
 
     return ScenarioResult(

@@ -9,7 +9,8 @@ distances from every station to every satellite are one
 the snapshot times and one ``(snapshots, satellites, stations)`` array
 that every consumer reads in place. ``nearest_field_index`` is the one
 lookup of the snapshot nearest in time, shared by the simulation's
-latency model and network-metric sampling.
+latency model and network-metric sampling; ``nearest_field_indices`` is
+its array form.
 
 The writers stream one snapshot at a time and give the bytes of the
 standard library's encoders: ``write_json_array`` those of ``json.dump``
@@ -247,6 +248,15 @@ def nearest_field_index(times, t) -> int:
     if i == len(times):
         return i - 1
     return i - 1 if t - times[i - 1] <= times[i] - t else i
+
+
+def nearest_field_indices(times, ts) -> np.ndarray:
+    """``nearest_field_index(times, t)`` for every ``t`` of the array ``ts``
+    (finite or infinite), as an index array shaped like ``ts``."""
+    times, ts = np.asarray(times, dtype=float), np.asarray(ts, dtype=float)
+    i = np.searchsorted(times, ts)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i, len(times) - 1)
+    return np.where(ts - times[lo] <= times[hi] - ts, lo, hi)
 
 
 def distance_to_latency(km) -> float:

@@ -1,8 +1,11 @@
 """Reference implementations the fast paths are checked against, and the
 helpers that build their inputs."""
+import functools
+
 import numpy as np
 
 from leocp.assignment import DistanceSamples
+from leocp.protocol import Protocol, start_legacy, start_seamless
 
 
 def samples_from(times, rows, horizon):
@@ -39,3 +42,13 @@ def tick_oracle(samples, params):
             events.append((t, samples.gs_ids[best]))
             current = best
     return initial, events
+
+
+def queue_handovers(sim, protocol, schedules):
+    """``sim.start_handovers(protocol, schedules)`` as one queued start
+    event per switch, satellite by satellite, for the event engine to
+    run step by step."""
+    starter = start_seamless if protocol is Protocol.SEAMLESS else start_legacy
+    for sat in sorted(schedules):
+        for t, target in schedules[sat]:
+            sim.schedule(t, functools.partial(starter, sim, sat, target))

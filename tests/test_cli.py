@@ -469,6 +469,23 @@ def test_report_budget_stops_tiny_interval_at_once(tmp_path, capsys):
     assert "[simulate] FAILED" in err and "protocol.report_interval_s" in err
 
 
+def test_step_budget_stops_endless_auth_round_trips_at_once(tmp_path, capsys):
+    # desk's 96 legacy handovers x 200,019 steps each: refused before the
+    # first step, where the engine ran 18.8 s into an overlap error
+    with open(DESK_CONFIG) as fh:
+        raw = json.load(fh)
+    raw["protocol"]["type"] = "legacy"
+    raw["protocol"]["delays"] = {"auth_roundtrips": 200_000}
+    path = tmp_path / "desk_auth.json"
+    path.write_text(json.dumps(raw))
+    t0 = time.perf_counter()
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "[simulate] FAILED: 96 handovers x 200019 steps = 19,201,824 handover steps" in err
+    assert "over the budget of 10,000,000" in err and "protocol.delays.auth_roundtrips" in err
+
+
 @pytest.mark.parametrize(
     "section,key,stage",
     [("topology", "snapshot_dt_s", "snapshot"), ("assignment", "decide_dt_s", "assign")],

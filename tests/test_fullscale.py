@@ -3,14 +3,16 @@ the default run. Invoke with:
 
     pytest tests/test_fullscale.py -m slow -s
 
-Expected wall time is about 40 seconds on a 2-core machine: the event
-engine runs the handover steps only, and the status reports are derived
-in bulk afterwards. The full-day schedule digest alone (``-k schedule``)
-takes about 2 seconds, about 1.8 of them in the block-wise prediction
-(median of 20 runs), and the distance-field digests (``-k fields``) about
-3 seconds; the report, records and constellation digests (``-k report``),
-one full ``leocp all`` run, about 11 seconds; the Kuiper and OneWeb
-``leocp all`` digests (``-k "kuiper or oneweb"``) about 7 and 4 seconds.
+Expected wall time is about 30 seconds on a 2-core machine: every
+handover is replayed in bulk, and the status reports are derived in bulk
+afterwards. The full-day schedule digest alone (``-k schedule``) takes
+about 2 seconds, about 1.8 of them in the block-wise prediction (median
+of 20 runs), and the distance-field digests (``-k fields``) about 3
+seconds; the report, records and constellation digests (``-k report``),
+one full ``leocp all`` run, about 5 seconds; the Kuiper and OneWeb
+``leocp all`` digests (``-k "kuiper or oneweb"``) about 4 and 2 seconds;
+the seamless and three-pod legacy variants of the Starlink day, on
+snapshot latencies (``-k protocol``), about 6 seconds each.
 """
 import hashlib
 import json
@@ -116,6 +118,40 @@ def test_daily_all_digests(name, tmp_path):
     config = os.path.join(CONFIGS, f"{name}_fullscale.json")
     assert main(["all", "--config", config, "--out", str(out)]) == 0
     expected = DAILY_ALL_DIGESTS[name]
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected} == expected
+
+
+# ``leocp all`` on the full-day Starlink config with its ``protocol`` block
+# replaced: no constant latency, so every leg reads the snapshot fields
+DAILY_PROTOCOL_DIGESTS = {
+    "seamless": (
+        {"type": "seamless", "report_interval_s": 60.0},
+        {
+            "records.csv": "480882915c20f30954102d4c86e2ef0d1e63439dbd4ba83fc55f0af0c8e987b0",
+            "report.json": "eda5ffd0177519e305708292ab3e00decaa6ac49ec35159e9343185f6d5d056c",
+        },
+    ),
+    "legacy-3-pods": (
+        {"type": "legacy", "report_interval_s": 60.0, "pods_per_sat": 3},
+        {
+            "records.csv": "e401b48ee8e4717e06a218c92b8aa283524a95829fd4dff8de0671342303695c",
+            "report.json": "6465a59452719069b610035e149455063e290aa6b28b88b5718b357982d81f6f",
+        },
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(DAILY_PROTOCOL_DIGESTS))
+def test_starlink_daily_protocol_digests(name, tmp_path):
+    protocol, expected = DAILY_PROTOCOL_DIGESTS[name]
+    with open(os.path.join(CONFIGS, "starlink_fullscale.json")) as fh:
+        raw = json.load(fh)
+    raw["protocol"] = protocol
+    config = tmp_path / "starlink.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["all", "--config", str(config), "--out", str(out)]) == 0
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected} == expected
 
 

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leocp import topology
 from leocp.orbits import (
@@ -23,6 +25,7 @@ from leocp.topology import (
     distance_to_latency,
     field_to_dict,
     nearest_field_index,
+    nearest_field_indices,
     shortest_distances,
     write_fields_csv,
     write_fields_json,
@@ -379,6 +382,31 @@ def test_nearest_field_index_matches_argmin_oracle():
     as_list = times.tolist()
     for t in probes.tolist():
         assert nearest_field_index(as_list, t) == int(np.argmin(np.abs(times - t)))
+
+
+@st.composite
+def series_and_probes(draw):
+    """Snapshot times (one or more, strictly increasing, on a coarse grid
+    so midpoints are exact) and probe times: midpoints, the snapshot
+    times themselves, times beyond both ends, repeats."""
+    steps = draw(st.lists(st.integers(1, 8), min_size=0, max_size=6))
+    times = np.cumsum([draw(st.integers(-20, 20))] + steps).astype(float) * 7.5
+    mids = ((times[:-1] + times[1:]) / 2.0).tolist()
+    edges = [times[0] - 1.0, times[-1] + 1.0, -math.inf, math.inf, -1e12, 1e12]
+    pool = mids + times.tolist() + edges + [float(x) for x in range(-200, 200, 3)]
+    probes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return times.tolist(), probes + probes[: draw(st.integers(0, len(probes)))]
+
+
+@given(series_and_probes(), st.booleans())
+def test_nearest_field_indices_match_the_scalar_lookup(case, as_grid):
+    times, probes = case
+    ts = np.array(probes)
+    if as_grid:  # a block of tick times, or one time per row
+        ts = ts.reshape(-1, 1)
+    got = nearest_field_indices(times, ts)
+    assert got.shape == ts.shape
+    assert got.ravel().tolist() == [nearest_field_index(times, t) for t in probes]
 
 
 def test_snapshot_latency_and_network_sampler_use_the_lookup():
