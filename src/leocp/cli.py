@@ -10,9 +10,15 @@ effective config next to its outputs.
 No later stage reads the snapshot stage's files (``snapshots.json``,
 ``fields.json``, ``distances.csv``). So in ``all`` one forked child
 process writes them while the parent places, assigns, simulates and
-reports; ``run_pipeline`` waits for that child before it returns, and a
-child that fails fails the run. A stage command such as ``snapshot``
-writes them in-process.
+reports. The child writes ``snapshots.json``, then takes the other two
+one at a time from a pipe that holds one token per file. Once every
+stage has returned, the parent takes from the same pipe, so a file the
+child has not started is written by whichever process is free. Then
+``run_pipeline`` waits for the child; a child that fails, or a file the
+parent cannot write, fails the run. After a failed stage the parent
+takes nothing and the child writes every file left. After the fork the
+parent drops the snapshots, which only ``snapshots.json`` reads. A stage
+command such as ``snapshot`` writes all three in-process.
 
 ``run_pipeline`` freezes the start-up heap (``gc.freeze``) before any
 stage, and so before the fork: a full collection would walk it, free
@@ -97,11 +103,20 @@ def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = Fals
                 print(f"[{name}] FAILED: {exc}", file=sys.stderr)
                 rc = 1
                 break
+        if rc == 0 and "writer" in state:
+            # every stage returned: write the files the child has not started
+            try:
+                _take_snapshot_files(state["writer"][1], state["built"], out_dir)
+            except OSError as exc:
+                print(f"[snapshot] FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
+                rc = 1
     finally:
         # reaped on every path, a raised exception included
         if "writer" in state:
+            pid, tokens = state.pop("writer")
+            os.close(tokens)
             try:
-                _reap_writer(state.pop("writer"))
+                _reap_writer(pid)
             except StageError as exc:
                 print(f"[snapshot] FAILED: {exc}", file=sys.stderr)
                 rc = 1
@@ -110,46 +125,77 @@ def run_pipeline(cfg: ScenarioSpec, stage: str, out_dir: str, trace: bool = Fals
     return rc
 
 
-def _write_snapshot_files(snapshots, fields, out_dir):
-    write_snapshots_json(snapshots, os.path.join(out_dir, "snapshots.json"))
-    write_fields_json(fields, os.path.join(out_dir, "fields.json"))
-    write_fields_csv(fields, os.path.join(out_dir, "distances.csv"))
+# (file name, writer) of the snapshot stage's files, in the order one
+# process writes them all. A writer takes the ``_require_built`` triple and
+# a path, and looks its encoder up on this module when it is called.
+SNAPSHOT_WRITERS = (
+    ("snapshots.json", lambda built, path: write_snapshots_json(built[1], path)),
+    ("fields.json", lambda built, path: write_fields_json(built[2], path)),
+    ("distances.csv", lambda built, path: write_fields_csv(built[2], path)),
+)
 
 
-def _fork_writer(snapshots, fields, out_dir):
-    """Start the one child that runs ``_write_snapshot_files``; its pid.
+def _write_snapshot_file(index, built, out_dir):
+    name, write = SNAPSHOT_WRITERS[index]
+    write(built, os.path.join(out_dir, name))
+
+
+def _take_snapshot_files(tokens, built, out_dir):
+    """Write the file of each token read from the pipe ``tokens``, until EOF."""
+    while token := os.read(tokens, 1):
+        _write_snapshot_file(token[0], built, out_dir)
+
+
+def _fork_writer(built, out_dir):
+    """Start the one child that writes the snapshot stage's files; its pid
+    and the read end of their token pipe.
+
+    The pipe holds one byte per file after ``snapshots.json``, its index
+    in ``SNAPSHOT_WRITERS``. Both processes close the write end right
+    after the fork, so a read returns a token or, once the pipe is empty,
+    EOF, and never blocks. The child writes ``snapshots.json`` and then
+    the file of each token it reads.
 
     The child leaves through ``os._exit``: it never flushes the stdio
     buffers it inherited and never returns into a later stage. It calls
     no BLAS routine, whose threads the fork does not copy.
     """
-    pid = os.fork()
+    tokens, w = os.pipe()
+    try:
+        os.write(w, bytes(range(1, len(SNAPSHOT_WRITERS))))
+        pid = os.fork()
+    except BaseException:
+        os.close(tokens)
+        raise
+    finally:
+        os.close(w)
     if pid == 0:
         # a collection would walk, and so copy, the whole inherited heap;
         # the writers make no reference cycles, so refcounts free their garbage
         gc.disable()
         code = 1
         try:
-            _write_snapshot_files(snapshots, fields, out_dir)
+            _write_snapshot_file(0, built, out_dir)
+            _take_snapshot_files(tokens, built, out_dir)
             code = 0
         except Exception as exc:
             os.write(2, f"[snapshot] writer: {type(exc).__name__}: {exc}\n".encode())
         finally:
             os._exit(code)
-    return pid
+    return pid, tokens
 
 
 def _reap_writer(pid):
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:
         raise StageError(
-            f"the writer of snapshots.json, fields.json and distances.csv (pid {pid}) "
-            f"exited with status {code}"
+            f"the forked writer of the snapshot files (pid {pid}) exited with status {code}"
         )
 
 
 def _require_built(cfg, state):
-    """The (``Constellation``, snapshots, ``DistanceFields``) series, built once per run."""
+    """The (``Constellation``, snapshots, ``DistanceFields``) series, built once
+    per run; in ``all`` the snapshots are ``None`` once the writer has forked."""
     if "built" not in state:
         state["built"] = build_fields(cfg)
     return state["built"]
@@ -196,11 +242,15 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
         print(f"[gen] {len(sats)} satellites -> {path}")
 
     elif name == "snapshot":
-        _, snapshots, fields = _require_built(cfg, state)
+        built = _require_built(cfg, state)
+        fields = built[2]
         if state["fork_writer"]:
-            state["writer"] = _fork_writer(snapshots, fields, out_dir)
+            state["writer"] = _fork_writer(built, out_dir)
+            # only the child writes snapshots.json, the snapshots' one reader
+            state["built"] = (built[0], None, fields)
         else:
-            _write_snapshot_files(snapshots, fields, out_dir)
+            for index in range(len(SNAPSHOT_WRITERS)):
+                _write_snapshot_file(index, built, out_dir)
         snap_path = os.path.join(out_dir, "snapshots.json")
         csv_path = os.path.join(out_dir, "distances.csv")
         print(f"[snapshot] {len(fields.times)} snapshots -> {snap_path}, {csv_path}")

@@ -15,9 +15,10 @@ its array form.
 The writers stream one snapshot at a time and give the bytes of the
 standard library's encoders: ``write_json_array`` those of ``json.dump``
 of the whole list (each item goes through the C encoder of
-``json.dumps``), ``write_fields_csv`` those of ``csv.writer``, each
-snapshot's rows formatted by one ``%`` over a row template built once
-per series.
+``json.dumps``), ``write_fields_json`` the same with each snapshot's
+rows encoded a block of satellites at a time, ``write_fields_csv`` those
+of ``csv.writer``, each block of a snapshot's rows formatted by one
+``%`` over a row template built once per series.
 """
 import bisect
 import functools
@@ -307,8 +308,41 @@ def write_json_array(items, path):
         fh.write("]\n")
 
 
+# satellites per encoding call in ``write_fields_json`` and ``write_fields_csv``
+FIELD_ROWS = 256
+
+
 def write_fields_json(fields: DistanceFields, path):
-    write_json_array((field_to_dict(t, d) for t, d in zip(fields.times, fields.d)), path)
+    """The bytes of ``write_json_array`` of each snapshot's ``field_to_dict``.
+
+    Each snapshot's ``d_km`` and ``reachable`` rows go through
+    ``json.dumps`` ``FIELD_ROWS`` satellites at a time, so no whole
+    snapshot's lists of Python numbers are held at once.
+    """
+    with open(path, "w") as fh:
+        fh.write("[")
+        sep = ""
+        for t, d in zip(fields.times, fields.d):
+            reachable = np.isfinite(d)
+            fh.write(f'{sep}{{"t": {json.dumps(t)}, "d_km": ')
+            _write_json_rows(fh, np.where(reachable, d, -1.0))
+            fh.write(', "reachable": ')
+            _write_json_rows(fh, reachable.astype(int))
+            fh.write("}")
+            sep = ", "
+        fh.write("]\n")
+
+
+def _write_json_rows(fh, rows: np.ndarray):
+    """The bytes of ``json.dumps(rows.tolist())``, ``FIELD_ROWS`` rows per call."""
+    fh.write("[")
+    sep = ""
+    for i in range(0, len(rows), FIELD_ROWS):
+        fh.write(sep)
+        # the block's list without its brackets
+        fh.write(json.dumps(rows[i:i + FIELD_ROWS].tolist())[1:-1])
+        sep = ", "
+    fh.write("]")
 
 
 def write_fields_csv(fields: DistanceFields, path):
@@ -316,17 +350,29 @@ def write_fields_csv(fields: DistanceFields, path):
 
     Each snapshot's rows are formatted as ``csv.writer`` would write them:
     CRLF line ends, ``repr`` of ``t`` as a float and ``km`` to six
-    decimals. One ``%`` template holds every row's ``sat,station``; each
-    snapshot puts its ``t`` in with ``str.replace`` and its distances in
-    with one ``%``.
+    decimals. One ``%`` template per block of ``FIELD_ROWS`` satellites
+    holds the block's ``sat,station``, built once per series; each
+    snapshot puts its ``t`` in with ``str.replace`` and a block's
+    distances in with one ``%``.
     """
     _, n_sats, n_stations = fields.d.shape
-    template = "".join(f"\0,{s},{g},%.6f\r\n" for s in range(n_sats) for g in range(n_stations))
+    starts = range(0, n_sats, FIELD_ROWS)
+    templates = [
+        "".join(
+            f"\0,{s},{g},%.6f\r\n"
+            for s in range(lo, min(lo + FIELD_ROWS, n_sats))
+            for g in range(n_stations)
+        )
+        for lo in starts
+    ]
     with open(path, "w", newline="") as fh:
         fh.write("t_s,sat,station,km\r\n")
         for t, d in zip(fields.times, fields.d):
             km = np.where(np.isfinite(d), d, -1.0)
-            fh.write(template.replace("\0", repr(float(t))) % tuple(km.ravel().tolist()))
+            t_repr = repr(float(t))
+            for lo, template in zip(starts, templates):
+                block = km[lo:lo + FIELD_ROWS].ravel().tolist()
+                fh.write(template.replace("\0", t_repr) % tuple(block))
 
 
 def write_snapshots_json(snapshots, path):

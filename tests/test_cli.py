@@ -3,14 +3,17 @@ import gc
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
 from leocp.cli import STAGES, main
 from leocp.config import ConfigError, load_config, parse_config, stage_seed
+from leocp.errors import BudgetExceeded
 from leocp.protocol import DelayProfile
 
 MINI_CONFIG = {
@@ -33,6 +36,27 @@ MINI_CONFIG = {
     "protocol": {"type": "seamless", "constant_latency_ms": 5.0},
     "sim": {"duration_s": 3600.0},
 }
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail, instead of hang, a test whose ``leocp all`` waits on a forked
+    writer stuck on a pipe end left open.
+
+    After the first alarm it fires again each second, so that a reap
+    which then blocks on the stuck child is cut short too.
+    """
+    seconds = 30
+
+    def expired(signum, frame):
+        signal.alarm(1)
+        raise TimeoutError(f"test still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -203,6 +227,138 @@ def test_writer_reaped_when_a_later_stage_raises(mini_config, tmp_path, monkeypa
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert all((tmp_path / "out" / name).stat().st_size > 0 for name in SNAPSHOT_FILES)
+
+
+@pytest.fixture
+def held_back_child(monkeypatch):
+    """Hold the forked writer back until the parent starts to reap it.
+
+    The child writes ``snapshots.json`` only once the parent calls
+    ``os.waitpid``, that is once the parent has taken every file it
+    will take. Yields the names of the files the parent wrote.
+    """
+    import leocp.cli
+
+    parent = os.getpid()
+    gate, release = os.pipe()
+    taken, released = [], []
+    write_snapshots = leocp.cli.write_snapshots_json
+    waitpid = os.waitpid
+
+    def held_back(snapshots, path):
+        os.close(release)
+        os.read(gate, 1)  # EOF once the parent closed its end too
+        write_snapshots(snapshots, path)
+
+    def release_child():
+        if not released:
+            released.append(True)
+            os.close(release)
+
+    def reaped(pid, options):
+        release_child()
+        return waitpid(pid, options)
+
+    def parent_side(name, write):
+        def spy(fields, path):
+            if os.getpid() == parent:
+                taken.append(name)
+            write(fields, path)
+
+        return spy
+
+    monkeypatch.setattr(leocp.cli, "write_snapshots_json", held_back)
+    monkeypatch.setattr(os, "waitpid", reaped)
+    for name, attr in (("fields.json", "write_fields_json"), ("distances.csv", "write_fields_csv")):
+        monkeypatch.setattr(leocp.cli, attr, parent_side(name, getattr(leocp.cli, attr)))
+    try:
+        yield taken
+    finally:
+        release_child()
+        os.close(gate)
+
+
+def test_parent_writes_the_files_a_held_back_child_has_not_started(
+    mini_config, tmp_path, monkeypatch, held_back_child
+):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert main(["all", "--config", mini_config, "--out", str(tmp_path / "all")]) == 0
+    assert held_back_child == ["fields.json", "distances.csv"]
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.undo()
+    assert main(["snapshot", "--config", mini_config, "--out", str(tmp_path / "one")]) == 0
+    for name in SNAPSHOT_FILES:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "error,rc", [(BudgetExceeded, 1), (RuntimeError, None)], ids=["failing", "raising"]
+)
+def test_parent_takes_no_file_after_a_failed_stage(
+    mini_config, tmp_path, monkeypatch, held_back_child, error, rc
+):
+    import leocp.cli
+
+    def broken(*args, **kwargs):
+        raise error("assign broke")
+
+    monkeypatch.setattr(leocp.cli, "predict_schedules", broken)
+    if rc is None:
+        with pytest.raises(error, match="assign broke"):
+            main(["all", "--config", mini_config, "--out", str(tmp_path / "out")])
+    else:
+        assert main(["all", "--config", mini_config, "--out", str(tmp_path / "out")]) == rc
+    # the parent took nothing; the child wrote all three once released
+    assert held_back_child == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert all((tmp_path / "out" / name).stat().st_size > 0 for name in SNAPSHOT_FILES)
+
+
+def test_parent_side_write_error_fails_the_run(mini_config, tmp_path, capfd, held_back_child):
+    out = tmp_path / "out"
+    (out / "fields.json").mkdir(parents=True)
+    assert main(["all", "--config", mini_config, "--out", str(out)]) == 1
+    # the parent stopped at fields.json; the child, released, wrote the rest
+    assert held_back_child == ["fields.json"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    err = capfd.readouterr().err
+    assert "[snapshot] FAILED: IsADirectoryError" in err and "exited with status" not in err
+    assert (out / "report.json").exists()
+    assert all((out / name).stat().st_size > 0 for name in ("snapshots.json", "distances.csv"))
+
+
+def test_all_drops_the_snapshots_after_the_fork(mini_config, tmp_path, monkeypatch):
+    import leocp.cli
+    import leocp.placement
+
+    snapshots, alive_at_place = [], []
+
+    def recorded_build(cfg):
+        built = build(cfg)
+        snapshots.extend(weakref.ref(s) for s in built[1])
+        return built
+
+    def spied_cnpa(*args, **kwargs):
+        alive_at_place.append(sum(ref() is not None for ref in snapshots))
+        return cnpa(*args, **kwargs)
+
+    build, cnpa = leocp.cli.build_fields, leocp.placement.cnpa
+    monkeypatch.setattr(leocp.cli, "build_fields", recorded_build)
+    monkeypatch.setattr(leocp.placement, "cnpa", spied_cnpa)
+    assert main(["all", "--config", mini_config, "--out", str(tmp_path / "out")]) == 0
+    assert len(snapshots) > 1 and alive_at_place == [0]
+    assert (tmp_path / "out" / "snapshots.json").stat().st_size > 0
 
 
 def test_flag_overrides_take_precedence(mini_config, tmp_path):
@@ -555,7 +711,7 @@ def _run_all_with_failing_writer(tmp_path, config):
     return _run_all(tmp_path, config)
 
 
-@pytest.mark.parametrize(
+PIPELINE_RUNS = pytest.mark.parametrize(
     "run,rc",
     [
         (_run_all, 0),
@@ -564,6 +720,9 @@ def _run_all_with_failing_writer(tmp_path, config):
     ],
     ids=["ok", "failing-stage", "failing-writer"],
 )
+
+
+@PIPELINE_RUNS
 def test_pipeline_leaves_the_gc_state_as_it_found_it(mini_config, tmp_path, monkeypatch, run, rc):
     frozen_at_fork = []
     fork = os.fork
@@ -579,6 +738,13 @@ def test_pipeline_leaves_the_gc_state_as_it_found_it(mini_config, tmp_path, monk
     assert _gc_state() == before
     # the start-up heap was frozen when the writer forked
     assert len(frozen_at_fork) == 1 and frozen_at_fork[0] > 0
+
+
+@PIPELINE_RUNS
+def test_pipeline_leaks_no_file_descriptor(mini_config, tmp_path, run, rc):
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert run(tmp_path, mini_config) == rc
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_pipeline_keeps_a_callers_frozen_heap_and_disabled_gc(mini_config, tmp_path):

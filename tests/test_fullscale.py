@@ -75,18 +75,24 @@ def test_starlink_daily_fields_digest(tmp_path):
 def test_starlink_daily_report_records_and_constellation_digests(tmp_path):
     # ``leocp all`` on the full-day Starlink config: the files whose writers
     # bypass ``json.dump`` (report.json, constellation.json) or are derived
-    # from the simulation (records.csv), pinned byte for byte
+    # from the simulation (records.csv), and the two snapshot-stage files
+    # that either the forked writer or the parent writes (fields.json,
+    # distances.csv, the digests ``test_starlink_daily_fields_digest``
+    # pins), pinned byte for byte
     out = tmp_path / "out"
     assert main(["all", "--config", os.path.join(CONFIGS, "starlink_fullscale.json"),
                  "--out", str(out)]) == 0
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("report.json", "records.csv", "constellation.json")
+        for name in ("report.json", "records.csv", "constellation.json", "fields.json",
+                     "distances.csv")
     }
     assert digests == {
         "report.json": "5c7d6a6c2dddd85a48143809d21e767851d744d649838a2cff49e63700773d0f",
         "records.csv": "8770a374783a7bc1c003bc9fbdfdbd64f134fdc8df04fb38717e1f985dfbf95b",
         "constellation.json": "f348bb56a95f9ae25b732280e26b62be4c7dafe8f8b4e4c40f5a049c1a5f8e6f",
+        "fields.json": "1f32787d93b6d3609da943338037ecae60c8cc2d7544c863c789da3129ddf1c8",
+        "distances.csv": "fae2c18dbf49f5e25f41000d3181562d77920e9f179859cdebbfd912b4f7d960",
     }
 
 

@@ -562,6 +562,20 @@ def test_fields_csv_matches_csv_writer_on_odd_times_and_ties(tmp_path):
     assert b",-1.000000\r\n" in text
 
 
+@pytest.mark.parametrize("n_sats", [1, 255, 256, 257, 1296])
+def test_field_writers_match_stdlib_encoders_across_row_blocks(tmp_path, n_sats):
+    # both field writers encode 256 satellites per call
+    rng = np.random.default_rng(n_sats)
+    d = rng.uniform(0.0, 20000.0, size=(3, n_sats, 2))
+    d[rng.random(d.shape) < 0.1] = np.inf
+    fields = DistanceFields([0.0, np.float64(1.0 / 3.0), 1e22], d)
+    for write, reference in ((write_fields_json, _reference_fields_json),
+                             (write_fields_csv, _reference_fields_csv)):
+        write(fields, tmp_path / "new")
+        reference(fields, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes(), reference
+
+
 @pytest.mark.parametrize(
     "times,shape",
     [([0.0, 0.0], (2, 1, 1)), ([1.0, 0.5], (2, 1, 1)), ([0.0, 1.0], (3, 1, 1)),
