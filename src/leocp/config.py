@@ -218,6 +218,8 @@ def _validate(spec: ScenarioSpec):
         )
     if not 0 < spec.snapshot_dt_s <= spec.duration_s:
         raise ConfigError("topology.snapshot_dt_s must be in (0, sim.duration_s]")
+    if not -90.0 <= spec.min_elevation_deg <= 90.0:
+        raise ConfigError("topology.min_elevation_deg must be in [-90, 90]")
     if spec.gsl_limit is not None and spec.gsl_limit < 1:
         raise ConfigError("topology.gsl_limit must be at least 1")
     if spec.terrestrial_factor <= 0:

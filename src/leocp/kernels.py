@@ -4,7 +4,8 @@ Two inner loops dominate large runs: single-source Dijkstra over the
 satellite-ground graph (once per ground station per snapshot) and the
 handover decision scan (one tick per decision interval over a
 multi-hour horizon, for every satellite). Dijkstra runs in scipy's
-compiled csgraph routine. The scan takes a block of satellites per call
+compiled csgraph routine, one call per group of snapshots on their
+block-diagonal graph (``topology.shortest_distances``). The scan takes a block of satellites per call
 and is interval-pruned: between two samples every distance curve is
 linear, so a switch can only fire inside a sample interval where the
 switch condition holds at one of its two ends. The initial controllers

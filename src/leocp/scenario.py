@@ -30,7 +30,13 @@ from .protocol import (
     Simulation,
     SnapshotLatency,
 )
-from .topology import DEFAULT_MIN_ELEVATION_DEG, DistanceFields, build_snapshot, shortest_distances
+from .topology import (
+    DEFAULT_MIN_ELEVATION_DEG,
+    DistanceFields,
+    build_snapshot,
+    group_size,
+    shortest_distances,
+)
 
 # Satellites sampled and scanned per call: enough to amortise the per-call
 # numpy work, few enough that at a full day's horizon a block's samples,
@@ -89,28 +95,30 @@ def build_fields(spec: ScenarioSpec):
     the scenario duration.
 
     The constellation is generated and the stations placed once for the
-    series, and every snapshot propagates the whole constellation. Each
-    snapshot's distances are copied into its row of one preallocated
+    series. The snapshots are built and solved a group at a time
+    (``topology.group_size`` of them, from the graph's size): one
+    ``build_snapshot`` and one ``shortest_distances`` call per group, whose
+    distances are copied into the group's rows of one preallocated
     ``DistanceFields`` array, so no Dijkstra result outlives its copy.
     """
     elements = generate_constellation(spec.shell)
     gs_pos = station_positions(spec.stations)
     times = decision_ticks(spec.snapshot_dt_s, spec.duration_s).tolist()
-    snapshots = [
-        build_snapshot(
+    d = np.empty((len(times), len(elements), len(spec.stations)))
+    size = group_size(len(elements), len(spec.stations))
+    snapshots = []
+    for lo in range(0, len(times), size):
+        group = build_snapshot(
             spec.shell,
             elements,
             gs_pos,
-            t,
+            times[lo:lo + size],
             min_elevation_deg=spec.min_elevation_deg,
             isl_mode=spec.isl_mode,
             gsl_limit=spec.gsl_limit,
         )
-        for t in times
-    ]
-    d = np.empty((len(times), len(elements), len(spec.stations)))
-    for row, snapshot in zip(d, snapshots):
-        row[...] = shortest_distances(snapshot)
+        d[lo:lo + len(group)] = shortest_distances(group)
+        snapshots += group
     return elements, snapshots, DistanceFields(times, d)
 
 

@@ -2,12 +2,15 @@
 
 A snapshot at time ``t`` holds satellite/station ECEF positions, the
 +Grid inter-satellite links weighted by Euclidean distance, and one
-ground-satellite link per mutually visible pair. Shortest-path
-distances from every station to every satellite are one
-``(satellites, stations)`` array per snapshot; unreachable pairs are
-``inf`` rather than raised. A series of them is one ``DistanceFields``:
-the snapshot times and one ``(snapshots, satellites, stations)`` array
-that every consumer reads in place. ``nearest_field_index`` is the one
+ground-satellite link per mutually visible pair. A series is built and
+solved a group of snapshots at a time (``group_size``, from the graph's
+size): ``build_snapshot`` propagates and tests the whole group at once,
+and ``shortest_distances`` runs one Dijkstra over the group's
+block-diagonal graph, giving the shortest-path distances from every
+station to every satellite as one ``(snapshots, satellites, stations)``
+array; unreachable pairs are ``inf`` rather than raised. A whole series
+is one ``DistanceFields``: the snapshot times and one such array that
+every consumer reads in place. ``nearest_field_index`` is the one
 lookup of the snapshot nearest in time, shared by the simulation's
 latency model and network-metric sampling; ``nearest_field_indices`` is
 its array form.
@@ -114,17 +117,31 @@ def build_isl_grid(shell: WalkerShell) -> np.ndarray:
     return arr
 
 
+def _length(d):
+    """Euclidean length of coordinate-first vectors ``(3, ...)``: x, y and z
+    squared and summed in that order, the sum ``np.linalg.norm`` makes of
+    a row, with each numpy loop running over every vector at once."""
+    return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+
+
 def _visibility_matrix(sat_pos, gs_pos, min_elevation_deg):
-    """Boolean (n_sats, n_stations) visibility and the range matrix."""
-    diff = sat_pos[:, None, :] - gs_pos[None, :, :]  # (N, M, 3)
-    rng = np.linalg.norm(diff, axis=2)
+    """Boolean ``(..., n_sats, n_stations)`` visibility and the range matrix
+    of ``(..., n_sats, 3)`` satellite positions.
+
+    The work runs station-major, ``(n_stations, ..., n_sats)``, so each loop
+    spans all satellites; both results are views in satellite-station order.
+    """
+    per_station = (-1,) + (1,) * (sat_pos.ndim - 1)  # (M, 1, ..., 1)
+    xyz = np.ascontiguousarray(np.moveaxis(sat_pos, -1, 0))  # (3, ..., N)
+    diff = xyz[:, None] - gs_pos.T.reshape((3,) + per_station)  # (3, M, ..., N)
+    rng = _length(diff)
     gs_norm = np.linalg.norm(gs_pos, axis=1)
-    radial = np.einsum("nmk,mk->nm", diff, gs_pos)
+    radial = np.einsum("km...,mk->m...", diff, gs_pos)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sin_elev = radial / (rng * gs_norm[None, :])
+        sin_elev = radial / (rng * gs_norm.reshape(per_station))
     vis = sin_elev >= math.sin(math.radians(min_elevation_deg)) - 1e-12
     vis &= rng > 0.0
-    return vis, rng
+    return np.moveaxis(vis, 0, -1), np.moveaxis(rng, 0, -1)
 
 
 def _nearest_interplane_pairs(shell, sat_pos):
@@ -141,100 +158,125 @@ def _nearest_interplane_pairs(shell, sat_pos):
     return sorted(pairs)
 
 
+# Entries one group's Dijkstra output may hold (512 KiB of float64): a
+# group of G snapshots gives a ``(G * stations, G * (sats + stations))`` array
+GROUP_ENTRIES = 1 << 16
+
+
+def group_size(n_sats: int, n_stations: int) -> int:
+    """Snapshots built and solved together: the most whose block-diagonal
+    Dijkstra output fits ``GROUP_ENTRIES``, and at least one. It also bounds
+    the group's geometry temporaries, a few ``(3, stations, snapshots,
+    sats)`` arrays."""
+    per_snapshot = max(1, n_stations * (n_sats + n_stations))
+    return max(1, math.isqrt(GROUP_ENTRIES // per_snapshot))
+
+
 def build_snapshot(
     shell: WalkerShell,
     constellation: Constellation,
     gs_pos: np.ndarray,
-    t: float,
+    times,
     min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG,
     isl_mode: str = "fixed_grid",
     gsl_limit: int | None = None,
-) -> TopologySnapshot:
-    """Positions plus ISL/GSL edge lists at time ``t``.
+) -> list[TopologySnapshot]:
+    """Positions plus ISL/GSL edge lists at each of a group of ``times``:
+    one ``TopologySnapshot`` per time, in order.
 
     ``constellation`` is the shell's ``generate_constellation`` and
     ``gs_pos`` the stations' ECEF positions (``station_positions``), both
-    made once for a whole series. ``isl_mode`` is "fixed_grid"
-    (``build_isl_grid``: index-based, stable over time) or
-    "nearest" (recompute the inter-plane neighbor each snapshot).
-    ``gsl_limit`` (at least 1) caps links per satellite to the nearest
-    visible stations; default unlimited.
+    made once for a whole series. The group is propagated, its ISLs
+    measured and its visibility tested in one pass each, so the snapshots
+    hold views of the group's arrays. ``isl_mode`` is "fixed_grid"
+    (``build_isl_grid``: index-based, stable over time) or "nearest"
+    (recompute the inter-plane neighbor each snapshot).
+    ``min_elevation_deg`` is in [-90, 90]. ``gsl_limit`` (at least 1) caps
+    links per satellite to the nearest visible stations; default unlimited.
     """
     if gsl_limit is not None and gsl_limit < 1:
         raise ValueError(f"gsl_limit must be at least 1, got {gsl_limit}")
-    sat_pos = propagate(constellation, t)
+    # visibility compares sines, so an angle past +-90 would alias to another
+    if not -90.0 <= min_elevation_deg <= 90.0:
+        raise ValueError(f"min_elevation_deg must be in [-90, 90], got {min_elevation_deg}")
+    if isl_mode not in ("fixed_grid", "nearest"):
+        raise ValueError(f"unknown isl_mode: {isl_mode!r}")
+    sat_pos = propagate(constellation, np.asarray(times, dtype=float)[:, None])  # (G, N, 3)
+    xyz = np.moveaxis(sat_pos, -1, 0)  # (3, G, N)
 
     if isl_mode == "fixed_grid":
-        isl_pairs = build_isl_grid(shell)
-    elif isl_mode == "nearest":
-        pairs = _intra_plane_ring(shell) + _nearest_interplane_pairs(shell, sat_pos)
-        isl_pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        grid = build_isl_grid(shell)
+        isl_pairs = [grid] * len(sat_pos)
+        isl_km = _length(xyz[:, :, grid[:, 0]] - xyz[:, :, grid[:, 1]])
     else:
-        raise ValueError(f"unknown isl_mode: {isl_mode!r}")
-
-    isl_km = np.linalg.norm(sat_pos[isl_pairs[:, 0]] - sat_pos[isl_pairs[:, 1]], axis=1)
+        isl_pairs, isl_km = [], []
+        for j, pos in enumerate(sat_pos):
+            pairs = _intra_plane_ring(shell) + _nearest_interplane_pairs(shell, pos)
+            pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+            isl_pairs.append(pairs)
+            isl_km.append(_length(xyz[:, j, pairs[:, 0]] - xyz[:, j, pairs[:, 1]]))
 
     vis, rng = _visibility_matrix(sat_pos, gs_pos, min_elevation_deg)
     if gsl_limit is not None:
         # keep a visible link iff it is among the satellite's first
         # ``gsl_limit`` visible stations in stable range order
-        order = np.argsort(rng, axis=1, kind="stable")
-        in_order = np.take_along_axis(vis, order, axis=1)
-        in_order &= np.cumsum(in_order, axis=1) <= gsl_limit
-        np.put_along_axis(vis, order, in_order, axis=1)
-    sat_idx, gs_idx = np.nonzero(vis)
-    gsl_pairs = np.stack([sat_idx, gs_idx], axis=1) if sat_idx.size else np.empty((0, 2), dtype=np.int64)
-    gsl_km = rng[sat_idx, gs_idx] if sat_idx.size else np.empty(0)
+        order = np.argsort(rng, axis=-1, kind="stable")
+        in_order = np.take_along_axis(vis, order, axis=-1)
+        in_order &= np.cumsum(in_order, axis=-1) <= gsl_limit
+        np.put_along_axis(vis, order, in_order, axis=-1)
+    snap_idx, sat_idx, gs_idx = np.nonzero(vis)  # snapshot-major, as each one's own
+    gsl_pairs = np.stack([sat_idx, gs_idx], axis=1).astype(np.int64, copy=False)
+    gsl_km = rng[snap_idx, sat_idx, gs_idx]
+    bounds = np.searchsorted(snap_idx, np.arange(len(sat_pos) + 1)).tolist()
 
-    return TopologySnapshot(
-        t=t,
-        sat_positions=sat_pos,
-        station_positions=gs_pos,
-        isl_pairs=isl_pairs,
-        isl_km=isl_km,
-        gsl_pairs=gsl_pairs.astype(np.int64),
-        gsl_km=gsl_km,
-    )
-
-
-def _to_csr(snapshot: TopologySnapshot):
-    """Symmetric CSR adjacency over nodes [sats..., stations...]."""
-    n = snapshot.n_sats + snapshot.n_stations
-    src = np.concatenate(
-        [
-            snapshot.isl_pairs[:, 0],
-            snapshot.isl_pairs[:, 1],
-            snapshot.gsl_pairs[:, 0],
-            snapshot.gsl_pairs[:, 1] + snapshot.n_sats,
-        ]
-    )
-    dst = np.concatenate(
-        [
-            snapshot.isl_pairs[:, 1],
-            snapshot.isl_pairs[:, 0],
-            snapshot.gsl_pairs[:, 1] + snapshot.n_sats,
-            snapshot.gsl_pairs[:, 0],
-        ]
-    )
-    w = np.concatenate([snapshot.isl_km, snapshot.isl_km, snapshot.gsl_km, snapshot.gsl_km])
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    return indptr, dst.astype(np.int64), w.astype(np.float64), n
+    return [
+        TopologySnapshot(
+            t=t,
+            sat_positions=sat_pos[j],
+            station_positions=gs_pos,
+            isl_pairs=isl_pairs[j],
+            isl_km=isl_km[j],
+            gsl_pairs=gsl_pairs[bounds[j]:bounds[j + 1]],
+            gsl_km=gsl_km[bounds[j]:bounds[j + 1]],
+        )
+        for j, t in enumerate(times)
+    ]
 
 
-def shortest_distances(snapshot: TopologySnapshot) -> np.ndarray:
-    """Dijkstra from every ground station over the ISL+GSL union graph:
-    the (n_sats, n_stations) km array, inf where unreachable."""
-    n_sats, n_stations = snapshot.n_sats, snapshot.n_stations
-    if snapshot.isl_km.size + snapshot.gsl_km.size == 0:
-        return np.full((n_sats, n_stations), np.inf)
-    indptr, indices, weights, n = _to_csr(snapshot)
-    sources = np.arange(n_sats, n_sats + n_stations)
-    dist = kernels.dijkstra_from_sources(indptr, indices, weights, n, sources)
-    return dist[:, :n_sats].T
+def shortest_distances(snapshots) -> np.ndarray:
+    """Dijkstra from every ground station over each snapshot's ISL+GSL
+    union graph: the ``(snapshots, n_sats, n_stations)`` km array, inf
+    where unreachable.
+
+    The snapshots share one shape. Together they are one block-diagonal
+    graph over nodes [sats..., stations...] per snapshot, snapshot j's
+    offset by ``j * (n_sats + n_stations)``, solved by one Dijkstra call
+    from every station node of the group. No path crosses blocks, so each
+    block's distances are those of its snapshot alone.
+    """
+    n_sats, n_stations = snapshots[0].n_sats, snapshots[0].n_stations
+    if any((s.n_sats, s.n_stations) != (n_sats, n_stations) for s in snapshots):
+        raise ValueError("a group's snapshots must share one shape")
+    n, g = n_sats + n_stations, len(snapshots)
+    offsets = np.arange(g) * n  # of each snapshot's first node
+    isl = np.concatenate([s.isl_pairs for s in snapshots])
+    isl = isl + np.repeat(offsets, [len(s.isl_pairs) for s in snapshots])[:, None]
+    gsl = np.concatenate([s.gsl_pairs for s in snapshots]) + [0, n_sats]
+    gsl = gsl + np.repeat(offsets, [len(s.gsl_pairs) for s in snapshots])[:, None]
+    isl_km = np.concatenate([s.isl_km for s in snapshots])
+    gsl_km = np.concatenate([s.gsl_km for s in snapshots])
+    src = np.concatenate([isl[:, 0], isl[:, 1], gsl[:, 0], gsl[:, 1]])
+    dst = np.concatenate([isl[:, 1], isl[:, 0], gsl[:, 1], gsl[:, 0]])
+    w = np.concatenate([isl_km, isl_km, gsl_km, gsl_km])
+    # by (src, dst), stable: one sort on a combined key
+    order = np.argsort(src * (g * n) + dst, kind="stable")
+    indptr = np.zeros(g * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g * n), out=indptr[1:])
+    sources = (np.arange(g)[:, None] * n + np.arange(n_sats, n)).ravel()
+    dist = kernels.dijkstra_from_sources(indptr, dst[order], w[order], g * n, sources)
+    # the diagonal blocks: snapshot j's station rows and satellite columns
+    blocks = np.arange(g)
+    return dist.reshape(g, n_stations, g, n)[blocks, :, blocks, :n_sats].transpose(0, 2, 1)
 
 
 def nearest_field_index(times, t) -> int:

@@ -38,7 +38,7 @@ from leocp.protocol import (
 )
 from leocp.scenario import ScenarioSpec, build_fields, run_scenario
 from leocp.topology import shortest_distances
-from test_topology import oracle_field, random_snapshot
+from oracles import oracle_field, random_snapshot
 
 DESK_SHELL = WalkerShell(6, 8, 53.0, 1200.0, phasing_factor=1)
 DESK_STATIONS = [
@@ -273,7 +273,7 @@ def test_criterion_8_graph_oracle():
         n_sats = int(rng.integers(2, 10))
         n_stations = int(rng.integers(1, min(4, 13 - n_sats)))
         snap = random_snapshot(rng, n_sats, n_stations)
-        got = shortest_distances(snap)
+        (got,) = shortest_distances([snap])
         expected = oracle_field(snap)
         assert np.array_equal(got, expected), i
     print("\nACCEPTANCE 8 PASS graph oracle: 200/200 random graphs match Floyd-Warshall exactly")

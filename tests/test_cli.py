@@ -672,6 +672,11 @@ def test_degenerate_tick_grid_is_a_named_budget_error(tmp_path, capsys, section,
         ("shell", "raan_span_deg", 720.0, "config error: shell: raan_span_deg"),
         ("shell", "raan_span_deg", 0.0, "config error: shell: raan_span_deg"),
         ("shell", "raan_span_deg", -10.0, "config error: shell: raan_span_deg"),
+        # visibility compares sines: 170 and -190 would act as 10
+        ("topology", "min_elevation_deg", 170.0, "config error: topology.min_elevation_deg"),
+        ("topology", "min_elevation_deg", -190.0, "config error: topology.min_elevation_deg"),
+        ("topology", "min_elevation_deg", 90.5, "config error: topology.min_elevation_deg"),
+        ("topology", "min_elevation_deg", -90.5, "config error: topology.min_elevation_deg"),
     ],
 )
 def test_geometry_out_of_range_is_a_config_error(tmp_path, capsys, section, key, value, message):

@@ -98,10 +98,14 @@ def test_starlink_daily_report_records_and_constellation_digests(tmp_path):
 
 # ``leocp all`` outputs of the full-day Kuiper (36 x 36 delta shell) and
 # OneWeb (87.9 degree star pattern, 180 degree RAAN span) configs, which
-# cover grid shapes and a seam the Starlink config does not
+# cover grid shapes and a seam the Starlink config does not; their
+# ``fields.json`` and ``distances.csv`` pin the day's Dijkstra fields on
+# two more graph sizes, so on two more snapshot group sizes
 DAILY_ALL_DIGESTS = {
     "kuiper": {
         "constellation.json": "ffc537ab946b43df1859a6e5dc619e3ec421fc2904a6c75b36ab25464978dbe5",
+        "fields.json": "ea144c79863459acc6bbf849ecf871163ae65c7bd4b5bbda06866252a3cefca6",
+        "distances.csv": "3284a8a4b7914cdd2067802443dc56ced4e099f6a1cc2cf7e2dc0204aef5e330",
         "snapshots.json": "895e830bac755e9b8931c3aa3569592afdc6b6304ee1c73d10500bf997a1d650",
         "schedule.json": "d049699b2907bcec96012d02d73a56cbf2de05e697a22324835e719b83908e0e",
         "records.csv": "22a24d4acd0b87e4acc817ca9259ee3d2eec6d180f5cadf0032e325936ae7c7d",
@@ -109,6 +113,8 @@ DAILY_ALL_DIGESTS = {
     },
     "oneweb": {
         "constellation.json": "ddbac86603f5cd4064b3cdf614a3864ae4a5ba9a762769bfb733896dc9bcc1e3",
+        "fields.json": "6eca106b0dd389b84c57cb43cac9f3cb8e1544a8d2f357ce525c509c4e989d19",
+        "distances.csv": "1c1810ac0b676fe6985082433db308471ce4e44f7efd2e968dff1866ff4ce8c2",
         "snapshots.json": "3a7158bdd90d486eded846a54deca7e86a5ffb960afe8afa1677e42b0ca9d63f",
         "schedule.json": "16fc0d6239b84290bb70c08feafddba8724817f03867f44187d274be5c73ef7c",
         "records.csv": "603550e096e607b9e54ae3709bb1bf99bea86dfd61d3039ccfe916e17ef96f5a",

@@ -14,7 +14,14 @@ protocol with three pods per satellite (the eviction loop and the pod
 resync that runs beside the rejoin); ``desk_legacy_zero_delay_trace``
 runs it with two pods, a 0 ms constant latency and every delay 0, so
 all steps of a handover share one time and only the queue order
-separates them. A refactor that must keep outputs
+separates them. The ``desk_twins_gsl1*_snapshot`` fixtures pin the three
+files of ``leocp snapshot`` with each station doubled 3 deg N / 2 deg E
+and ``topology.gsl_limit: 1``, with the fixed grid and with
+``isl_mode: "nearest"``: the one desk variant found where the cap binds
+(1,953 -> 1,028 GSL links over the series, 27 % of the satellite-station
+pairs unreachable), so the cap, the per-snapshot ISL pairs and the
+unreachable entries of the grouped build all reach the writers. A
+refactor that must keep outputs
 byte-identical proves it against these digests, not only run to run.
 When an output is meant to change, record the new digests from the run
 below and say why in the commit.
@@ -40,15 +47,20 @@ def output_digests(out_dir):
     return digests
 
 
-def check_golden(tmp_path, fixture, overrides, extra_args=()):
+def check_golden(tmp_path, fixture, overrides, extra_args=(), command="all"):
+    """``overrides`` maps a config section to the values to update it with,
+    or to a function returning its replacement."""
     with open(os.path.join(ROOT, "configs", "desk.json")) as fh:
         raw = json.load(fh)
     for section, values in overrides.items():
-        raw[section].update(values)
+        if callable(values):
+            raw[section] = values(raw[section])
+        else:
+            raw[section].update(values)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main(["all", "--config", str(config), "--out", str(out), *extra_args]) == 0
+    assert main([command, "--config", str(config), "--out", str(out), *extra_args]) == 0
     with open(os.path.join(FIXTURES, fixture)) as fh:
         expected = json.load(fh)
     got = output_digests(out)
@@ -104,4 +116,31 @@ def test_desk_legacy_zero_delay_trace_matches_golden_digests(tmp_path):
             }
         },
         ["--trace"],
+    )
+
+
+def with_twins(stations):
+    """Each station, then a twin of each 3 deg north and 2 deg east of it."""
+    return stations + [
+        dict(s, name=f"{s['name']}-twin", latitude_deg=s["latitude_deg"] + 3.0,
+             longitude_deg=s["longitude_deg"] + 2.0)
+        for s in stations
+    ]
+
+
+def test_desk_twins_gsl1_snapshot_matches_golden_digests(tmp_path):
+    check_golden(
+        tmp_path,
+        "desk_twins_gsl1_snapshot_digests.json",
+        {"stations": with_twins, "topology": {"gsl_limit": 1}},
+        command="snapshot",
+    )
+
+
+def test_desk_twins_gsl1_nearest_snapshot_matches_golden_digests(tmp_path):
+    check_golden(
+        tmp_path,
+        "desk_twins_gsl1_nearest_snapshot_digests.json",
+        {"stations": with_twins, "topology": {"gsl_limit": 1, "isl_mode": "nearest"}},
+        command="snapshot",
     )

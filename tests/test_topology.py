@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leocp import topology
@@ -24,6 +24,7 @@ from leocp.topology import (
     build_snapshot,
     distance_to_latency,
     field_to_dict,
+    group_size,
     nearest_field_index,
     nearest_field_indices,
     shortest_distances,
@@ -32,13 +33,15 @@ from leocp.topology import (
     write_json_array,
     write_snapshots_json,
 )
+from oracles import oracle_field, per_snapshot_distances, per_time_snapshot, random_snapshot
 
 
 def snapshot_at(shell, stations, t, **kwargs):
     """``build_snapshot`` of the shell's constellation and the stations'
     positions."""
     c = generate_constellation(shell)
-    return build_snapshot(shell, c, station_positions(stations), t, **kwargs)
+    (snap,) = build_snapshot(shell, c, station_positions(stations), [t], **kwargs)
+    return snap
 
 
 def visible(sat_pos, gs_pos, min_elevation_deg):
@@ -174,9 +177,9 @@ def test_gsl_limit_matches_per_satellite_loop(monkeypatch):
         m = int(gen.integers(1, 7))
         vis = gen.random((12, m)) < 0.6
         rng = gen.integers(1, 4, size=(12, m)).astype(float)
-        monkeypatch.setattr(topology, "_visibility_matrix", lambda *_: (vis.copy(), rng))
+        monkeypatch.setattr(topology, "_visibility_matrix", lambda *_: (vis[None].copy(), rng[None]))
         for limit in range(1, m + 2):
-            snap = build_snapshot(shell, c, np.zeros((m, 3)), 0.0, gsl_limit=limit)
+            (snap,) = build_snapshot(shell, c, np.zeros((m, 3)), [0.0], gsl_limit=limit)
             expected = np.argwhere(per_satellite_gsl_cap(vis, rng, limit))
             assert snap.gsl_pairs.tolist() == expected.tolist()
             assert snap.gsl_km.tolist() == rng[expected[:, 0], expected[:, 1]].tolist()
@@ -200,60 +203,6 @@ def test_nearest_isl_mode_keeps_degree():
 # shortest paths
 
 
-def floyd_warshall(n, edges):
-    """Independent all-pairs oracle."""
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for a, b, w in edges:
-        dist[a, b] = min(dist[a, b], w)
-        dist[b, a] = min(dist[b, a], w)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = dist[i, k] + dist[k, j]
-                if via < dist[i, j]:
-                    dist[i, j] = via
-    return dist
-
-
-def random_snapshot(rng, n_sats, n_stations):
-    """Random graph wrapped as a snapshot; integer weights keep float
-    sums exact in both algorithms."""
-    isl, gsl = [], []
-    for i in range(n_sats):
-        for j in range(i + 1, n_sats):
-            if rng.random() < 0.4:
-                isl.append((i, j, float(rng.integers(1, 1000))))
-    for i in range(n_sats):
-        for g in range(n_stations):
-            if rng.random() < 0.3:
-                gsl.append((i, g, float(rng.integers(1, 1000))))
-    isl_pairs = np.array([(a, b) for a, b, _ in isl], dtype=np.int64).reshape(len(isl), 2)
-    gsl_pairs = np.array([(a, b) for a, b, _ in gsl], dtype=np.int64).reshape(len(gsl), 2)
-    return TopologySnapshot(
-        t=0.0,
-        sat_positions=np.zeros((n_sats, 3)),
-        station_positions=np.zeros((n_stations, 3)),
-        isl_pairs=isl_pairs,
-        isl_km=np.array([w for _, _, w in isl]),
-        gsl_pairs=gsl_pairs,
-        gsl_km=np.array([w for _, _, w in gsl]),
-    )
-
-
-def oracle_field(snapshot):
-    n = snapshot.n_sats + snapshot.n_stations
-    edges = [
-        (int(a), int(b), float(w))
-        for (a, b), w in zip(snapshot.isl_pairs, snapshot.isl_km)
-    ] + [
-        (int(s), int(g) + snapshot.n_sats, float(w))
-        for (s, g), w in zip(snapshot.gsl_pairs, snapshot.gsl_km)
-    ]
-    dist = floyd_warshall(n, edges)
-    return dist[: snapshot.n_sats, snapshot.n_sats :]
-
-
 def test_shortest_distances_direct_edge():
     snap = random_snapshot(np.random.default_rng(0), 1, 1)
     snap = TopologySnapshot(
@@ -265,7 +214,7 @@ def test_shortest_distances_direct_edge():
         gsl_pairs=np.array([[0, 0]], dtype=np.int64),
         gsl_km=np.array([123.0]),
     )
-    d = shortest_distances(snap)
+    (d,) = shortest_distances([snap])
     assert d[0, 0] == 123.0
 
 
@@ -279,7 +228,7 @@ def test_shortest_distances_two_hop():
         gsl_pairs=np.array([[1, 0]], dtype=np.int64),
         gsl_km=np.array([40.0]),
     )
-    d = shortest_distances(snap)
+    (d,) = shortest_distances([snap])
     assert d[0, 0] == 110.0
     assert d[1, 0] == 40.0
 
@@ -288,7 +237,7 @@ def test_shortest_distances_match_floyd_warshall():
     rng = np.random.default_rng(42)
     for _ in range(50):
         snap = random_snapshot(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)))
-        d = shortest_distances(snap)
+        (d,) = shortest_distances([snap])
         expected = oracle_field(snap)
         assert d.shape == (snap.n_sats, snap.n_stations)
         assert np.array_equal(d, expected)
@@ -298,7 +247,7 @@ def test_distance_lower_bounded_by_euclidean():
     shell = WalkerShell(4, 6, 53.0, 1200.0, phasing_factor=1)
     stations = [GroundStation(0, "a", 0.0, 0.0), GroundStation(1, "b", 40.0, 120.0)]
     snap = snapshot_at(shell, stations, 500.0, min_elevation_deg=10.0)
-    d = shortest_distances(snap)
+    (d,) = shortest_distances([snap])
     straight = np.linalg.norm(
         snap.sat_positions[:, None, :] - snap.station_positions[None, :, :], axis=2
     )
@@ -309,7 +258,7 @@ def test_distance_lower_bounded_by_euclidean():
 def test_adding_gsl_edge_never_increases_distance():
     rng = np.random.default_rng(11)
     snap = random_snapshot(rng, 8, 2)
-    base = shortest_distances(snap)
+    (base,) = shortest_distances([snap])
     extra_pair = np.array([[0, 0]], dtype=np.int64)
     richer = TopologySnapshot(
         t=0.0,
@@ -320,7 +269,7 @@ def test_adding_gsl_edge_never_increases_distance():
         gsl_pairs=np.concatenate([snap.gsl_pairs, extra_pair]),
         gsl_km=np.concatenate([snap.gsl_km, [5.0]]),
     )
-    after = shortest_distances(richer)
+    (after,) = shortest_distances([richer])
     assert np.all(after <= base + 1e-12)
 
 
@@ -334,9 +283,117 @@ def test_unreachable_flagged_not_raised():
         gsl_pairs=np.array([[0, 0]], dtype=np.int64),
         gsl_km=np.array([10.0]),
     )
-    d = shortest_distances(snap)
+    (d,) = shortest_distances([snap])
     assert np.isfinite(d[0, 0])
     assert np.isinf(d[1, 0])
+
+
+# ---------------------------------------------------------------------------
+# groups of snapshots: one build and one block-diagonal Dijkstra per group
+
+
+@st.composite
+def snapshot_series(draw):
+    """A shell of up to 8 x 8, one to five stations, a series of one or
+    more snapshot times and the build settings."""
+    planes = draw(st.integers(1, 8))
+    shell = WalkerShell(
+        planes,
+        draw(st.integers(1, 8)),
+        draw(st.floats(0.0, 180.0)),
+        draw(st.floats(300.0, 2000.0)),
+        phasing_factor=draw(st.integers(0, planes - 1)),
+        raan_span_deg=draw(st.sampled_from([180.0, 360.0])),
+    )
+    stations = [
+        GroundStation(i, f"gs{i}", draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    times = sorted(draw(st.lists(st.floats(0.0, 86400.0), min_size=1, max_size=8, unique=True)))
+    build = {
+        "min_elevation_deg": draw(st.one_of(st.sampled_from([-90.0, 0.0, 90.0]),
+                                            st.floats(-90.0, 90.0))),
+        "isl_mode": draw(st.sampled_from(["fixed_grid", "nearest"])),
+        "gsl_limit": draw(st.sampled_from([None, 1, 2])),
+    }
+    return shell, stations, times, build
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(snapshot_series(), st.data())
+def test_grouped_build_matches_the_per_time_reference(case, data):
+    shell, stations, times, kwargs = case
+    c, gs_pos = generate_constellation(shell), station_positions(stations)
+    reference = [per_time_snapshot(shell, c, gs_pos, t, **kwargs) for t in times]
+    expected = np.array([per_snapshot_distances(s) for s in reference])
+    cuts = data.draw(st.sets(st.integers(1, len(times) - 1)) if len(times) > 1 else st.just(set()))
+    for bounds in ([0, len(times)], [0, *sorted(cuts), len(times)]):  # one group, any split
+        built, d = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            group = build_snapshot(shell, c, gs_pos, times[lo:hi], **kwargs)
+            assert len(group) == hi - lo
+            built += group
+            d.append(shortest_distances(group))
+        for got, ref in zip(built, reference):
+            assert got.t == ref.t
+            for name in ("sat_positions", "station_positions", "isl_pairs", "isl_km",
+                         "gsl_pairs", "gsl_km"):
+                assert _same_bits(getattr(got, name), getattr(ref, name)), name
+        assert _same_bits(np.concatenate(d), expected)
+
+
+def _edgeless(n_sats, n_stations):
+    return TopologySnapshot(
+        t=0.0,
+        sat_positions=np.zeros((n_sats, 3)),
+        station_positions=np.zeros((n_stations, 3)),
+        isl_pairs=np.empty((0, 2), dtype=np.int64),
+        isl_km=np.empty(0),
+        gsl_pairs=np.empty((0, 2), dtype=np.int64),
+        gsl_km=np.empty(0),
+    )
+
+
+def test_each_block_of_a_group_matches_floyd_warshall():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n_sats, n_stations = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        group = [random_snapshot(rng, n_sats, n_stations) for _ in range(int(rng.integers(1, 6)))]
+        group.insert(int(rng.integers(0, len(group) + 1)), _edgeless(n_sats, n_stations))
+        d = shortest_distances(group)
+        assert d.shape == (len(group), n_sats, n_stations)
+        for block, snap in zip(d, group):
+            assert np.array_equal(block, oracle_field(snap))
+    assert np.isinf(shortest_distances([_edgeless(3, 2)])).all()
+
+
+def test_a_group_of_mixed_shapes_is_rejected():
+    with pytest.raises(ValueError, match="one shape"):
+        shortest_distances([_edgeless(3, 2), _edgeless(3, 1)])
+
+
+@pytest.mark.parametrize(
+    "n_sats,n_stations,size",
+    [(48, 4, 17), (1296, 8, 2), (1584, 2, 4), (1, 1, 181), (100_000, 50, 1)],
+)
+def test_group_size_is_the_most_snapshots_whose_output_fits(n_sats, n_stations, size):
+    # desk, walker, starlink: a group's Dijkstra output is
+    # (G * stations) x (G * (sats + stations)) float64 entries
+    assert group_size(n_sats, n_stations) == size
+    entries = n_stations * (n_sats + n_stations)
+    assert size == 1 or size ** 2 * entries <= topology.GROUP_ENTRIES
+    assert (size + 1) ** 2 * entries > topology.GROUP_ENTRIES
+
+
+@pytest.mark.parametrize("elevation", [90.5, -90.5, 170.0, -190.0, math.nan])
+def test_elevation_outside_a_quarter_turn_is_rejected(elevation):
+    shell = WalkerShell(2, 3, 53.0, 1200.0)
+    with pytest.raises(ValueError, match="min_elevation_deg"):
+        snapshot_at(shell, [GroundStation(0, "a", 0.0, 0.0)], 0.0, min_elevation_deg=elevation)
 
 
 @pytest.mark.parametrize(
@@ -494,10 +551,7 @@ def _reference_fields_csv(fields, path):
 
 def _fields_of(snapshots):
     """The ``DistanceFields`` of a snapshot series, as ``build_fields`` fills it."""
-    shape = (snapshots[0].n_sats, snapshots[0].n_stations) if snapshots else (0, 0)
-    d = np.empty((len(snapshots),) + shape)
-    for row, snap in zip(d, snapshots):
-        row[...] = shortest_distances(snap)
+    d = shortest_distances(snapshots) if snapshots else np.empty((0, 0, 0))
     return DistanceFields([s.t for s in snapshots], d)
 
 
