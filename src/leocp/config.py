@@ -87,6 +87,12 @@ def _check_keys(section: dict, allowed: dict, where: str, required=()):
             raise ConfigError(f"{where}.{key} has wrong type {type(section[key]).__name__}")
         if isinstance(section[key], float) and not math.isfinite(section[key]):
             raise ConfigError(f"{where}.{key} must be finite, got {section[key]}")
+        # a numeric field is read as a float, which an int past ~1.8e308 overflows
+        if float in kinds and isinstance(section[key], int) and not isinstance(section[key], bool):
+            try:
+                float(section[key])
+            except OverflowError:
+                raise ConfigError(f"{where}.{key} is too large for a float") from None
     for key in required:
         if key not in section:
             raise ConfigError(f"missing required key {key!r} in {where}")

@@ -9,11 +9,12 @@ value prints as the same float.
 The records and CDF writers stream their rows with the bytes of
 ``csv.writer`` (CRLF line ends, numbers unquoted), so no whole file is
 held as one string: the records writer one generated line at a time,
-the CDF writer ``_CDF_WRITE_ROWS`` rows at a time, each chunk formatted
-by one ``%`` over a repeated row template. ``report.json`` has the bytes
-of ``json.dump(..., indent=2, sort_keys=True)``, which has no C path:
-its per-satellite rows go ``_REPORT_WRITE_ROWS`` at a time through one
-C-encoder ``json.dumps`` and indented row templates.
+the CDF writer a block of ``numtext.BLOCK`` numbers at a time, each
+``"%.6f"`` formatted by ``numtext``'s exact numpy encoder.
+``report.json`` has the bytes of ``json.dump(..., indent=2,
+sort_keys=True)``, which has no C path: its per-satellite rows go
+``_REPORT_WRITE_ROWS`` at a time through one C-encoder ``json.dumps``
+and indented row templates.
 """
 import csv
 import functools
@@ -23,10 +24,9 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import numtext
 from .errors import EmptyInput
 
-# CDF rows formatted and written at a time
-_CDF_WRITE_ROWS = 4096
 # per-satellite report.json rows encoded and written at a time
 _REPORT_WRITE_ROWS = 256
 
@@ -196,8 +196,7 @@ def write_report(report: MetricsReport, out_dir):
              f"{agg['total_invisibility_h']:.2f}", f"{agg['total_pod_unavail_h']:.2f}"]
         )
     for name, points in sorted(report.cdf_points.items()):
-        with open(os.path.join(out_dir, f"cdf_{name}.csv"), "w", newline="") as fh:
-            fh.write("value,fraction\r\n")
-            for lo in range(0, len(points), _CDF_WRITE_ROWS):
-                rows = points[lo : lo + _CDF_WRITE_ROWS]
-                fh.write("%.6f,%.6f\r\n" * len(rows) % tuple(rows.ravel().tolist()))
+        with open(os.path.join(out_dir, f"cdf_{name}.csv"), "wb") as fh:
+            fh.write(b"value,fraction\r\n")
+            points = np.asarray(points, dtype=float).reshape(-1, 2)
+            fh.writelines(numtext.csv_blocks([(points, "f")]))

@@ -15,13 +15,13 @@ lookup of the snapshot nearest in time, shared by the simulation's
 latency model and network-metric sampling; ``nearest_field_indices`` is
 its array form.
 
-The writers stream one snapshot at a time and give the bytes of the
-standard library's encoders: ``write_json_array`` those of ``json.dump``
-of the whole list (each item goes through the C encoder of
-``json.dumps``), ``write_fields_json`` the same with each snapshot's
-rows encoded a block of satellites at a time, ``write_fields_csv`` those
-of ``csv.writer``, each block of a snapshot's rows formatted by one
-``%`` over a row template built once per series.
+The writers stream the series and give the bytes of the standard
+library's encoders. ``write_snapshots_json`` and ``write_fields_json``
+give those of ``json.dump`` of the whole list: the numbers of a run of
+snapshots go through ``numtext.json_tables``, a block of numbers per
+call. ``write_fields_csv`` gives those of ``csv.writer``, each block of
+a snapshot's rows formatted by one ``%`` over a row template built once
+per series.
 """
 import bisect
 import functools
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, numtext
 from .constants import LIGHT_SPEED_KM_MS
 from .orbits import Constellation, WalkerShell, propagate
 
@@ -311,80 +311,83 @@ def distance_to_latency(km) -> float:
 # serialization
 
 
-def snapshot_to_dict(snapshot: TopologySnapshot) -> dict:
-    """Plain lists for JSON; each edge is a ``(a, b, km)`` tuple, which
-    encodes as a JSON array."""
-    return {
-        "t": snapshot.t,
-        "sat_positions": snapshot.sat_positions.tolist(),
-        "station_positions": snapshot.station_positions.tolist(),
-        "isl_edges": list(zip(*snapshot.isl_pairs.T.tolist(), snapshot.isl_km.tolist())),
-        "gsl_edges": list(zip(*snapshot.gsl_pairs.T.tolist(), snapshot.gsl_km.tolist())),
-    }
+def _groups(snapshots):
+    """Runs of consecutive snapshots whose positions or whose edges hold at
+    least ``numtext.BLOCK`` numbers (the last run may hold fewer), so small
+    snapshots share blocks."""
+    group, numbers = [], 0
+    for s in snapshots:
+        group.append(s)
+        numbers += 3 * max(s.n_sats + s.n_stations, len(s.isl_km) + len(s.gsl_km))
+        if numbers >= numtext.BLOCK:
+            yield group
+            group, numbers = [], 0
+    if group:
+        yield group
 
 
-def field_to_dict(t, d: np.ndarray) -> dict:
-    """One snapshot's row ``d`` of a ``DistanceFields`` at time ``t``."""
-    reachable = np.isfinite(d)
-    return {
-        "t": t,
-        "d_km": np.where(reachable, d, -1.0).tolist(),
-        "reachable": reachable.astype(int).tolist(),
-    }
+def write_snapshots_json(snapshots, path):
+    """The bytes of ``json.dump`` of the snapshots' plain-list form (``t``,
+    the positions, and each edge as ``[a, b, km]``) plus a newline.
 
-
-def write_json_array(items, path):
-    """The bytes of ``json.dump(list(items), fh)`` plus a newline, written
-    one item at a time.
-
-    ``json.dump`` encodes in pure Python; ``json.dumps`` of one item takes
-    the C encoder, and ``", "`` is the default item separator.
+    The positions of a run of snapshots (``_groups``) are encoded by one
+    ``numtext.json_tables`` call, and so are their edges.
     """
-    with open(path, "w") as fh:
-        fh.write("[")
-        sep = ""
-        for item in items:
-            fh.write(sep)
-            fh.write(json.dumps(item))
-            sep = ", "
-        fh.write("]\n")
+    with open(path, "wb") as fh:
+        fh.write(b"[")
+        sep = b""
+        for group in _groups(snapshots):
+            xyz = [p for s in group for p in (s.sat_positions, s.station_positions)]
+            positions = numtext.json_tables([(np.concatenate(xyz), "r")], [len(p) for p in xyz])
+            pairs = [p for s in group for p in (s.isl_pairs, s.gsl_pairs)]
+            km = [k for s in group for k in (s.isl_km, s.gsl_km)]
+            edges = numtext.json_tables(
+                [(np.concatenate(pairs), "d"), (np.concatenate(km)[:, None], "r")],
+                [len(k) for k in km],
+            )
+            for i, s in enumerate(group):
+                fh.write(
+                    b'%s{"t": %s, "sat_positions": %s, "station_positions": %s, '
+                    b'"isl_edges": %s, "gsl_edges": %s}'
+                    % (sep, json.dumps(s.t).encode(), *positions[2 * i:2 * i + 2],
+                       *edges[2 * i:2 * i + 2])
+                )
+                sep = b", "
+        fh.write(b"]\n")
 
 
-# satellites per encoding call in ``write_fields_json`` and ``write_fields_csv``
+# satellites per ``%`` in ``write_fields_csv``
 FIELD_ROWS = 256
 
 
 def write_fields_json(fields: DistanceFields, path):
-    """The bytes of ``write_json_array`` of each snapshot's ``field_to_dict``.
+    """The bytes of ``json.dump`` of each snapshot's ``{"t", "d_km",
+    "reachable"}`` plus a newline: ``d_km`` is the snapshot's row of
+    ``fields.d`` with -1.0 where unreachable, ``reachable`` its 0/1 mask.
 
-    Each snapshot's ``d_km`` and ``reachable`` rows go through
-    ``json.dumps`` ``FIELD_ROWS`` satellites at a time, so no whole
-    snapshot's lists of Python numbers are held at once.
+    A run of snapshots of about ``numtext.BLOCK`` distances is encoded by
+    one ``numtext.json_tables`` call per list.
     """
-    with open(path, "w") as fh:
-        fh.write("[")
-        sep = ""
-        for t, d in zip(fields.times, fields.d):
+    _, n_sats, n_stations = fields.d.shape
+    run = max(1, numtext.BLOCK // max(1, n_sats * n_stations))
+    with open(path, "wb") as fh:
+        fh.write(b"[")
+        sep = b""
+        for lo in range(0, len(fields.times), run):
+            d = fields.d[lo:lo + run]
             reachable = np.isfinite(d)
-            fh.write(f'{sep}{{"t": {json.dumps(t)}, "d_km": ')
-            _write_json_rows(fh, np.where(reachable, d, -1.0))
-            fh.write(', "reachable": ')
-            _write_json_rows(fh, reachable.astype(int))
-            fh.write("}")
-            sep = ", "
-        fh.write("]\n")
-
-
-def _write_json_rows(fh, rows: np.ndarray):
-    """The bytes of ``json.dumps(rows.tolist())``, ``FIELD_ROWS`` rows per call."""
-    fh.write("[")
-    sep = ""
-    for i in range(0, len(rows), FIELD_ROWS):
-        fh.write(sep)
-        # the block's list without its brackets
-        fh.write(json.dumps(rows[i:i + FIELD_ROWS].tolist())[1:-1])
-        sep = ", "
-    fh.write("]")
+            counts = [n_sats] * len(d)
+            km = numtext.json_tables(
+                [(np.where(reachable, d, -1.0).reshape(-1, n_stations), "r")], counts
+            )
+            flags = numtext.json_tables([(reachable.reshape(-1, n_stations), "d")], counts)
+            for t, *lists in zip(fields.times[lo:lo + run], km, flags):
+                fh.write(
+                    b'%s{"t": %s, "d_km": %s, "reachable": %s}'
+                    % (sep, json.dumps(t).encode(), *lists)
+                )
+                sep = b", "
+        fh.write(b"]\n")
 
 
 def write_fields_csv(fields: DistanceFields, path):
@@ -415,7 +418,3 @@ def write_fields_csv(fields: DistanceFields, path):
             for lo, template in zip(starts, templates):
                 block = km[lo:lo + FIELD_ROWS].ravel().tolist()
                 fh.write(template.replace("\0", t_repr) % tuple(block))
-
-
-def write_snapshots_json(snapshots, path):
-    write_json_array((snapshot_to_dict(s) for s in snapshots), path)

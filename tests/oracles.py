@@ -1,6 +1,7 @@
 """Reference implementations the fast paths are checked against, and the
 helpers that build their inputs."""
 import functools
+import json
 import math
 
 import numpy as np
@@ -222,3 +223,46 @@ def per_snapshot_distances(snapshot):
     sources = np.arange(n_sats, n_sats + n_stations)
     dist = kernels.dijkstra_from_sources(indptr, indices, weights, n, sources)
     return dist[:, :n_sats].T
+
+
+# ---------------------------------------------------------------------------
+# the snapshot-stage JSON files through the standard library's C encoder
+
+
+def snapshot_to_dict(snapshot: TopologySnapshot) -> dict:
+    """Plain lists for JSON; each edge is a ``(a, b, km)`` tuple, which
+    encodes as a JSON array."""
+    return {
+        "t": snapshot.t,
+        "sat_positions": snapshot.sat_positions.tolist(),
+        "station_positions": snapshot.station_positions.tolist(),
+        "isl_edges": list(zip(*snapshot.isl_pairs.T.tolist(), snapshot.isl_km.tolist())),
+        "gsl_edges": list(zip(*snapshot.gsl_pairs.T.tolist(), snapshot.gsl_km.tolist())),
+    }
+
+
+def field_to_dict(t, d: np.ndarray) -> dict:
+    """One snapshot's row ``d`` of a ``DistanceFields`` at time ``t``."""
+    reachable = np.isfinite(d)
+    return {
+        "t": t,
+        "d_km": np.where(reachable, d, -1.0).tolist(),
+        "reachable": reachable.astype(int).tolist(),
+    }
+
+
+def write_json_array(items, path):
+    """The bytes of ``json.dump(list(items), fh)`` plus a newline, written
+    one item at a time.
+
+    ``json.dump`` encodes in pure Python; ``json.dumps`` of one item takes
+    the C encoder, and ``", "`` is the default item separator.
+    """
+    with open(path, "w") as fh:
+        fh.write("[")
+        sep = ""
+        for item in items:
+            fh.write(sep)
+            fh.write(json.dumps(item))
+            sep = ", "
+        fh.write("]\n")

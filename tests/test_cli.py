@@ -488,6 +488,14 @@ def test_out_of_range_k_rejected():
         ("topology", "terrestrial_factor", -1),
         ("topology", "gsl_limit", 0),  # would keep one link, as gsl_limit 1 does
         ("topology", "gsl_limit", -1),
+        # an integer no float holds, named before a stage's float() overflows
+        pytest.param("sim", "duration_s", 10**400, id="sim-duration_s-10e400"),
+        pytest.param("shell", "altitude_km", 10**400, id="shell-altitude_km-10e400"),
+        pytest.param("topology", "snapshot_dt_s", 10**400, id="topology-snapshot_dt_s-10e400"),
+        pytest.param("protocol", "report_interval_s", -(10**400), id="protocol-report_interval_s-minus-10e400"),
+        pytest.param("protocol", "constant_latency_ms", 10**400, id="protocol-constant_latency_ms-10e400"),
+        pytest.param("assignment", "delta", 10**400, id="assignment-delta-10e400"),
+        pytest.param("stations.0", "latitude_deg", 10**400, id="stations.0-latitude_deg-10e400"),
     ],
 )
 def test_out_of_range_value_rejected(section, key, value):
@@ -694,6 +702,17 @@ def test_geometry_out_of_range_is_a_config_error(tmp_path, capsys, section, key,
     assert not (tmp_path / "out" / "constellation.json").exists()
 
 
+def test_huge_integer_is_a_config_error(tmp_path, capsys):
+    with open(DESK_CONFIG) as fh:
+        raw = json.load(fh)
+    raw["sim"]["duration_s"] = 10**400
+    path = tmp_path / "desk_huge.json"
+    path.write_text(json.dumps(raw))
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: sim.duration_s is too large for a float\n"
+
+
 def _gc_state():
     return gc.get_freeze_count(), gc.isenabled()
 
@@ -772,7 +791,7 @@ def test_pipeline_keeps_a_callers_frozen_heap_and_disabled_gc(mini_config, tmp_p
 
 def test_json_dump_only_for_indented_files():
     """``json.dump`` encodes in pure Python; a file without ``indent`` is
-    written with ``json.dumps`` (the C encoder) or ``write_json_array``."""
+    written with ``json.dumps`` (the C encoder) or ``leocp.numtext``."""
     import leocp
 
     src = os.path.dirname(leocp.__file__)

@@ -75,17 +75,19 @@ def test_starlink_daily_fields_digest(tmp_path):
 def test_starlink_daily_report_records_and_constellation_digests(tmp_path):
     # ``leocp all`` on the full-day Starlink config: the files whose writers
     # bypass ``json.dump`` (report.json, constellation.json) or are derived
-    # from the simulation (records.csv), and the two snapshot-stage files
-    # that either the forked writer or the parent writes (fields.json,
+    # from the simulation (records.csv), the snapshot-stage files that
+    # either the forked writer or the parent writes (fields.json,
     # distances.csv, the digests ``test_starlink_daily_fields_digest``
-    # pins), pinned byte for byte
+    # pins, and snapshots.json), and the CDF files (the latency CDF's
+    # fractions go down to 1/2,282,544), pinned byte for byte
     out = tmp_path / "out"
     assert main(["all", "--config", os.path.join(CONFIGS, "starlink_fullscale.json"),
                  "--out", str(out)]) == 0
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("report.json", "records.csv", "constellation.json", "fields.json",
-                     "distances.csv")
+                     "distances.csv", "snapshots.json", "cdf_report_latency_ms.csv",
+                     "cdf_handover_duration_s.csv")
     }
     assert digests == {
         "report.json": "5c7d6a6c2dddd85a48143809d21e767851d744d649838a2cff49e63700773d0f",
@@ -93,6 +95,11 @@ def test_starlink_daily_report_records_and_constellation_digests(tmp_path):
         "constellation.json": "f348bb56a95f9ae25b732280e26b62be4c7dafe8f8b4e4c40f5a049c1a5f8e6f",
         "fields.json": "1f32787d93b6d3609da943338037ecae60c8cc2d7544c863c789da3129ddf1c8",
         "distances.csv": "fae2c18dbf49f5e25f41000d3181562d77920e9f179859cdebbfd912b4f7d960",
+        "snapshots.json": "ef039d649883b025ef1f0f69388fa3ede507e599c64225bf667bab798c60a9ab",
+        "cdf_report_latency_ms.csv":
+            "c132f00f55992e6d6ccc6b61cf0bd7c7b11ed0d3814bf87dc07091e18020c8f1",
+        "cdf_handover_duration_s.csv":
+            "b5f2872b92d69acc43e49f3c60ab6a31452c7efdb72b6226cbf512a41ba05d60",
     }
 
 

@@ -23,17 +23,21 @@ from leocp.topology import (
     build_isl_grid,
     build_snapshot,
     distance_to_latency,
-    field_to_dict,
     group_size,
     nearest_field_index,
     nearest_field_indices,
     shortest_distances,
     write_fields_csv,
     write_fields_json,
-    write_json_array,
     write_snapshots_json,
 )
-from oracles import oracle_field, per_snapshot_distances, per_time_snapshot, random_snapshot
+from oracles import (
+    field_to_dict,
+    oracle_field,
+    per_snapshot_distances,
+    per_time_snapshot,
+    random_snapshot,
+)
 
 
 def snapshot_at(shell, stations, t, **kwargs):
