@@ -7,11 +7,14 @@ Each fixture holds the sha256 of every file the pipeline writes, except
 through the nearest-snapshot lookup in both the sampler and the
 simulation's latency model; ``desk_legacy_all`` runs it with
 ``protocol.type: "legacy"``, whose reports queue while a node rejoins
-and complete when it does. The two ``*_trace`` fixtures add
+and complete when it does. The four ``*_trace`` fixtures add
 ``--trace``, so ``trace.jsonl`` pins every handover step and the order
-in which time ties fire: ``desk_legacy_pods3_trace`` runs the legacy
-protocol with three pods per satellite (the eviction loop and the pod
-resync that runs beside the rejoin); ``desk_legacy_zero_delay_trace``
+in which time ties fire: ``desk_seamless_trace`` runs the desk config as
+it is; ``desk_seamless_zero_delay_trace`` runs it with a 0 ms constant
+latency and every delay 0, so each seamless handover's steps and its
+two off-path acks share one time; ``desk_legacy_pods3_trace`` runs the
+legacy protocol with three pods per satellite (the eviction loop and the
+pod resync that runs beside the rejoin); ``desk_legacy_zero_delay_trace``
 runs it with two pods, a 0 ms constant latency and every delay 0, so
 all steps of a handover share one time and only the queue order
 separates them. The ``desk_twins_gsl1*_snapshot`` fixtures pin the three
@@ -81,6 +84,10 @@ def test_desk_legacy_all_outputs_match_golden_digests(tmp_path):
     check_golden(tmp_path, "desk_legacy_all_digests.json", {"protocol": {"type": "legacy"}})
 
 
+def test_desk_seamless_trace_matches_golden_digests(tmp_path):
+    check_golden(tmp_path, "desk_seamless_trace_digests.json", {}, ["--trace"])
+
+
 def test_desk_legacy_pods3_trace_matches_golden_digests(tmp_path):
     check_golden(
         tmp_path,
@@ -115,6 +122,15 @@ def test_desk_legacy_zero_delay_trace_matches_golden_digests(tmp_path):
                 "delays": ZERO_DELAYS,
             }
         },
+        ["--trace"],
+    )
+
+
+def test_desk_seamless_zero_delay_trace_matches_golden_digests(tmp_path):
+    check_golden(
+        tmp_path,
+        "desk_seamless_zero_delay_trace_digests.json",
+        {"protocol": {"constant_latency_ms": 0, "delays": ZERO_DELAYS}},
         ["--trace"],
     )
 
