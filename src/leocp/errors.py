@@ -26,7 +26,9 @@ class OutOfHorizon(LeocpError, ValueError):
 
 
 class ProtocolViolation(LeocpError, RuntimeError):
-    """A binding-state transition outside the allowed machine was attempted."""
+    """A handover the engine cannot run was requested: an unknown id, a
+    switch on a node not Bound or to the controller it holds, a negative
+    leg, a batch beside queued events, or an illegal binding transition."""
 
 
 class ConcurrentHandover(LeocpError, RuntimeError):

@@ -7,21 +7,18 @@ commit; the satellite stays registered with at least one controller
 throughout and pods never stop. The legacy protocol drains the node,
 removes it, and rejoins it at the target, which opens measurable
 windows of node invisibility and pod downtime. A node runs one handover
-at a time: starting a second one while the first is in flight raises
-``ConcurrentHandover``.
+at a time: a switch that starts while the node's handover is in flight
+raises ``ConcurrentHandover``.
 
-Each protocol is written twice. As one generator whose body is the
-protocol in order: every queued step yields the time it fires, and
-``_advance`` queues the generator's resumption there. This event engine
-runs direct ``start_seamless``/``start_legacy`` calls and every
-simulation that records a trace. And as a fixed chain of steps
-(``_seamless_chain``, ``_legacy_chain``), over which ``run`` replays a
+Each protocol is written once, as a fixed chain of steps
+(``_seamless_chain``, ``_legacy_chain``) over which ``run`` replays a
 ``start_handovers`` batch in bulk: each step is ``t + delay`` or
 ``t + leg(t)``, one numpy operation over every handover of the batch
-with the engine's float association, and each step's event gets the
-rank the queue would give it. A batch the engine would stop on (an
-overlapping switch, an unknown id, an unusable leg) goes through the
-queue instead, so it raises the engine's first error.
+with the engine's float association, and each step is an event with
+the time and rank the queue would give it and the event that pushed
+it. Only when a batch records a trace or would stop on an error does
+one ordering pass put those events in the queue's firing order, by
+(time, push order), to emit the trace rows or to find the first error.
 
 The engine is logically single-threaded: one priority queue ordered by
 (time, sequence number), so identical inputs replay identical traces.
@@ -75,15 +72,6 @@ class BindingState(Enum):
     RELEASED = "Released"
 
 
-# Allowed transitions on an existing binding entry: the target walks
-# Released -> Binding -> Bound, the source walks Bound -> Releasing -> Released.
-_ALLOWED = {
-    (BindingState.RELEASED, BindingState.BINDING),
-    (BindingState.BINDING, BindingState.BOUND),
-    (BindingState.BOUND, BindingState.RELEASING),
-    (BindingState.RELEASING, BindingState.RELEASED),
-}
-
 # states in which a controller manages the node and accepts its reports
 VISIBLE_STATES = frozenset({BindingState.BOUND, BindingState.RELEASING, BindingState.BINDING})
 
@@ -105,10 +93,6 @@ class HandoverRequest:
     target_gs: int
     status: RequestStatus | None = None
     timestamps: dict = dc_field(default_factory=dict)
-
-    def advance(self, status: RequestStatus, t: float):
-        self.status = status
-        self.timestamps[status.value] = t
 
 
 @dataclass
@@ -256,9 +240,12 @@ class Simulation:
     model must give the same leg both ways and station legs that do not
     change with time.
 
-    ``start_handovers`` starts a batch of handovers that ``run`` replays
-    in bulk; it leaves ``records`` in (t_start, satellite) order, where
-    the queue leaves them in the order they end.
+    ``start_handovers`` starts a batch of handovers whose steps never
+    enter the queue: ``run`` replays them in bulk, each with the time,
+    rank and firing order the queue would give it, and leaves
+    ``records`` in (t_start, satellite) order, not in the order the
+    handovers end. ``schedule`` queues any other event; a batch does not
+    run beside them.
 
     ``start_reporting`` turns on periodic status reports. They never
     enter the queue, but are derived in bulk exactly as per-event send,
@@ -292,7 +279,6 @@ class Simulation:
         self._seq = itertools.count()
         self.records = []
         self.report_latencies = dict.fromkeys(satellites, np.empty(0))
-        self._in_flight = set()
         self._request_ids = itertools.count(1)
         self.requests = []
         self.trace = [] if record_trace else None
@@ -308,7 +294,7 @@ class Simulation:
         self._ticks = None  # report tick times, while reports are pending
         self._tick_list = []
         self._unaccepted = None  # tick times of a drained run, until its accepts are merged
-        self._batch = None  # handovers of ``start_handovers``, until ``run``
+        self._batch = None  # the calls of ``start_handovers``, until ``run``
         self._root = self._ctx = self._parent = (-math.inf, -1, -1)
 
     # -- engine ------------------------------------------------------------
@@ -333,50 +319,56 @@ class Simulation:
 
     def start_handovers(self, protocol, schedules):
         """Start every switch of ``schedules`` (satellite -> its ``(t,
-        target)`` switches) under ``protocol``: the ``start_seamless`` or
-        ``start_legacy`` events scheduled here, satellite by satellite.
+        target)`` switches) under ``protocol``: one start event per
+        switch, satellite by satellite, pushed now, for ``run`` to replay.
 
-        ``run`` replays the batch in bulk if nothing else is queued then.
-        The queue runs it instead when the simulation records a trace,
-        or when the engine would stop on it, so that it raises the
-        engine's first error. Raises ``BudgetExceeded``, before any work,
-        past ``STEP_BUDGET`` steps.
+        A second call before ``run`` extends the pending batch; each call
+        keeps its own context and push order. Raises before any work:
+        ``Unreachable`` for a start time that is not finite,
+        ``ProtocolViolation`` for an unknown id, ``BudgetExceeded`` past
+        ``STEP_BUDGET`` steps in the batch.
         """
-        if self._batch is not None:
-            self._queue_batch(*self._batch)
-            self._batch = None
         flat = [(sat, t, target) for sat in sorted(schedules) for t, target in schedules[sat]]
-        per = _steps_per_handover(protocol, self.pods_per_sat, self.delays.auth_roundtrips)
-        if len(flat) * per > STEP_BUDGET:
+        if not all(math.isfinite(t) for _, t, _ in flat):
+            raise Unreachable("event scheduled over an unreachable link")
+        for sat, _, target in flat:
+            self._check_ids(sat, target)
+        parts = (self._batch or []) + [(protocol, flat)]
+        per = functools.partial(_steps_per_handover, pods=self.pods_per_sat,
+                                auth_roundtrips=self.delays.auth_roundtrips)
+        terms = [(len(f), per(p)) for p, f, *_ in parts]
+        steps = sum(n * per for n, per in terms)
+        if steps > STEP_BUDGET:
+            counts = " + ".join(f"{n} handovers x {per} steps" for n, per in terms)
             raise BudgetExceeded(
-                f"{len(flat)} handovers x {per} steps = {len(flat) * per:,} handover steps, "
+                f"{counts} = {steps:,} handover steps, "
                 f"over the budget of {STEP_BUDGET:,}; lower protocol.delays.auth_roundtrips "
                 f"(now {self.delays.auth_roundtrips}) or protocol.pods_per_sat "
                 f"(now {self.pods_per_sat})"
             )
         first = next(self._seq)  # the batch's events take the next sequence numbers
         self._seq = itertools.count(first + len(flat))
-        batch = (protocol, flat, first, self._ctx)
-        if self.trace is not None or not all(math.isfinite(t) for _, t, _ in flat):
-            self._queue_batch(*batch)
-        else:
-            self._batch = batch
-
-    def _queue_batch(self, protocol, flat, first, ctx):
-        starter = start_seamless if protocol is Protocol.SEAMLESS else start_legacy
-        for seq, (sat, t, target) in enumerate(flat, first):
-            self._push(t, seq, functools.partial(starter, self, sat, target), ctx)
+        self._batch = parts[:-1] + [(protocol, flat, first, self._ctx)]
 
     def run(self):
         """Replay the pending ``start_handovers`` batch in bulk, or fire
         every queued event, then derive the report latencies, if
-        reporting is on; the accepts wait for ``report_log``."""
-        if self._batch is not None:
-            batch, self._batch = self._batch, None
-            if self._queue or self._in_flight or not _replay(self, *batch):
-                self._queue_batch(*batch)
+        reporting is on; the accepts wait for ``report_log``.
+
+        Raises the error the queue would stop on first, unless a report
+        sent before the failing event went over an unreachable link. A
+        batch beside events queued through ``schedule`` raises
+        ``ProtocolViolation`` before any work.
+        """
+        batch, self._batch = self._batch, None
         queue = self._queue
+        if batch is not None and queue:
+            raise ProtocolViolation(
+                "a start_handovers batch cannot run beside events queued through schedule"
+            )
         try:
+            if batch is not None:
+                _replay(self, batch)
             while queue:
                 t, _, fn, parent = heapq.heappop(queue)
                 self._parent = parent
@@ -409,16 +401,6 @@ class Simulation:
             k += 1
         return k
 
-    def _leg_s(self, a, b, t) -> float:
-        ms = self.latency(a, b, t)
-        if not math.isfinite(ms):
-            raise _no_path(a, b, t)
-        return ms / 1000.0
-
-    def _emit(self, t, event, **fields):
-        if self.trace is not None:
-            self.trace.append({"t": t, "event": event, **fields})
-
     # -- logs --------------------------------------------------------------
 
     @property
@@ -437,23 +419,6 @@ class Simulation:
         """The controller ``sat`` holds now, or None."""
         log = self._controller_log.get(sat)
         return log[-1][2] if log else None
-
-    def _log_state(self, gs, sat, state, t):
-        """Log ``sat``'s binding ``state`` at ``gs`` (None: entry removed)."""
-        self._settle_accepts()
-        self.state_log.setdefault((gs, sat), []).append((t, state))
-        self._state_pushed.setdefault((gs, sat), []).append((self._parent[0], self._parent[2]))
-
-    def _log_report(self, gs, sat, t):
-        # in time order even when a run's accept precedes an earlier run's
-        bisect.insort(self.report_log.setdefault((gs, sat), []), t)
-
-    def _set_controller(self, sat, gs, t, flush=False):
-        """Point ``sat`` at controller ``gs`` (None: unmanaged). ``flush``
-        marks the change that completes the reports queued while the
-        node was unmanaged."""
-        self._settle_accepts()
-        self._controller_log.setdefault(sat, []).append((self._ctx[1], t, gs, flush))
 
     def bind_initial(self, sat, gs, t=0.0):
         """Bootstrap registration: entry is Bound with a synchronous
@@ -478,20 +443,6 @@ class Simulation:
             raise ProtocolViolation(f"gs {gs} is not a controller of this simulation")
         if sat not in self.satellites:
             raise ProtocolViolation(f"node {sat} is not a satellite of this simulation")
-
-    def _transition(self, gs, sat, new_state, t):
-        state = self.binding(gs, sat)
-        if state is None:
-            raise ProtocolViolation(f"gs {gs} holds no entry for node {sat}")
-        if (state, new_state) not in _ALLOWED:
-            raise ProtocolViolation(
-                f"illegal binding transition {state.value} -> {new_state.value}"
-            )
-        self._log_state(gs, sat, new_state, t)
-
-    def _accept_report(self, gs, sat, t):
-        if self.binding(gs, sat) in VISIBLE_STATES:
-            self._log_report(gs, sat, t)
 
     # -- periodic status reports --------------------------------------------
 
@@ -645,54 +596,19 @@ def node_visible(sim: Simulation, sat: int, t: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# handover protocols: each step yields its firing time, which is sent back
-# in when it fires; acks off the critical path are queued directly
+# handover protocols, one handover at a time
 
 
-def _advance(sim: Simulation, steps, t=None):
-    """Run ``steps`` up to its next step and queue the rest at that step's
-    time. A fresh partial per step leaves no object that refers to itself."""
-    try:
-        at = steps.send(t)
-    except StopIteration:
-        return
-    sim.schedule(at, functools.partial(_advance, sim, steps))
+def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
+    """Start a seamless handover of ``sat`` to ``target_gs`` at ``t0``: a
+    one-handover ``start_handovers`` batch."""
+    sim.start_handovers(Protocol.SEAMLESS, {sat: [(t0, target_gs)]})
 
 
-def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
-    """Mark ``sat`` in flight and return its source controller.
-
-    An overlapping switch is checked first, so it raises
-    ``ConcurrentHandover`` rather than a complaint about the node's
-    mid-handover binding state; unknown ids are checked next.
-    """
-    if sat in sim._in_flight:
-        raise ConcurrentHandover(f"handover already in flight for node {sat}")
-    sim._check_ids(sat, target_gs)
-    source_gs = sim.controller(sat)
-    if source_gs is None or sim.binding(source_gs, sat) is not BindingState.BOUND:
-        raise ProtocolViolation(f"node {sat} is not Bound anywhere; cannot hand over")
-    if target_gs == source_gs:
-        raise ProtocolViolation("handover target equals the current controller")
-    sim._in_flight.add(sat)
-    return source_gs
-
-
-def _finish(sim, protocol, sat, source_gs, target_gs, t_start, t_end, invisibility, pod_unavailability):
-    sim.records.append(
-        HandoverRecord(
-            sat_id=sat,
-            source_gs=source_gs,
-            target_gs=target_gs,
-            t_start=t_start,
-            t_end=t_end,
-            duration=t_end - t_start,
-            invisibility=invisibility,
-            pod_unavailability=pod_unavailability,
-            protocol=protocol,
-        )
-    )
-    sim._in_flight.discard(sat)
+def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
+    """Start a drain-and-rejoin handover of ``sat`` to ``target_gs`` at
+    ``t0``: a one-handover ``start_handovers`` batch."""
+    sim.start_handovers(Protocol.LEGACY, {sat: [(t0, target_gs)]})
 
 
 def run_seamless_handover(sim: Simulation, sat: int, target_gs: int, t0: float) -> HandoverRecord:
@@ -702,178 +618,11 @@ def run_seamless_handover(sim: Simulation, sat: int, target_gs: int, t0: float) 
     return sim.records[-1]
 
 
-def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
-    """Start a seamless handover of ``sat`` to ``target_gs`` at ``t0``."""
-    _advance(sim, _seamless(sim, sat, target_gs, t0))
-
-
-def _seamless(sim, sat, target_gs, t0):
-    source_gs = _begin_handover(sim, sat, target_gs)
-    d = sim.delays
-    req = HandoverRequest(
-        request_id=next(sim._request_ids), node_id=sat, source_gs=source_gs, target_gs=target_gs
-    )
-    sim.requests.append(req)
-    sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
-
-    # steps 1-4: daemon submits the request; API server persists and acks
-    sim._emit(t0, "daemon_submit", sat=sat, source=source_gs, target=target_gs)
-    t = yield t0 + sim._leg_s(sat_ep, src_ep, t0)
-    t = yield t + d.persist
-    req.advance(RequestStatus.CREATED, t)
-    sim._emit(t, "request_created", gs=source_gs, sat=sat)
-    # creation ack back over the daemon's watch channel (off the critical
-    # path; the controller chain continues locally)
-    sim.schedule(t + sim._leg_s(src_ep, sat_ep, t), lambda t3: sim._emit(t3, "create_ack", sat=sat))
-    t = yield t + d.controller_process
-
-    # steps 5-6: status Processing, source binding -> Releasing
-    req.advance(RequestStatus.PROCESSING, t)
-    sim._emit(t, "hr_processing", gs=source_gs, sat=sat)
-    sim._transition(source_gs, sat, BindingState.RELEASING, t)
-    sim._emit(t, "binding_releasing", gs=source_gs, sat=sat)
-    # step 7: synchronous record transfer to the target
-    t = yield t + sim._leg_s(src_ep, tgt_ep, t)
-    sim._emit(t, "sync_arrived", gs=target_gs, sat=sat)
-    t = yield t + d.persist
-    # target now knows the node and its pods, but is not managing it
-    sim._log_state(target_gs, sat, BindingState.RELEASED, t)
-    sim._emit(t, "sync_persisted", gs=target_gs, sat=sat)
-    t = yield t + sim._leg_s(tgt_ep, src_ep, t)
-
-    # step 8: request status Finished
-    req.advance(RequestStatus.FINISHED, t)
-    sim._emit(t, "status_finished", gs=source_gs, sat=sat)
-    # step 9: watch push to the satellite daemon
-    t = yield t + sim._leg_s(src_ep, sat_ep, t)
-    sim._emit(t, "watch_finished", sat=sat)
-    # steps 10-11: build the clientset for the target control node
-    t = yield t + d.client_init
-    sim._emit(t, "client_ready", sat=sat)
-    # step 12: first status report to the target
-    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
-    sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
-    t = yield t + d.status_report_process
-
-    # step 13: Binding, then Bound; the dwell in Binding is zero
-    sim._transition(target_gs, sat, BindingState.BINDING, t)
-    sim._emit(t, "binding_binding", gs=target_gs, sat=sat)
-    sim._transition(target_gs, sat, BindingState.BOUND, t)
-    sim._emit(t, "binding_bound", gs=target_gs, sat=sat)
-    bound = t
-    sim._accept_report(target_gs, sat, t)
-    # step 14: ack to the kubelet, which swaps its clientset pointer
-    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
-    sim._emit(t, "bound_ack", sat=sat)
-    sim._set_controller(sat, target_gs, t)
-
-    # step 15: release the source binding
-    t = yield t + sim._leg_s(sat_ep, src_ep, t)
-    sim._emit(t, "released_arrived", gs=source_gs, sat=sat)
-    t = yield t + d.persist
-    sim._transition(source_gs, sat, BindingState.RELEASED, t)
-    sim._emit(t, "released_commit", gs=source_gs, sat=sat)
-    # steps 16-17: commit marks formal completion at the source
-    req.advance(RequestStatus.COMPLETED, t)
-    sim._emit(t, "status_completed", gs=source_gs, sat=sat)
-    sim.schedule(t + sim._leg_s(src_ep, sat_ep, t), lambda t3: sim._emit(t3, "released_ack", sat=sat))
-    _finish(sim, Protocol.SEAMLESS, sat, source_gs, target_gs, t0, t, max(0.0, bound - t), 0.0)
-
-
 def run_legacy_handover(sim: Simulation, sat: int, target_gs: int, t0: float) -> HandoverRecord:
     """Execute one drain-and-rejoin handover and return its record."""
     start_legacy(sim, sat, target_gs, t0)
     sim.run()
     return sim.records[-1]
-
-
-def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
-    """Start a drain-and-rejoin handover of ``sat`` to ``target_gs`` at ``t0``."""
-    _advance(sim, _legacy(sim, sat, target_gs, t0))
-
-
-def _legacy(sim, sat, target_gs, t):
-    source_gs = _begin_handover(sim, sat, target_gs)
-    d = sim.delays
-    pods = sorted(f"pod-{sat}-{i}" for i in range(sim.pods_per_sat))
-    sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
-
-    # drain: cordon, then evict the pods one at a time
-    sim._emit(t, "drain_begin", gs=source_gs, sat=sat)
-    pods_stopped = None
-    for pod in pods:
-        t = yield t + d.drain_per_pod
-        t = yield t + sim._leg_s(src_ep, sat_ep, t)
-        if pods_stopped is None:
-            pods_stopped = t
-        sim._emit(t, "pod_stopping", sat=sat, pod=pod)
-        t = yield t + d.pod_stop
-        sim._emit(t, "pod_stopped", sat=sat, pod=pod)
-        t = yield t + sim._leg_s(sat_ep, src_ep, t)
-
-    # remove the node at the source, then clean up and re-authenticate
-    t = yield t + d.persist
-    removed = t
-    sim._log_state(source_gs, sat, None, t)
-    sim._set_controller(sat, None, t)
-    sim._emit(t, "node_removed", gs=source_gs, sat=sat)
-    t = yield t + sim._leg_s(src_ep, sat_ep, t)
-    t = yield t + d.legacy_cleanup
-    sim._emit(t, "cleanup_done", sat=sat)
-    for _ in range(d.auth_roundtrips):
-        rtt = sim._leg_s(sat_ep, tgt_ep, t) + sim._leg_s(tgt_ep, sat_ep, t)
-        t = yield t + rtt
-    sim._emit(t, "auth_done", sat=sat)
-    t = yield t + d.client_init
-    sim._emit(t, "client_ready", sat=sat)
-
-    # register at the target
-    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
-    sim._emit(t, "register_arrived", gs=target_gs, sat=sat)
-    t = yield t + d.register
-    # node object exists but carries no status yet
-    sim._log_state(target_gs, sat, BindingState.BOUND, t)
-    sim._emit(t, "node_registered", gs=target_gs, sat=sat)
-    # the node's ack and first report run beside the pod resync; the
-    # second of the two legs to end records the handover
-    legs = {} if pods else {"pod_unavailability": 0.0}
-    finish = functools.partial(_finish, sim, Protocol.LEGACY, sat, source_gs, target_gs, removed)
-    _advance(sim, _legacy_report(sim, sat, target_gs, t, removed, legs, finish))
-    if not pods:
-        return
-
-    # the target pulls the pod records from the source, persists them and
-    # re-schedules the pods
-    rtt = sim._leg_s(tgt_ep, src_ep, t) + sim._leg_s(src_ep, tgt_ep, t)
-    t = yield t + rtt + d.persist
-    sim._emit(t, "pods_persisted", gs=target_gs, sat=sat)
-    t = yield t + d.controller_process + d.persist
-    sim._emit(t, "pods_scheduled", gs=target_gs, sat=sat)
-    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
-    sim._emit(t, "pod_push", sat=sat)
-    t = yield t + d.client_init
-    t = yield t + d.pod_start
-    sim._emit(t, "pods_started", sat=sat)
-    legs["pod_unavailability"] = t - pods_stopped
-    if len(legs) == 2:
-        finish(t, **legs)
-
-
-def _legacy_report(sim, sat, target_gs, t, removed, legs, finish):
-    """The legacy rejoin's leg from registration: ack, first status
-    report, accept."""
-    sat_ep, tgt_ep = ("sat", sat), ("gs", target_gs)
-    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
-    sim._set_controller(sat, target_gs, t, flush=True)
-    sim._emit(t, "register_acked", sat=sat)
-    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
-    sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
-    t = yield t + sim.delays.status_report_process
-    sim._accept_report(target_gs, sat, t)
-    sim._emit(t, "report_accepted", gs=target_gs, sat=sat)
-    legs["invisibility"] = t - removed
-    if len(legs) == 2:
-        finish(t, **legs)
 
 
 # ---------------------------------------------------------------------------
@@ -889,9 +638,11 @@ def _steps_per_handover(protocol, pods, auth_roundtrips):
     return 10 + auth_roundtrips + (5 + 4 * pods if pods > 0 else 0)
 
 
-# an event of every handover: its times, ranks, and the context of the
-# event that pushed it, (time, rank, its pusher's rank) as ``Simulation._parent``
-_Event = collections.namedtuple("_Event", "t rank parent")
+# an event of every handover: its times, ranks (None: it pushes nothing),
+# the context of the event that pushed it, (time, rank, its pusher's rank)
+# as ``Simulation._parent``, its position in ``_Lockstep.events``, its
+# pusher's, and the trace rows it emits when it fires (``_trace_row``)
+_Event = collections.namedtuple("_Event", "t rank parent id pusher rows")
 # what a protocol's chain logs: binding entries (gs, event, state), controller
 # changes (event, gs, flush), accept times at the target, the record's
 # (t_start, t_end, invisibility, pod_unavailability), the request statuses
@@ -899,54 +650,91 @@ _Outcome = collections.namedtuple("_Outcome", "states changes accepts record sta
 
 
 class _Lockstep:
-    """Steps over a batch's handovers. Each event gets the rank the
-    queue would give it; ``ok`` drops a handover with a leg the engine
-    would refuse, or one that runs back in time."""
+    """Steps over a batch's handovers of protocol ``kind`` (``index``:
+    their positions in the batch). Each event gets the rank the queue
+    would give it and is kept for the firing order. ``fails`` collects
+    what would stop the queue, in the order each event meets it, as
+    (id of the event, handovers, error of handover h)."""
 
-    def __init__(self, sim, sats, src, tgt):
-        self.sim, self.sats, self.src, self.tgt = sim, sats, src, tgt
+    def __init__(self, sim, kind, index, sats, src, tgt, t0, seq):
+        self.sim, self.kind, self.index = sim, kind, index
+        self.sats, self.src, self.tgt, self.t0, self.seq = sats, src, tgt, t0, seq
         self.ticks = np.empty(0) if sim._ticks is None else sim._ticks
         self._tick_at = np.append(self.ticks, math.inf)
-        self.ok = np.ones(len(sats), dtype=bool)
+        self.events, self.fails = [], []
+        self.unbounded = False  # a leg neither usable nor +inf: steps may run back in time
 
-    def at(self, ev, t):
+    def at(self, ev, t, *rows):
         """The events at times ``t`` that ``ev`` pushes (``Simulation._rank``)."""
         k = np.searchsorted(self.ticks, t)
-        rank = k + ((self._tick_at[k] == t) & (ev.rank >= k))
-        return _Event(t, rank, (ev.t, ev.rank, ev.parent[1]))
+        return self._push(ev, t, k + ((self._tick_at[k] == t) & (ev.rank >= k)), rows)
 
-    def sat_s(self, gs, t):
-        """Seconds between each satellite and its station ``gs`` at ``t``."""
-        return self._checked(self.sim.latency.sat_gs_ms(self.sats, gs[:, None], t[:, None])[:, 0])
+    def leaf(self, ev, t, *rows):
+        """The events at times ``t`` that ``ev`` pushes and that push none."""
+        return self._push(ev, t, None, rows)
 
-    def gs_s(self, a, b):
+    def _push(self, ev, t, rank, rows):
+        bad = ~np.isfinite(t)
+        if bad.any():
+            error = Unreachable("event scheduled over an unreachable link")
+            self.fails.append((ev.id, bad, lambda h: error))
+        e = _Event(t, rank, (ev.t, ev.rank, ev.parent[1]), len(self.events), ev.id, list(rows))
+        self.events.append(e)
+        return e
+
+    def sat_s(self, ev, gs, up):
+        """Seconds of each satellite's leg up to (``up``) or down from its
+        station ``gs``, read when ``ev`` fires."""
+        ms = self.sim.latency.sat_gs_ms(self.sats, gs[:, None], ev.t[:, None])[:, 0]
+        ends = [("sat", self.sats), ("gs", gs)]
+        return self._checked(ev, ms, *(ends if up else ends[::-1]))
+
+    def gs_s(self, ev, a, b):
         """Seconds from station ``a`` to ``b``; station legs do not depend on time."""
         pairs = list(zip(a.tolist(), b.tolist()))
         ms = {p: self.sim.latency(("gs", p[0]), ("gs", p[1]), 0.0) for p in set(pairs)}
-        return self._checked(np.array([ms[p] for p in pairs], dtype=float))
+        ms = np.array([ms[p] for p in pairs], dtype=float)
+        return self._checked(ev, ms, ("gs", a), ("gs", b))
 
-    def _checked(self, ms):
-        self.ok &= np.isfinite(ms) & (ms >= 0.0)
+    def _checked(self, ev, ms, a, b):
+        bad = ~(np.isfinite(ms) & (ms >= 0.0))
+        if bad.any():
+            self.unbounded |= bool((ms[bad] != math.inf).any())
+            self.fails.append((ev.id, bad, functools.partial(_leg_error, a, b, ev.t, ms)))
         return ms / 1000.0
 
 
+def _leg_error(a, b, t, ms, h):
+    """The error of handover ``h``'s leg from endpoint ``a`` to ``b`` (a
+    kind and ids) read at ``t``: no path, or a negative latency."""
+    a, b, t, ms = (a[0], a[1][h].item()), (b[0], b[1][h].item()), t[h].item(), ms[h].item()
+    if math.isfinite(ms):
+        return ProtocolViolation(f"negative latency {ms} ms between {a} and {b} at t={t}")
+    return _no_path(a, b, t)
+
+
 def _seamless_chain(steps, d, e, _pods):
-    src, tgt, t0 = steps.src, steps.tgt, e.t
-    e = steps.at(e, e.t + steps.sat_s(src, e.t))  # steps 1-4
-    e = created = steps.at(e, e.t + d.persist)
-    steps.sat_s(src, e.t)  # creation ack
-    e = releasing = steps.at(e, e.t + d.controller_process)  # steps 5-6
-    e = steps.at(e, e.t + steps.gs_s(src, tgt))  # step 7
-    e = synced = steps.at(e, e.t + d.persist)
-    e = finished = steps.at(e, e.t + steps.gs_s(tgt, src))  # step 8
-    e = steps.at(e, e.t + steps.sat_s(src, e.t))  # step 9
-    e = steps.at(e, e.t + d.client_init)  # steps 10-11
-    e = steps.at(e, e.t + steps.sat_s(tgt, e.t))  # step 12
-    e = bound = steps.at(e, e.t + d.status_report_process)  # step 13
-    e = switched = steps.at(e, e.t + steps.sat_s(tgt, e.t))  # step 14
-    e = steps.at(e, e.t + steps.sat_s(src, e.t))  # step 15
-    done = steps.at(e, e.t + d.persist)
-    steps.sat_s(src, done.t)  # released ack
+    src, tgt = steps.src, steps.tgt
+    e = steps.at(e, steps.t0, "daemon_submit")
+    e = steps.at(e, e.t + steps.sat_s(e, src, up=True))  # steps 1-4
+    e = created = steps.at(e, e.t + d.persist, "request_created@src")
+    steps.leaf(e, e.t + steps.sat_s(e, src, up=False), "create_ack")
+    e = releasing = steps.at(
+        e, e.t + d.controller_process, "hr_processing@src", "binding_releasing@src"
+    )  # steps 5-6
+    e = steps.at(e, e.t + steps.gs_s(e, src, tgt), "sync_arrived@tgt")  # step 7
+    e = synced = steps.at(e, e.t + d.persist, "sync_persisted@tgt")
+    e = finished = steps.at(e, e.t + steps.gs_s(e, tgt, src), "status_finished@src")  # step 8
+    e = steps.at(e, e.t + steps.sat_s(e, src, up=False), "watch_finished")  # step 9
+    e = steps.at(e, e.t + d.client_init, "client_ready")  # steps 10-11
+    e = steps.at(e, e.t + steps.sat_s(e, tgt, up=True), "report_arrived@tgt")  # step 12
+    e = bound = steps.at(
+        e, e.t + d.status_report_process, "binding_binding@tgt", "binding_bound@tgt"
+    )  # step 13
+    e = switched = steps.at(e, e.t + steps.sat_s(e, tgt, up=False), "bound_ack")  # step 14
+    e = steps.at(e, e.t + steps.sat_s(e, src, up=True), "released_arrived@src")  # step 15
+    done = steps.at(e, e.t + d.persist, "released_commit@src", "status_completed@src")  # 16-17
+    steps.leaf(done, done.t + steps.sat_s(done, src, up=False), "released_ack")
     lag = bound.t - done.t
     return _Outcome(
         [(src, releasing, BindingState.RELEASING), (tgt, synced, BindingState.RELEASED),
@@ -954,7 +742,7 @@ def _seamless_chain(steps, d, e, _pods):
          (src, done, BindingState.RELEASED)],
         [(switched, tgt, False)],
         bound.t,
-        (t0, done.t, np.where(lag > 0.0, lag, 0.0), np.zeros_like(t0)),
+        (steps.t0, done.t, np.where(lag > 0.0, lag, 0.0), np.zeros_like(steps.t0)),
         [(RequestStatus.CREATED, created.t), (RequestStatus.PROCESSING, releasing.t),
          (RequestStatus.FINISHED, finished.t), (RequestStatus.COMPLETED, done.t)],
     )
@@ -962,33 +750,36 @@ def _seamless_chain(steps, d, e, _pods):
 
 def _legacy_chain(steps, d, e, pods):
     src, tgt, stopped = steps.src, steps.tgt, None
-    for _ in range(pods):  # drain: evict the pods one at a time
+    e = steps.at(e, steps.t0, "drain_begin@src")
+    for i in sorted(range(pods), key=str):  # drain: evict the pods one at a time, by name
         e = steps.at(e, e.t + d.drain_per_pod)
-        e = steps.at(e, e.t + steps.sat_s(src, e.t))
+        e = steps.at(e, e.t + steps.sat_s(e, src, up=False), f"pod_stopping#{i}")
         stopped = e.t if stopped is None else stopped
-        e = steps.at(e, e.t + d.pod_stop)
-        e = steps.at(e, e.t + steps.sat_s(src, e.t))
-    e = removed = steps.at(e, e.t + d.persist)
-    e = steps.at(e, e.t + steps.sat_s(src, e.t))
-    e = steps.at(e, e.t + d.legacy_cleanup)
+        e = steps.at(e, e.t + d.pod_stop, f"pod_stopped#{i}")
+        e = steps.at(e, e.t + steps.sat_s(e, src, up=True))
+    e = removed = steps.at(e, e.t + d.persist, "node_removed@src")
+    e = steps.at(e, e.t + steps.sat_s(e, src, up=False))
+    e = steps.at(e, e.t + d.legacy_cleanup, "cleanup_done")
     for _ in range(d.auth_roundtrips):
-        leg = steps.sat_s(tgt, e.t)  # both ways
+        leg = steps.sat_s(e, tgt, up=True)  # both ways
         e = steps.at(e, e.t + (leg + leg))
-    e = steps.at(e, e.t + d.client_init)
-    e = steps.at(e, e.t + steps.sat_s(tgt, e.t))
-    registered = steps.at(e, e.t + d.register)
+    e.rows.append("auth_done")
+    e = steps.at(e, e.t + d.client_init, "client_ready")
+    e = steps.at(e, e.t + steps.sat_s(e, tgt, up=True), "register_arrived@tgt")
+    registered = steps.at(e, e.t + d.register, "node_registered@tgt")
     # the ack and first report, beside the pod resync
-    e = acked = steps.at(registered, registered.t + steps.sat_s(tgt, registered.t))
-    e = steps.at(e, e.t + steps.sat_s(tgt, e.t))
-    accepted = e.t + d.status_report_process
+    leg = steps.sat_s(registered, tgt, up=False)
+    e = acked = steps.at(registered, registered.t + leg, "register_acked")
+    e = steps.at(e, e.t + steps.sat_s(e, tgt, up=True), "report_arrived@tgt")
+    accepted = steps.leaf(e, e.t + d.status_report_process, "report_accepted@tgt").t
     end, unavailable = accepted, np.zeros_like(accepted)
     if pods:
-        rtt = steps.gs_s(tgt, src) + steps.gs_s(src, tgt)
-        e = steps.at(registered, registered.t + rtt + d.persist)
-        e = steps.at(e, e.t + d.controller_process + d.persist)
-        e = steps.at(e, e.t + steps.sat_s(tgt, e.t))
+        rtt = steps.gs_s(registered, tgt, src) + steps.gs_s(registered, src, tgt)
+        e = steps.at(registered, registered.t + rtt + d.persist, "pods_persisted@tgt")
+        e = steps.at(e, e.t + d.controller_process + d.persist, "pods_scheduled@tgt")
+        e = steps.at(e, e.t + steps.sat_s(e, tgt, up=False), "pod_push")
         e = steps.at(e, e.t + d.client_init)
-        resynced = e.t + d.pod_start
+        resynced = steps.leaf(e, e.t + d.pod_start, "pods_started").t
         end, unavailable = np.maximum(accepted, resynced), resynced - stopped
     return _Outcome(
         [(src, removed, None), (tgt, registered, BindingState.BOUND)],
@@ -999,75 +790,178 @@ def _legacy_chain(steps, d, e, pods):
     )
 
 
-def _replay(sim, protocol, flat, _first, ctx):
-    """Replay the batch ``flat`` of (satellite, start time, target)
-    handovers in bulk, leaving the logs, records and requests the queue
-    would; ``sim.records`` gets them in (t_start, satellite) order.
+_CHAINS = {Protocol.SEAMLESS: _seamless_chain, Protocol.LEGACY: _legacy_chain}
 
-    Returns False, having changed nothing, if the engine would stop on the
-    batch (an unknown id, a node not Bound, a switch to the controller it
-    holds or at or before the end of its previous handover, an unusable
-    leg) or the bulk form cannot follow it (a leg running back in time).
-    A node's handovers do not overlap, so each chain depends on the
-    others of its node only through its source controller.
+
+def _replay(sim, parts):
+    """Replay the batch ``parts`` (the ``start_handovers`` calls) in bulk,
+    leaving the logs, records, requests and trace rows the queue would;
+    ``sim.records`` gets them in (t_start, satellite) order.
+
+    Raises the queue's first error: an overlapping switch, a node not
+    Bound, a switch to the controller it holds, an unusable leg. Before
+    raising it logs the batch's controller changes, which the reports
+    sent before the failing event read, and sets ``sim._ctx`` to that
+    event's context. A node's handovers do not overlap unless one
+    raises, so each chain depends on the others of its node only
+    through its source controller.
     """
-    if not flat:
-        return True
-    sats, t0, tgt = zip(*flat)
-    if not (set(sats) <= sim.satellites and set(tgt) <= sim.controllers):
-        return False
-    sats, t0, tgt = np.array(sats), np.array(t0), np.array(tgt)
-    pos = np.lexsort((t0, sats))  # each node's handovers in starting order
-    sats, t0, tgt = sats[pos], t0[pos].astype(float), tgt[pos]
+    calls = [(sat, t, target, seq, protocol, *ctx)
+             for protocol, flat, first, ctx in parts
+             for seq, (sat, t, target) in enumerate(flat, first)]
+    if not calls:
+        return
+    sats, t0, tgt, seq, protocol, *ctx = map(np.array, zip(*calls))
+    pos = np.lexsort((seq, t0, sats))  # each node's handovers in the order they start
+    sats, t0, tgt, seq, protocol = sats[pos], t0[pos].astype(float), tgt[pos], seq[pos], protocol[pos]
+    ctx = [c[pos] for c in ctx]
     same = np.append(False, sats[1:] == sats[:-1])  # the node's previous handover is the one before
-    src = np.roll(tgt, 1)
+    src, unbound = np.roll(tgt, 1), np.zeros(len(sats), dtype=bool)
     for i in np.flatnonzero(~same).tolist():
         sat = sats[i].item()
         held = sim.controller(sat)
-        if held is None or sim.binding(held, sat) is not BindingState.BOUND:
-            return False
-        src[i] = held
-    if (src == tgt).any():
-        return False
-    steps = _Lockstep(sim, sats, src, tgt)
-    chain = _seamless_chain if protocol is Protocol.SEAMLESS else _legacy_chain
-    with np.errstate(invalid="ignore"):  # inf - inf of a dropped handover
-        start = steps.at(_Event(ctx[0], ctx[1], (None, ctx[2], None)), t0)
-        out = chain(steps, sim.delays, start, max(sim.pods_per_sat, 0))
-    if not steps.ok.all() or (same[1:] & (t0[1:] <= out.record[1][:-1])).any():
-        return False
+        unbound[i] = held is None or sim.binding(held, sat) is not BindingState.BOUND
+        src[i] = tgt[i] if held is None else held
+
+    groups, end = [], np.empty(len(sats))
+    with np.errstate(invalid="ignore"):  # inf - inf after an unusable leg
+        for kind, chain in _CHAINS.items():
+            i = np.flatnonzero(protocol == kind)
+            if i.size:
+                steps = _Lockstep(sim, kind, i, sats[i], src[i], tgt[i], t0[i], seq[i])
+                root = _Event(ctx[0][i], ctx[1][i], (None, ctx[2][i], None), None, None, [])
+                out = chain(steps, sim.delays, root, max(sim.pods_per_sat, 0))
+                end[i] = out.record[1]
+                groups.append((steps, out))
+    checks = [  # met by the start event, before its first leg
+        (same & np.append(False, t0[1:] <= end[:-1]), ConcurrentHandover,
+         "handover already in flight for node {}"),
+        (unbound, ProtocolViolation, "node {} is not Bound anywhere; cannot hand over"),
+        (src == tgt, ProtocolViolation, "handover target equals the current controller"),
+    ]
+    for steps, _ in groups:
+        i, s = steps.index, steps.sats
+        steps.fails[:0] = [(0, mask[i], lambda h, c=cls, m=message, s=s: c(m.format(s[h])))
+                           for mask, cls, message in checks if mask[i].any()]
 
     sim._settle_accepts()
-    n = len(sats)
+    changes = [[(steps.sats, e.rank, e.t, gs, flush) for e, gs, flush in out.changes]
+               for steps, out in groups]
+    for sat, *change in _entries(groups, changes):
+        sim._controller_log.setdefault(sat, []).append(tuple(change))
+    if any(steps.fails for steps, _ in groups):
+        error, sim._ctx = _first_failure(sim, [steps for steps, _ in groups])
+        raise error
 
-    def rows(kinds):  # each handover's rows of every kind, handover-major, as Python values
-        fields = ([np.broadcast_to(v, n) for v in field] for field in zip(*kinds))
-        return zip(*(np.stack(field, axis=1).ravel().tolist() for field in fields))
-
-    states = [(gs, sats, e.t, state, e.parent[0], e.parent[2]) for gs, e, state in out.states]
-    for gs, sat, t, state, *pushed in rows(states):
+    states = [[(gs, steps.sats, e.t, state, e.parent[0], e.parent[2]) for gs, e, state in out.states]
+              for steps, out in groups]
+    for gs, sat, t, state, *pushed in _entries(groups, states):
         sim.state_log.setdefault((gs, sat), []).append((t, state))
         sim._state_pushed.setdefault((gs, sat), []).append(tuple(pushed))
-    for sat, *change in rows([(sats, e.rank, e.t, gs, flush) for e, gs, flush in out.changes]):
-        sim._controller_log.setdefault(sat, []).append(tuple(change))
-    for gs, sat, t in zip(tgt.tolist(), sats.tolist(), out.accepts.tolist()):
-        bisect.insort(sim._report_log.setdefault((gs, sat), []), t)
+    columns = []
+    for steps, out in groups:
+        for gs, sat, t in zip(steps.tgt.tolist(), steps.sats.tolist(), out.accepts.tolist()):
+            bisect.insort(sim._report_log.setdefault((gs, sat), []), t)
+        if out.statuses:
+            _log_requests(sim, steps, out.statuses)
+        t_start, t_end, invisibility, unavailable = out.record
+        columns.append((steps.sats, steps.src, steps.tgt, t_start, t_end, t_end - t_start,
+                        invisibility, unavailable, np.full(len(steps.sats), steps.kind)))
+    columns = [np.concatenate(c) for c in zip(*columns)]
+    order = np.lexsort((columns[0], columns[3]))
+    sim.records += [HandoverRecord(*row) for row in zip(*(c[order].tolist() for c in columns))]
+    if sim.trace is not None:
+        groups = [steps for steps, _ in groups]
+        for t, g, i, h in _fire_order(sim, groups, math.inf):
+            s = groups[g]
+            ids = s.sats[h].item(), s.src[h].item(), s.tgt[h].item()
+            sim.trace += [_trace_row(spec, t, *ids) for spec in s.events[i].rows]
 
-    t_start, t_end, invisibility, unavailable = out.record
-    order = np.lexsort((sats, t_start))
-    columns = (sats, src, tgt, t_start, t_end, t_end - t_start, invisibility, unavailable)
+
+def _entries(groups, kinds):
+    """Each handover's entries of every kind, handover-major and the
+    handovers in node order, as rows of Python values. ``kinds`` holds
+    one list per group of (field, ...) entry kinds, each field one
+    value or an array over the group's handovers."""
+    fields, order = [], []
+    for (steps, _), group in zip(groups, kinds):
+        n = len(steps.sats)
+        fields.append([np.stack([np.broadcast_to(v, n) for v in field], axis=1).ravel()
+                       for field in zip(*group)])
+        order.append(np.repeat(steps.index, len(group)))
+    fields = [np.concatenate(field) for field in zip(*fields)]
+    if len(groups) > 1:
+        by_node = np.argsort(np.concatenate(order), kind="stable")
+        fields = [field[by_node] for field in fields]
+    return zip(*(field.tolist() for field in fields))
+
+
+def _log_requests(sim, steps, statuses):
+    """One completed request per seamless handover, numbered in the order
+    the start events fire."""
+    base = next(sim._request_ids)
+    sim._request_ids = itertools.count(base + len(steps.sats))
+    order = np.lexsort((steps.seq, steps.t0))
+    names = [status.value for status, _ in statuses]
+    columns = (steps.sats, steps.src, steps.tgt) + tuple(t for _, t in statuses)
     rows = zip(*(c[order].tolist() for c in columns))
-    sim.records += [HandoverRecord(*row, protocol) for row in rows]
-    if out.statuses:
-        base = next(sim._request_ids)
-        sim._request_ids = itertools.count(base + n)
-        order = np.lexsort((pos, t0))  # the order the start events fire
-        names = [status.value for status, _ in out.statuses]
-        columns = (sats, src, tgt) + tuple(t for _, t in out.statuses)
-        rows = zip(*(c[order].tolist() for c in columns))
-        for rid, (sat, source, target, *times) in enumerate(rows, base):
-            stamps = dict(zip(names, times))
-            req = HandoverRequest(rid, sat, source, target, RequestStatus.COMPLETED, stamps)
-            sim.requests.append(req)
-    return True
+    for rid, (sat, source, target, *times) in enumerate(rows, base):
+        stamps = dict(zip(names, times))
+        sim.requests.append(HandoverRequest(rid, sat, source, target, RequestStatus.COMPLETED, stamps))
 
+
+def _fire_order(sim, groups, bound):
+    """(time, group, event id, handover) of every event at or before
+    ``bound``, in the order the queue fires them: by time, then push
+    order. The start events were pushed before the run, in sequence; an
+    event pushes its own when it fires, in the order its chain made them."""
+    heap, children, times = [], [], []
+    for g, steps in enumerate(groups):
+        kids = [[] for _ in steps.events]
+        for e in steps.events[1:]:
+            kids[e.pusher].append(e.id)
+        children.append(kids)
+        times.append([e.t.tolist() for e in steps.events])
+        starts = zip(times[g][0], steps.seq.tolist())
+        heap += [(t, seq, g, 0, h) for h, (t, seq) in enumerate(starts) if t <= bound]
+    heapq.heapify(heap)
+    while heap:
+        t, _, g, i, h = heapq.heappop(heap)
+        yield t, g, i, h
+        for c in children[g][i]:
+            if times[g][c][h] <= bound:
+                heapq.heappush(heap, (times[g][c][h], next(sim._seq), g, c, h))
+
+
+def _first_failure(sim, groups):
+    """The error of the first event, in firing order, that meets one of
+    the ``fails``, and that event's context."""
+    met = [collections.defaultdict(list) for _ in groups]
+    for found, steps in zip(met, groups):
+        for i, mask, error in steps.fails:
+            found[i].append((mask, error))
+    bound = math.inf
+    if not any(steps.unbounded for steps in groups):  # nothing fires before the earliest failure
+        bound = min(steps.events[i].t[mask].min() for steps in groups for i, mask, _ in steps.fails)
+    for t, g, i, h in _fire_order(sim, groups, bound):
+        for mask, error in met[g].get(i, ()):
+            if mask[h]:
+                e = groups[g].events[i]
+                return error(h), (t, e.rank[h].item(), e.parent[1][h].item())
+    raise AssertionError("no failing event fired")
+
+
+def _trace_row(spec, t, sat, src, tgt):
+    """The trace row of ``spec``: an event name, then ``@src`` or ``@tgt``
+    for the station it happens at, or ``#i`` for the pod it concerns."""
+    name, _, at = spec.partition("@")
+    name, _, pod = name.partition("#")
+    row = {"t": t, "event": name}
+    if at:
+        row["gs"] = src if at == "src" else tgt
+    row["sat"] = sat
+    if pod:
+        row["pod"] = f"pod-{sat}-{pod}"
+    if name == "daemon_submit":
+        row.update(source=src, target=tgt)
+    return row

@@ -1,5 +1,8 @@
 """Reference implementations the fast paths are checked against, and the
-helpers that build their inputs."""
+helpers that build their inputs. The queue oracle runs each handover
+protocol as a generator, one queued event per step, where the product
+replays a batch as fixed chains (``leocp.protocol``)."""
+import bisect
 import functools
 import json
 import math
@@ -8,8 +11,18 @@ import numpy as np
 
 from leocp import kernels
 from leocp.assignment import DistanceSamples
+from leocp.errors import ConcurrentHandover, ProtocolViolation
 from leocp.orbits import propagate
-from leocp.protocol import Protocol, start_legacy, start_seamless
+from leocp.protocol import (
+    VISIBLE_STATES,
+    BindingState,
+    HandoverRecord,
+    HandoverRequest as _Request,
+    Protocol,
+    RequestStatus,
+    Simulation,
+    _no_path,
+)
 from leocp.topology import (
     DEFAULT_MIN_ELEVATION_DEG,
     TopologySnapshot,
@@ -55,10 +68,296 @@ def tick_oracle(samples, params):
     return initial, events
 
 
+# ---------------------------------------------------------------------------
+# the queue oracle: each handover protocol as one generator whose body is
+# the protocol in order, run one queued event per step
+
+
+# Allowed transitions on an existing binding entry: the target walks
+# Released -> Binding -> Bound, the source walks Bound -> Releasing -> Released.
+_ALLOWED = {
+    (BindingState.RELEASED, BindingState.BINDING),
+    (BindingState.BINDING, BindingState.BOUND),
+    (BindingState.BOUND, BindingState.RELEASING),
+    (BindingState.RELEASING, BindingState.RELEASED),
+}
+
+
+class HandoverRequest(_Request):
+    """A request that the generators advance one status at a time."""
+
+    def advance(self, status: RequestStatus, t: float):
+        self.status = status
+        self.timestamps[status.value] = t
+
+
+class QueueSimulation(Simulation):
+    """The engine with the helpers the generators below log through;
+    ``start_seamless``/``start_legacy`` queue one event per step on it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._in_flight = set()
+
+    def _leg_s(self, a, b, t) -> float:
+        ms = self.latency(a, b, t)
+        if not math.isfinite(ms):
+            raise _no_path(a, b, t)
+        return ms / 1000.0
+
+    def _emit(self, t, event, **fields):
+        if self.trace is not None:
+            self.trace.append({"t": t, "event": event, **fields})
+
+    def _log_state(self, gs, sat, state, t):
+        """Log ``sat``'s binding ``state`` at ``gs`` (None: entry removed)."""
+        self._settle_accepts()
+        self.state_log.setdefault((gs, sat), []).append((t, state))
+        self._state_pushed.setdefault((gs, sat), []).append((self._parent[0], self._parent[2]))
+
+    def _log_report(self, gs, sat, t):
+        # in time order even when a run's accept precedes an earlier run's
+        bisect.insort(self.report_log.setdefault((gs, sat), []), t)
+
+    def _set_controller(self, sat, gs, t, flush=False):
+        """Point ``sat`` at controller ``gs`` (None: unmanaged). ``flush``
+        marks the change that completes the reports queued while the
+        node was unmanaged."""
+        self._settle_accepts()
+        self._controller_log.setdefault(sat, []).append((self._ctx[1], t, gs, flush))
+
+    def _transition(self, gs, sat, new_state, t):
+        state = self.binding(gs, sat)
+        if state is None:
+            raise ProtocolViolation(f"gs {gs} holds no entry for node {sat}")
+        if (state, new_state) not in _ALLOWED:
+            raise ProtocolViolation(
+                f"illegal binding transition {state.value} -> {new_state.value}"
+            )
+        self._log_state(gs, sat, new_state, t)
+
+    def _accept_report(self, gs, sat, t):
+        if self.binding(gs, sat) in VISIBLE_STATES:
+            self._log_report(gs, sat, t)
+
+
+def _advance(sim: Simulation, steps, t=None):
+    """Run ``steps`` up to its next step and queue the rest at that step's
+    time. A fresh partial per step leaves no object that refers to itself."""
+    try:
+        at = steps.send(t)
+    except StopIteration:
+        return
+    sim.schedule(at, functools.partial(_advance, sim, steps))
+
+
+def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
+    """Mark ``sat`` in flight and return its source controller.
+
+    An overlapping switch is checked first, so it raises
+    ``ConcurrentHandover`` rather than a complaint about the node's
+    mid-handover binding state; unknown ids are checked next.
+    """
+    if sat in sim._in_flight:
+        raise ConcurrentHandover(f"handover already in flight for node {sat}")
+    sim._check_ids(sat, target_gs)
+    source_gs = sim.controller(sat)
+    if source_gs is None or sim.binding(source_gs, sat) is not BindingState.BOUND:
+        raise ProtocolViolation(f"node {sat} is not Bound anywhere; cannot hand over")
+    if target_gs == source_gs:
+        raise ProtocolViolation("handover target equals the current controller")
+    sim._in_flight.add(sat)
+    return source_gs
+
+
+def _finish(sim, protocol, sat, source_gs, target_gs, t_start, t_end, invisibility, pod_unavailability):
+    sim.records.append(
+        HandoverRecord(
+            sat_id=sat,
+            source_gs=source_gs,
+            target_gs=target_gs,
+            t_start=t_start,
+            t_end=t_end,
+            duration=t_end - t_start,
+            invisibility=invisibility,
+            pod_unavailability=pod_unavailability,
+            protocol=protocol,
+        )
+    )
+    sim._in_flight.discard(sat)
+
+
+def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
+    """Start a seamless handover of ``sat`` to ``target_gs`` at ``t0``."""
+    _advance(sim, _seamless(sim, sat, target_gs, t0))
+
+
+def _seamless(sim, sat, target_gs, t0):
+    source_gs = _begin_handover(sim, sat, target_gs)
+    d = sim.delays
+    req = HandoverRequest(
+        request_id=next(sim._request_ids), node_id=sat, source_gs=source_gs, target_gs=target_gs
+    )
+    sim.requests.append(req)
+    sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
+
+    # steps 1-4: daemon submits the request; API server persists and acks
+    sim._emit(t0, "daemon_submit", sat=sat, source=source_gs, target=target_gs)
+    t = yield t0 + sim._leg_s(sat_ep, src_ep, t0)
+    t = yield t + d.persist
+    req.advance(RequestStatus.CREATED, t)
+    sim._emit(t, "request_created", gs=source_gs, sat=sat)
+    # creation ack back over the daemon's watch channel (off the critical
+    # path; the controller chain continues locally)
+    sim.schedule(t + sim._leg_s(src_ep, sat_ep, t), lambda t3: sim._emit(t3, "create_ack", sat=sat))
+    t = yield t + d.controller_process
+
+    # steps 5-6: status Processing, source binding -> Releasing
+    req.advance(RequestStatus.PROCESSING, t)
+    sim._emit(t, "hr_processing", gs=source_gs, sat=sat)
+    sim._transition(source_gs, sat, BindingState.RELEASING, t)
+    sim._emit(t, "binding_releasing", gs=source_gs, sat=sat)
+    # step 7: synchronous record transfer to the target
+    t = yield t + sim._leg_s(src_ep, tgt_ep, t)
+    sim._emit(t, "sync_arrived", gs=target_gs, sat=sat)
+    t = yield t + d.persist
+    # target now knows the node and its pods, but is not managing it
+    sim._log_state(target_gs, sat, BindingState.RELEASED, t)
+    sim._emit(t, "sync_persisted", gs=target_gs, sat=sat)
+    t = yield t + sim._leg_s(tgt_ep, src_ep, t)
+
+    # step 8: request status Finished
+    req.advance(RequestStatus.FINISHED, t)
+    sim._emit(t, "status_finished", gs=source_gs, sat=sat)
+    # step 9: watch push to the satellite daemon
+    t = yield t + sim._leg_s(src_ep, sat_ep, t)
+    sim._emit(t, "watch_finished", sat=sat)
+    # steps 10-11: build the clientset for the target control node
+    t = yield t + d.client_init
+    sim._emit(t, "client_ready", sat=sat)
+    # step 12: first status report to the target
+    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
+    sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
+    t = yield t + d.status_report_process
+
+    # step 13: Binding, then Bound; the dwell in Binding is zero
+    sim._transition(target_gs, sat, BindingState.BINDING, t)
+    sim._emit(t, "binding_binding", gs=target_gs, sat=sat)
+    sim._transition(target_gs, sat, BindingState.BOUND, t)
+    sim._emit(t, "binding_bound", gs=target_gs, sat=sat)
+    bound = t
+    sim._accept_report(target_gs, sat, t)
+    # step 14: ack to the kubelet, which swaps its clientset pointer
+    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
+    sim._emit(t, "bound_ack", sat=sat)
+    sim._set_controller(sat, target_gs, t)
+
+    # step 15: release the source binding
+    t = yield t + sim._leg_s(sat_ep, src_ep, t)
+    sim._emit(t, "released_arrived", gs=source_gs, sat=sat)
+    t = yield t + d.persist
+    sim._transition(source_gs, sat, BindingState.RELEASED, t)
+    sim._emit(t, "released_commit", gs=source_gs, sat=sat)
+    # steps 16-17: commit marks formal completion at the source
+    req.advance(RequestStatus.COMPLETED, t)
+    sim._emit(t, "status_completed", gs=source_gs, sat=sat)
+    sim.schedule(t + sim._leg_s(src_ep, sat_ep, t), lambda t3: sim._emit(t3, "released_ack", sat=sat))
+    _finish(sim, Protocol.SEAMLESS, sat, source_gs, target_gs, t0, t, max(0.0, bound - t), 0.0)
+
+
+def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
+    """Start a drain-and-rejoin handover of ``sat`` to ``target_gs`` at ``t0``."""
+    _advance(sim, _legacy(sim, sat, target_gs, t0))
+
+
+def _legacy(sim, sat, target_gs, t):
+    source_gs = _begin_handover(sim, sat, target_gs)
+    d = sim.delays
+    pods = sorted(f"pod-{sat}-{i}" for i in range(sim.pods_per_sat))
+    sat_ep, src_ep, tgt_ep = ("sat", sat), ("gs", source_gs), ("gs", target_gs)
+
+    # drain: cordon, then evict the pods one at a time
+    sim._emit(t, "drain_begin", gs=source_gs, sat=sat)
+    pods_stopped = None
+    for pod in pods:
+        t = yield t + d.drain_per_pod
+        t = yield t + sim._leg_s(src_ep, sat_ep, t)
+        if pods_stopped is None:
+            pods_stopped = t
+        sim._emit(t, "pod_stopping", sat=sat, pod=pod)
+        t = yield t + d.pod_stop
+        sim._emit(t, "pod_stopped", sat=sat, pod=pod)
+        t = yield t + sim._leg_s(sat_ep, src_ep, t)
+
+    # remove the node at the source, then clean up and re-authenticate
+    t = yield t + d.persist
+    removed = t
+    sim._log_state(source_gs, sat, None, t)
+    sim._set_controller(sat, None, t)
+    sim._emit(t, "node_removed", gs=source_gs, sat=sat)
+    t = yield t + sim._leg_s(src_ep, sat_ep, t)
+    t = yield t + d.legacy_cleanup
+    sim._emit(t, "cleanup_done", sat=sat)
+    for _ in range(d.auth_roundtrips):
+        rtt = sim._leg_s(sat_ep, tgt_ep, t) + sim._leg_s(tgt_ep, sat_ep, t)
+        t = yield t + rtt
+    sim._emit(t, "auth_done", sat=sat)
+    t = yield t + d.client_init
+    sim._emit(t, "client_ready", sat=sat)
+
+    # register at the target
+    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
+    sim._emit(t, "register_arrived", gs=target_gs, sat=sat)
+    t = yield t + d.register
+    # node object exists but carries no status yet
+    sim._log_state(target_gs, sat, BindingState.BOUND, t)
+    sim._emit(t, "node_registered", gs=target_gs, sat=sat)
+    # the node's ack and first report run beside the pod resync; the
+    # second of the two legs to end records the handover
+    legs = {} if pods else {"pod_unavailability": 0.0}
+    finish = functools.partial(_finish, sim, Protocol.LEGACY, sat, source_gs, target_gs, removed)
+    _advance(sim, _legacy_report(sim, sat, target_gs, t, removed, legs, finish))
+    if not pods:
+        return
+
+    # the target pulls the pod records from the source, persists them and
+    # re-schedules the pods
+    rtt = sim._leg_s(tgt_ep, src_ep, t) + sim._leg_s(src_ep, tgt_ep, t)
+    t = yield t + rtt + d.persist
+    sim._emit(t, "pods_persisted", gs=target_gs, sat=sat)
+    t = yield t + d.controller_process + d.persist
+    sim._emit(t, "pods_scheduled", gs=target_gs, sat=sat)
+    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
+    sim._emit(t, "pod_push", sat=sat)
+    t = yield t + d.client_init
+    t = yield t + d.pod_start
+    sim._emit(t, "pods_started", sat=sat)
+    legs["pod_unavailability"] = t - pods_stopped
+    if len(legs) == 2:
+        finish(t, **legs)
+
+
+def _legacy_report(sim, sat, target_gs, t, removed, legs, finish):
+    """The legacy rejoin's leg from registration: ack, first status
+    report, accept."""
+    sat_ep, tgt_ep = ("sat", sat), ("gs", target_gs)
+    t = yield t + sim._leg_s(tgt_ep, sat_ep, t)
+    sim._set_controller(sat, target_gs, t, flush=True)
+    sim._emit(t, "register_acked", sat=sat)
+    t = yield t + sim._leg_s(sat_ep, tgt_ep, t)
+    sim._emit(t, "report_arrived", gs=target_gs, sat=sat)
+    t = yield t + sim.delays.status_report_process
+    sim._accept_report(target_gs, sat, t)
+    sim._emit(t, "report_accepted", gs=target_gs, sat=sat)
+    legs["invisibility"] = t - removed
+    if len(legs) == 2:
+        finish(t, **legs)
+
+
 def queue_handovers(sim, protocol, schedules):
     """``sim.start_handovers(protocol, schedules)`` as one queued start
-    event per switch, satellite by satellite, for the event engine to
-    run step by step."""
+    event per switch, satellite by satellite, for the queue to run step
+    by step on ``sim``, a ``QueueSimulation``."""
     starter = start_seamless if protocol is Protocol.SEAMLESS else start_legacy
     for sat in sorted(schedules):
         for t, target in schedules[sat]:

