@@ -662,7 +662,6 @@ class _Lockstep:
         self.ticks = np.empty(0) if sim._ticks is None else sim._ticks
         self._tick_at = np.append(self.ticks, math.inf)
         self.events, self.fails = [], []
-        self.unbounded = False  # a leg neither usable nor +inf: steps may run back in time
 
     def at(self, ev, t, *rows):
         """The events at times ``t`` that ``ev`` pushes (``Simulation._rank``)."""
@@ -699,7 +698,6 @@ class _Lockstep:
     def _checked(self, ev, ms, a, b):
         bad = ~(np.isfinite(ms) & (ms >= 0.0))
         if bad.any():
-            self.unbounded |= bool((ms[bad] != math.inf).any())
             self.fails.append((ev.id, bad, functools.partial(_leg_error, a, b, ev.t, ms)))
         return ms / 1000.0
 
@@ -806,14 +804,17 @@ def _replay(sim, parts):
     raises, so each chain depends on the others of its node only
     through its source controller.
     """
-    calls = [(sat, t, target, seq, protocol, *ctx)
-             for protocol, flat, first, ctx in parts
-             for seq, (sat, t, target) in enumerate(flat, first)]
-    if not calls:
+    flat = [switch for _, calls, _, _ in parts for switch in calls]
+    if not flat:
         return
-    sats, t0, tgt, seq, protocol, *ctx = map(np.array, zip(*calls))
+    sizes = [len(calls) for _, calls, _, _ in parts]
+    sats, t0, tgt = map(np.array, zip(*flat))
+    seq = np.concatenate([np.arange(first, first + n) for (_, _, first, _), n in zip(parts, sizes)])
+    protocol_ix = np.repeat([list(_CHAINS).index(protocol) for protocol, *_ in parts], sizes)
+    ctx = [np.repeat(c, sizes) for c in zip(*(ctx for *_, ctx in parts))]
     pos = np.lexsort((seq, t0, sats))  # each node's handovers in the order they start
-    sats, t0, tgt, seq, protocol = sats[pos], t0[pos].astype(float), tgt[pos], seq[pos], protocol[pos]
+    sats, t0, tgt, seq = sats[pos], t0[pos].astype(float), tgt[pos], seq[pos]
+    protocol_ix = protocol_ix[pos]
     ctx = [c[pos] for c in ctx]
     same = np.append(False, sats[1:] == sats[:-1])  # the node's previous handover is the one before
     src, unbound = np.roll(tgt, 1), np.zeros(len(sats), dtype=bool)
@@ -821,14 +822,14 @@ def _replay(sim, parts):
         sat = sats[i].item()
         held = sim.controller(sat)
         unbound[i] = held is None or sim.binding(held, sat) is not BindingState.BOUND
-        src[i] = tgt[i] if held is None else held
+        src[i] = tgt[i] if held is None else held  # a stand-in: the start event fails
 
     groups, end = [], np.empty(len(sats))
-    with np.errstate(invalid="ignore"):  # inf - inf after an unusable leg
-        for kind, chain in _CHAINS.items():
-            i = np.flatnonzero(protocol == kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # a step past the largest float, inf - inf
+        for k, (protocol, chain) in enumerate(_CHAINS.items()):
+            i = np.flatnonzero(protocol_ix == k)
             if i.size:
-                steps = _Lockstep(sim, kind, i, sats[i], src[i], tgt[i], t0[i], seq[i])
+                steps = _Lockstep(sim, protocol, i, sats[i], src[i], tgt[i], t0[i], seq[i])
                 root = _Event(ctx[0][i], ctx[1][i], (None, ctx[2][i], None), None, None, [])
                 out = chain(steps, sim.delays, root, max(sim.pods_per_sat, 0))
                 end[i] = out.record[1]
@@ -872,7 +873,7 @@ def _replay(sim, parts):
     sim.records += [HandoverRecord(*row) for row in zip(*(c[order].tolist() for c in columns))]
     if sim.trace is not None:
         groups = [steps for steps, _ in groups]
-        for t, g, i, h in _fire_order(sim, groups, math.inf):
+        for t, g, i, h in _fire_order(sim, groups):
             s = groups[g]
             ids = s.sats[h].item(), s.src[h].item(), s.tgt[h].item()
             sim.trace += [_trace_row(spec, t, *ids) for spec in s.events[i].rows]
@@ -910,11 +911,11 @@ def _log_requests(sim, steps, statuses):
         sim.requests.append(HandoverRequest(rid, sat, source, target, RequestStatus.COMPLETED, stamps))
 
 
-def _fire_order(sim, groups, bound):
-    """(time, group, event id, handover) of every event at or before
-    ``bound``, in the order the queue fires them: by time, then push
-    order. The start events were pushed before the run, in sequence; an
-    event pushes its own when it fires, in the order its chain made them."""
+def _fire_order(sim, groups):
+    """(time, group, event id, handover) of every event, in the order the
+    queue fires them: by time, then push order. The start events were
+    pushed before the run, in sequence; an event pushes its own once the
+    caller takes it, in the order its chain made them."""
     heap, children, times = [], [], []
     for g, steps in enumerate(groups):
         kids = [[] for _ in steps.events]
@@ -923,27 +924,24 @@ def _fire_order(sim, groups, bound):
         children.append(kids)
         times.append([e.t.tolist() for e in steps.events])
         starts = zip(times[g][0], steps.seq.tolist())
-        heap += [(t, seq, g, 0, h) for h, (t, seq) in enumerate(starts) if t <= bound]
+        heap += [(t, seq, g, 0, h) for h, (t, seq) in enumerate(starts)]
     heapq.heapify(heap)
     while heap:
         t, _, g, i, h = heapq.heappop(heap)
         yield t, g, i, h
         for c in children[g][i]:
-            if times[g][c][h] <= bound:
-                heapq.heappush(heap, (times[g][c][h], next(sim._seq), g, c, h))
+            heapq.heappush(heap, (times[g][c][h], next(sim._seq), g, c, h))
 
 
 def _first_failure(sim, groups):
     """The error of the first event, in firing order, that meets one of
-    the ``fails``, and that event's context."""
+    the ``fails``, and that event's context. Only the events before it
+    are ordered, and the events it would push are never reached."""
     met = [collections.defaultdict(list) for _ in groups]
     for found, steps in zip(met, groups):
         for i, mask, error in steps.fails:
             found[i].append((mask, error))
-    bound = math.inf
-    if not any(steps.unbounded for steps in groups):  # nothing fires before the earliest failure
-        bound = min(steps.events[i].t[mask].min() for steps in groups for i, mask, _ in steps.fails)
-    for t, g, i, h in _fire_order(sim, groups, bound):
+    for t, g, i, h in _fire_order(sim, groups):
         for mask, error in met[g].get(i, ()):
             if mask[h]:
                 e = groups[g].events[i]

@@ -181,6 +181,14 @@ def test_unknown_ids_are_rejected_by_name(misuse, message):
     assert sim._queue == [] and sim._batch is None
 
 
+@pytest.mark.parametrize("t0", [math.inf, math.nan])
+def test_start_time_that_is_not_finite_is_refused_before_any_work(t0):
+    sim = make_sim()
+    with pytest.raises(Unreachable, match="event scheduled over an unreachable link"):
+        start_legacy(sim, 0, 1, t0)
+    assert sim._queue == [] and sim._batch is None
+
+
 def test_concurrent_handover_rejected():
     sim = make_sim(one_way_ms=50.0, controllers=(0, 1, 2))
     start_seamless(sim, 0, 1, 0.0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leocp.errors import BudgetExceeded, LeocpError, ProtocolViolation
+from leocp.errors import BudgetExceeded, LeocpError, ProtocolViolation, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
     ConstantLatency,
@@ -75,15 +75,17 @@ def batches(draw):
             events.append((float(t), gs))
             t += draw(st.one_of(st.integers(0, 12), st.integers(12, 40)))
         schedules[sat] = events
-    flat = [(sat, t, gs) for sat in sorted(schedules) for t, gs in schedules[sat]]
+    # one start_handovers call, or one per switch, each under its own protocol
+    if draw(st.booleans()):
+        calls = [(draw(st.sampled_from(Protocol)), schedules)]
+    else:
+        calls = [(draw(st.sampled_from(Protocol)), {sat: [(t, gs)]})
+                 for sat in sorted(schedules) for t, gs in schedules[sat]]
     ms = draw(st.sampled_from([0.0, 25.0, 500.0, 1000.0]))
     delays = draw(st.one_of(st.just(DelayProfile.zero()), st.just(DelayProfile()), WHOLE_SECOND_DELAYS))
     return {
         "initial": initial,
-        "schedules": schedules,
-        "protocol": draw(st.sampled_from(Protocol)),
-        # or one start_handovers call per switch, each under its own protocol
-        "mixed": draw(st.booleans()) and [(draw(st.sampled_from(Protocol)), s) for s in flat],
+        "calls": calls,
         "latency": draw(
             st.one_of(
                 st.just(lambda: ConstantLatency(ms)),
@@ -96,7 +98,8 @@ def batches(draw):
         "duration": float(draw(st.integers(5, 80))),
         # whole-second steps tie with ticks on these grids
         "interval": draw(st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 10.0])),
-        "report_first": draw(st.booleans()),
+        # reporting starts after this many calls, so the calls' contexts differ
+        "calls_before_reports": draw(st.integers(0, len(calls))),
         "record_trace": draw(st.booleans()),
     }
 
@@ -118,15 +121,14 @@ def replay(case, bulk):
     else:
         for sat, gs in enumerate(case["initial"]):
             sim.bind_initial(sat, gs)
-    if case["report_first"]:
-        sim.start_reporting(case["duration"])
-    start = sim.start_handovers if bulk else lambda *call: queue_handovers(sim, *call)
-    if case["mixed"]:
-        for protocol, (sat, t, target) in case["mixed"]:
-            start(protocol, {sat: [(t, target)]})
-    else:
-        start(case["protocol"], case["schedules"])
-    if not case["report_first"]:
+    for k, (protocol, schedules) in enumerate(case["calls"]):
+        if k == case["calls_before_reports"]:
+            sim.start_reporting(case["duration"])
+        if bulk:
+            sim.start_handovers(protocol, schedules)
+        else:
+            queue_handovers(sim, protocol, schedules)
+    if len(case["calls"]) == case["calls_before_reports"]:
         sim.start_reporting(case["duration"])
     try:
         sim.run()
@@ -162,6 +164,9 @@ def test_step_budget_refuses_before_any_work(monkeypatch):
         sim.start_handovers(Protocol.LEGACY, {0: [(1.0, 1), (30.0, 0)], 1: [(2.0, 0)]})
     assert sim._batch is None and sim._queue == []
     sim.start_handovers(Protocol.SEAMLESS, {0: [(1.0, 1)], 1: [(2.0, 0), (30.0, 1)]})  # 48
+    # the budget bounds the whole pending batch
+    with pytest.raises(BudgetExceeded, match="3 handovers x 16 steps [+] 1 handovers x 25 steps = 73 "):
+        sim.start_handovers(Protocol.LEGACY, {0: [(60.0, 0)]})
     sim.run()
     assert len(sim.records) == 3
 
@@ -179,9 +184,22 @@ def test_batch_beside_queued_events_is_refused():
 
 def test_negative_leg_is_refused_at_its_event():
     # the chains cannot follow a step that runs back in time; the first
-    # leg of the handover, read by its start event, is refused
+    # leg, read when the first eviction is sent at t=5.5, is refused
     sim = Simulation([0, 1], [0], latency=ConstantLatency(-1.0))
     sim.bind_initial(0, 0)
     start_legacy(sim, 0, 1, 5.0)
     with pytest.raises(ProtocolViolation, match=r"negative latency -1.0 ms between \('gs', 0\) and \('sat', 0\) at t=5.5"):
         sim.run()
+
+
+@pytest.mark.parametrize("protocol", Protocol)
+def test_step_past_the_largest_float_is_unreachable(protocol):
+    # a step whose time overflows stops the run as the queue's push did
+    case = {
+        "initial": [0], "calls": [(protocol, {0: [(1e308, 1)]})], "latency": lambda: ConstantLatency(5.0),
+        "delays": DelayProfile(persist=1e308), "pods": 1, "duration": 20.0, "interval": 10.0,
+        "calls_before_reports": 0, "record_trace": False,
+    }
+    got, queued = replay(case, bulk=True)
+    assert got == {"error": (Unreachable, "event scheduled over an unreachable link")}
+    assert got == replay(case, bulk=False)[0] and queued == 0
