@@ -334,9 +334,9 @@ class Simulation:
         for sat, _, target in flat:
             self._check_ids(sat, target)
         parts = (self._batch or []) + [(protocol, flat)]
-        per = functools.partial(_steps_per_handover, pods=self.pods_per_sat,
-                                auth_roundtrips=self.delays.auth_roundtrips)
-        terms = [(len(f), per(p)) for p, f, *_ in parts]
+        steps_of = functools.partial(_steps_per_handover, pods=self.pods_per_sat,
+                                     auth_roundtrips=self.delays.auth_roundtrips)
+        terms = [(len(f), steps_of(p)) for p, f, *_ in parts]
         steps = sum(n * per for n, per in terms)
         if steps > STEP_BUDGET:
             counts = " + ".join(f"{n} handovers x {per} steps" for n, per in terms)
