@@ -652,16 +652,17 @@ _Outcome = collections.namedtuple("_Outcome", "states changes accepts record sta
 class _Lockstep:
     """Steps over a batch's handovers of protocol ``kind`` (``index``:
     their positions in the batch). Each event gets the rank the queue
-    would give it and is kept for the firing order. ``fails`` collects
-    what would stop the queue, in the order each event meets it, as
-    (id of the event, handovers, error of handover h)."""
+    would give it, and with ``keep`` is kept in ``events`` for the
+    firing order. ``fails`` collects what would stop the queue, in the
+    order each event meets it, as (id of the event, handovers, error of
+    handover h)."""
 
-    def __init__(self, sim, kind, index, sats, src, tgt, t0, seq):
+    def __init__(self, sim, kind, index, sats, src, tgt, t0, seq, keep):
         self.sim, self.kind, self.index = sim, kind, index
         self.sats, self.src, self.tgt, self.t0, self.seq = sats, src, tgt, t0, seq
         self.ticks = np.empty(0) if sim._ticks is None else sim._ticks
         self._tick_at = np.append(self.ticks, math.inf)
-        self.events, self.fails = [], []
+        self.events, self.fails, self._ids = [] if keep else None, [], itertools.count()
 
     def at(self, ev, t, *rows):
         """The events at times ``t`` that ``ev`` pushes (``Simulation._rank``)."""
@@ -677,8 +678,9 @@ class _Lockstep:
         if bad.any():
             error = Unreachable("event scheduled over an unreachable link")
             self.fails.append((ev.id, bad, lambda h: error))
-        e = _Event(t, rank, (ev.t, ev.rank, ev.parent[1]), len(self.events), ev.id, list(rows))
-        self.events.append(e)
+        e = _Event(t, rank, (ev.t, ev.rank, ev.parent[1]), next(self._ids), ev.id, list(rows))
+        if self.events is not None:
+            self.events.append(e)
         return e
 
     def sat_s(self, ev, gs, up):
@@ -791,10 +793,12 @@ def _legacy_chain(steps, d, e, pods):
 _CHAINS = {Protocol.SEAMLESS: _seamless_chain, Protocol.LEGACY: _legacy_chain}
 
 
-def _replay(sim, parts):
+def _replay(sim, parts, keep=False):
     """Replay the batch ``parts`` (the ``start_handovers`` calls) in bulk,
     leaving the logs, records, requests and trace rows the queue would;
-    ``sim.records`` gets them in (t_start, satellite) order.
+    ``sim.records`` gets them in (t_start, satellite) order. The events
+    are kept (``keep``) only for a trace or a failing batch, which is
+    replayed again to keep them.
 
     Raises the queue's first error: an overlapping switch, a node not
     Bound, a switch to the controller it holds, an unusable leg. Before
@@ -807,6 +811,7 @@ def _replay(sim, parts):
     flat = [switch for _, calls, _, _ in parts for switch in calls]
     if not flat:
         return
+    keep = keep or sim.trace is not None
     sizes = [len(calls) for _, calls, _, _ in parts]
     sats, t0, tgt = map(np.array, zip(*flat))
     seq = np.concatenate([np.arange(first, first + n) for (_, _, first, _), n in zip(parts, sizes)])
@@ -829,7 +834,7 @@ def _replay(sim, parts):
         for k, (protocol, chain) in enumerate(_CHAINS.items()):
             i = np.flatnonzero(protocol_ix == k)
             if i.size:
-                steps = _Lockstep(sim, protocol, i, sats[i], src[i], tgt[i], t0[i], seq[i])
+                steps = _Lockstep(sim, protocol, i, sats[i], src[i], tgt[i], t0[i], seq[i], keep)
                 root = _Event(ctx[0][i], ctx[1][i], (None, ctx[2][i], None), None, None, [])
                 out = chain(steps, sim.delays, root, max(sim.pods_per_sat, 0))
                 end[i] = out.record[1]
@@ -844,13 +849,16 @@ def _replay(sim, parts):
         i, s = steps.index, steps.sats
         steps.fails[:0] = [(0, mask[i], lambda h, c=cls, m=message, s=s: c(m.format(s[h])))
                            for mask, cls, message in checks if mask[i].any()]
+    failed = any(steps.fails for steps, _ in groups)
+    if failed and not keep:
+        return _replay(sim, parts, keep=True)
 
     sim._settle_accepts()
     changes = [[(steps.sats, e.rank, e.t, gs, flush) for e, gs, flush in out.changes]
                for steps, out in groups]
     for sat, *change in _entries(groups, changes):
         sim._controller_log.setdefault(sat, []).append(tuple(change))
-    if any(steps.fails for steps, _ in groups):
+    if failed:
         error, sim._ctx = _first_failure(sim, [steps for steps, _ in groups])
         raise error
 
