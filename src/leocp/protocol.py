@@ -640,8 +640,8 @@ def _steps_per_handover(protocol, pods, auth_roundtrips):
 
 # an event of every handover: its times, ranks (None: it pushes nothing),
 # the context of the event that pushed it, (time, rank, its pusher's rank)
-# as ``Simulation._parent``, its position in ``_Lockstep.events``, its
-# pusher's, and the trace rows it emits when it fires (``_trace_row``)
+# as ``Simulation._parent``, its id (its position in ``_Lockstep.events``
+# when kept), its pusher's, and the trace rows it emits when it fires
 _Event = collections.namedtuple("_Event", "t rank parent id pusher rows")
 # what a protocol's chain logs: binding entries (gs, event, state), controller
 # changes (event, gs, flush), accept times at the target, the record's
