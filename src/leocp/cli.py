@@ -39,7 +39,7 @@ from .config import apply_overrides, parse_config, read_config, stage_seed
 # ``load_config`` is not called here; ``perfbench/run.py`` times it on this module.
 from .config import load_config  # noqa: F401
 from .errors import BudgetExceeded, ConfigError, InfeasibleInstance, LeocpError, StageError
-from .orbits import generate_constellation
+from .orbits import generate_constellation, write_constellation_json
 from .reporting import aggregate, write_records_csv, write_report
 from .scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
 from .topology import write_fields_csv, write_fields_json, write_snapshots_json
@@ -223,23 +223,9 @@ def _require_result(cfg, state, record_trace=False):
 def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
     if name == "gen":
         c = generate_constellation(cfg.shell)
-        slots = cfg.shell.sats_per_plane
-        sats = [
-            {
-                "plane": i // slots,
-                "slot": i % slots,
-                "raan_rad": raan,
-                "phase_rad": phase,
-                "semi_major_axis_km": c.semi_major_axis_km,
-                "inclination_rad": c.inclination,
-            }
-            for i, (raan, phase) in enumerate(zip(c.raan.tolist(), c.initial_phase.tolist()))
-        ]
         path = os.path.join(out_dir, "constellation.json")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(sats))
-            fh.write("\n")
-        print(f"[gen] {len(sats)} satellites -> {path}")
+        write_constellation_json(c, cfg.shell.sats_per_plane, path)
+        print(f"[gen] {len(c)} satellites -> {path}")
 
     elif name == "snapshot":
         built = _require_built(cfg, state)

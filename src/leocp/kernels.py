@@ -11,10 +11,10 @@ linear, so a switch can only fire inside a sample interval where the
 switch condition holds at one of its two ends. The initial controllers
 and those intervals are found for the whole block in a few array
 operations; a satellite with no such interval for its initial controller
-is done there. Only the others are walked, one at a time, and only their
-flagged intervals are interpolated onto the decision grid, with the same
-``np.interp`` as a full scan, so event times are bit for bit those of a
-tick-by-tick walk.
+is done there. The others are scanned in lockstep: each step interpolates
+every one's next flagged interval onto the decision grid in one slab,
+with ``np.interp``'s own arithmetic (``_lerp``), so event times are bit
+for bit those of a tick-by-tick walk.
 """
 import functools
 
@@ -24,6 +24,11 @@ from .errors import BudgetExceeded
 
 # Ticks one grid may hold; a full day at 1 s is 86,401
 TICK_BUDGET = 10_000_000
+
+# Cells (satellites x controllers x ticks) one step of the handover scan
+# interpolates at most, unless one tick per satellite and controller is
+# more: 2 MiB of float64 per slab-sized temporary
+SLAB_CELLS = 1 << 18
 
 # Slack on the end-point test, relative to the satellite's largest finite
 # distance: it covers the rounding of ``np.interp`` inside an interval (a
@@ -79,6 +84,17 @@ def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
     index), and a switch fires at the first tick where the nearest
     controller (ties to the lowest index) is another one, strictly closer
     than ``delta`` times the current one's distance.
+
+    Only the satellites with an interval flagged for their initial
+    controller are scanned, all of them together. Each keeps its current
+    controller and its next tick. A step takes each one's next interval
+    flagged for its current controller, from that tick on, interpolates it
+    for every controller in one ``(satellites, controllers, ticks)`` slab
+    and finds each satellite's first fire. A satellite that fires goes on
+    at the next tick with its new controller; one that does not goes on at
+    the end of its window. A window is one interval, cut short so that the
+    slab holds at most ``SLAB_CELLS`` cells, or one tick per satellite and
+    controller where that is more.
     """
     sample_t = np.asarray(sample_t, dtype=np.float64)
     sample_d = np.asarray(sample_d, dtype=np.float64)
@@ -90,16 +106,93 @@ def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
         moving = flags[np.arange(n_sats), initial].any(axis=1).nonzero()[0]
         if moving.size:
             ticks = decision_ticks(decide_dt, horizon)
-            # sample interval j holds the ticks [first[j], first[j + 1]); ticks
-            # outside the samples take the end values, so they join the end intervals
-            first = np.empty(n_samples, dtype=np.intp)
-            first[0], first[-1] = 0, ticks.shape[0]
-            first[1:-1] = np.searchsorted(ticks, sample_t[1:-1], side="left")
-            for s in moving.tolist():
-                events[s] = _walk(
-                    sample_t, sample_d[s], flags[s], int(initial[s]), ticks, first, delta
-                )
+            found = _lockstep(
+                sample_t, sample_d[moving], flags[moving], initial[moving], ticks, delta
+            )
+            sats = moving.tolist()
+            for row, t, target in found:
+                events[sats[row]].append((t, target))
     return list(zip(initial.tolist(), events))
+
+
+def _lockstep(sample_t, d, flags, current, ticks, delta):
+    """``(row, t, target)`` of every switch of the satellites of ``d``, from
+    the controllers ``current`` on, each row's in time order; ``flags`` is
+    their ``_switch_intervals``."""
+    n_rows, n_ctl, n_iv = flags.shape
+    n_ticks = ticks.shape[0]
+    # sample interval j holds the ticks [first[j], first[j + 1]); ticks
+    # outside the samples take the end values, so they join the end intervals
+    first = np.empty(n_iv + 1, dtype=np.intp)
+    first[0], first[-1] = 0, n_ticks
+    first[1:-1] = np.searchsorted(ticks, sample_t[1:-1], side="left")
+    # ahead[r, c, j]: the first interval at or after j flagged for controller
+    # c, n_iv past the last; j = n_iv is a row's end
+    ahead = np.full((n_rows, n_ctl, n_iv + 1), n_iv, dtype=np.intp)
+    np.copyto(ahead[..., :-1], np.arange(n_iv), where=flags)
+    ahead = np.minimum.accumulate(ahead[..., ::-1], axis=-1)[..., ::-1]
+    rows = np.arange(n_rows)  # the rows still scanned
+    tick = np.zeros(n_rows, dtype=np.intp)  # each row's next tick
+    found = []
+    while True:
+        j = ahead[rows, current, np.searchsorted(first, tick, side="right") - 1]
+        left = j < n_iv
+        if not left.all():
+            if not left.any():
+                return found
+            rows, current, tick, j = rows[left], current[left], tick[left], j[left]
+        n = rows.shape[0]
+        pick = np.arange(n)
+        lo = np.maximum(tick, first[j])
+        hi = np.minimum(first[j + 1], lo + max(1, SLAB_CELLS // (n * n_ctl)))
+        width = hi - lo
+        span = np.arange(max(1, int(width.max())))  # an empty interval has no tick
+        t = ticks[np.minimum(lo[:, None] + span, n_ticks - 1)]
+        dist = _lerp(
+            t[:, None, :],
+            sample_t[j, None, None],
+            sample_t[j + 1, None, None],
+            d[rows, :, j, None],
+            d[rows, :, j + 1, None],
+        )
+        best = dist.argmin(axis=1)
+        fire = (best != current[:, None]) & (dist.min(axis=1) < delta * dist[pick, current])
+        fire &= span < width[:, None]
+        f = fire.argmax(axis=1)
+        fired = fire[pick, f]
+        at = lo + f
+        if fired.any():
+            new = best[pick, f]
+            found += zip(rows[fired].tolist(), ticks[at[fired]].tolist(), new[fired].tolist())
+            current = np.where(fired, new, current)
+        tick = np.where(fired, at + 1, hi)
+
+
+def _lerp(x, x0, x1, f0, f1):
+    """``np.interp``'s arithmetic at ``x`` for samples ``(x0, f0)`` and
+    ``(x1, f1)`` with ``x0 < x1``, bit for bit, for ``x`` in ``[x0, x1)``
+    and for ``x`` outside it where the pair is the first or last interval
+    of the samples. Arguments broadcast.
+
+    At or before ``x0`` (an exact hit, or before the first sample) it is
+    ``f0``, at or past ``x1`` (the last sample, or past it) ``f1``. In
+    between it is ``slope * (x - x0) + f0`` with ``slope = (f1 - f0) /
+    (x1 - x0)``; where that is NaN, ``slope * (x - x1) + f1``; where that
+    is NaN too and ``f0 == f1``, ``f0``. Like ``np.interp`` it warns of no
+    invalid operation on infinite samples.
+    """
+    with np.errstate(all="ignore"):
+        slope = (f1 - f0) / (x1 - x0)
+        y = slope * (x - x0)
+        y += f0
+        if not np.isfinite(slope).all():  # a finite slope and f0 give no NaN
+            nan = np.isnan(y)
+            if nan.any():
+                np.copyto(y, slope * (x - x1) + f1, where=nan)
+                np.copyto(y, f0, where=np.isnan(y) & (f0 == f1))
+    np.copyto(y, f0, where=x <= x0)
+    np.copyto(y, f1, where=x >= x1)
+    return y
 
 
 def _switch_intervals(d, delta):
@@ -125,46 +218,3 @@ def _switch_intervals(d, delta):
     others = np.where(d == lowest, second, lowest)
     below = others < delta * d + _SLACK * scale
     return below[..., :-1] | below[..., 1:]
-
-
-def _walk(sample_t, d, flags, current, ticks, first, delta):
-    """Events of one satellite. The intervals flagged for the current
-    controller are interpolated onto their ticks and scanned exactly, a
-    few at a time (twice as many after each window where nothing fires);
-    a window is scanned to its end, switches included, and the search
-    goes on from there with whichever controller is current by then."""
-    n_ctl, n_iv = flags.shape
-    events = []
-    span = 1  # flagged intervals expanded at once
-    j = 0
-    while j < n_iv:
-        row = flags[current, j:]
-        k = int(row.argmax())
-        if not row[k]:
-            break
-        j0 = j + k
-        run = flags[current, j0 : j0 + span]
-        e = int(run.argmin())
-        j = j0 + (run.shape[0] if run[e] else e)
-        lo, hi = int(first[j0]), int(first[j])
-        if lo == hi:
-            continue
-        t = ticks[lo:hi]
-        interp = np.empty((n_ctl, hi - lo))
-        for g in range(n_ctl):
-            interp[g] = np.interp(t, sample_t, d[g])
-        best = np.argmin(interp, axis=0)
-        best_d = interp[best, np.arange(hi - lo)]
-        span *= 2
-        i = 0
-        while i < hi - lo:
-            fire = (best[i:] != current) & (best_d[i:] < delta * interp[current, i:])
-            f = int(fire.argmax())
-            if not fire[f]:
-                break
-            i += f
-            current = int(best[i])
-            events.append((float(t[i]), current))
-            i += 1
-            span = 1
-    return events

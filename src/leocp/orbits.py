@@ -9,11 +9,13 @@ column arrays; ``propagate`` is the one propagator: it takes a
 ``Constellation`` (or one satellite of it) and broadcasts over times.
 """
 import functools
+import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import numtext
 from .constants import EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S, MU_EARTH
 
 TWO_PI = 2.0 * math.pi
@@ -135,6 +137,29 @@ def generate_constellation(shell: WalkerShell) -> Constellation:
         inclination=math.radians(shell.inclination_deg),
         mean_motion=shell.mean_motion,
     )
+
+
+def write_constellation_json(c: Constellation, sats_per_plane: int, path):
+    """``constellation.json``: the bytes of ``json.dumps`` of one dict per
+    satellite, in flat index order, with its plane, slot, RAAN, phase,
+    semi-major axis and inclination, and a newline.
+
+    The RAAN and phase columns go through ``numtext``'s exact ``repr``
+    encoder, and every row through one ``%`` template.
+    """
+    n = len(c)
+    angles = np.column_stack([c.raan, c.initial_phase])
+    text = b"".join(numtext.csv_blocks([(angles, "r")])).decode()
+    tokens = text.replace("\r\n", ",").split(",")  # raan, phase, ..., ""
+    values = [None] * (4 * n)
+    values[0::4], values[1::4] = (x.tolist() for x in np.divmod(np.arange(n), sats_per_plane))
+    values[2::4], values[3::4] = tokens[:-1:2], tokens[1::2]
+    row = (
+        '{"plane": %d, "slot": %d, "raan_rad": %s, "phase_rad": %s, "semi_major_axis_km": '
+        f'{json.dumps(c.semi_major_axis_km)}, "inclination_rad": {json.dumps(c.inclination)}}}'
+    )
+    with open(path, "w") as fh:
+        fh.write("[%s]\n" % (", ".join([row] * n) % tuple(values)))
 
 
 def propagate(elem: Constellation, t) -> np.ndarray:

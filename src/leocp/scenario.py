@@ -1,8 +1,9 @@
 """End-to-end scenario execution.
 
 Builds the snapshot series, predicts every satellite's handover schedule
-against the selected controllers (distances sampled and scanned in
-fixed-size blocks of satellites, one ``predict_handovers`` call each), then
+against the selected controllers (distances sampled and scanned in blocks
+of a fixed number of satellite-samples, one ``predict_handovers`` call
+each), then
 replays every predicted handover in one bulk batch
 (``Simulation.start_handovers``) and derives the periodic status reports
 in bulk after it.
@@ -38,10 +39,15 @@ from .topology import (
     shortest_distances,
 )
 
-# Satellites sampled and scanned per call: enough to amortise the per-call
-# numpy work, few enough that at a full day's horizon a block's samples,
-# propagation temporaries and interval flags stay within about 2 MiB.
-_BLOCK_SATS = 16
+# Satellite-samples per block: a block holds this many divided by the
+# sample count of satellites, so the 15-minute Starlink fleet (16 samples)
+# is one block and its full day (1,441 samples) 36 blocks of 44. Enough to
+# amortise the lockstep scan's per-step numpy calls, few enough that a
+# full-day block's samples, propagation temporaries and interval flags stay
+# within about 10 MiB. On a 2-core host the full day took 1.05-1.3 s at
+# 32,000 and 46,000, 1.0 s at 64,000, and no less at 100,000, whose blocks
+# peak at 14 MiB.
+BLOCK_SAMPLES = 64_000
 
 
 @dataclass
@@ -125,8 +131,9 @@ def build_fields(spec: ScenarioSpec):
 def predict_schedules(spec: ScenarioSpec, elements, fields):
     """CNAA schedule per satellite against the scenario's controllers.
 
-    Satellites go ``_BLOCK_SATS`` at a time: each block's distances are
-    one ``DistanceSamples``, scanned by one ``predict_handovers`` call.
+    Satellites go ``BLOCK_SAMPLES`` satellite-samples at a time: each
+    block's distances are one ``DistanceSamples``, scanned by one
+    ``predict_handovers`` call.
     """
     params = replace(
         spec.assignment,
@@ -135,9 +142,10 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
     )
     controllers = {g: spec.stations[g] for g in spec.controllers}
     sampler = DistanceSampler(controllers, params, spec.metric, elements, fields)
+    step = max(1, BLOCK_SAMPLES // len(sampler.times))
     schedules = {}
-    for lo in range(0, len(elements), _BLOCK_SATS):
-        block = sampler(range(lo, min(lo + _BLOCK_SATS, len(elements))))
+    for lo in range(0, len(elements), step):
+        block = sampler(range(lo, min(lo + step, len(elements))))
         schedules.update(enumerate(predict_handovers(block, params), lo))
     return schedules
 

@@ -44,28 +44,42 @@ def samples_from(times, rows, horizon):
 
 
 def tick_oracle(samples, params):
-    """The threshold rule applied one decision tick and one controller at
-    a time to a one-satellite block: (initial id, [(t, target id), ...])."""
+    """The threshold rule applied one decision tick at a time to a
+    one-satellite block: (initial id, [(t, target id), ...]). Each
+    controller's distance is ``np.interp`` of its samples at every tick."""
     (km,) = samples.km
-    n_ctl = len(samples.gs_ids)
-
-    def dist(g, t):
-        return float(np.interp(t, samples.times, km[g]))
+    n = int(params.horizon_s / params.decide_dt_s) + 1
+    ticks = [i * params.decide_dt_s for i in range(n)]
+    dists = np.array([np.interp(ticks, samples.times, row) for row in km]).T.tolist()
 
     def nearest(d):
         return min(range(len(d)), key=lambda g: (d[g], g))  # ties to the lowest id
 
-    current = nearest([dist(g, 0.0) for g in range(n_ctl)])
+    current = nearest(dists[0])
     initial = samples.gs_ids[current]
     events = []
-    for i in range(int(params.horizon_s / params.decide_dt_s) + 1):
-        t = i * params.decide_dt_s
-        d = [dist(g, t) for g in range(n_ctl)]
+    for t, d in zip(ticks, dists):
         best = nearest(d)
         if best != current and d[best] < params.delta * d[current]:
             events.append((t, samples.gs_ids[best]))
             current = best
     return initial, events
+
+
+def constellation_json(c, sats_per_plane):
+    """``constellation.json`` as ``json.dumps`` of one dict per satellite."""
+    sats = [
+        {
+            "plane": i // sats_per_plane,
+            "slot": i % sats_per_plane,
+            "raan_rad": raan,
+            "phase_rad": phase,
+            "semi_major_axis_km": c.semi_major_axis_km,
+            "inclination_rad": c.inclination,
+        }
+        for i, (raan, phase) in enumerate(zip(c.raan.tolist(), c.initial_phase.tolist()))
+    ]
+    return json.dumps(sats) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,18 +280,28 @@ def scan_cases(draw):
 
 @st.composite
 def scan_blocks(draw):
-    """A block of 1-20 satellites' ``scan_rows``, over shared sample times
-    and the same 1-5 controllers; about one satellite in five is
-    unreachable throughout (every entry ``np.inf``)."""
+    """A block of 1-64 satellites over shared sample times and the same 1-5
+    controllers. About one satellite in five is unreachable throughout
+    (every entry ``np.inf``), and one in five has one controller far
+    nearest throughout, so neither ever switches; the others are
+    ``scan_rows``, or rows that swap the nearest controller at every
+    sample."""
     n_ctl = draw(st.integers(1, 5))
     params = draw(scan_params())
     ts = sample_times(params)
-    block = [
-        [[np.inf] * len(ts)] * n_ctl
-        if draw(st.integers(0, 4)) == 0
-        else draw(scan_rows(ts, n_ctl, params.delta))
-        for _ in range(draw(st.integers(1, 20)))
-    ]
+    n = len(ts)
+    block = []
+    for _ in range(draw(st.integers(1, 64))):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            block.append([[np.inf] * n] * n_ctl)
+        elif kind == 1:
+            near = draw(st.integers(0, n_ctl - 1))
+            block.append([[10.0 if g == near else 5000.0] * n for g in range(n_ctl)])
+        elif kind == 2:
+            block.append([[100.0 + 800.0 * ((i + g) % 2) for i in range(n)] for g in range(n_ctl)])
+        else:
+            block.append(draw(scan_rows(ts, n_ctl, params.delta)))
     return params, ts, np.array(block)
 
 
@@ -325,6 +337,11 @@ def test_block_scan_matches_tick_oracle_per_satellite(case):
     assert len(scans) == len(block)
     for rows, scan in zip(block, scans):
         assert scan == tick_oracle(samples_from(ts, rows, params.horizon_s), params)
+    # windows of one tick per satellite and controller give the same events
+    with mock.patch.object(kernels, "SLAB_CELLS", 1):
+        assert kernels.handover_scan(
+            ts, block, params.decide_dt_s, params.horizon_s, params.delta
+        ) == scans
     schedules = predict_handovers(samples_from(ts, block, params.horizon_s), params)
     assert [(s.initial, list(s.events)) for s in schedules] == scans
     assert schedules.count == sum(len(events) for _, events in scans)
@@ -332,6 +349,74 @@ def test_block_scan_matches_tick_oracle_per_satellite(case):
         flags = kernels._switch_intervals(block, params.delta)
         for rows, sat_flags in zip(block, flags):
             assert np.array_equal(sat_flags, kernels._switch_intervals(rows, params.delta))
+
+
+def _same_bits(a, b):
+    """Equal values, signs of zero included; any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a[~nan]), np.signbit(b[~nan])
+    )
+
+
+@st.composite
+def interp_cases(draw):
+    """Strictly increasing sample times, 1-4 rows of samples over them and
+    query points for ``np.interp``. Samples repeat a few values, so equal
+    neighbours are common, and some are +-inf; queries hit samples exactly,
+    sit on both ends, and fall before the first and past the last."""
+    gaps = draw(st.lists(st.sampled_from([0.5, 1.0, 7.25, 60.0]) | st.floats(0.01, 100.0),
+                         min_size=1, max_size=6))
+    xp = np.cumsum([draw(st.floats(-100.0, 100.0))] + gaps)
+    value = st.sampled_from([0.0, 100.0, 200.0, np.inf, -np.inf]) | st.floats(-1e3, 1e3)
+    fp = np.array([[draw(value) for _ in xp] for _ in range(draw(st.integers(1, 4)))])
+    query = st.sampled_from(xp.tolist()) | st.floats(xp[0] - 10.0, xp[-1] + 10.0)
+    x = np.array([xp[0], xp[-1]] + draw(st.lists(query, max_size=30)))
+    return x, xp, fp
+
+
+# an exact hit on a sample whose next one is infinite: the slope from the
+# hit is inf * 0, and only the hit rule gives the sample
+@example((np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0]), np.array([[100.0, np.inf]])))
+# infinite next to finite, equal infinities and opposite ones: the NaN
+# fallbacks
+@example(
+    (
+        np.array([0.5, 1.5, 2.5, 3.5]),
+        np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+        np.array([[np.inf, 100.0, 100.0, np.inf, np.inf], [np.inf, -np.inf, 5.0, 5.0, -np.inf]]),
+    )
+)
+@settings(max_examples=300, deadline=None)
+@given(interp_cases())
+def test_lerp_matches_np_interp_bit_for_bit(case):
+    x, xp, fp = case
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    got = kernels._lerp(x, xp[j], xp[j + 1], fp[:, j], fp[:, j + 1])
+    assert _same_bits(got, np.array([np.interp(x, xp, row) for row in fp]))
+
+
+def test_scan_slab_stays_bounded_at_60000_ticks_per_interval():
+    # 64 satellites, two controllers, samples a minute apart, a decision
+    # every millisecond: an uncut slab of every moving satellite's interval
+    # would take tens of MiB
+    rng = np.random.default_rng(7)
+    ts = np.array([0.0, 60.0, 120.0])
+    d = rng.uniform(100.0, 2000.0, (64, 2, 3))
+    kernels.decision_ticks(0.001, 120.0)  # the grid, cached before tracing
+    tracemalloc.start()
+    try:
+        scans = kernels.handover_scan(ts, d, 0.001, 120.0, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernels.decision_ticks.cache_clear()
+    assert peak < 12 * 2**20
+    assert sum(len(events) for _, events in scans) > 20
+    # one satellite's interval is one window: the cut windows give its events
+    for row, scan in zip(d, scans):
+        assert kernels.handover_scan(ts, row[None], 0.001, 120.0, 0.9) == [scan]
+    kernels.decision_ticks.cache_clear()
 
 
 def _desk_spec(shell=None, **assignment):
@@ -344,14 +429,24 @@ def _desk_spec(shell=None, **assignment):
 
 
 @pytest.mark.parametrize("metric,delta", [("geometric", 1.0), ("network", 0.9)])
-def test_block_prediction_matches_per_satellite_path(metric, delta):
-    # desk's 6 x 8 is three whole blocks; 5 x 7 = 35 ends on a short block of 3
-    for shell in (None, {"planes": 5, "sats_per_plane": 7}):
+def test_block_prediction_matches_per_satellite_path(metric, delta, monkeypatch):
+    # blocks of 16 satellites: desk's 6 x 8 is three whole blocks; 5 x 7 = 35
+    # ends on a short block of 3
+    blocks = []
+
+    def predict(samples, params):
+        blocks.append(samples.km.shape[0])
+        return predict_handovers(samples, params)
+
+    monkeypatch.setattr(scenario, "predict_handovers", predict)
+    for shell, sizes in ((None, [16, 16, 16]), ({"planes": 5, "sats_per_plane": 7}, [16, 16, 3])):
         spec = _desk_spec(shell, metric=metric, delta=delta)
         elements, _, fields = scenario.build_fields(spec)
-        assert len(elements) > scenario._BLOCK_SATS  # a block boundary inside the fleet
-        schedules = scenario.predict_schedules(spec, elements, fields)
         params = replace(spec.assignment, horizon_s=spec.duration_s)
+        monkeypatch.setattr(scenario, "BLOCK_SAMPLES", 16 * len(sample_times(params)))
+        blocks.clear()
+        schedules = scenario.predict_schedules(spec, elements, fields)
+        assert blocks == sizes
         controllers = {g: spec.stations[g] for g in spec.controllers}
         expected = {}
         for row in range(len(elements)):

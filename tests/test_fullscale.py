@@ -5,10 +5,10 @@ the default run. Invoke with:
 
 Expected wall time is about 30 seconds on a 2-core machine: every
 handover is replayed in bulk, and the status reports are derived in bulk
-afterwards. The full-day schedule digest alone (``-k schedule``) takes
-about 2 seconds, about 1.8 of them in the block-wise prediction (median
-of 20 runs), and the distance-field digests (``-k fields``) about 3
-seconds; the report, records and constellation digests (``-k report``),
+afterwards. The full-day schedule digests (``-k schedule``) take about
+2 seconds: the geometric Starlink one about 1.0, nearly all of it in the
+block-wise lockstep prediction, and the network-metric one about 1.1. The
+distance-field digests (``-k fields``) take about 3 seconds; the report, records and constellation digests (``-k report``),
 one full ``leocp all`` run, about 5 seconds; the Kuiper and OneWeb
 ``leocp all`` digests (``-k "kuiper or oneweb"``) about 4 and 2 seconds;
 the seamless and three-pod legacy variants of the Starlink day, on
@@ -25,7 +25,7 @@ import pytest
 
 from leocp.assignment import AssignmentParams
 from leocp.cli import main
-from leocp.config import load_config
+from leocp.config import load_config, parse_config
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation
 from leocp.protocol import ConstantLatency, Protocol
 from leocp.scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
@@ -49,6 +49,35 @@ def test_starlink_daily_schedule_digest():
     assert sum(s.count for s in schedules.values()) == 44_586
     assert hashlib.sha256((data + "\n").encode()).hexdigest() == (
         "e64c44271f4d9b53668d050f6599953276d8bfabe96db2bd4c4f369028f1ba7c"
+    )
+
+
+@pytest.mark.slow
+def test_walker_network_daily_schedule_digest():
+    # a full-day prediction on the network metric, pinned byte for byte as
+    # ``leocp assign`` writes ``schedule.json``: three controllers, delta
+    # 0.9, and the shortest-path distances of the 36 x 36 shell's snapshots
+    # every 5 minutes, where the other full-day digests are geometric with
+    # two controllers and delta 1.0
+    with open(os.path.join(CONFIGS, "kuiper_fullscale.json")) as fh:
+        raw = json.load(fh)
+    raw["stations"] = [
+        {"name": "quito", "latitude_deg": -0.2, "longitude_deg": -78.5},
+        {"name": "nairobi", "latitude_deg": -1.3, "longitude_deg": 36.8},
+        {"name": "singapore", "latitude_deg": 1.35, "longitude_deg": 103.8},
+    ]
+    raw["assignment"].update(metric="network", delta=0.9)
+    spec = replace(parse_config(raw), controllers=[0, 1, 2])
+    assert spec.snapshot_dt_s == 300.0 and spec.duration_s == 86400.0
+    elements, _, fields = build_fields(spec)
+    schedules = predict_schedules(spec, elements, fields)
+    data = json.dumps(
+        {str(sat): {"initial": s.initial, "events": s.events} for sat, s in schedules.items()},
+        sort_keys=True,
+    )
+    assert sum(s.count for s in schedules.values()) == 39_949
+    assert hashlib.sha256((data + "\n").encode()).hexdigest() == (
+        "33a60d2f0502b0f5606258a7c1a03836ca450eb1b3c879116a5004af9ff24bf6"
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from leocp import numtext
 from leocp.constants import EARTH_ROTATION_RAD_S
 from leocp.orbits import (
     GroundStation,
@@ -11,7 +12,9 @@ from leocp.orbits import (
     generate_constellation,
     propagate,
     station_position,
+    write_constellation_json,
 )
+from oracles import constellation_json
 
 MU = 398600.4418  # km^3/s^2, restated here so the oracle stays independent
 
@@ -22,6 +25,24 @@ def test_starlink_shell_element_count():
     assert len(c) == 1584
     assert c.raan.shape == c.initial_phase.shape == (1584,)
     assert len(set(zip(c.raan.tolist(), c.initial_phase.tolist()))) == 1584
+
+
+@pytest.mark.parametrize(
+    "shell",
+    [
+        WalkerShell(1, 1, 30.0, 550.0),
+        WalkerShell(5, 7, 97.6, 1200.0, phasing_factor=0),
+        WalkerShell(12, 49, 87.9, 1200.0, phasing_factor=3, raan_span_deg=180.0),
+        WalkerShell(72, 40, 53.0, 550.0, phasing_factor=71),
+    ],
+)
+def test_constellation_json_matches_json_dumps(shell, tmp_path):
+    c = generate_constellation(shell)
+    if shell.planes == 72:  # rows past one encoder block
+        assert 2 * len(c) > numtext.BLOCK
+    path = tmp_path / "constellation.json"
+    write_constellation_json(c, shell.sats_per_plane, path)
+    assert path.read_text() == constellation_json(c, shell.sats_per_plane)
 
 
 def test_single_satellite_shell():
