@@ -3,8 +3,7 @@
 Builds the snapshot series, predicts every satellite's handover schedule
 against the selected controllers (distances sampled and scanned in blocks
 of a fixed number of satellite-samples, one ``predict_handovers`` call
-each), then
-replays every predicted handover in one bulk batch
+each), then replays every predicted handover in one bulk batch
 (``Simulation.start_handovers``) and derives the periodic status reports
 in bulk after it.
 Everything downstream of the inputs is deterministic.

@@ -410,7 +410,6 @@ def test_scan_slab_stays_bounded_at_60000_ticks_per_interval():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kernels.decision_ticks.cache_clear()
     assert peak < 12 * 2**20
     assert sum(len(events) for _, events in scans) > 20
     # one satellite's interval is one window: the cut windows give its events

@@ -8,8 +8,9 @@ handover is replayed in bulk, and the status reports are derived in bulk
 afterwards. The full-day schedule digests (``-k schedule``) take about
 2 seconds: the geometric Starlink one about 1.0, nearly all of it in the
 block-wise lockstep prediction, and the network-metric one about 1.1. The
-distance-field digests (``-k fields``) take about 3 seconds; the report, records and constellation digests (``-k report``),
-one full ``leocp all`` run, about 5 seconds; the Kuiper and OneWeb
+distance-field digests (``-k fields``) take about 3 seconds; the report,
+records and constellation digests (``-k report``), one full ``leocp all``
+run, about 5 seconds; the Kuiper and OneWeb
 ``leocp all`` digests (``-k "kuiper or oneweb"``) about 4 and 2 seconds;
 the seamless and three-pod legacy variants of the Starlink day, on
 snapshot latencies (``-k protocol``), about 6 seconds each.
