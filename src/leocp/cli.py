@@ -35,11 +35,12 @@ import sys
 from dataclasses import replace
 
 from . import placement as plc
-from .config import apply_overrides, parse_config, read_config, stage_seed
+from .config import _FLAG_KEYS, _METHODS, apply_overrides, parse_config, read_config, stage_seed
 # ``load_config`` is not called here; ``perfbench/run.py`` times it on this module.
 from .config import load_config  # noqa: F401
 from .errors import BudgetExceeded, ConfigError, InfeasibleInstance, LeocpError, StageError
 from .orbits import generate_constellation, write_constellation_json
+from .protocol import Protocol
 from .reporting import aggregate, write_records_csv, write_report
 from .scenario import ScenarioSpec, build_fields, predict_schedules, run_scenario
 from .topology import write_fields_csv, write_fields_json, write_snapshots_json
@@ -344,10 +345,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario config JSON")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--protocol", choices=["seamless", "legacy"], default=None)
-    parser.add_argument(
-        "--method", choices=["cnpa", "exhaustive", "random", "single"], default=None
-    )
+    parser.add_argument("--protocol", choices=[p.value for p in Protocol], default=None)
+    parser.add_argument("--method", choices=sorted(_METHODS), default=None)
     parser.add_argument("--delta", type=float, default=None, help="handover threshold ratio")
     parser.add_argument("--k", type=int, default=None, help="number of control nodes")
     parser.add_argument("--clusters", type=int, default=None, help="snapshot cluster count")
@@ -355,17 +354,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = apply_overrides(
-            read_config(args.config),
-            {
-                "seed": args.seed,
-                "protocol": args.protocol,
-                "method": args.method,
-                "delta": args.delta,
-                "k": args.k,
-                "clusters": args.clusters,
-            },
-        )
+        overrides = {flag: getattr(args, flag) for flag in _FLAG_KEYS}
+        raw = apply_overrides(read_config(args.config), overrides)
         cfg = parse_config(raw, base_dir=os.path.dirname(os.path.abspath(args.config)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

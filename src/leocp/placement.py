@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import LIGHT_SPEED_KM_MS
 from .errors import BudgetExceeded, EmptySelection, InfeasibleInstance
+from .topology import distance_to_latency
 
 DEFAULT_COMBINATION_BUDGET = 2_000_000
 DEFAULT_MAX_PASSES = 50
@@ -64,7 +64,7 @@ def _solution(selected, fields, method, seed=None) -> PlacementSolution:
     return PlacementSolution(
         selected=tuple(sorted(selected)),
         objective_km=obj,
-        objective_ms=obj / LIGHT_SPEED_KM_MS if math.isfinite(obj) else math.inf,
+        objective_ms=distance_to_latency(obj),
         method=method,
         seed=seed,
     )

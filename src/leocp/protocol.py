@@ -48,7 +48,7 @@ import numpy as np
 
 from .constants import EARTH_RADIUS_KM
 from .errors import BudgetExceeded, ConcurrentHandover, LeocpError, ProtocolViolation, Unreachable
-from .topology import distance_to_latency, nearest_field_index, nearest_field_indices
+from .topology import distance_to_latency, nearest_field_indices
 
 DEFAULT_REPORT_INTERVAL_S = 10.0
 DEFAULT_TERRESTRIAL_FACTOR = 2.0
@@ -163,8 +163,10 @@ class SnapshotLatency:
     """Latency from the nearest-in-time snapshot of a ``DistanceFields``.
 
     Satellite-station legs read the shortest-path distance at the
-    closest snapshot, in place in ``fields.d``; station-station legs use
-    great-circle distance scaled by a terrestrial routing factor.
+    closest snapshot (``nearest_field_indices``), in place in
+    ``fields.d``: one leg is ``sat_gs_ms`` of a one-leg block, so both
+    methods give the same leg. Station-station legs use great-circle
+    distance scaled by a terrestrial routing factor.
     """
 
     def __init__(self, fields, stations, terrestrial_factor=DEFAULT_TERRESTRIAL_FACTOR):
@@ -192,8 +194,7 @@ class SnapshotLatency:
             raise ValueError("satellite-to-satellite control traffic is not modeled")
         sat = id_a if kind_a == "sat" else id_b
         gs = id_b if kind_b == "gs" else id_a
-        d = self.fields.d[nearest_field_index(self.fields.times, t), sat, gs]
-        return distance_to_latency(d) if np.isfinite(d) else math.inf
+        return self.sat_gs_ms([sat], np.array([[gs]]), t).item()
 
     def sat_gs_ms(self, sats, gs, times):
         """``self(("sat", sats[i]), ("gs", gs[i, k]), t[i, k])`` as an
@@ -226,6 +227,18 @@ def _tick_grid(duration, interval):
     return ticks[: max(1, int(np.searchsorted(ticks, duration, side="right")))]
 
 
+_NO_TICKS = np.array([math.inf])  # ``_rank``'s tick times while reporting is off
+
+
+def _rank(tick_at, t, pusher_rank):
+    """Report ticks before events at ``t`` pushed by events of rank
+    ``pusher_rank`` (scalars, or arrays of one shape): every earlier
+    tick, and a tick at ``t`` itself iff the tick before it fired before
+    the pusher. ``tick_at`` holds the tick times, then ``inf``."""
+    k = np.searchsorted(tick_at[:-1], t)
+    return k + ((tick_at[k] == t) & (pusher_rank >= k))
+
+
 class Simulation:
     """Event engine whose per-node state is its logs: a node's binding
     state at a controller is the last entry of ``state_log`` (``binding``),
@@ -234,11 +247,11 @@ class Simulation:
     ``latency`` has two methods, both giving one-way milliseconds
     (``math.inf`` where no path exists): ``latency(a, b, t)``, one leg,
     and ``sat_gs_ms(sats, gs, times)``, a block of satellite-station
-    legs; ``ConstantLatency`` and ``SnapshotLatency`` do both. The bulk
-    replay reads every satellite-station leg of a step through
-    ``sat_gs_ms`` and every station-station leg at t = 0, so a
+    legs. The bulk replay reads every satellite-station leg of a step
+    through ``sat_gs_ms`` and every station-station leg at t = 0, so a
     model must give the same leg both ways and station legs that do not
-    change with time.
+    change with time. ``ConstantLatency`` gives one constant both ways;
+    ``SnapshotLatency`` reads its one leg through ``sat_gs_ms``.
 
     ``start_handovers`` starts a batch of handovers whose steps never
     enter the queue: ``run`` replays them in bulk, each with the time,
@@ -292,7 +305,7 @@ class Simulation:
         self._controller_log = {}
         self._state_pushed = {}
         self._ticks = None  # report tick times, while reports are pending
-        self._tick_list = []
+        self._tick_at = _NO_TICKS  # the same, then inf: what ``_rank`` searches
         self._unaccepted = None  # tick times of a drained run, until its accepts are merged
         self._batch = None  # the calls of ``start_handovers``, until ``run``
         self._root = self._ctx = self._parent = (-math.inf, -1, -1)
@@ -372,7 +385,7 @@ class Simulation:
             while queue:
                 t, _, fn, parent = heapq.heappop(queue)
                 self._parent = parent
-                self._ctx = (t, self._rank(t, parent[1]), parent[1])
+                self._ctx = (t, int(_rank(self._tick_at, t, parent[1])), parent[1])
                 fn(t)
         except LeocpError:
             # a report over an unreachable link that fired before the
@@ -386,20 +399,10 @@ class Simulation:
         if self._ticks is not None:
             first = self._derive_reports()
             self._settle_accepts()  # an earlier run's, before this run's
-            ticks, self._ticks, self._tick_list = self._ticks, None, []
+            ticks, self._ticks, self._tick_at = self._ticks, None, _NO_TICKS
             if first is not None:
                 raise first
             self._unaccepted = ticks
-
-    def _rank(self, t, pusher_rank):
-        """Report ticks before an event at ``t`` pushed by an event of
-        rank ``pusher_rank``: every earlier tick, and a tick at ``t``
-        itself iff the tick before it fired before the pusher."""
-        ticks = self._tick_list
-        k = bisect.bisect_left(ticks, t)
-        if k < len(ticks) and ticks[k] == t and pusher_rank >= k:
-            k += 1
-        return k
 
     # -- logs --------------------------------------------------------------
 
@@ -465,7 +468,7 @@ class Simulation:
                 f"protocol.report_interval_s (now {self.report_interval})"
             )
         self._ticks = _tick_grid(duration, self.report_interval)
-        self._tick_list = self._ticks.tolist()
+        self._tick_at = np.append(self._ticks, math.inf)
         # the first ticks count as pushed now, after every event so far
         self._root = self._ctx = self._parent = (-math.inf, 0, 0)
 
@@ -660,14 +663,11 @@ class _Lockstep:
     def __init__(self, sim, kind, index, sats, src, tgt, t0, seq, keep):
         self.sim, self.kind, self.index = sim, kind, index
         self.sats, self.src, self.tgt, self.t0, self.seq = sats, src, tgt, t0, seq
-        self.ticks = np.empty(0) if sim._ticks is None else sim._ticks
-        self._tick_at = np.append(self.ticks, math.inf)
         self.events, self.fails, self._ids = [] if keep else None, [], itertools.count()
 
     def at(self, ev, t, *rows):
-        """The events at times ``t`` that ``ev`` pushes (``Simulation._rank``)."""
-        k = np.searchsorted(self.ticks, t)
-        return self._push(ev, t, k + ((self._tick_at[k] == t) & (ev.rank >= k)), rows)
+        """The events at times ``t`` that ``ev`` pushes, ranked by ``_rank``."""
+        return self._push(ev, t, _rank(self.sim._tick_at, t, ev.rank), rows)
 
     def leaf(self, ev, t, *rows):
         """The events at times ``t`` that ``ev`` pushes and that push none."""

@@ -89,7 +89,7 @@ class ScenarioSpec:
 
 @dataclass
 class ScenarioResult:
-    records: list
+    records: list  # ``sim.records``: in (t_start, satellite) order
     report_latencies: dict  # sat -> float64 array of ms
     schedules: dict  # sat -> HandoverSchedule
     sim: Simulation
@@ -179,7 +179,7 @@ def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResu
     sim.run()
 
     return ScenarioResult(
-        records=sorted(sim.records, key=lambda r: (r.t_start, r.sat_id)),
+        records=sim.records,
         report_latencies=sim.report_latencies,
         schedules=schedules,
         sim=sim,

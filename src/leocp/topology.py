@@ -10,10 +10,9 @@ block-diagonal graph, giving the shortest-path distances from every
 station to every satellite as one ``(snapshots, satellites, stations)``
 array; unreachable pairs are ``inf`` rather than raised. A whole series
 is one ``DistanceFields``: the snapshot times and one such array that
-every consumer reads in place. ``nearest_field_index`` is the one
+every consumer reads in place. ``nearest_field_indices`` is the one
 lookup of the snapshot nearest in time, shared by the simulation's
-latency model and network-metric sampling; ``nearest_field_indices`` is
-its array form.
+latency model and network-metric sampling.
 
 The writers stream the series and give the bytes of the standard
 library's encoders. ``write_snapshots_json`` and ``write_fields_json``
@@ -23,7 +22,6 @@ call. ``write_fields_csv`` gives those of ``csv.writer``, each block of
 a snapshot's rows formatted by one ``%`` over a row template built once
 per series.
 """
-import bisect
 import functools
 import json
 import math
@@ -279,23 +277,12 @@ def shortest_distances(snapshots) -> np.ndarray:
     return dist.reshape(g, n_stations, g, n)[blocks, :, blocks, :n_sats].transpose(0, 2, 1)
 
 
-def nearest_field_index(times, t) -> int:
-    """Index of the entry of ``times`` (an ascending list) nearest to ``t``.
-
-    The rule of ``argmin(|times - t|)``: on an exact tie the earlier
-    entry wins, and ``t`` outside the range clamps to an end.
-    """
-    i = bisect.bisect_left(times, t)
-    if i == 0:
-        return 0
-    if i == len(times):
-        return i - 1
-    return i - 1 if t - times[i - 1] <= times[i] - t else i
-
-
 def nearest_field_indices(times, ts) -> np.ndarray:
-    """``nearest_field_index(times, t)`` for every ``t`` of the array ``ts``
-    (finite or infinite), as an index array shaped like ``ts``."""
+    """Index of the entry of ``times`` (ascending) nearest to each ``t``
+    of ``ts`` (a scalar or an array, finite or infinite), as an index
+    array shaped like ``ts``. The rule of ``argmin(|times - t|)``: on an
+    exact tie the earlier entry wins, and ``t`` outside the range clamps
+    to an end."""
     times, ts = np.asarray(times, dtype=float), np.asarray(ts, dtype=float)
     i = np.searchsorted(times, ts)
     lo, hi = np.maximum(i - 1, 0), np.minimum(i, len(times) - 1)

@@ -376,6 +376,24 @@ def test_flag_overrides_take_precedence(mini_config, tmp_path):
         assert len(json.load(fh)["selected_ids"]) == 1
 
 
+def test_every_override_flag_reaches_the_effective_config(mini_config, tmp_path):
+    # each value differs from the mini config's
+    flags = {"seed": 7, "protocol": "legacy", "method": "random", "delta": 0.75, "k": 1, "clusters": 2}
+    out = tmp_path / "o"
+    argv = [arg for flag, value in flags.items() for arg in (f"--{flag}", str(value))]
+    assert main(["gen", "--config", mini_config, "--out", str(out)] + argv) == 0
+    with open(out / "effective_config.json") as fh:
+        eff = json.load(fh)
+    assert {
+        "seed": eff["seed"],
+        "protocol": eff["protocol"]["type"],
+        "method": eff["placement"]["method"],
+        "delta": eff["assignment"]["delta"],
+        "k": eff["placement"]["k"],
+        "clusters": eff["placement"]["clusters"],
+    } == flags
+
+
 def test_flag_replaces_an_invalid_file_value(tmp_path, capsys):
     path = tmp_path / "bad_k.json"
     path.write_text(json.dumps({**MINI_CONFIG, "placement": {**MINI_CONFIG["placement"], "k": 9}}))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from leocp.assignment import AssignmentParams
 from leocp.errors import BudgetExceeded, LeocpError, ProtocolViolation, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
@@ -19,8 +20,11 @@ from leocp.protocol import (
     Protocol,
     Simulation,
     SnapshotLatency,
+    _Event,
+    _Lockstep,
     start_legacy,
 )
+from leocp.scenario import ScenarioSpec, run_scenario
 from leocp.topology import DistanceFields
 
 from oracles import QueueSimulation, queue_handovers
@@ -203,3 +207,77 @@ def test_step_past_the_largest_float_is_unreachable(protocol):
     got, queued = replay(case, bulk=True)
     assert got == {"error": (Unreachable, "event scheduled over an unreachable link")}
     assert got == replay(case, bulk=False)[0] and queued == 0
+
+
+def start_then_satellite(records):
+    return [(r.t_start, r.sat_id) for r in records]
+
+
+@pytest.mark.parametrize(
+    "protocols", [(Protocol.SEAMLESS,) * 2, (Protocol.LEGACY, Protocol.SEAMLESS)], ids=["seamless", "mixed"]
+)
+def test_records_are_in_start_then_satellite_order(protocols):
+    # two calls whose start times interleave, against the satellite order;
+    # a legacy record starts at its node's removal, after its switch time
+    sim = Simulation([0, 1], range(5), latency=ConstantLatency(5.0))
+    sim.bind_all(dict.fromkeys(range(5), 0))
+    sim.start_handovers(protocols[0], {0: [(40.0, 1)], 3: [(10.0, 1)], 4: [(25.0, 1)]})
+    sim.start_handovers(protocols[1], {1: [(30.0, 1)], 2: [(10.0, 1)]})
+    sim.run()
+    got = start_then_satellite(sim.records)
+    assert got == sorted(got) and len(got) == 5
+    assert [sat for _, sat in got] != sorted(sat for _, sat in got)
+    assert {r.protocol for r in sim.records} == set(protocols)
+
+
+def test_scenario_records_are_the_simulations(desk_shell, desk_stations):
+    spec = ScenarioSpec(
+        shell=desk_shell, stations=desk_stations, controllers=[0, 1, 2, 3], duration_s=1200.0,
+        snapshot_dt_s=60.0, metric="geometric", protocol=Protocol.LEGACY,
+        assignment=AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0),
+        latency_model=ConstantLatency(5.0),
+    )
+    result = run_scenario(spec)
+    assert result.records is result.sim.records
+    got = start_then_satellite(result.records)
+    assert got == sorted(got) and [sat for _, sat in got] != sorted(sat for _, sat in got)
+
+
+# (pusher's time, pusher's rank, event time, ranks with ticks at 0, 10, 20, 30
+# and with reporting off)
+RANK_CASES = [
+    (5.0, 1, 20.0, 2, 0),  # at a tick the pusher fired before: the tick fires after
+    (15.0, 2, 20.0, 3, 0),  # at a tick the pusher fired after: the tick fires first
+    (-3.0, 0, -1.0, 0, 0),  # before the first tick
+    (0.0, 0, 0.0, 1, 0),  # at the first tick, pushed after reporting started
+    (0.0, -1, 0.0, 0, 0),  # at the first tick, pushed before reporting started
+    (25.0, 2, 30.0, 3, 0),  # at the last tick, before it
+    (30.0, 4, 30.0, 4, 0),  # at the last tick, after it
+    (30.0, 4, 35.5, 4, 0),  # past the last tick
+]
+
+
+@pytest.mark.parametrize("reporting", [True, False], ids=["ticks", "off"])
+def test_queue_and_bulk_rank_events_by_one_rule(reporting):
+    pushers, ranks, times, with_ticks, off = zip(*RANK_CASES)
+    expected = list(with_ticks if reporting else off)
+
+    def simulation():
+        sim = Simulation([0], [0], latency=ConstantLatency(5.0), report_interval=10.0)
+        if reporting:
+            sim.start_reporting(30.0)
+        return sim
+
+    sim, seen = simulation(), {}
+    for i, (pusher, rank, t) in enumerate(zip(pushers, ranks, times)):
+        sim._ctx = (pusher, rank, 0)  # as if pushed by an event of that time and rank
+        sim.schedule(t, lambda t, i=i: seen.setdefault(i, sim._ctx[1]))
+    sim.run()
+    assert [seen[i] for i in range(len(RANK_CASES))] == expected
+    assert all(type(rank) is int for rank in seen.values())
+
+    n = len(RANK_CASES)
+    ids = np.zeros(n, dtype=int)
+    steps = _Lockstep(simulation(), Protocol.SEAMLESS, ids, ids, ids, ids, np.zeros(n), np.arange(n), False)
+    pusher = _Event(np.array(pushers), np.array(ranks), (None, None, None), None, None, [])
+    assert steps.at(pusher, np.array(times)).rank.tolist() == expected

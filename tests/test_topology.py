@@ -24,7 +24,6 @@ from leocp.topology import (
     build_snapshot,
     distance_to_latency,
     group_size,
-    nearest_field_index,
     nearest_field_indices,
     shortest_distances,
     write_fields_csv,
@@ -414,10 +413,10 @@ def test_distance_to_latency(km, ms):
 
 def test_nearest_field_index_tie_goes_to_earlier():
     times = [0.0, 60.0, 120.0]
-    assert nearest_field_index(times, 30.0) == 0
-    assert nearest_field_index(times, 90.0) == 1
-    assert nearest_field_index(times, 30.000001) == 1
-    assert nearest_field_index(times, 60.0) == 1
+    assert nearest_field_indices(times, 30.0) == 0
+    assert nearest_field_indices(times, 90.0) == 1
+    assert nearest_field_indices(times, 30.000001) == 1
+    assert nearest_field_indices(times, 60.0) == 1
 
 
 @pytest.mark.parametrize(
@@ -432,7 +431,7 @@ def test_nearest_field_index_tie_goes_to_earlier():
     ],
 )
 def test_nearest_field_index_clamps_to_the_ends(times, t, expected):
-    assert nearest_field_index(times, t) == expected
+    assert nearest_field_indices(times, t) == expected
 
 
 def test_nearest_field_index_matches_argmin_oracle():
@@ -442,7 +441,7 @@ def test_nearest_field_index_matches_argmin_oracle():
     probes = np.concatenate([rng.uniform(-50.0, times[-1] + 50.0, 2000), times, mids])
     as_list = times.tolist()
     for t in probes.tolist():
-        assert nearest_field_index(as_list, t) == int(np.argmin(np.abs(times - t)))
+        assert nearest_field_indices(as_list, t) == int(np.argmin(np.abs(times - t)))
 
 
 @st.composite
@@ -467,7 +466,10 @@ def test_nearest_field_indices_match_the_scalar_lookup(case, as_grid):
         ts = ts.reshape(-1, 1)
     got = nearest_field_indices(times, ts)
     assert got.shape == ts.shape
-    assert got.ravel().tolist() == [nearest_field_index(times, t) for t in probes]
+    assert got.ravel().tolist() == [nearest_field_indices(times, t).item() for t in probes]
+    # argmin(|times - t|) with t clamped to the series first, so +inf takes the last
+    clamped = np.clip(probes, times[0], times[-1])[:, None]
+    assert got.ravel().tolist() == np.argmin(np.abs(np.array(times) - clamped), axis=1).tolist()
 
 
 def test_snapshot_latency_and_network_sampler_use_the_lookup():
@@ -479,13 +481,13 @@ def test_snapshot_latency_and_network_sampler_use_the_lookup():
     fields = DistanceFields(times, np.array([[[100.0 + i, 200.0 + i]] for i in range(4)]))
     latency = SnapshotLatency(fields, stations)
     for t in (-5.0, 0.0, 25.0, 80.0, 80.1, 145.0, 179.0, 300.0):
-        i = nearest_field_index(times, t)
+        i = nearest_field_indices(times, t)
         for gs in (0, 1):
             assert latency(("sat", 0), ("gs", gs), t) == distance_to_latency(fields.d[i, 0, gs])
     params = AssignmentParams(horizon_s=180.0, sample_dt_s=20.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, {0: stations[0], 1: stations[1]}, params, "network", fields=fields)
     for gs_id, km in zip(samples.gs_ids, samples.km[0]):
-        expected = [fields.d[nearest_field_index(times, t), 0, gs_id] for t in samples.times]
+        expected = [fields.d[nearest_field_indices(times, t), 0, gs_id] for t in samples.times]
         assert km.tolist() == expected
 
 
