@@ -204,7 +204,9 @@ def _switch_intervals(d, delta):
 
     Non-finite samples need no rule of their own: ``np.interp`` is ``inf``
     inside an interval with an infinite end, so a controller that can
-    undercut there is finite at both ends and meets the end test."""
+    undercut there is finite at both ends and meets the end test. A NaN
+    sample flags as under a sort of the controllers, which puts NaN last:
+    ``np.fmin`` skips it, and a NaN on either side of the test is False."""
     size = np.abs(d)
     scale = size.max(axis=(-2, -1), keepdims=True)
     unreachable = ~np.isfinite(scale)
@@ -212,9 +214,10 @@ def _switch_intervals(d, delta):
         finite = np.max(size, axis=(-2, -1), keepdims=True, where=np.isfinite(d), initial=0.0)
         scale = np.where(unreachable, finite, scale)
     # the nearest distance among the other controllers, for each controller:
-    # the second lowest for a lowest one (the same value on a tie), else the lowest
-    low = np.sort(d, axis=-2)
-    lowest, second = low[..., :1, :], low[..., 1:2, :]
-    others = np.where(d == lowest, second, lowest)
+    # the lower of the minima over the controllers before it and after it
+    others = np.full_like(d, np.inf)
+    np.fmin.accumulate(d[..., :-1, :], axis=-2, out=others[..., 1:, :])
+    after = np.fmin.accumulate(d[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    np.fmin(others[..., :-1, :], after, out=others[..., :-1, :])
     below = others < delta * d + _SLACK * scale
     return below[..., :-1] | below[..., 1:]

@@ -22,17 +22,15 @@ one ordering pass put those events in the queue's firing order, by
 
 The engine is logically single-threaded: one priority queue ordered by
 (time, sequence number), so identical inputs replay identical traces.
-Periodic status reports never enter it: they depend on nothing but the
-controller a satellite holds at each tick and the binding state at each
-accept, so they are derived in bulk from each satellite's controller
-log and the binding-state log. Once the handovers are done, the
-latencies replay the queue's waiting list: a tick under a controller
-records its latency at once, a tick while the node holds none waits,
-and the legacy rejoin's flush records every waiting tick. The accepted
-report times are derived only when ``report_log`` is first read, or
-before anything else is logged. Every logged change carries enough of
-its event's ancestry to place it against the report events the queue
-would have held, so exact time ties resolve in the queue's push order.
+Its logs are numpy columns, appended a batch of rows at a time, and
+every logged change carries enough of its event's ancestry to place it
+against the report events the queue would have held, so exact time
+ties resolve in the queue's push order. Periodic status reports never
+enter the queue: they depend on nothing but the controller a satellite
+holds at each tick and the binding state at each accept, so once the
+handovers are done their latencies are derived from the logs in one
+pass over every satellite, and their accepts when ``report_log`` is
+first read, or before anything else is logged.
 """
 import bisect
 import collections
@@ -57,9 +55,9 @@ DEFAULT_TERRESTRIAL_FACTOR = 2.0
 # at the budget the report arrays and their aggregation stay within a
 # few hundred MiB.
 REPORT_BUDGET = 5_000_000
-# Satellites whose reports are derived together: bounds the per-tick
-# work arrays while sharing each snapshot lookup across the block.
-_REPORT_BLOCK_SATS = 64
+# Satellite-ticks whose reports are derived together: bounds the work
+# arrays while sharing each snapshot lookup across the block.
+_REPORT_BLOCK_TICKS = 1 << 18
 # Handover steps one batch may replay (queue events: a start, every
 # step, seamless's two acks). Full-day legacy Starlink makes 936,306.
 STEP_BUDGET = 10_000_000
@@ -203,9 +201,7 @@ class SnapshotLatency:
         gather reads every leg at its time's nearest snapshot."""
         nearest = nearest_field_indices(self._times, times)
         km = self.fields.d[nearest, np.asarray(sats)[:, None], gs]
-        ms = distance_to_latency(km)
-        ms[~np.isfinite(km)] = math.inf
-        return ms
+        return distance_to_latency(km)  # inf where no path
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +235,82 @@ def _rank(tick_at, t, pusher_rank):
     return k + ((tick_at[k] == t) & (pusher_rank >= k))
 
 
+# the logs' rows, in event order: a controller change (gs -1: none held;
+# ``flush``: it records the reports that waited), a binding state (None:
+# the entry removed) with its pusher's time and that pusher's own pusher's
+# rank, an accepted report time
+_Change = collections.namedtuple("_Change", "sat rank t gs flush")
+_State = collections.namedtuple("_State", "gs sat t state pusher_t pusher_rank")
+_Accept = collections.namedtuple("_Accept", "gs sat t")
+
+
+class _Log:
+    """A log's rows as numpy columns (the fields of ``rows``, of ``dtypes``)
+    in event order, appended a batch at a time. A view of the rows, a dict
+    of lists of Python values, is built on its first read after an append."""
+
+    def __init__(self, rows, *dtypes):
+        self._rows, self._dtypes = rows, dtypes
+        self._batches, self._views = [[np.empty(0, d) for d in dtypes]], {}
+
+    def append(self, *columns):
+        """Append the rows of ``columns``: arrays of one length, or single values."""
+        batch = np.broadcast_arrays(*(np.asarray(c, d) for c, d in zip(columns, self._dtypes)))
+        self._batches.append([np.atleast_1d(c) for c in batch])
+        self._views = {}
+
+    @property
+    def columns(self):
+        if len(self._batches) > 1:
+            self._batches = [list(map(np.concatenate, zip(*self._batches)))]
+        return self._rows(*self._batches[0])
+
+    def view(self, name, build):
+        """``build(columns)``: a dict of lists, the view called ``name``."""
+        if name not in self._views:
+            self._views[name] = build(self.columns)
+        return self._views[name]
+
+
+def _pairs(rows):
+    return zip(rows.gs.tolist(), rows.sat.tolist())
+
+
+def _grouped(keys, *fields):
+    """Per row, the tuple of its ``fields`` (columns) as Python values, listed
+    under its key from ``keys`` in row order."""
+    view = {}
+    for key, value in zip(keys, zip(*(f.tolist() for f in fields))):
+        view.setdefault(key, []).append(value)
+    return view
+
+
+def _time_ordered(rows):
+    """Per (gs, sat) of ``rows``: its times ``t``, in order (ties in row order)."""
+    order = np.lexsort((rows.t, rows.sat, rows.gs))
+    gs, sat, t = rows.gs[order], rows.sat[order], rows.t[order].tolist()
+    ends = (np.flatnonzero((gs[1:] != gs[:-1]) | (sat[1:] != sat[:-1])) + 1).tolist() + [len(t)]
+    return {(gs[a].item(), sat[a].item()): t[a:b] for a, b in zip([0] + ends, ends) if a < b}
+
+
+def _last(keys, query, values, missing):
+    """``values`` at the last row of each of ``query`` among ``keys``, or
+    ``missing`` where it has none."""
+    if not keys.size:
+        return np.full(np.shape(query), missing, values.dtype)
+    by = np.argsort(keys, kind="stable")
+    last = by[np.maximum(np.searchsorted(keys[by], query, side="right") - 1, 0)]
+    return np.where(keys[last] == query, values[last], missing)
+
+
+_Spans = collections.namedtuple("_Spans", "owner first length gs t after")
+
+
 class Simulation:
     """Event engine whose per-node state is its logs: a node's binding
     state at a controller is the last entry of ``state_log`` (``binding``),
     and the controller it holds the last of its controller log (``controller``).
+    Both are dict-of-lists views of the log columns, built when read.
 
     ``latency`` has two methods, both giving one-way milliseconds
     (``math.inf`` where no path exists): ``latency(a, b, t)``, one leg,
@@ -254,20 +322,16 @@ class Simulation:
     ``SnapshotLatency`` reads its one leg through ``sat_gs_ms``.
 
     ``start_handovers`` starts a batch of handovers whose steps never
-    enter the queue: ``run`` replays them in bulk, each with the time,
-    rank and firing order the queue would give it, and leaves
-    ``records`` in (t_start, satellite) order, not in the order the
-    handovers end. ``schedule`` queues any other event; a batch does not
-    run beside them.
+    enter the queue: ``run`` replays them in bulk and leaves ``records``
+    in (t_start, satellite) order, not in the order the handovers end.
+    ``schedule`` queues any other event; a batch does not run beside them.
 
-    ``start_reporting`` turns on periodic status reports. They never
-    enter the queue, but are derived in bulk exactly as per-event send,
-    arrive and accept steps would have left them. When ``run`` drains
-    the queue, ``report_latencies`` gets each satellite's latencies (ms)
-    as a float64 array, in the order they were recorded. ``report_log``
-    holds each (controller, satellite) pair's accepted report times, as
-    a list in time order; the reports' accepts are merged into it on
-    its first read after the run, or before the next change is logged.
+    ``start_reporting`` turns on periodic status reports, derived in bulk
+    exactly as per-event send, arrive and accept steps would have left
+    them. When ``run`` drains the queue, ``report_latencies`` gets each
+    satellite's latencies (ms) in the order they were recorded, as float64
+    views into one array; their accepts are logged on the next read of
+    ``report_log``, or before the next change is logged.
     """
 
     def __init__(
@@ -295,15 +359,11 @@ class Simulation:
         self._request_ids = itertools.count(1)
         self.requests = []
         self.trace = [] if record_trace else None
-        # visibility bookkeeping: per (gs, sat) state transitions, in
-        # event order, and accepted report times, in time order
-        self.state_log = {}
-        self._report_log = {}
-        # report bookkeeping, in event order: per satellite its controller
-        # changes as (rank, t, gs, flush); per (gs, sat) state-log entry
-        # its pusher's time and the pusher's own pusher's rank
-        self._controller_log = {}
-        self._state_pushed = {}
+        self._gs_ids = np.array(sorted(self.controllers), dtype=np.int64)
+        self._sats = np.array(sorted(self.satellites), dtype=np.int64)
+        self._changes = _Log(_Change, np.int64, np.int64, float, np.int64, bool)
+        self._states = _Log(_State, np.int64, np.int64, float, object, float, np.int64)
+        self._accepts = _Log(_Accept, np.int64, np.int64, float)
         self._ticks = None  # report tick times, while reports are pending
         self._tick_at = _NO_TICKS  # the same, then inf: what ``_rank`` searches
         self._unaccepted = None  # tick times of a drained run, until its accepts are merged
@@ -406,11 +466,32 @@ class Simulation:
 
     # -- logs --------------------------------------------------------------
 
+    def _log(self, log, *columns):
+        """Append a batch of rows to ``log``, a drained run's accepts first."""
+        self._settle_accepts()
+        log.append(*columns)
+
+    @property
+    def state_log(self):
+        """(controller, satellite) -> its binding states as (t, state), in event order."""
+        return self._states.view("state", lambda r: _grouped(_pairs(r), r.t, r.state))
+
+    @property
+    def _state_pushed(self):
+        """Per ``state_log`` entry: its pusher's time and the pusher's own pusher's rank."""
+        return self._states.view("pushed", lambda r: _grouped(_pairs(r), r.pusher_t, r.pusher_rank))
+
+    @property
+    def _controller_log(self):
+        """Satellite -> its controller changes as (rank, t, gs, flush), in event order."""
+        return self._changes.view("held", lambda r: _grouped(
+            r.sat.tolist(), r.rank, r.t, np.where(r.gs < 0, None, r.gs), r.flush))
+
     @property
     def report_log(self):
         """(controller, satellite) -> accepted report times, in time order."""
         self._settle_accepts()
-        return self._report_log
+        return self._accepts.view("accepts", _time_ordered)
 
     def binding(self, gs, sat):
         """``sat``'s binding state at ``gs``: the last one logged, or None
@@ -423,6 +504,16 @@ class Simulation:
         log = self._controller_log.get(sat)
         return log[-1][2] if log else None
 
+    def _holding(self, sats):
+        """For each of ``sats``: the controller it holds (-1: none) and
+        whether its entry there is Bound, read from the columns."""
+        changes, states, n = self._changes.columns, self._states.columns, len(self._sats)
+        held = _last(changes.sat, sats, changes.gs, -1)
+        pairs = [np.searchsorted(self._gs_ids, gs) * n + np.searchsorted(self._sats, sat)
+                 for gs, sat in ((states.gs, states.sat), (held, sats))]  # one int per pair
+        state = _last(*pairs, states.state, None)
+        return held, (held >= 0) & (state == BindingState.BOUND)
+
     def bind_initial(self, sat, gs, t=0.0):
         """Bootstrap registration: entry is Bound with a synchronous
         initial status, as if the node joined before the scenario."""
@@ -430,16 +521,15 @@ class Simulation:
 
     def bind_all(self, initial, t=0.0):
         """``bind_initial(sat, gs, t)`` for each ``sat: gs`` of ``initial``,
-        in order."""
-        self._settle_accepts()
-        entry, pushed = (t, BindingState.BOUND), (self._parent[0], self._parent[2])
-        rank = self._ctx[1]
-        for sat, gs in initial.items():
-            self._check_ids(sat, gs)
-            self.state_log.setdefault((gs, sat), []).append(entry)
-            self._state_pushed.setdefault((gs, sat), []).append(pushed)
-            self._controller_log.setdefault(sat, []).append((rank, t, gs, False))
-            bisect.insort(self._report_log.setdefault((gs, sat), []), t)
+        in order, as one batch of each log; an unknown id refuses them all."""
+        sats = np.array(list(initial), dtype=np.int64)
+        gs = np.array(list(initial.values()), dtype=np.int64)
+        bad = ~np.isin(gs, self._gs_ids) | ~np.isin(sats, self._sats)
+        if bad.any():
+            self._check_ids(sats[bad][0].item(), gs[bad][0].item())
+        self._log(self._states, gs, sats, t, BindingState.BOUND, self._parent[0], self._parent[2])
+        self._log(self._changes, sats, self._ctx[1], t, gs, False)
+        self._log(self._accepts, gs, sats, t)
 
     def _check_ids(self, sat, gs):
         if gs not in self.controllers:
@@ -472,61 +562,107 @@ class Simulation:
         # the first ticks count as pushed now, after every event so far
         self._root = self._ctx = self._parent = (-math.inf, 0, 0)
 
-    def _blocks(self, ticks):
-        """Per block of satellites: the first one's position, the block,
-        each satellite's spans over ``ticks``, the controller it holds at
+    def _held_spans(self, n):
+        """Every satellite's report ticks ``0..n-1`` (satellite ``p``'s laid
+        at ``p * n`` on) split into spans: one before its first controller
+        change, then one per change in event order. A change of rank r opens
+        its span at tick ``clip(r, 0, n)``, or where the span before opens if
+        later. Per span: its satellite's position, ``first`` tick, ``length``,
+        the controller held (-1: none), its change's time ``t`` and the next
+        span of the satellite whose change flushes (-1: none)."""
+        changes, sats = self._changes.columns, np.arange(len(self._sats))
+        owner = np.searchsorted(self._sats, changes.sat)
+        by = np.argsort(owner, kind="stable")
+        at = np.searchsorted(owner[by], sats)  # where each satellite's first span goes
+        firsts = [(owner, sats), (changes.rank, 0), (changes.gs, -1), (changes.t, math.nan),
+                  (changes.flush, False)]
+        owner, rank, gs, t, flush = (np.insert(c[by], at, v) for c, v in firsts)
+        first = np.maximum.accumulate(owner * n + np.clip(rank, 0, n))
+        after = np.where(flush, np.arange(len(flush)), len(flush))  # the next flushing span,
+        after = np.append(np.minimum.accumulate(after[::-1])[::-1][1:], len(flush))
+        after = np.where(np.append(owner, -1)[after] == owner, after, -1)  # of the same satellite
+        return _Spans(owner, first, np.diff(first, append=len(sats) * n), gs, t, after)
+
+    def _report_blocks(self, ticks, spans):
+        """Per block of ``_REPORT_BLOCK_TICKS`` satellite-ticks (one satellite
+        at least): its first satellite's position, the controller held at
         each tick (-1: none) and the report legs to it (ms)."""
-        sats = sorted(self.satellites)
-        for lo in range(0, len(sats), _REPORT_BLOCK_SATS):
-            block = sats[lo : lo + _REPORT_BLOCK_SATS]
-            spans = [_spans(self._controller_log.get(s, ()), len(ticks)) for s in block]
-            held = np.full((len(block), len(ticks)), -1)
-            for row, sat_spans in zip(held, spans):
-                for gs, a, b, _ in sat_spans:
-                    if gs is not None:
-                        row[a:b] = gs
-            yield lo, block, spans, held, self.latency.sat_gs_ms(block, held, ticks)
+        n = len(ticks)
+        step = max(1, _REPORT_BLOCK_TICKS // max(n, 1))
+        for lo in range(0, len(self._sats), step):
+            sats = self._sats[lo : lo + step]
+            a, b = np.searchsorted(spans.owner, (lo, lo + len(sats)))
+            held = np.repeat(spans.gs[a:b], spans.length[a:b]).reshape(len(sats), n)
+            yield lo, held, self.latency.sat_gs_ms(sats, held, ticks)
 
     def _derive_reports(self, limit=None):
-        """Record every satellite's report latencies, then return the
-        ``Unreachable`` error of the first report (by tick, then
-        satellite) sent over an unreachable link, or None. With
-        ``limit``, only look for that error among the first ``limit``
-        ticks."""
+        """Return the ``Unreachable`` error of the first report (by tick,
+        then satellite) sent over an unreachable link; with ``limit``, only
+        look for it among the first ``limit`` ticks. If there is none, return
+        None and, without ``limit``, record every satellite's latencies.
+
+        A held tick records its leg; a tick while none is held waits for the
+        next flush, or records nothing if none comes. One stable sort by the
+        span at which each tick records replays the queue's waiting list: the
+        ticks a flush records come before those of the span it opens. A block
+        in which no tick waits is in that order already."""
         ticks = self._ticks[:limit]
-        first = None  # (tick, satellite position, error)
-        for lo, block, spans, held, ms in self._blocks(ticks):
+        n, spans = len(ticks), self._held_spans(len(ticks))
+        first, counts = None, []  # first: (tick, satellite position, error)
+        flat, end = None, 0  # values, then an unused tail
+        for lo, held, ms in self._report_blocks(ticks, spans):
             bad = (held >= 0) & ~np.isfinite(ms)
             if bad.any():
                 k, i = np.argwhere(bad.T)[0].tolist()
                 if first is None or (k, lo + i) < first[:2]:
-                    gs = int(held[i, k])
-                    first = (k, lo + i, _no_path(("sat", block[i]), ("gs", gs), ticks[k].item()))
-            elif limit is None:
-                for sat, sat_spans, row in zip(block, spans, ms):
-                    self.report_latencies[sat] = _recorded(sat_spans, row, ticks)
+                    sat, gs = self._sats[lo + i].item(), held[i, k].item()
+                    first = (k, lo + i, _no_path(("sat", sat), ("gs", gs), ticks[k].item()))
+            elif first is None and limit is None:
+                values, kept = ms.reshape(-1), np.full(held.shape, True)  # ms: the block's own
+                values /= 1000.0
+                values *= 1000.0
+                waiting = np.flatnonzero(held < 0)
+                if waiting.size:  # each records its wait at the span of the next flush, if any
+                    a, b = np.searchsorted(spans.owner, (lo, lo + len(held)))
+                    span = np.repeat(np.arange(a, b), spans.length[a:b])
+                    span[waiting] = spans.after[span[waiting]]
+                    values[waiting] = (spans.t[span[waiting]] - ticks[waiting % n]) * 1000.0
+                    kept.flat[waiting] = span[waiting] >= 0
+                    at = np.flatnonzero(kept)
+                    values = values[at[np.argsort(span[at], kind="stable")]]
+                flat = np.empty(len(self._sats) * n) if flat is None else flat
+                flat[end : end + len(values)] = values
+                end += len(values)
+                counts += kept.sum(axis=1).tolist()
+        if first is None and limit is None:
+            ends = np.cumsum(counts).tolist()
+            rows = (flat[a:b] for a, b in zip([0] + ends, ends))
+            self.report_latencies.update(zip(self._sats.tolist(), rows))
         return None if first is None else first[2]
 
     def _settle_accepts(self):
-        """Merge the accepts of the drained reporting run, if any are
-        pending, into the report log: a report is accepted if its
-        controller's entry for the node is managed at its accept."""
+        """Log the accepts of the drained reporting run, if any are
+        pending: a report is accepted if its controller's entry for the
+        node is managed at its accept."""
         ticks, self._unaccepted = self._unaccepted, None
         if ticks is None:
             return
-        accepted = {}
-        for _, block, spans, _, ms in self._blocks(ticks):
-            arrive = ticks + ms / 1000.0
+        n, keys, accepted = len(ticks), [], []
+        spans = self._held_spans(n)
+        for lo, held, ms in self._report_blocks(ticks, spans):
+            arrive = (ticks + ms / 1000.0).ravel()
             accept = arrive + self.delays.status_report_process
-            for i, sat in enumerate(block):
-                for gs, lo, hi, _ in spans[i]:
-                    if gs is not None:
-                        times = self._accepted(gs, sat, lo, arrive[i, lo:hi], accept[i, lo:hi])
-                        accepted.setdefault((gs, sat), []).append(times)
-        for key, times in accepted.items():
-            merged = np.sort(np.concatenate([self._report_log.get(key, [])] + times))
-            if merged.size:
-                self._report_log[key] = merged.tolist()
+            a, b = np.searchsorted(spans.owner, (lo, lo + len(held)))
+            i = np.flatnonzero((spans.gs[a:b] >= 0) & (spans.length[a:b] > 0)) + a
+            held_spans = (spans.owner[i], spans.gs[i], spans.first[i], spans.length[i])
+            for p, gs, k, m in zip(*(c.tolist() for c in held_spans)):  # ticks k..k+m-1, flat
+                at, sat = slice(k - lo * n, k - lo * n + m), self._sats[p].item()
+                accepted.append(self._accepted(gs, sat, k - p * n, arrive[at], accept[at]))
+                keys.append((gs, sat, len(accepted[-1])))
+        if accepted:
+            gs, sat, count = np.array(keys).T
+            times = np.concatenate(accepted)
+            self._log(self._accepts, np.repeat(gs, count), np.repeat(sat, count), times)
 
     def _accepted(self, gs, sat, k0, arrive, accept):
         """The accept times (of ticks k0, k0 + 1, ...) that find ``sat``'s
@@ -545,39 +681,6 @@ class Simulation:
             v, k = arrive[p], k0 + p
             at[p] += sum(tp < v or (tp == v and gpp <= k) for tp, gpp in pushed[lo[p] : hi[p]])
         return accept[managed[at]]
-
-
-def _recorded(spans, ms, ticks):
-    """A satellite's report latencies, replaying the queue's waiting list
-    span by span: a held span records its legs ``ms`` at once, and a
-    flush records every tick left waiting by the unheld spans before it."""
-    recorded, waiting = [], []
-    for gs, lo, hi, flush in spans:
-        if gs is None:
-            waiting.append(ticks[lo:hi])
-        else:
-            recorded.append(ms[lo:hi] / 1000.0 * 1000.0)
-        if flush is not None:
-            recorded += [(flush - w) * 1000.0 for w in waiting]
-            waiting = []
-    return recorded[0] if len(recorded) == 1 else np.concatenate([np.empty(0)] + recorded)
-
-
-def _spans(log, n):
-    """Split ticks ``0..n-1`` along a satellite's controller log into
-    (gs, lo, hi, flush) spans: ticks ``lo..hi-1`` held by ``gs`` (None:
-    no controller), then the time of the flush that closes the span, or
-    None. An entry of rank r governs the ticks from r on; an empty span
-    is kept only if it flushes."""
-    spans, gs, lo = [], None, 0
-    for rank, t, held, flush in log:
-        start = min(max(rank, 0), n)
-        if lo < start or flush:
-            spans.append((gs, lo, max(lo, start), t if flush else None))
-        gs, lo = held, max(lo, start)
-    if lo < n:
-        spans.append((gs, lo, n, None))
-    return spans
 
 
 def node_visible(sim: Simulation, sat: int, t: float) -> bool:
@@ -647,7 +750,7 @@ def _steps_per_handover(protocol, pods, auth_roundtrips):
 # when kept), its pusher's, and the trace rows it emits when it fires
 _Event = collections.namedtuple("_Event", "t rank parent id pusher rows")
 # what a protocol's chain logs: binding entries (gs, event, state), controller
-# changes (event, gs, flush), accept times at the target, the record's
+# changes (event, gs, flush; gs -1: none held), accept times at the target, the record's
 # (t_start, t_end, invisibility, pod_unavailability), the request statuses
 _Outcome = collections.namedtuple("_Outcome", "states changes accepts record statuses")
 
@@ -783,7 +886,7 @@ def _legacy_chain(steps, d, e, pods):
         end, unavailable = np.maximum(accepted, resynced), resynced - stopped
     return _Outcome(
         [(src, removed, None), (tgt, registered, BindingState.BOUND)],
-        [(removed, None, False), (acked, tgt, True)],
+        [(removed, -1, False), (acked, tgt, True)],
         accepted,
         (removed.t, end, accepted - removed.t, unavailable),
         [],
@@ -823,11 +926,10 @@ def _replay(sim, parts, keep=False):
     ctx = [c[pos] for c in ctx]
     same = np.append(False, sats[1:] == sats[:-1])  # the node's previous handover is the one before
     src, unbound = np.roll(tgt, 1), np.zeros(len(sats), dtype=bool)
-    for i in np.flatnonzero(~same).tolist():
-        sat = sats[i].item()
-        held = sim.controller(sat)
-        unbound[i] = held is None or sim.binding(held, sat) is not BindingState.BOUND
-        src[i] = tgt[i] if held is None else held  # a stand-in: the start event fails
+    first = np.flatnonzero(~same)
+    held, bound = sim._holding(sats[first])
+    unbound[first] = ~bound
+    src[first] = np.where(held < 0, tgt[first], held)  # a stand-in if none: the start event fails
 
     groups, end = [], np.empty(len(sats))
     with np.errstate(over="ignore", invalid="ignore"):  # a step past the largest float, inf - inf
@@ -853,24 +955,22 @@ def _replay(sim, parts, keep=False):
     if failed and not keep:
         return _replay(sim, parts, keep=True)
 
-    sim._settle_accepts()
-    changes = [[(steps.sats, e.rank, e.t, gs, flush) for e, gs, flush in out.changes]
-               for steps, out in groups]
-    for sat, *change in _entries(groups, changes):
-        sim._controller_log.setdefault(sat, []).append(tuple(change))
+    sim._log(sim._changes, *_batch(groups, [
+        [(steps.sats, e.rank, e.t, gs, flush) for e, gs, flush in out.changes]
+        for steps, out in groups
+    ]))
     if failed:
         error, sim._ctx = _first_failure(sim, [steps for steps, _ in groups])
         raise error
 
-    states = [[(gs, steps.sats, e.t, state, e.parent[0], e.parent[2]) for gs, e, state in out.states]
-              for steps, out in groups]
-    for gs, sat, t, state, *pushed in _entries(groups, states):
-        sim.state_log.setdefault((gs, sat), []).append((t, state))
-        sim._state_pushed.setdefault((gs, sat), []).append(tuple(pushed))
+    sim._log(sim._states, *_batch(groups, [
+        [(gs, steps.sats, e.t, state, e.parent[0], e.parent[2]) for gs, e, state in out.states]
+        for steps, out in groups
+    ]))
+    sim._log(sim._accepts, *_batch(groups, [[(steps.tgt, steps.sats, out.accepts)]
+                                            for steps, out in groups]))
     columns = []
     for steps, out in groups:
-        for gs, sat, t in zip(steps.tgt.tolist(), steps.sats.tolist(), out.accepts.tolist()):
-            bisect.insort(sim._report_log.setdefault((gs, sat), []), t)
         if out.statuses:
             _log_requests(sim, steps, out.statuses)
         t_start, t_end, invisibility, unavailable = out.record
@@ -887,22 +987,19 @@ def _replay(sim, parts, keep=False):
             sim.trace += [_trace_row(spec, t, *ids) for spec in s.events[i].rows]
 
 
-def _entries(groups, kinds):
-    """Each handover's entries of every kind, handover-major and the
-    handovers in node order, as rows of Python values. ``kinds`` holds
-    one list per group of (field, ...) entry kinds, each field one
-    value or an array over the group's handovers."""
-    fields, order = [], []
+def _batch(groups, kinds):
+    """Every group's log rows of every kind as one batch of columns, the
+    rows by handover in node order, then by kind. ``kinds`` holds per
+    group a list of rows (field, ...), each field one value or an array
+    over the group's handovers."""
+    width = max(map(len, kinds))
+    at, rows = [], []
     for (steps, _), group in zip(groups, kinds):
-        n = len(steps.sats)
-        fields.append([np.stack([np.broadcast_to(v, n) for v in field], axis=1).ravel()
-                       for field in zip(*group)])
-        order.append(np.repeat(steps.index, len(group)))
-    fields = [np.concatenate(field) for field in zip(*fields)]
-    if len(groups) > 1:
-        by_node = np.argsort(np.concatenate(order), kind="stable")
-        fields = [field[by_node] for field in fields]
-    return zip(*(field.tolist() for field in fields))
+        for k, row in enumerate(group):
+            at.append(steps.index * width + k)
+            rows.append([np.broadcast_to(v, len(steps.sats)) for v in row])
+    order = np.argsort(np.concatenate(at))
+    return [np.concatenate(c)[order] for c in zip(*rows)]
 
 
 def _log_requests(sim, steps, statuses):

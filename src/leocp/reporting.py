@@ -2,9 +2,10 @@
 
 Report latencies stay float64 arrays from the simulation to the CDF
 file: sorted with ``np.sort``, summed for every satellite at once by one
-sequential ``np.cumsum`` along the rows of a zero-padded matrix (the
-order of Python's ``sum``), and written through ``tolist`` so every
-value prints as the same float.
+sequential ``np.cumsum`` along the rows of a zero-padded matrix (left
+to right, as Python's ``sum`` added floats before 3.12), and written
+through ``tolist`` so every value prints as the same float. Each
+satellite's record fields are summed the same way.
 
 The records and CDF writers stream their rows with the bytes of
 ``csv.writer`` (CRLF line ends, numbers unquoted), so no whole file is
@@ -59,23 +60,27 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
     daily-overhead tables.
     """
     report_latencies = report_latencies or {}
-    by_sat = {}  # sat -> its records, in the order of ``records``
-    for r in records:
-        by_sat.setdefault(r.sat_id, []).append(r)
-    sats = sorted(set(by_sat) | set(report_latencies))
+    rec_sats = [r.sat_id for r in records]
+    sats = sorted(set(rec_sats) | set(report_latencies))
     lats = [np.asarray(report_latencies.get(s, ()), dtype=float) for s in sats]
     all_lats = np.concatenate([np.empty(0)] + lats)
     lat_means = _row_means(lats, all_lats)
+    # each satellite's records in the order of ``records``, summed per field
+    pos = np.searchsorted(sats, rec_sats)
+    counts = np.bincount(pos, minlength=len(sats))
+    fields = np.array([(r.duration, r.invisibility, r.pod_unavailability) for r in records])
+    # + 0.0: Python's sum starts from int 0, which turns a sum of -0.0 into 0.0
+    sums = _row_sums(counts, fields.reshape(-1, 3)[np.argsort(pos, kind="stable")]) + 0.0
+    means = sums[:, 0] / np.maximum(counts, 1)
     per_sat = {}
-    for s, lat_mean in zip(sats, lat_means):
-        recs = by_sat.get(s, [])
+    rows = zip(sats, counts.tolist(), means.tolist(), sums.tolist(), lat_means)
+    for s, n, mean, (_, invisibility, unavailable), lat_mean in rows:
         per_sat[s] = {
-            "handover_count": len(recs),
-            "mean_handover_duration_s": (
-                sum(r.duration for r in recs) / len(recs) if recs else 0.0
-            ),
-            "total_invisibility_s": sum(r.invisibility for r in recs),
-            "total_pod_unavail_s": sum(r.pod_unavailability for r in recs),
+            "handover_count": n,
+            "mean_handover_duration_s": mean,
+            # ``sum`` of no records is the int 0
+            "total_invisibility_s": invisibility if n else 0,
+            "total_pod_unavail_s": unavailable if n else 0,
             "mean_report_latency_ms": lat_mean,
         }
 
@@ -98,20 +103,25 @@ def aggregate(records, report_latencies=None) -> MetricsReport:
 
 def _row_means(rows, flat):
     """The mean of each 1-D array in ``rows`` (0.0 for an empty one), as a
-    list of floats; ``flat`` is their concatenation.
+    list of floats; ``flat`` is their concatenation, summed by ``_row_sums``."""
+    counts = np.array([row.size for row in rows], dtype=np.intp)
+    return (_row_sums(counts, flat) / np.maximum(counts, 1)).tolist()
 
-    Each sum is left to right, as Python's ``sum`` adds (``np.sum`` adds
-    pairwise and can differ in the last bit): one sequential ``np.cumsum``
-    along the rows of a zero-padded matrix, read at each row's last entry.
+
+def _row_sums(counts, flat):
+    """The sum of each run of ``flat`` (``counts`` entries each, in order;
+    an entry may be a row of several fields), 0.0 for an empty run.
+
+    Each sum is left to right, as Python's ``sum`` added floats before
+    3.12 (``np.sum`` adds pairwise and can differ in the last bit): one sequential ``np.cumsum``
+    along the rows of a zero-padded matrix, read at each run's last entry.
     The padding comes after that entry, so it changes no sum read.
     """
-    counts = np.array([row.size for row in rows], dtype=np.intp)
-    padded = np.zeros((counts.size, max(counts.max(initial=0), 1)))
-    # a boolean mask assigns in row-major order: each row's entries, left-aligned
+    padded = np.zeros((counts.size, max(counts.max(initial=0), 1)) + flat.shape[1:])
+    # a boolean mask assigns in row-major order: each run's entries, left-aligned
     padded[np.arange(padded.shape[1]) < counts[:, None]] = flat
     np.cumsum(padded, axis=1, out=padded)
-    sums = padded[np.arange(counts.size), np.maximum(counts - 1, 0)]
-    return (sums / np.maximum(counts, 1)).tolist()
+    return padded[np.arange(counts.size), np.maximum(counts - 1, 0)]
 
 
 def _percentiles(values):

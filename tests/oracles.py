@@ -66,6 +66,24 @@ def tick_oracle(samples, params):
     return initial, events
 
 
+def switch_intervals_by_sort(d, delta):
+    """``kernels._switch_intervals`` with each controller's nearest other
+    distance taken from a sort of the controllers: the second lowest for a
+    lowest one (the same value on a tie), else the lowest. With one
+    controller it flags nothing, in an array with no controller row."""
+    size = np.abs(d)
+    scale = size.max(axis=(-2, -1), keepdims=True)
+    unreachable = ~np.isfinite(scale)
+    if unreachable.any():
+        finite = np.max(size, axis=(-2, -1), keepdims=True, where=np.isfinite(d), initial=0.0)
+        scale = np.where(unreachable, finite, scale)
+    low = np.sort(d, axis=-2)
+    lowest, second = low[..., :1, :], low[..., 1:2, :]
+    others = np.where(d == lowest, second, lowest)
+    below = others < delta * d + kernels._SLACK * scale
+    return below[..., :-1] | below[..., 1:]
+
+
 def constellation_json(c, sats_per_plane):
     """``constellation.json`` as ``json.dumps`` of one dict per satellite."""
     sats = [
@@ -107,11 +125,39 @@ class HandoverRequest(_Request):
 
 class QueueSimulation(Simulation):
     """The engine with the helpers the generators below log through;
-    ``start_seamless``/``start_legacy`` queue one event per step on it."""
+    ``start_seamless``/``start_legacy`` queue one event per step on it.
+
+    Every row it logs also goes into ``plain``, the logs as dicts of
+    lists appended one entry at a time, which the engine's views must
+    equal; ``binding`` and ``controller`` read them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._in_flight = set()
+        self.plain = {"state_log": {}, "state_pushed": {}, "controller_log": {}, "report_log": {}}
+
+    def _log(self, log, *columns):
+        super()._log(log, *columns)
+        for row in zip(*(np.atleast_1d(c).tolist() for c in np.broadcast_arrays(*columns))):
+            if log is self._changes:
+                sat, rank, t, gs, flush = row
+                entry = (rank, t, None if gs < 0 else gs, bool(flush))
+                self.plain["controller_log"].setdefault(sat, []).append(entry)
+            elif log is self._states:
+                gs, sat, t, state, pusher_t, pusher_rank = row
+                self.plain["state_log"].setdefault((gs, sat), []).append((t, state))
+                self.plain["state_pushed"].setdefault((gs, sat), []).append((pusher_t, pusher_rank))
+            else:
+                gs, sat, t = row
+                bisect.insort(self.plain["report_log"].setdefault((gs, sat), []), t)
+
+    def binding(self, gs, sat):
+        log = self.plain["state_log"].get((gs, sat))
+        return log[-1][1] if log else None
+
+    def controller(self, sat):
+        log = self.plain["controller_log"].get(sat)
+        return log[-1][2] if log else None
 
     def _leg_s(self, a, b, t) -> float:
         ms = self.latency(a, b, t)
@@ -125,20 +171,16 @@ class QueueSimulation(Simulation):
 
     def _log_state(self, gs, sat, state, t):
         """Log ``sat``'s binding ``state`` at ``gs`` (None: entry removed)."""
-        self._settle_accepts()
-        self.state_log.setdefault((gs, sat), []).append((t, state))
-        self._state_pushed.setdefault((gs, sat), []).append((self._parent[0], self._parent[2]))
+        self._log(self._states, gs, sat, t, state, self._parent[0], self._parent[2])
 
     def _log_report(self, gs, sat, t):
-        # in time order even when a run's accept precedes an earlier run's
-        bisect.insort(self.report_log.setdefault((gs, sat), []), t)
+        self._log(self._accepts, gs, sat, t)
 
     def _set_controller(self, sat, gs, t, flush=False):
         """Point ``sat`` at controller ``gs`` (None: unmanaged). ``flush``
         marks the change that completes the reports queued while the
         node was unmanaged."""
-        self._settle_accepts()
-        self._controller_log.setdefault(sat, []).append((self._ctx[1], t, gs, flush))
+        self._log(self._changes, sat, self._ctx[1], t, -1 if gs is None else gs, flush)
 
     def _transition(self, gs, sat, new_state, t):
         state = self.binding(gs, sat)

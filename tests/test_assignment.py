@@ -24,7 +24,7 @@ from leocp.assignment import (
 from leocp.config import load_config, parse_config
 from leocp.errors import BudgetExceeded, EmptySelection, OutOfHorizon
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation, propagate, station_position
-from oracles import samples_from, tick_oracle
+from oracles import samples_from, switch_intervals_by_sort, tick_oracle
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -478,6 +478,29 @@ def test_scan_flags_only_intervals_where_a_switch_can_fire():
     # 1 current, both intervals have an end where 0 is nearer
     assert flags.tolist() == [[False, True], [True, True]]
     assert kernels._switch_intervals(d, 0.5).tolist() == [[False, True], [True, False]]
+
+
+@st.composite
+def switch_blocks(draw):
+    """Distances shaped (satellites, controllers, samples) drawn from a few
+    values, so exact ties between controllers are common; ``inf`` and NaN
+    among them."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5, 1000.0, math.inf, math.nan])
+    return np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(switch_blocks(), st.sampled_from([0.5, 0.9, 1.0, 1.5]))
+def test_switch_intervals_match_the_sort_form(d, delta):
+    flags = kernels._switch_intervals(d, delta)
+    by_sort = switch_intervals_by_sort(d, delta)
+    assert flags.shape == d[..., :-1].shape
+    if d.shape[1] == 1:  # no other controller to switch to
+        assert not flags.any() and by_sort.size == 0
+    else:
+        assert np.array_equal(flags, by_sort)
+    assert np.array_equal(kernels._switch_intervals(d[0], delta), flags[0])
 
 
 def test_assigned_distance_trace_matches_tick_loop():

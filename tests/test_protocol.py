@@ -173,11 +173,14 @@ def test_unknown_ids_are_rejected_by_name(misuse, message):
     # controllers 0 and 1, satellite 0: each misuse is refused before it
     # logs anything or queues a step
     sim = make_sim()
-    logs = (sim.state_log, sim._controller_log)
-    before = [{key: list(entries) for key, entries in log.items()} for log in logs]
+
+    def logs():
+        return [sim.state_log, sim._controller_log, sim.report_log]
+
+    before = [{key: list(entries) for key, entries in log.items()} for log in logs()]
     with pytest.raises(ProtocolViolation, match=message):
         misuse(sim)
-    assert list(logs) == before
+    assert logs() == before
     assert sim._queue == [] and sim._batch is None
 
 

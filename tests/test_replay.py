@@ -8,13 +8,14 @@ or raise the same first error, without queueing a single event.
 """
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from leocp.assignment import AssignmentParams
 from leocp.errors import BudgetExceeded, LeocpError, ProtocolViolation, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
+    BindingState,
     ConstantLatency,
     DelayProfile,
     Protocol,
@@ -110,7 +111,7 @@ def batches(draw):
 
 def replay(case, bulk):
     """Run ``case`` through the bulk replay or the queue oracle: the
-    outcome, or the error, and how many events went through the queue."""
+    outcome, or the error, and the simulation."""
     sim = (CountingSimulation if bulk else QueueSimulation)(
         controllers=[0, 1, 2],
         satellites=list(range(len(case["initial"]))),
@@ -137,7 +138,7 @@ def replay(case, bulk):
     try:
         sim.run()
     except LeocpError as exc:
-        return {"error": (type(exc), str(exc))}, getattr(sim, "events", 0)
+        return {"error": (type(exc), str(exc))}, sim
     return {
         "records": sorted(sim.records, key=lambda r: (r.t_start, r.sat_id)),
         "requests": [vars(r) for r in sim.requests],  # the oracle's requests are a subclass
@@ -147,16 +148,50 @@ def replay(case, bulk):
         "state_log": sim.state_log,
         "state_pushed": sim._state_pushed,
         "controller_log": sim._controller_log,
-    }, getattr(sim, "events", 0)
+    }, sim
+
+
+def views(sim):
+    """The simulation's dict-of-lists views of its logs."""
+    return {
+        "state_log": sim.state_log, "state_pushed": sim._state_pushed,
+        "controller_log": sim._controller_log, "report_log": sim.report_log,
+    }
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(batches())
 def test_bulk_replay_matches_the_event_engine(case):
-    got, queued = replay(case, bulk=True)
-    expected, _ = replay(case, bulk=False)
+    got, bulk = replay(case, bulk=True)
+    expected, oracle = replay(case, bulk=False)
     assert got == expected
-    assert queued == 0  # every step was replayed in bulk, a failing batch's too
+    assert bulk.events == 0  # every step was replayed in bulk, a failing batch's too
+    # the oracle logged the same rows into the columns and into plain dicts
+    assert views(oracle) == oracle.plain
+
+
+LOG_ROWS = st.lists(st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 3),
+                              st.sampled_from([None, *BindingState])), max_size=12)
+
+
+# (1, 0)'s and (0, 1)'s entries would share a key if pairs were numbered by the query's length
+@example([(False, 1, 0, BindingState.BOUND), (True, 1, 0, None), (False, 0, 1, BindingState.RELEASED)], [0])
+@settings(max_examples=300, deadline=None)
+@given(LOG_ROWS, st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_held_controllers_read_from_the_columns_match_the_views(rows, query):
+    # the start check of a batch reads the columns; binding and controller read the views
+    sim = Simulation([0, 1, 2], [0, 1, 2, 3], latency=ConstantLatency(1.0))
+    for change, gs, sat, state in rows:
+        if change:
+            sim._log(sim._changes, sat, 0, 0.0, gs if state else -1, False)
+        else:
+            sim._log(sim._states, gs, sat, 0.0, state, 0.0, 0)
+    held, bound = sim._holding(np.array(query))
+    expected = [sim.controller(sat) for sat in query]
+    assert held.tolist() == [-1 if gs is None else gs for gs in expected]
+    assert bound.tolist() == [
+        gs is not None and sim.binding(gs, sat) is BindingState.BOUND for sat, gs in zip(query, expected)
+    ]
 
 
 def test_step_budget_refuses_before_any_work(monkeypatch):
@@ -204,9 +239,9 @@ def test_step_past_the_largest_float_is_unreachable(protocol):
         "delays": DelayProfile(persist=1e308), "pods": 1, "duration": 20.0, "interval": 10.0,
         "calls_before_reports": 0, "record_trace": False,
     }
-    got, queued = replay(case, bulk=True)
+    got, bulk = replay(case, bulk=True)
     assert got == {"error": (Unreachable, "event scheduled over an unreachable link")}
-    assert got == replay(case, bulk=False)[0] and queued == 0
+    assert got == replay(case, bulk=False)[0] and bulk.events == 0
 
 
 def start_then_satellite(records):

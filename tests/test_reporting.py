@@ -1,5 +1,7 @@
 import csv
+import functools
 import json
+import operator
 import statistics
 import tempfile
 from pathlib import Path
@@ -115,6 +117,12 @@ def test_cdf_matches_python_sort_and_division():
     assert cdf(values.tolist()).tolist() == expected
 
 
+def _left_sum(values):
+    """Python's ``sum`` as it adds floats before 3.12: from the int 0, left
+    to right (3.12 compensates the rounding)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def _mean(values):
     """The reference mean: one left-to-right ``np.cumsum``, 0.0 when empty."""
     if not len(values):
@@ -154,9 +162,9 @@ def test_report_latency_means_are_bit_identical_to_per_satellite_cumsum(case):
 def test_mean_report_latency_is_the_sequential_sum():
     # pairwise summation (np.sum) differs from Python's left-to-right sum here
     values = np.random.default_rng(23).uniform(0, 100, size=34608)
-    assert float(np.sum(values)) != sum(values.tolist())
+    assert float(np.sum(values)) != _left_sum(values.tolist())
     rep = aggregate([], {0: values, 1: values.tolist()})
-    expected = sum(values.tolist()) / len(values)
+    expected = _left_sum(values.tolist()) / len(values)
     assert rep.per_satellite[0]["mean_report_latency_ms"] == expected
     assert rep.per_satellite[1]["mean_report_latency_ms"] == expected
 
@@ -208,11 +216,11 @@ def _filter_per_satellite(records, report_latencies):
         per_sat[s] = {
             "handover_count": len(recs),
             "mean_handover_duration_s": (
-                sum(r.duration for r in recs) / len(recs) if recs else 0.0
+                _left_sum(r.duration for r in recs) / len(recs) if recs else 0.0
             ),
-            "total_invisibility_s": sum(r.invisibility for r in recs),
-            "total_pod_unavail_s": sum(r.pod_unavailability for r in recs),
-            "mean_report_latency_ms": sum(lats) / len(lats) if lats else 0.0,
+            "total_invisibility_s": _left_sum(r.invisibility for r in recs),
+            "total_pod_unavail_s": _left_sum(r.pod_unavailability for r in recs),
+            "mean_report_latency_ms": _left_sum(lats) / len(lats) if lats else 0.0,
         }
     return per_sat
 
@@ -233,6 +241,16 @@ def test_per_satellite_matches_filter_oracle_exactly():
     rep = aggregate(recs, lats)
     assert rep.per_satellite == _filter_per_satellite(recs, lats)
     assert list(rep.per_satellite) == sorted(rep.per_satellite)
+
+
+def test_per_satellite_sums_keep_the_sum_types_and_zero_signs():
+    # records of -0.0 sum to 0.0; a satellite without records totals the int 0
+    recs = [record(3, -0.0, invis=-0.0, unavail=-0.0), record(3, -0.0, invis=-0.0)]
+    recs += [record(5, 2.0, invis=-0.0, unavail=1 / 3)]
+    lats = {4: [1.0], 3: [2.0]}
+    rep = aggregate(recs, lats)
+    assert repr(rep.per_satellite) == repr(_filter_per_satellite(recs, lats))
+    assert "-0.0" not in repr(rep.per_satellite)
 
 
 # ---------------------------------------------------------------------------

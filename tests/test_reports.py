@@ -10,8 +10,10 @@ same accepted report times, the same records and the same error, after
 the bulk handover replay or, where a case queues other events beside
 its handovers, after the queue oracle's.
 """
+import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from leocp import protocol
+from leocp.cli import main
 from leocp.config import load_config
 from leocp.errors import BudgetExceeded, ConcurrentHandover, Unreachable
 from leocp.orbits import GroundStation
@@ -34,8 +37,8 @@ from leocp.protocol import (
     _tick_grid,
     node_visible,
 )
-from leocp.scenario import run_scenario
-from leocp.topology import DistanceFields
+from leocp.scenario import build_fields, predict_schedules, run_scenario
+from leocp.topology import DistanceFields, distance_to_latency
 from oracles import QueueSimulation
 
 DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
@@ -190,6 +193,64 @@ def test_bulk_reports_match_per_event_engine(case):
     assert replay(Simulation, case) == replay(PerEventSimulation, case)
 
 
+@pytest.mark.parametrize("block_sats", [1, 2])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases())
+def test_bulk_reports_match_per_event_engine_in_blocks_of_satellites(block_sats, case):
+    # the derivation in blocks of one or two satellites' ticks: an earlier
+    # block's unreachable report must not win over a later block's earlier one
+    ticks = len(_tick_grid(case["duration"], case["interval"]))
+    with mock.patch.object(protocol, "_REPORT_BLOCK_TICKS", block_sats * ticks):
+        assert replay(Simulation, case) == replay(PerEventSimulation, case)
+
+
+@pytest.mark.parametrize("block_sats", [1, 2, None])
+@pytest.mark.parametrize("bad_ticks,sat,t", [((3, 1, 2), 1, 10.0), ((2, 2, 4), 0, 20.0), ((5, 4, 4), 1, 40.0)])
+def test_first_unreachable_report_by_tick_then_satellite_across_blocks(block_sats, bad_ticks, sat, t):
+    # each satellite loses its path to gs 0 at the snapshot of one tick
+    stations = [GroundStation(g, f"gs{g}", 0.0, 60.0 * g) for g in range(3)]
+
+    def build():
+        d = np.full((7, 3, 3), 900.0)
+        for s, k in enumerate(bad_ticks):
+            d[k, s, 0] = np.inf
+        return SnapshotLatency(DistanceFields([10.0 * k for k in range(7)], d), stations)
+
+    case = {
+        "initial": [0, 0, 0], "handovers": [[], [], []], "duration": 60.0, "interval": 10.0,
+        "latency": build, "delays": DelayProfile(), "pods": 1, "legacy": False, "report_first": True,
+    }
+    with mock.patch.object(protocol, "_REPORT_BLOCK_TICKS", (block_sats or 3) * 7):
+        got = replay(Simulation, case)
+    assert got == {"error": (Unreachable, f"no path between ('sat', {sat}) and ('gs', 0) at t={t}")}
+    assert got == replay(PerEventSimulation, case)
+
+
+@pytest.fixture(scope="module")
+def desk_run():
+    """The desk config's scenario on two controllers, its fields and
+    schedules built once."""
+    spec = replace(load_config(DESK_CONFIG), controllers=[0, 2])
+    built = build_fields(spec)
+    return spec, built, predict_schedules(spec, built[0], built[2])
+
+
+@pytest.mark.parametrize("block_sats", [1, 2])
+def test_desk_reports_do_not_depend_on_the_block_size(desk_run, block_sats):
+    def reports():
+        sim = run_scenario(*desk_run).sim
+        return (
+            {s: v.tobytes() for s, v in sim.report_latencies.items()},
+            {k: np.asarray(v).tobytes() for k, v in sim.report_log.items()},
+        )
+
+    one_block = reports()
+    ticks = len(_tick_grid(desk_run[0].duration_s, desk_run[0].report_interval_s))
+    with mock.patch.object(protocol, "_REPORT_BLOCK_TICKS", block_sats * ticks):
+        assert reports() == one_block
+    assert len(one_block[0]) == 48 and 48 * ticks <= protocol._REPORT_BLOCK_TICKS  # unpatched: one block
+
+
 def test_exact_ties_follow_push_order():
     # zero delays and latencies put accepts, ticks and every handover step
     # at whole seconds; the handover at t=2 (pushed after the first ticks)
@@ -275,6 +336,23 @@ def test_ticks_before_a_mid_run_bind_wait_for_the_legacy_flush(bind_t, handover_
     reported = got["latencies"][1]
     assert reported[0] == 5.0  # tick 0 waited, so a bound tick comes first
     assert max(reported) > rec.t_start * 1000.0  # tick 0, recorded after the removal
+
+
+def test_flush_right_after_a_held_span_records_after_its_ticks():
+    # sat 1's ticks before its mid-run bind wait; a flushing change at t=15,
+    # with no unheld span before it, records them after the ticks held since
+    def run(cls):
+        sim = cls([0, 1], [0, 1], latency=ConstantLatency(5.0), report_interval=2.5)
+        sim.bind_initial(0, 0)
+        sim.start_reporting(30.0)
+        sim.schedule(3.0, lambda t: sim.bind_initial(1, 0, t))
+        sim.schedule(15.0, lambda t: sim._set_controller(1, 1, t, flush=True))
+        sim.run()
+        return {s: np.asarray(v, dtype=float).tolist() for s, v in sim.report_latencies.items()}
+
+    got = run(QueueSimulation)
+    assert got == run(PerEventSimulation)
+    assert got[1] == [5.0] * 4 + [15000.0, 12500.0] + [5.0] * 7
 
 
 @pytest.mark.parametrize(
@@ -589,6 +667,26 @@ def test_accepts_wait_for_the_first_read_of_the_report_log(monkeypatch):
     assert {s: v.tolist() for s, v in sim.report_latencies.items()} == per_event.report_latencies
 
 
+def test_pipeline_builds_no_log_view(monkeypatch, tmp_path):
+    # the desk ``all`` run derives its reports from the log columns alone
+    called = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            called.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    spy(protocol._Log, "view")  # every dict-of-lists view is built through it
+    spy(Simulation, "_accepted")
+    assert main(["all", "--config", DESK_CONFIG, "--out", str(tmp_path)]) == 0
+    assert called == []
+    assert (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("interval", [0.1, 0.7, 1.0 / 3.0, 2.5, 10.0])
 @pytest.mark.parametrize("duration", [0.0, 0.65, 59.9, 60.0, 7200.0])
 def test_tick_grid_is_repeated_addition(interval, duration):
@@ -617,6 +715,19 @@ def test_vector_snapshot_latency_matches_scalar_lookup():
     ]
     assert got.tobytes() == np.array(expected).tobytes()
     assert np.isinf(got).any()
+
+
+def test_unreachable_distance_is_an_infinite_leg():
+    stations = [GroundStation(g, f"gs{g}", 0.0, 60.0 * g) for g in range(2)]
+    lat = SnapshotLatency(DistanceFields([0.0], np.array([[[np.inf, 300.0]]])), stations)
+    assert lat(("sat", 0), ("gs", 0), 5.0) == lat(("gs", 0), ("sat", 0), 5.0) == math.inf
+    legs = lat.sat_gs_ms([0], np.array([[0, 1, 0]]), np.array([0.0, 9.0, 20.0]))
+    assert legs.tolist() == [[math.inf, distance_to_latency(300.0), math.inf]]
+    sim = Simulation([0, 1], [0], latency=lat, report_interval=10.0)
+    sim.bind_initial(0, 0)
+    sim.start_reporting(20.0)
+    with pytest.raises(Unreachable, match=r"^no path between \('sat', 0\) and \('gs', 0\) at t=0.0$"):
+        sim.run()
 
 
 def test_report_budget_refuses_before_any_work():
