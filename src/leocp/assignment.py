@@ -15,14 +15,15 @@ over all sample times, and the network metric looks each sample time's
 nearest snapshot up once and gathers the block's rows out of the
 ``DistanceFields`` array in one index.
 ``predict_handovers`` scans a whole block with one call of the
-interval-pruned ``kernels.handover_scan`` and returns its
-``HandoverSchedules``, one ``HandoverSchedule`` per satellite.
+interval-pruned ``kernels.handover_scan`` and returns the block's
+schedules as one column table, ``HandoverSchedules``.
 ``sample_distances`` samples a single satellite, as a one-satellite block.
 Satellites are flat indices (``plane * sats_per_plane + slot``) under
 either metric.
 """
 import bisect
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,25 +91,33 @@ class HandoverSchedule:
         return self.initial if i == 0 else self.events[i - 1][1]
 
 
-@dataclass(frozen=True)
-class HandoverSchedules:
-    """The ``HandoverSchedule`` of each satellite of a block, in block order."""
+class HandoverSchedules(Mapping):
+    """Satellites ``0 .. n - 1``'s schedules as columns: ``initial[s]``, and ``sat``,
+    ``t``, ``target`` of the ``count`` switches in (satellite, time) order, ``s``'s in
+    rows ``bounds[s]:bounds[s + 1]``. A read-only mapping to each satellite's
+    ``HandoverSchedule``, built when read."""
 
-    schedules: tuple
+    def __init__(self, initial, sat, t, target):
+        self.initial = np.asarray(initial, dtype=np.int64)
+        self.sat = np.asarray(sat, dtype=np.int64)
+        self.t = np.asarray(t, dtype=np.float64)
+        self.target = np.asarray(target, dtype=np.int64)
+        self.bounds = np.searchsorted(self.sat, np.arange(len(self.initial) + 1))
+        self.count = len(self.sat)
 
     def __len__(self):
-        return len(self.schedules)
-
-    def __getitem__(self, i):
-        return self.schedules[i]
+        return len(self.initial)
 
     def __iter__(self):
-        return iter(self.schedules)
+        return iter(range(len(self.initial)))
 
-    @property
-    def count(self) -> int:
-        """Events over the whole block."""
-        return sum(s.count for s in self.schedules)
+    def __getitem__(self, sat):
+        if sat not in range(len(self.initial)):
+            raise KeyError(sat)
+        sat = int(sat)  # a key equal to an index, as a dict takes it: 1.0, True, np.int64(1)
+        a, b = self.bounds[sat : sat + 2].tolist()
+        events = zip(self.t[a:b].tolist(), self.target[a:b].tolist())
+        return HandoverSchedule(self.initial[sat].item(), tuple(events))
 
 
 def sample_times(params: AssignmentParams) -> np.ndarray:
@@ -205,7 +214,7 @@ def _require_horizon(samples: DistanceSamples, params: AssignmentParams):
 
 def predict_handovers(samples: DistanceSamples, params: AssignmentParams) -> HandoverSchedules:
     """Scan the horizon and emit threshold-gated handover events for every
-    satellite of the block.
+    satellite of the block, as the block's ``HandoverSchedules``.
 
     A satellite's initial assignment is the nearest controller at t=0. At
     every decision tick (``kernels.decision_ticks``) the nearest controller
@@ -214,16 +223,11 @@ def predict_handovers(samples: DistanceSamples, params: AssignmentParams) -> Han
     that stop short of ``params.horizon_s`` raise ``OutOfHorizon``.
     """
     _require_horizon(samples, params)
-    ids = samples.gs_ids
-    scans = kernels.handover_scan(
+    ids = np.array(samples.gs_ids, dtype=np.int64)
+    initial, sat, t, target = kernels.handover_scan(
         samples.times, samples.km, params.decide_dt_s, params.horizon_s, params.delta
     )
-    return HandoverSchedules(
-        tuple(
-            HandoverSchedule(ids[initial], tuple([(t, ids[g]) for t, g in events]))
-            for initial, events in scans
-        )
-    )
+    return HandoverSchedules(ids[initial], sat, t, ids[target])
 
 
 def assigned_distance_trace(
@@ -235,14 +239,13 @@ def assigned_distance_trace(
     if len(schedules) != samples.km.shape[0]:
         raise ValueError("need one schedule per satellite of the block")
     ticks = kernels.decision_ticks(params.decide_dt_s, params.horizon_s)
-    row = {gid: i for i, gid in enumerate(samples.gs_ids)}
     out = np.empty((len(schedules), ticks.shape[0]))
-    for sat_km, schedule, sat_out in zip(samples.km, schedules, out):
+    bounds = schedules.bounds.tolist()
+    for sat, (sat_km, sat_out, a, b) in enumerate(zip(samples.km, out, bounds, bounds[1:])):
         # the controller in charge after the last event at or before each tick
-        owners = np.array([schedule.initial] + [g for _, g in schedule.events])
-        event_times = np.array([t for t, _ in schedule.events], dtype=np.float64)
-        owner = owners[np.searchsorted(event_times, ticks, side="right")]
+        owners = np.append(schedules.initial[sat], schedules.target[a:b])
+        owner = owners[np.searchsorted(schedules.t[a:b], ticks, side="right")]
         for gid in np.unique(owner).tolist():
             at = owner == gid
-            sat_out[at] = np.interp(ticks[at], samples.times, sat_km[row[gid]])
+            sat_out[at] = np.interp(ticks[at], samples.times, sat_km[samples.gs_ids.index(gid)])
     return out

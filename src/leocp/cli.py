@@ -34,6 +34,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import placement as plc
 from .config import _FLAG_KEYS, _METHODS, apply_overrides, parse_config, read_config, stage_seed
 # ``load_config`` is not called here; ``perfbench/run.py`` times it on this module.
@@ -259,29 +261,23 @@ def _run_stage(name, cfg: ScenarioSpec, out_dir, state, trace):
         elements, _, fields = _require_built(cfg, state)
         schedules = predict_schedules(_controlled(cfg, state), elements, fields)
         state["schedules"] = schedules
-        json_path = os.path.join(out_dir, "schedule.json")
-        with open(json_path, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        str(sat): {"initial": sch.initial, "events": sch.events}
-                        for sat, sch in schedules.items()
-                    },
-                    sort_keys=True,
-                )
-            )
+        events = list(zip(schedules.t.tolist(), schedules.target.tolist()))
+        initial, bounds = schedules.initial.tolist(), schedules.bounds.tolist()
+        doc = {str(sat): {"initial": initial[sat], "events": events[a:b]}
+               for sat, (a, b) in enumerate(zip(bounds, bounds[1:]))}
+        with open(os.path.join(out_dir, "schedule.json"), "w") as fh:
+            fh.write(json.dumps(doc, sort_keys=True))
             fh.write("\n")
+        # schedule.csv: each switch with the controller it leaves (initial, or the previous target)
+        source = np.roll(schedules.target, 1)
+        first = np.diff(schedules.sat, prepend=-1) != 0
+        source[first] = schedules.initial[schedules.sat[first]]
+        rows = zip(*(c.tolist() for c in (schedules.sat, schedules.t, source, schedules.target)))
         csv_path = os.path.join(out_dir, "schedule.csv")
         with open(csv_path, "w", newline="") as fh:
             fh.write("sat_id,t_s,source_gs,target_gs\r\n")
-            for sat in sorted(schedules):
-                sch = schedules[sat]
-                current = sch.initial
-                for t, target in sch.events:
-                    fh.write(f"{sat},{t:.3f},{current},{target}\r\n")
-                    current = target
-        total = sum(s.count for s in schedules.values())
-        print(f"[assign] {total} predicted handovers -> {csv_path}")
+            fh.writelines("%d,%.3f,%d,%d\r\n" % row for row in rows)
+        print(f"[assign] {schedules.count} predicted handovers -> {csv_path}")
 
     elif name == "simulate":
         result = _require_result(cfg, state, record_trace=trace)

@@ -2,19 +2,19 @@
 
 Two inner loops dominate large runs: single-source Dijkstra over the
 satellite-ground graph (once per ground station per snapshot) and the
-handover decision scan (one tick per decision interval over a
-multi-hour horizon, for every satellite). Dijkstra runs in scipy's
-compiled csgraph routine, one call per group of snapshots on their
-block-diagonal graph (``topology.shortest_distances``). The scan takes a block of satellites per call
-and is interval-pruned: between two samples every distance curve is
-linear, so a switch can only fire inside a sample interval where the
-switch condition holds at one of its two ends. The initial controllers
-and those intervals are found for the whole block in a few array
-operations; a satellite with no such interval for its initial controller
-is done there. The others are scanned in lockstep: each step interpolates
-every one's next flagged interval onto the decision grid in one slab,
-with ``np.interp``'s own arithmetic (``_lerp``), so event times are bit
-for bit those of a tick-by-tick walk.
+handover decision scan (one tick per decision interval over a multi-hour
+horizon, for every satellite). Dijkstra runs in scipy's compiled csgraph
+routine, one call per group of snapshots on their block-diagonal graph
+(``topology.shortest_distances``). The scan takes a block of satellites per
+call, gives its switches as columns, and is interval-pruned: between two
+samples every distance curve is linear, so a switch can only fire inside a
+sample interval where the switch condition holds at one of its two ends. The
+initial controllers and those intervals are found for the whole block in a
+few array operations; a satellite with no such interval for its initial
+controller is done there. The others are scanned in lockstep: each step
+interpolates every one's next flagged interval onto the decision grid in one
+slab, with ``np.interp``'s own arithmetic (``_lerp``), so event times are
+bit for bit those of a tick-by-tick walk.
 """
 import functools
 
@@ -74,8 +74,9 @@ def decision_ticks(decide_dt, horizon):
 
 
 def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
-    """Threshold-rule controller scan of a block of satellites, returning
-    one ``(initial_index, [(t, target_index), ...])`` pair per satellite.
+    """Threshold-rule controller scan of a block of satellites: each
+    satellite's initial controller index, and the ``sat``, ``t`` and
+    ``target`` index columns of every switch, in (satellite, time) order.
 
     ``sample_d`` is shaped ``(satellites, controllers, samples)``. Each
     controller's row is interpolated piecewise-linearly at every tick of
@@ -100,25 +101,23 @@ def handover_scan(sample_t, sample_d, decide_dt, horizon, delta):
     sample_d = np.asarray(sample_d, dtype=np.float64)
     n_sats, n_ctl, n_samples = sample_d.shape
     initial = np.argmin(sample_d[:, :, 0], axis=1)
-    events = [[] for _ in range(n_sats)]
+    sat, t, target = np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp)
     if n_ctl >= 2 and n_samples >= 2:
         flags = _switch_intervals(sample_d, delta)
         moving = flags[np.arange(n_sats), initial].any(axis=1).nonzero()[0]
         if moving.size:
             ticks = decision_ticks(decide_dt, horizon)
-            found = _lockstep(
+            row, t, target = _lockstep(
                 sample_t, sample_d[moving], flags[moving], initial[moving], ticks, delta
             )
-            sats = moving.tolist()
-            for row, t, target in found:
-                events[sats[row]].append((t, target))
-    return list(zip(initial.tolist(), events))
+            sat = moving[row]
+    return initial, sat, t, target
 
 
 def _lockstep(sample_t, d, flags, current, ticks, delta):
-    """``(row, t, target)`` of every switch of the satellites of ``d``, from
-    the controllers ``current`` on, each row's in time order; ``flags`` is
-    their ``_switch_intervals``."""
+    """The ``row``, ``t`` and ``target`` columns of every switch of the
+    satellites of ``d``, from the controllers ``current`` on, in (row,
+    time) order; ``flags`` is their ``_switch_intervals``."""
     n_rows, n_ctl, n_iv = flags.shape
     n_ticks = ticks.shape[0]
     # sample interval j holds the ticks [first[j], first[j + 1]); ticks
@@ -133,13 +132,13 @@ def _lockstep(sample_t, d, flags, current, ticks, delta):
     ahead = np.minimum.accumulate(ahead[..., ::-1], axis=-1)[..., ::-1]
     rows = np.arange(n_rows)  # the rows still scanned
     tick = np.zeros(n_rows, dtype=np.intp)  # each row's next tick
-    found = []
+    found = [(rows[:0], tick[:0], current[:0])]  # per step: (row, tick, target) of its fires
     while True:
         j = ahead[rows, current, np.searchsorted(first, tick, side="right") - 1]
         left = j < n_iv
         if not left.all():
             if not left.any():
-                return found
+                break
             rows, current, tick, j = rows[left], current[left], tick[left], j[left]
         n = rows.shape[0]
         pick = np.arange(n)
@@ -163,9 +162,12 @@ def _lockstep(sample_t, d, flags, current, ticks, delta):
         at = lo + f
         if fired.any():
             new = best[pick, f]
-            found += zip(rows[fired].tolist(), ticks[at[fired]].tolist(), new[fired].tolist())
+            found.append((rows[fired], at[fired], new[fired]))
             current = np.where(fired, new, current)
         tick = np.where(fired, at + 1, hi)
+    row, at, target = map(np.concatenate, zip(*found))
+    order = np.argsort(row, kind="stable")  # each row's fires are in time order already
+    return row[order], ticks[at[order]], target[order]
 
 
 def _lerp(x, x0, x1, f0, f1):

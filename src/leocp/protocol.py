@@ -390,26 +390,26 @@ class Simulation:
             raise Unreachable("event scheduled over an unreachable link")
         heapq.heappush(self._queue, (t, seq, fn, ctx))
 
-    def start_handovers(self, protocol, schedules):
-        """Start every switch of ``schedules`` (satellite -> its ``(t,
-        target)`` switches) under ``protocol``: one start event per
-        switch, satellite by satellite, pushed now, for ``run`` to replay.
+    def start_handovers(self, protocol, sats, t, targets):
+        """Start under ``protocol`` the switch of satellite ``sats[i]`` to
+        controller ``targets[i]`` at ``t[i]``, for each row: one start event
+        per switch, in row order, pushed now, for ``run`` to replay.
 
         A second call before ``run`` extends the pending batch; each call
         keeps its own context and push order. Raises before any work:
-        ``Unreachable`` for a start time that is not finite,
-        ``ProtocolViolation`` for an unknown id, ``BudgetExceeded`` past
-        ``STEP_BUDGET`` steps in the batch.
+        ``Unreachable`` for a start time that is not finite, then
+        ``ProtocolViolation`` for the first switch with an unknown id,
+        then ``BudgetExceeded`` past ``STEP_BUDGET`` steps in the batch.
         """
-        flat = [(sat, t, target) for sat in sorted(schedules) for t, target in schedules[sat]]
-        if not all(math.isfinite(t) for _, t, _ in flat):
+        sats, targets = np.asarray(sats, np.int64), np.asarray(targets, np.int64)
+        t = np.asarray(t, float)
+        if not np.isfinite(t).all():
             raise Unreachable("event scheduled over an unreachable link")
-        for sat, _, target in flat:
-            self._check_ids(sat, target)
-        parts = (self._batch or []) + [(protocol, flat)]
+        self._check_ids(sats, targets)
+        parts = (self._batch or []) + [(protocol, sats)]
         steps_of = functools.partial(_steps_per_handover, pods=self.pods_per_sat,
                                      auth_roundtrips=self.delays.auth_roundtrips)
-        terms = [(len(f), steps_of(p)) for p, f, *_ in parts]
+        terms = [(len(s), steps_of(p)) for p, s, *_ in parts]
         steps = sum(n * per for n, per in terms)
         if steps > STEP_BUDGET:
             counts = " + ".join(f"{n} handovers x {per} steps" for n, per in terms)
@@ -420,8 +420,8 @@ class Simulation:
                 f"(now {self.pods_per_sat})"
             )
         first = next(self._seq)  # the batch's events take the next sequence numbers
-        self._seq = itertools.count(first + len(flat))
-        self._batch = parts[:-1] + [(protocol, flat, first, self._ctx)]
+        self._seq = itertools.count(first + len(sats))
+        self._batch = parts[:-1] + [(protocol, sats, t, targets, first, self._ctx)]
 
     def run(self):
         """Replay the pending ``start_handovers`` batch in bulk, or fire
@@ -517,25 +517,25 @@ class Simulation:
     def bind_initial(self, sat, gs, t=0.0):
         """Bootstrap registration: entry is Bound with a synchronous
         initial status, as if the node joined before the scenario."""
-        self.bind_all({sat: gs}, t)
+        self.bind_all([sat], [gs], t)
 
-    def bind_all(self, initial, t=0.0):
-        """``bind_initial(sat, gs, t)`` for each ``sat: gs`` of ``initial``,
+    def bind_all(self, sats, gs, t=0.0):
+        """``bind_initial(sats[i], gs[i], t)`` for each row of the columns,
         in order, as one batch of each log; an unknown id refuses them all."""
-        sats = np.array(list(initial), dtype=np.int64)
-        gs = np.array(list(initial.values()), dtype=np.int64)
-        bad = ~np.isin(gs, self._gs_ids) | ~np.isin(sats, self._sats)
-        if bad.any():
-            self._check_ids(sats[bad][0].item(), gs[bad][0].item())
+        sats, gs = np.asarray(sats, np.int64), np.asarray(gs, np.int64)
+        self._check_ids(sats, gs)
         self._log(self._states, gs, sats, t, BindingState.BOUND, self._parent[0], self._parent[2])
         self._log(self._changes, sats, self._ctx[1], t, gs, False)
         self._log(self._accepts, gs, sats, t)
 
-    def _check_ids(self, sat, gs):
-        if gs not in self.controllers:
-            raise ProtocolViolation(f"gs {gs} is not a controller of this simulation")
-        if sat not in self.satellites:
-            raise ProtocolViolation(f"node {sat} is not a satellite of this simulation")
+    def _check_ids(self, sats, gs):
+        """Refuse the first row of the columns with an unknown id: its controller, then its node."""
+        bad = ~np.isin(gs, self._gs_ids) | ~np.isin(sats, self._sats)
+        if bad.any():
+            i = bad.argmax()
+            if gs[i] not in self.controllers:
+                raise ProtocolViolation(f"gs {gs[i]} is not a controller of this simulation")
+            raise ProtocolViolation(f"node {sats[i]} is not a satellite of this simulation")
 
     # -- periodic status reports --------------------------------------------
 
@@ -708,13 +708,13 @@ def node_visible(sim: Simulation, sat: int, t: float) -> bool:
 def start_seamless(sim: Simulation, sat: int, target_gs: int, t0: float):
     """Start a seamless handover of ``sat`` to ``target_gs`` at ``t0``: a
     one-handover ``start_handovers`` batch."""
-    sim.start_handovers(Protocol.SEAMLESS, {sat: [(t0, target_gs)]})
+    sim.start_handovers(Protocol.SEAMLESS, [sat], [t0], [target_gs])
 
 
 def start_legacy(sim: Simulation, sat: int, target_gs: int, t0: float):
     """Start a drain-and-rejoin handover of ``sat`` to ``target_gs`` at
     ``t0``: a one-handover ``start_handovers`` batch."""
-    sim.start_handovers(Protocol.LEGACY, {sat: [(t0, target_gs)]})
+    sim.start_handovers(Protocol.LEGACY, [sat], [t0], [target_gs])
 
 
 def run_seamless_handover(sim: Simulation, sat: int, target_gs: int, t0: float) -> HandoverRecord:
@@ -794,11 +794,14 @@ class _Lockstep:
         return self._checked(ev, ms, *(ends if up else ends[::-1]))
 
     def gs_s(self, ev, a, b):
-        """Seconds from station ``a`` to ``b``; station legs do not depend on time."""
-        pairs = list(zip(a.tolist(), b.tolist()))
-        ms = {p: self.sim.latency(("gs", p[0]), ("gs", p[1]), 0.0) for p in set(pairs)}
-        ms = np.array([ms[p] for p in pairs], dtype=float)
-        return self._checked(ev, ms, ("gs", a), ("gs", b))
+        """Seconds from station ``a`` to ``b``; station legs do not depend on
+        time, so each distinct pair's is read once."""
+        ids = self.sim._gs_ids
+        key = np.searchsorted(ids, a) * len(ids) + np.searchsorted(ids, b)  # one int per pair
+        _, first, at = np.unique(key, return_index=True, return_inverse=True)
+        pairs = zip(a[first].tolist(), b[first].tolist())
+        ms = np.array([self.sim.latency(("gs", p), ("gs", q), 0.0) for p, q in pairs])
+        return self._checked(ev, ms[at], ("gs", a), ("gs", b))
 
     def _checked(self, ev, ms, a, b):
         bad = ~(np.isfinite(ms) & (ms >= 0.0))
@@ -911,17 +914,17 @@ def _replay(sim, parts, keep=False):
     raises, so each chain depends on the others of its node only
     through its source controller.
     """
-    flat = [switch for _, calls, _, _ in parts for switch in calls]
-    if not flat:
+    protocols, sats, t0, tgt, firsts, ctxs = zip(*parts)
+    sizes = [len(c) for c in sats]
+    if not sum(sizes):
         return
     keep = keep or sim.trace is not None
-    sizes = [len(calls) for _, calls, _, _ in parts]
-    sats, t0, tgt = map(np.array, zip(*flat))
-    seq = np.concatenate([np.arange(first, first + n) for (_, _, first, _), n in zip(parts, sizes)])
-    protocol_ix = np.repeat([list(_CHAINS).index(protocol) for protocol, *_ in parts], sizes)
-    ctx = [np.repeat(c, sizes) for c in zip(*(ctx for *_, ctx in parts))]
+    sats, t0, tgt = map(np.concatenate, (sats, t0, tgt))
+    seq = np.concatenate([np.arange(first, first + n) for first, n in zip(firsts, sizes)])
+    protocol_ix = np.repeat([list(_CHAINS).index(protocol) for protocol in protocols], sizes)
+    ctx = [np.repeat(c, sizes) for c in zip(*ctxs)]
     pos = np.lexsort((seq, t0, sats))  # each node's handovers in the order they start
-    sats, t0, tgt, seq = sats[pos], t0[pos].astype(float), tgt[pos], seq[pos]
+    sats, t0, tgt, seq = sats[pos], t0[pos], tgt[pos], seq[pos]
     protocol_ix = protocol_ix[pos]
     ctx = [c[pos] for c in ctx]
     same = np.append(False, sats[1:] == sats[:-1])  # the node's previous handover is the one before

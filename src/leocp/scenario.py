@@ -3,9 +3,9 @@
 Builds the snapshot series, predicts every satellite's handover schedule
 against the selected controllers (distances sampled and scanned in blocks
 of a fixed number of satellite-samples, one ``predict_handovers`` call
-each), then replays every predicted handover in one bulk batch
-(``Simulation.start_handovers``) and derives the periodic status reports
-in bulk after it.
+each, into one ``HandoverSchedules`` table), then replays its columns in
+one bulk batch (``Simulation.start_handovers``) and derives the periodic
+status reports in bulk after it.
 Everything downstream of the inputs is deterministic.
 """
 from dataclasses import dataclass, field, replace
@@ -17,6 +17,7 @@ import numpy as np
 from .assignment import (  # noqa: F401
     AssignmentParams,
     DistanceSampler,
+    HandoverSchedules,
     predict_handovers,
     sample_distances,
 )
@@ -91,7 +92,7 @@ class ScenarioSpec:
 class ScenarioResult:
     records: list  # ``sim.records``: in (t_start, satellite) order
     report_latencies: dict  # sat -> float64 array of ms
-    schedules: dict  # sat -> HandoverSchedule
+    schedules: HandoverSchedules  # every satellite's, as one table
     sim: Simulation
 
 
@@ -128,11 +129,11 @@ def build_fields(spec: ScenarioSpec):
 
 
 def predict_schedules(spec: ScenarioSpec, elements, fields):
-    """CNAA schedule per satellite against the scenario's controllers.
+    """Every satellite's CNAA schedule, as one ``HandoverSchedules`` table.
 
     Satellites go ``BLOCK_SAMPLES`` satellite-samples at a time: each
     block's distances are one ``DistanceSamples``, scanned by one
-    ``predict_handovers`` call.
+    ``predict_handovers`` call; the blocks' tables join in order.
     """
     params = replace(
         spec.assignment,
@@ -142,11 +143,11 @@ def predict_schedules(spec: ScenarioSpec, elements, fields):
     controllers = {g: spec.stations[g] for g in spec.controllers}
     sampler = DistanceSampler(controllers, params, spec.metric, elements, fields)
     step = max(1, BLOCK_SAMPLES // len(sampler.times))
-    schedules = {}
+    blocks = []
     for lo in range(0, len(elements), step):
-        block = sampler(range(lo, min(lo + step, len(elements))))
-        schedules.update(enumerate(predict_handovers(block, params), lo))
-    return schedules
+        block = predict_handovers(sampler(range(lo, min(lo + step, len(elements)))), params)
+        blocks.append((block.initial, block.sat + lo, block.t, block.target))
+    return HandoverSchedules(*map(np.concatenate, zip(*blocks)))
 
 
 def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResult:
@@ -173,9 +174,9 @@ def run_scenario(spec: ScenarioSpec, built=None, schedules=None) -> ScenarioResu
         pods_per_sat=spec.pods_per_sat,
         record_trace=spec.record_trace,
     )
-    sim.bind_all({sat: schedules[sat].initial for sat in range(len(elements))}, t=0.0)
+    sim.bind_all(np.arange(len(elements)), schedules.initial, t=0.0)
     sim.start_reporting(spec.duration_s)
-    sim.start_handovers(spec.protocol, {sat: s.events for sat, s in schedules.items()})
+    sim.start_handovers(spec.protocol, schedules.sat, schedules.t, schedules.target)
     sim.run()
 
     return ScenarioResult(

@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-from leocp import kernels
-from leocp.assignment import DistanceSamples
-from leocp.errors import ConcurrentHandover, ProtocolViolation
+from leocp import kernels, protocol
+from leocp.assignment import DistanceSamples, HandoverSchedules
+from leocp.errors import ConcurrentHandover, ProtocolViolation, Unreachable
 from leocp.orbits import propagate
 from leocp.protocol import (
     VISIBLE_STATES,
@@ -216,7 +216,7 @@ def _begin_handover(sim: Simulation, sat: int, target_gs: int) -> int:
     """
     if sat in sim._in_flight:
         raise ConcurrentHandover(f"handover already in flight for node {sat}")
-    sim._check_ids(sat, target_gs)
+    sim._check_ids([sat], [target_gs])
     source_gs = sim.controller(sat)
     if source_gs is None or sim.binding(source_gs, sat) is not BindingState.BOUND:
         raise ProtocolViolation(f"node {sat} is not Bound anywhere; cannot hand over")
@@ -410,14 +410,141 @@ def _legacy_report(sim, sat, target_gs, t, removed, legs, finish):
         finish(t, **legs)
 
 
-def queue_handovers(sim, protocol, schedules):
-    """``sim.start_handovers(protocol, schedules)`` as one queued start
-    event per switch, satellite by satellite, for the queue to run step
-    by step on ``sim``, a ``QueueSimulation``."""
-    starter = start_seamless if protocol is Protocol.SEAMLESS else start_legacy
-    for sat in sorted(schedules):
-        for t, target in schedules[sat]:
-            sim.schedule(t, functools.partial(starter, sim, sat, target))
+def switch_columns(schedules):
+    """The ``sats``, ``t`` and ``targets`` columns of ``schedules``
+    (satellite -> its ``(t, target)`` switches), satellite by satellite:
+    what ``start_handovers`` and ``HandoverSchedules`` take."""
+    rows = [(sat, t, target) for sat in sorted(schedules) for t, target in schedules[sat]]
+    sats, t, targets = zip(*rows) if rows else ((), (), ())
+    return np.array(sats, np.int64), np.array(t, float), np.array(targets, np.int64)
+
+
+def per_satellite(table):
+    """A schedule table, a ``HandoverSchedules`` or the ``(initial, sat,
+    t, target)`` columns of ``kernels.handover_scan``, as ``(initial,
+    [(t, target), ...])`` per satellite in Python values; its rows must be
+    in satellite order."""
+    if isinstance(table, HandoverSchedules):
+        table = table.initial, table.sat, table.t, table.target
+    initial, sat, t, target = (np.asarray(c).tolist() for c in table)
+    assert sat == sorted(sat), "switches out of satellite order"
+    events = [[] for _ in initial]
+    for s, time, g in zip(sat, t, target):
+        events[s].append((time, g))
+    return list(zip(initial, events))
+
+
+def queue_handovers(sim, kind, sats, t, targets):
+    """``sim.start_handovers(kind, sats, t, targets)`` as one queued start
+    event per switch, in row order, for the queue to run step by step on
+    ``sim``, a ``QueueSimulation``."""
+    starter = start_seamless if kind is Protocol.SEAMLESS else start_legacy
+    for sat, t0, target in zip(*(np.asarray(c).tolist() for c in (sats, t, targets))):
+        sim.schedule(t0, functools.partial(starter, sim, sat, target))
+
+
+# ---------------------------------------------------------------------------
+# status reports as queued events, on top of the queue oracle, and the
+# cases that run on both engines
+
+
+class PerEventSimulation(QueueSimulation):
+    """The engine with status reports as queued events."""
+
+    def start_reporting(self, duration):
+        self.report_latencies = {sat: [] for sat in self.satellites}
+        self.waiting = {sat: [] for sat in self.satellites}
+        for sat in sorted(self.satellites):
+            self.schedule(0.0, self._sender(sat, duration))
+
+    def _sender(self, sat, duration):
+        def send(t):
+            if t + self.report_interval <= duration:
+                self.schedule(t + self.report_interval, send)
+            gs = self.controller(sat)
+            if gs is None:
+                self.waiting[sat].append(t)
+                return
+            leg = self._leg_s(("sat", sat), ("gs", gs), t)
+            self.report_latencies[sat].append(leg * 1000.0)
+
+            def arrive(t2):
+                self.schedule(
+                    t2 + self.delays.status_report_process,
+                    lambda t3: self._accept_report(gs, sat, t3),
+                )
+
+            self.schedule(t + leg, arrive)
+
+        return send
+
+    def _set_controller(self, sat, gs, t, flush=False):
+        super()._set_controller(sat, gs, t, flush)
+        if flush:
+            for tick in self.waiting[sat]:
+                self.report_latencies[sat].append((t - tick) * 1000.0)
+            self.waiting[sat].clear()
+
+
+def starter(sim, legacy):
+    """The queue oracle's start on a ``QueueSimulation``, else the
+    product's one-handover batch."""
+    if isinstance(sim, QueueSimulation):
+        return start_legacy if legacy else start_seamless
+    return protocol.start_legacy if legacy else protocol.start_seamless
+
+
+def replay(cls, case):
+    """Run ``case`` on engine class ``cls``: the outcome, or the error."""
+    sim = cls(
+        controllers=[0, 1, 2],
+        satellites=list(range(len(case["initial"]))),
+        latency=case["latency"](),
+        delays=case["delays"],
+        report_interval=case["interval"],
+        pods_per_sat=case["pods"],
+    )
+    for sat, gs in enumerate(case["initial"]):
+        sim.bind_initial(sat, gs)
+    if case["report_first"]:
+        sim.start_reporting(case["duration"])
+    if cls is PerEventSimulation:
+        start = starter(sim, case["legacy"])
+        for sat, handovers in enumerate(case["handovers"]):
+            for t, target in handovers:
+                sim.schedule(t, lambda t, sat=sat, target=target: start(sim, sat, target, t))
+    else:
+        kind = Protocol.LEGACY if case["legacy"] else Protocol.SEAMLESS
+        sim.start_handovers(kind, *switch_columns(dict(enumerate(case["handovers"]))))
+    if not case["report_first"]:
+        sim.start_reporting(case["duration"])
+    try:
+        sim.run()
+    except (Unreachable, ConcurrentHandover) as exc:
+        return {"error": (type(exc), str(exc))}
+    return {
+        "latencies": {s: np.asarray(v, dtype=float).tobytes() for s, v in sim.report_latencies.items()},
+        "report_log": {k: np.asarray(v, dtype=float).tobytes() for k, v in sim.report_log.items()},
+        "state_log": sim.state_log,
+        "records": sorted(sim.records, key=lambda r: (r.t_start, r.sat_id)),
+    }
+
+
+def visible_oracle(sim, sat, t):
+    """``node_visible`` with the state log's times listed on every call."""
+    window = sim.report_interval + sim.grace
+    for gs in sim.controllers:
+        log = sim.state_log.get((gs, sat))
+        if not log:
+            continue
+        i = bisect.bisect_right([entry[0] for entry in log], t) - 1
+        if i < 0 or log[i][1] not in VISIBLE_STATES:
+            continue
+        reports = sim.report_log.get((gs, sat), [])
+        j = bisect.bisect_right(reports, t) - 1
+        if j >= 0 and t - reports[j] <= window:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

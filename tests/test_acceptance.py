@@ -216,7 +216,7 @@ def test_criterion_6_cnaa_hysteresis():
     # delta = 1 reduces to the brute-force nearest-controller scan
     params = AssignmentParams(horizon_s=horizon, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, stations, params, elements=c)
-    (sched,) = predict_handovers(samples, params)
+    sched = predict_handovers(samples, params)[0]
     grid = np.arange(0.0, horizon + 0.5, 1.0)
     grid = grid[grid <= horizon]
     interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km[0]])
@@ -247,7 +247,7 @@ def test_criterion_7_geometric_handover_count():
     period = shell.period_s
     params = AssignmentParams(horizon_s=period, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
     samples = sample_distances(0, stations, params, elements=c)
-    (sched,) = predict_handovers(samples, params)
+    sched = predict_handovers(samples, params)[0]
     assert sched.count == 2
     # independent oracle: sign changes of the distance difference on a 1 s grid
     gs0 = station_position(stations[0])

@@ -24,7 +24,7 @@ from leocp.assignment import (
 from leocp.config import load_config, parse_config
 from leocp.errors import BudgetExceeded, EmptySelection, OutOfHorizon
 from leocp.orbits import GroundStation, WalkerShell, generate_constellation, propagate, station_position
-from oracles import samples_from, switch_intervals_by_sort, tick_oracle
+from oracles import per_satellite, samples_from, switch_columns, switch_intervals_by_sort, tick_oracle
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -106,9 +106,9 @@ def test_samples_short_of_the_horizon_are_out_of_horizon():
         predict_handovers(s, params)
     with pytest.raises(OutOfHorizon):
         assigned_distance_trace(
-            s, HandoverSchedules((HandoverSchedule(initial=0, events=()),)), params
+            s, HandoverSchedules([0], [], [], []), params
         )
-    (schedule,) = predict_handovers(s, replace(params, horizon_s=60.0))
+    schedule = predict_handovers(s, replace(params, horizon_s=60.0))[0]
     assert schedule.initial == 0 and schedule.count == 1
 
 
@@ -135,7 +135,7 @@ def test_interpolation_error_bound_on_distant_pass():
 def test_single_controller_empty_schedule():
     s = samples_from([0.0, 60.0, 120.0], [[100.0, 150.0, 90.0]], 120.0)
     params = AssignmentParams(horizon_s=120.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    (sched,) = predict_handovers(s, params)
+    sched = predict_handovers(s, params)[0]
     assert sched.initial == 0
     assert sched.events == ()
 
@@ -146,7 +146,7 @@ def test_single_crossing_fires_first_tick_after():
     ts = [0.0, 60.0, 120.0]
     s = samples_from(ts, [[100.0, 160.0, 220.0], [200.0, 140.0, 80.0]], 120.0)
     params = AssignmentParams(horizon_s=120.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-    (sched,) = predict_handovers(s, params)
+    sched = predict_handovers(s, params)[0]
     assert sched.initial == 0
     assert sched.events == ((51.0, 1),)
 
@@ -160,7 +160,7 @@ def test_delta_one_matches_nearest_scan_oracle():
             ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(n_ctl)], 600.0
         )
         params = AssignmentParams(horizon_s=600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=1.0)
-        (sched,) = predict_handovers(samples, params)
+        sched = predict_handovers(samples, params)[0]
         # oracle: direct argmin scan over the decision grid
         grid = np.arange(0.0, 601.0, 1.0)
         interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km[0]])
@@ -182,7 +182,7 @@ def test_hysteresis_band_never_violated():
             ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 1200.0
         )
         params = AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta)
-        (sched,) = predict_handovers(samples, params)
+        sched = predict_handovers(samples, params)[0]
         grid = np.arange(0.0, 1201.0, 1.0)
         interp = np.stack([np.interp(grid, samples.times, km) for km in samples.km[0]])
         nearest = interp.min(axis=0)
@@ -217,12 +217,30 @@ def test_schedule_matches_tick_oracle_below_one():
         params = AssignmentParams(
             horizon_s=1800.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=delta
         )
-        (sched,) = predict_handovers(samples, params)
+        sched = predict_handovers(samples, params)[0]
         initial, events = tick_oracle(samples, params)
         assert events, delta  # the case must exercise switches
         assert sched.initial == initial
         assert list(sched.events) == events
-        assert predict_handovers(samples, params) == HandoverSchedules((sched,))
+        assert predict_handovers(samples, params) == {0: sched}
+
+
+def test_schedule_table_reads_as_a_mapping_of_views():
+    # satellites 0 and 2 switch, satellite 1 keeps its initial controller
+    table = HandoverSchedules([3, 1, 0], *switch_columns({0: [(5.0, 1), (9.5, 3)], 2: [(2.0, 1)]}))
+    assert table.count == 3 and len(table) == 3 and list(table) == [0, 1, 2]
+    assert table == {
+        0: HandoverSchedule(3, ((5.0, 1), (9.5, 3))),
+        1: HandoverSchedule(1, ()),
+        2: HandoverSchedule(0, ((2.0, 1),)),
+    }
+    view = table[0]
+    assert type(view.initial) is int and all(type(t) is float and type(g) is int for t, g in view.events)
+    assert (view.controller_at(5.0), view.controller_at(9.0), view.controller_at(10.0)) == (1, 1, 3)
+    assert 3 not in table and -1 not in table and "0" not in table and table.get(3) is None
+    assert table[1.0] == table[True] == table[np.int64(1)] == HandoverSchedule(1, ())
+    with pytest.raises(KeyError):
+        table[3]
 
 
 @st.composite
@@ -318,12 +336,12 @@ def scan_blocks(draw):
 @given(scan_cases())
 def test_pruned_scan_matches_tick_oracle(case):
     params, ts, rows = case
-    [(initial, events)] = kernels.handover_scan(
+    [(initial, events)] = per_satellite(kernels.handover_scan(
         ts, rows[None], params.decide_dt_s, params.horizon_s, params.delta
-    )
+    ))
     samples = samples_from(ts, rows, params.horizon_s)
     assert (initial, events) == tick_oracle(samples, params)
-    (sched,) = predict_handovers(samples, params)
+    sched = predict_handovers(samples, params)[0]
     assert (sched.initial, list(sched.events)) == (initial, events)
 
 
@@ -331,19 +349,20 @@ def test_pruned_scan_matches_tick_oracle(case):
 @given(scan_blocks())
 def test_block_scan_matches_tick_oracle_per_satellite(case):
     params, ts, block = case
-    scans = kernels.handover_scan(
+    scans = per_satellite(kernels.handover_scan(
         ts, block, params.decide_dt_s, params.horizon_s, params.delta
-    )
+    ))
     assert len(scans) == len(block)
     for rows, scan in zip(block, scans):
         assert scan == tick_oracle(samples_from(ts, rows, params.horizon_s), params)
     # windows of one tick per satellite and controller give the same events
     with mock.patch.object(kernels, "SLAB_CELLS", 1):
-        assert kernels.handover_scan(
+        assert per_satellite(kernels.handover_scan(
             ts, block, params.decide_dt_s, params.horizon_s, params.delta
-        ) == scans
+        )) == scans
     schedules = predict_handovers(samples_from(ts, block, params.horizon_s), params)
-    assert [(s.initial, list(s.events)) for s in schedules] == scans
+    assert per_satellite(schedules) == scans
+    assert [(s.initial, list(s.events)) for s in schedules.values()] == scans
     assert schedules.count == sum(len(events) for _, events in scans)
     if block.shape[1] > 1:  # each satellite's flags, slack included, as if scanned alone
         flags = kernels._switch_intervals(block, params.delta)
@@ -406,15 +425,16 @@ def test_scan_slab_stays_bounded_at_60000_ticks_per_interval():
     kernels.decision_ticks(0.001, 120.0)  # the grid, cached before tracing
     tracemalloc.start()
     try:
-        scans = kernels.handover_scan(ts, d, 0.001, 120.0, 0.9)
+        scan = kernels.handover_scan(ts, d, 0.001, 120.0, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+    scans = per_satellite(scan)
     assert sum(len(events) for _, events in scans) > 20
     # one satellite's interval is one window: the cut windows give its events
     for row, scan in zip(d, scans):
-        assert kernels.handover_scan(ts, row[None], 0.001, 120.0, 0.9) == [scan]
+        assert per_satellite(kernels.handover_scan(ts, row[None], 0.001, 120.0, 0.9)) == [scan]
     kernels.decision_ticks.cache_clear()
 
 
@@ -447,11 +467,11 @@ def test_block_prediction_matches_per_satellite_path(metric, delta, monkeypatch)
         schedules = scenario.predict_schedules(spec, elements, fields)
         assert blocks == sizes
         controllers = {g: spec.stations[g] for g in spec.controllers}
-        expected = {}
+        expected = []
         for row in range(len(elements)):
             samples = sample_distances(row, controllers, params, metric, elements, fields)
-            (expected[row],) = predict_handovers(samples, params)
-        assert schedules == expected
+            expected += per_satellite(predict_handovers(samples, params))
+        assert per_satellite(schedules) == expected
         assert sum(s.count for s in schedules.values()) > 0
 
 
@@ -510,7 +530,7 @@ def test_assigned_distance_trace_matches_tick_loop():
         ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 1200.0
     )
     params = AssignmentParams(horizon_s=1200.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.9)
-    (sched,) = predict_handovers(samples, params)
+    sched = predict_handovers(samples, params)[0]
     assert sched.events
     ticks = np.arange(0.0, 1200.5, 1.0)
     for schedule in (sched, HandoverSchedule(initial=2, events=())):
@@ -518,7 +538,8 @@ def test_assigned_distance_trace_matches_tick_loop():
         for i, t in enumerate(ticks):
             km = samples.km[0, samples.gs_ids.index(schedule.controller_at(float(t)))]
             loop[i] = np.interp(t, samples.times, km)
-        trace = assigned_distance_trace(samples, HandoverSchedules((schedule,)), params)
+        table = HandoverSchedules([schedule.initial], *switch_columns({0: schedule.events}))
+        trace = assigned_distance_trace(samples, table, params)
         assert np.array_equal(trace, loop[None])
 
 
@@ -529,7 +550,7 @@ def test_schedule_event_times_increase_and_targets_differ():
         ts, [rng.uniform(100.0, 2000.0, ts.shape[0]) for _ in range(3)], 3600.0
     )
     params = AssignmentParams(horizon_s=3600.0, sample_dt_s=60.0, decide_dt_s=1.0, delta=0.95)
-    (sched,) = predict_handovers(samples, params)
+    sched = predict_handovers(samples, params)[0]
     times = [t for t, _ in sched.events]
     assert times == sorted(times)
     assert len(set(times)) == len(times)

@@ -115,6 +115,26 @@ def test_all_builds_fields_and_predicts_schedules_once(mini_config, tmp_path, mo
     assert calls == {"build_fields": 1, "predict_schedules": 1}
 
 
+def test_all_builds_no_per_satellite_schedule(tmp_path, monkeypatch):
+    # the desk ``all`` run carries its schedules as columns from the scan
+    # to the replay and the writers
+    import leocp.assignment
+
+    built = []
+    real = leocp.assignment.HandoverSchedule
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(leocp.assignment, "HandoverSchedule", spy)
+    desk = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
+    assert main(["all", "--config", desk, "--out", str(tmp_path)]) == 0
+    assert built == []
+    schedules = json.loads((tmp_path / "schedule.json").read_text())
+    assert len(schedules) == 48 and sum(len(s["events"]) for s in schedules.values()) > 0
+
+
 SNAPSHOT_FILES = ("snapshots.json", "fields.json", "distances.csv")
 DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
 

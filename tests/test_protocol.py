@@ -1,4 +1,3 @@
-import bisect
 import gc
 import json
 import math
@@ -10,7 +9,6 @@ import pytest
 from leocp.errors import ConcurrentHandover, ProtocolViolation, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
-    VISIBLE_STATES,
     BindingState,
     ConstantLatency,
     DelayProfile,
@@ -27,7 +25,7 @@ from leocp.protocol import (
 from leocp.topology import DistanceFields
 
 import oracles
-from oracles import QueueSimulation
+from oracles import QueueSimulation, visible_oracle
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -290,23 +288,6 @@ def test_node_visible_throughout_seamless_at_10ms():
     rec = run_seamless_handover(sim, 0, 1, 0.0)
     for t in np.arange(rec.t_start, rec.t_end + 0.01, 0.01):
         assert node_visible(sim, 0, float(t))
-
-
-def visible_oracle(sim, sat, t):
-    """``node_visible`` with the state log's times listed on every call."""
-    window = sim.report_interval + sim.grace
-    for gs in sim.controllers:
-        log = sim.state_log.get((gs, sat))
-        if not log:
-            continue
-        i = bisect.bisect_right([entry[0] for entry in log], t) - 1
-        if i < 0 or log[i][1] not in VISIBLE_STATES:
-            continue
-        reports = sim.report_log.get((gs, sat), [])
-        j = bisect.bisect_right(reports, t) - 1
-        if j >= 0 and t - reports[j] <= window:
-            return True
-    return False
 
 
 def test_node_visible_matches_time_list_oracle():

@@ -2,6 +2,8 @@
 
 ``queue_handovers`` (tests/oracles.py) queues one start event per
 switch, and the queue runs each handover as a generator, step by step.
+A case holds its switches per satellite; ``switch_columns`` turns them
+into the columns both take.
 ``start_handovers`` followed by ``run`` must leave the same logs, ranks
 included, the same records, requests, trace rows and report latencies,
 or raise the same first error, without queueing a single event.
@@ -28,7 +30,7 @@ from leocp.protocol import (
 from leocp.scenario import ScenarioSpec, run_scenario
 from leocp.topology import DistanceFields
 
-from oracles import QueueSimulation, queue_handovers
+from oracles import QueueSimulation, queue_handovers, switch_columns
 
 
 class CountingSimulation(Simulation):
@@ -122,7 +124,7 @@ def replay(case, bulk):
         record_trace=case["record_trace"],
     )
     if bulk:
-        sim.bind_all(dict(enumerate(case["initial"])))
+        sim.bind_all(range(len(case["initial"])), case["initial"])
     else:
         for sat, gs in enumerate(case["initial"]):
             sim.bind_initial(sat, gs)
@@ -130,9 +132,9 @@ def replay(case, bulk):
         if k == case["calls_before_reports"]:
             sim.start_reporting(case["duration"])
         if bulk:
-            sim.start_handovers(protocol, schedules)
+            sim.start_handovers(protocol, *switch_columns(schedules))
         else:
-            queue_handovers(sim, protocol, schedules)
+            queue_handovers(sim, protocol, *switch_columns(schedules))
     if len(case["calls"]) == case["calls_before_reports"]:
         sim.start_reporting(case["duration"])
     try:
@@ -197,15 +199,15 @@ def test_held_controllers_read_from_the_columns_match_the_views(rows, query):
 def test_step_budget_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr("leocp.protocol.STEP_BUDGET", 63)
     sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(1.0), pods_per_sat=2)
-    sim.bind_all({0: 0, 1: 1})
+    sim.bind_all([0, 1], [0, 1])
     # legacy: 10 + 2 auth round trips + 5 + 4 per pod = 25 steps a handover
     with pytest.raises(BudgetExceeded, match="3 handovers x 25 steps = 75 handover steps, over the budget of 63"):
-        sim.start_handovers(Protocol.LEGACY, {0: [(1.0, 1), (30.0, 0)], 1: [(2.0, 0)]})
+        sim.start_handovers(Protocol.LEGACY, *switch_columns({0: [(1.0, 1), (30.0, 0)], 1: [(2.0, 0)]}))
     assert sim._batch is None and sim._queue == []
-    sim.start_handovers(Protocol.SEAMLESS, {0: [(1.0, 1)], 1: [(2.0, 0), (30.0, 1)]})  # 48
+    sim.start_handovers(Protocol.SEAMLESS, *switch_columns({0: [(1.0, 1)], 1: [(2.0, 0), (30.0, 1)]}))  # 48
     # the budget bounds the whole pending batch
     with pytest.raises(BudgetExceeded, match="3 handovers x 16 steps [+] 1 handovers x 25 steps = 73 "):
-        sim.start_handovers(Protocol.LEGACY, {0: [(60.0, 0)]})
+        sim.start_handovers(Protocol.LEGACY, [0], [60.0], [0])
     sim.run()
     assert len(sim.records) == 3
 
@@ -213,8 +215,8 @@ def test_step_budget_refuses_before_any_work(monkeypatch):
 def test_batch_beside_queued_events_is_refused():
     # the bulk replay cannot interleave its steps with other queued events
     sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0))
-    sim.bind_all({0: 0, 1: 0})
-    sim.start_handovers(Protocol.LEGACY, {0: [(10.0, 1)]})
+    sim.bind_all([0, 1], [0, 0])
+    sim.start_handovers(Protocol.LEGACY, [0], [10.0], [1])
     sim.schedule(10.0, lambda t: sim.bind_initial(1, 1, t))
     with pytest.raises(ProtocolViolation, match="cannot run beside events queued through schedule"):
         sim.run()
@@ -255,9 +257,9 @@ def test_records_are_in_start_then_satellite_order(protocols):
     # two calls whose start times interleave, against the satellite order;
     # a legacy record starts at its node's removal, after its switch time
     sim = Simulation([0, 1], range(5), latency=ConstantLatency(5.0))
-    sim.bind_all(dict.fromkeys(range(5), 0))
-    sim.start_handovers(protocols[0], {0: [(40.0, 1)], 3: [(10.0, 1)], 4: [(25.0, 1)]})
-    sim.start_handovers(protocols[1], {1: [(30.0, 1)], 2: [(10.0, 1)]})
+    sim.bind_all(range(5), [0] * 5)
+    sim.start_handovers(protocols[0], [0, 3, 4], [40.0, 10.0, 25.0], [1, 1, 1])
+    sim.start_handovers(protocols[1], [1, 2], [30.0, 10.0], [1, 1])
     sim.run()
     got = start_then_satellite(sim.records)
     assert got == sorted(got) and len(got) == 5
@@ -316,3 +318,101 @@ def test_queue_and_bulk_rank_events_by_one_rule(reporting):
     steps = _Lockstep(simulation(), Protocol.SEAMLESS, ids, ids, ids, ids, np.zeros(n), np.arange(n), False)
     pusher = _Event(np.array(pushers), np.array(ranks), (None, None, None), None, None, [])
     assert steps.at(pusher, np.array(times)).rank.tolist() == expected
+
+
+def test_a_start_time_that_is_not_finite_is_refused_before_an_unknown_id():
+    sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0))
+    sim.bind_all([0, 1], [0, 0])
+    with pytest.raises(Unreachable, match="event scheduled over an unreachable link"):
+        sim.start_handovers(Protocol.SEAMLESS, [9, 1], [1.0, np.nan], [1, 1])
+    assert sim._batch is None
+
+
+@pytest.mark.parametrize(
+    "sats,targets,message",
+    [
+        ([0, 9, 1], [1, 0, 7], "node 9 is not a satellite"),
+        ([0, 1, 9], [1, 7, 0], "gs 7 is not a controller"),
+        ([1, 9, 0], [1, 7, 1], "gs 7 is not a controller"),  # one switch with both: its controller
+    ],
+    ids=["sat-first", "gs-first", "both"],
+)
+def test_the_first_switch_in_column_order_with_an_unknown_id_is_named(sats, targets, message):
+    sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0))
+    sim.bind_all([0, 1], [0, 0])
+    with pytest.raises(ProtocolViolation, match=message):
+        sim.start_handovers(Protocol.LEGACY, sats, [1.0, 2.0, 3.0], targets)
+    with pytest.raises(ProtocolViolation, match=message):
+        Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0)).bind_all(sats, targets)
+    assert sim._batch is None
+
+
+def logged(sim):
+    """Every log's columns, values and dtypes."""
+    return [(c.tolist(), c.dtype) for log in (sim._changes, sim._states, sim._accepts)
+            for c in log.columns]
+
+
+@pytest.mark.parametrize("empty", [[], np.array([])], ids=["list", "float-array"])
+def test_an_empty_batch_is_a_no_op(empty):
+    sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0))
+    sim.bind_all([0, 1], [0, 0])
+    before = logged(sim)
+    sim.start_handovers(Protocol.LEGACY, empty, empty, empty)
+    sim.run()
+    assert logged(sim) == before and sim.records == [] and sim.requests == []
+
+    # beside a switch, an empty float batch leaves the ids integers
+    def run(*calls):
+        sim = Simulation([0, 1], [0, 1], latency=ConstantLatency(5.0), record_trace=True)
+        sim.bind_all([0, 1], [0, 0])
+        sim.start_reporting(60.0)
+        for protocol, *columns in calls:
+            sim.start_handovers(protocol, *columns)
+        sim.run()
+        return logged(sim), sim.records, [vars(r) for r in sim.requests], sim.trace, sim.report_log
+
+    switch = (Protocol.SEAMLESS, [1], [5.0], [1])
+    alone = run(switch)
+    assert run((Protocol.LEGACY, empty, empty, empty), switch) == alone
+    assert run(switch, (Protocol.LEGACY, empty, empty, empty)) == alone
+    assert all(type(r.sat_id) is int and type(r.target_gs) is int for r in alone[1])
+
+
+class PairLatency(ConstantLatency):
+    """One constant on satellite legs; station legs that differ by pair,
+    each read logged."""
+
+    def __init__(self):
+        super().__init__(5.0)
+        self.station_reads = []
+
+    def __call__(self, a, b, t):
+        if a[0] == b[0] == "gs":
+            self.station_reads.append((a, b, t))
+            return 100.0 * a[1] + 10.0 * b[1] + 0.5
+        return super().__call__(a, b, t)
+
+
+@pytest.mark.parametrize("kind,pods", [(Protocol.SEAMLESS, 1), (Protocol.LEGACY, 2)])
+def test_station_legs_are_read_once_per_distinct_pair_per_step(kind, pods):
+    # seamless reads source -> target at step 7 and back at step 8; legacy
+    # with pods reads target -> source and back for the pod records
+    initial, targets = [0, 1, 0, 2, 0, 1, 2], [1, 0, 1, 0, 2, 2, 0]
+    sats = range(len(initial))
+    latency = PairLatency()
+    bulk = Simulation([0, 1, 2], sats, latency=latency, pods_per_sat=pods)
+    bulk.bind_all(sats, initial)
+    bulk.start_handovers(kind, sats, [1.0] * len(initial), targets)
+    bulk.run()
+    pairs = sorted(set(zip(initial, targets)))  # 5 distinct of 7
+    reads = [(a[1], b[1]) for a, b, _ in latency.station_reads]
+    assert sorted(reads) == sorted(pairs + [(b, a) for a, b in pairs])
+    assert all(type(a[1]) is int and type(b[1]) is int and t == 0.0 for a, b, t in latency.station_reads)
+    # the legs are those of one read per handover
+    oracle = QueueSimulation([0, 1, 2], sats, latency=PairLatency(), pods_per_sat=pods)
+    for sat, gs in zip(sats, initial):
+        oracle.bind_initial(sat, gs)
+    queue_handovers(oracle, kind, sats, [1.0] * len(initial), targets)
+    oracle.run()
+    assert bulk.records == sorted(oracle.records, key=lambda r: (r.t_start, r.sat_id))

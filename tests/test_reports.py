@@ -1,10 +1,11 @@
 """Bulk status reports against the per-event engine they replace.
 
-``PerEventSimulation`` puts every report back on the queue as the send,
-arrive and accept events the engine used to run: each tick schedules
-the next, a tick while the node holds no controller waits for the
-legacy rejoin, and an accept finds the binding state of that moment.
-Its handovers run on the queue oracle (tests/oracles.py). The bulk
+``PerEventSimulation`` (tests/oracles.py) puts every report back on the
+queue as the send, arrive and accept events the engine used to run: each
+tick schedules the next, a tick while the node holds no controller waits
+for the legacy rejoin, and an accept finds the binding state of that
+moment. Its handovers run on the queue oracle. ``replay`` runs one case
+on either engine. The bulk
 derivation must give the same latencies (same order, same bits), the
 same accepted report times, the same records and the same error, after
 the bulk handover replay or, where a case queues other events beside
@@ -24,14 +25,13 @@ import oracles
 from leocp import protocol
 from leocp.cli import main
 from leocp.config import load_config
-from leocp.errors import BudgetExceeded, ConcurrentHandover, Unreachable
+from leocp.errors import BudgetExceeded, Unreachable
 from leocp.orbits import GroundStation
 from leocp.protocol import (
     REPORT_BUDGET,
     BindingState,
     ConstantLatency,
     DelayProfile,
-    Protocol,
     Simulation,
     SnapshotLatency,
     _tick_grid,
@@ -39,90 +39,9 @@ from leocp.protocol import (
 )
 from leocp.scenario import build_fields, predict_schedules, run_scenario
 from leocp.topology import DistanceFields, distance_to_latency
-from oracles import QueueSimulation
+from oracles import PerEventSimulation, QueueSimulation, replay, starter
 
 DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
-
-
-class PerEventSimulation(QueueSimulation):
-    """The engine with status reports as queued events."""
-
-    def start_reporting(self, duration):
-        self.report_latencies = {sat: [] for sat in self.satellites}
-        self.waiting = {sat: [] for sat in self.satellites}
-        for sat in sorted(self.satellites):
-            self.schedule(0.0, self._sender(sat, duration))
-
-    def _sender(self, sat, duration):
-        def send(t):
-            if t + self.report_interval <= duration:
-                self.schedule(t + self.report_interval, send)
-            gs = self.controller(sat)
-            if gs is None:
-                self.waiting[sat].append(t)
-                return
-            leg = self._leg_s(("sat", sat), ("gs", gs), t)
-            self.report_latencies[sat].append(leg * 1000.0)
-
-            def arrive(t2):
-                self.schedule(
-                    t2 + self.delays.status_report_process,
-                    lambda t3: self._accept_report(gs, sat, t3),
-                )
-
-            self.schedule(t + leg, arrive)
-
-        return send
-
-    def _set_controller(self, sat, gs, t, flush=False):
-        super()._set_controller(sat, gs, t, flush)
-        if flush:
-            for tick in self.waiting[sat]:
-                self.report_latencies[sat].append((t - tick) * 1000.0)
-            self.waiting[sat].clear()
-
-
-def starter(sim, legacy):
-    """The queue oracle's start on a ``QueueSimulation``, else the
-    product's one-handover batch."""
-    module = oracles if isinstance(sim, QueueSimulation) else protocol
-    return module.start_legacy if legacy else module.start_seamless
-
-
-def replay(cls, case):
-    """Run ``case`` on engine class ``cls``: the outcome, or the error."""
-    sim = cls(
-        controllers=[0, 1, 2],
-        satellites=list(range(len(case["initial"]))),
-        latency=case["latency"](),
-        delays=case["delays"],
-        report_interval=case["interval"],
-        pods_per_sat=case["pods"],
-    )
-    for sat, gs in enumerate(case["initial"]):
-        sim.bind_initial(sat, gs)
-    if case["report_first"]:
-        sim.start_reporting(case["duration"])
-    if cls is PerEventSimulation:
-        start = starter(sim, case["legacy"])
-        for sat, handovers in enumerate(case["handovers"]):
-            for t, target in handovers:
-                sim.schedule(t, lambda t, sat=sat, target=target: start(sim, sat, target, t))
-    else:
-        kind = Protocol.LEGACY if case["legacy"] else Protocol.SEAMLESS
-        sim.start_handovers(kind, dict(enumerate(case["handovers"])))
-    if not case["report_first"]:
-        sim.start_reporting(case["duration"])
-    try:
-        sim.run()
-    except (Unreachable, ConcurrentHandover) as exc:
-        return {"error": (type(exc), str(exc))}
-    return {
-        "latencies": {s: np.asarray(v, dtype=float).tobytes() for s, v in sim.report_latencies.items()},
-        "report_log": {k: np.asarray(v, dtype=float).tobytes() for k, v in sim.report_log.items()},
-        "state_log": sim.state_log,
-        "records": sorted(sim.records, key=lambda r: (r.t_start, r.sat_id)),
-    }
 
 
 def snapshot_latency(seed):

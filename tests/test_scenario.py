@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from leocp.assignment import AssignmentParams, HandoverSchedule
+from leocp.assignment import AssignmentParams, HandoverSchedules
 from leocp.errors import ConcurrentHandover, Unreachable
 from leocp.orbits import GroundStation, WalkerShell
 from leocp.protocol import ConstantLatency, DelayProfile, Protocol
 from leocp.scenario import ScenarioSpec, run_scenario
 from leocp.topology import DistanceFields
+from oracles import switch_columns
 
 
 def equatorial_flip_spec(protocol=Protocol.SEAMLESS, **kw):
@@ -126,10 +127,10 @@ def two_failures(overlap_sat, unreachable_sat, switch_t, at_start):
         ),
         report_interval_s=100.0,  # one tick, at t=0
     )
-    schedules = {
-        overlap_sat: HandoverSchedule(0, ((5.0, 1), (switch_t, 2))),
-        unreachable_sat: HandoverSchedule(0, ((9.0 if at_start else 5.0, 1),)),
-    }
+    schedules = HandoverSchedules([0, 0], *switch_columns({
+        overlap_sat: [(5.0, 1), (switch_t, 2)],
+        unreachable_sat: [(9.0 if at_start else 5.0, 1)],
+    }))
     fields = DistanceFields([float(t) for t in range(21)], d)
     with pytest.raises((ConcurrentHandover, Unreachable)) as err:
         run_scenario(spec, built=(range(2), None, fields), schedules=schedules)
